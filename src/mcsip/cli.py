@@ -20,11 +20,11 @@ import time
 import numpy as np
 
 from .aggregate import Transformation, build_aggregation
-from .errors import ConfigError, McsipError
+from .errors import ConfigError
 from .hdr import HdrConfig, generate_instance, load_instance, save_instance, \
     build_hdr_aggregated, build_hdr_msilp
 from .ldr import LdrVariant, benders_solve, build_ldr_model, extract_policy
-from .lp_engine import branch_and_cut
+from .lp_engine import TIME_LIMIT, DeadlineReached, branch_and_cut
 from .model import build_aggregated_extensive_form
 from .sddp import SddpConfig, evaluate_policy, solve_exact, solve_lower_bound
 
@@ -117,12 +117,16 @@ def run_solve(inst, method: str, tr: Transformation, *, eps: float | None,
                            cuts=sum(res.cut_counts.values()))
                 if method == "sddp-lb":
                     out.update(objective=res.objective, gap=res.gap)
+                elif z is None:  # sddp-ub with no incumbent policy to evaluate
+                    out.update(objective=None, gap=None)
                 else:  # sddp-ub: exact evaluation of the incumbent policy
-                    if z is None:
-                        raise McsipError("lower-bound run produced no incumbent")
-                    val = evaluate_policy(m, agg, z, cfg)
-                    out.update(objective=val,
-                               gap=(val - bound) / max(abs(val), 1e-9))
+                    try:
+                        val = evaluate_policy(m, agg, z, cfg)
+                    except DeadlineReached:
+                        out.update(status=TIME_LIMIT, objective=None, gap=None)
+                    else:
+                        out.update(objective=val,
+                                   gap=(val - bound) / max(abs(val), 1e-9))
         if z is not None:
             out["z"] = [[_group_key_to_json(g), list(map(float, v))]
                         for g, v in sorted(z.items())]

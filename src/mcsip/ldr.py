@@ -18,6 +18,13 @@ cut; cost-to-go variables theta_{t,m} are hybrid, one per stage and
 Markov state, and optimality cuts aggregate the member-node duals with
 path-probability weights.  Feasibility cuts come from phase-1 duals of an
 infeasible node LP.
+
+Rows come from the shared assembler (model.assemble), with x_n mapped onto
+the Lambda columns by a sparse basis-expansion P and x_root by its column
+offset.  The master is canonical (tiny coefficients dropped, rounded,
+duplicate rows removed); each node LP's E block and its rhs map R are
+positional, one row per kept linking row, because the Benders oracle reads
+them row by row.
 """
 
 from __future__ import annotations
@@ -30,12 +37,12 @@ import scipy.sparse as sp
 
 from .aggregate import AggregationMap, GroupKey, build_policy_graph
 from .errors import InfeasibleModel, NumericalFailure, Overflow
-from .lp_engine import (INFEASIBLE, OPTIMAL, CutOracle, LpSolution, MipSolution,
-                        branch_and_cut, infeasibility_lp, solve_lp)
-from .model import GE, LE, LpProblem, MipProblem, Msilp
+from .lp_engine import (INFEASIBLE, OPTIMAL, VIOL_GUARD, CutOracle, LpSolution,
+                        MipSolution, branch_and_cut, infeasibility_lp, solve_lp)
+from .model import GE, LE, LpProblem, MipProblem, Msilp, RowBlock, assemble, \
+    first_stage_columns, node_rows
 from .tree import path as tree_path
 
-VIOL_GUARD = 1e-9
 VARIANTS = ("th", "t", "m")
 FIRST_STAGE_CAP = 2_000_000
 
@@ -43,7 +50,6 @@ FIRST_STAGE_CAP = 2_000_000
 @dataclass(frozen=True)
 class LdrVariant:
     kind: str
-    include_intercept: bool = True
 
     def __post_init__(self):
         if self.kind not in VARIANTS:
@@ -60,7 +66,6 @@ def node_basis(m: Msilp, nid: int) -> np.ndarray:
 
 @dataclass
 class _NodeLp:
-    rows: np.ndarray            # linking-row indices kept in stage 2
     lp: LpProblem               # over the node's locals
     R: sp.csr_matrix            # rhs = const + R @ first_stage
     const: np.ndarray
@@ -111,12 +116,20 @@ def _stage_basis_len(m: Msilp) -> dict[int, int]:
     return out
 
 
+def _rule_basis(variant: LdrVariant, m: Msilp, nid: int) -> np.ndarray:
+    """The vector a node's decision rule multiplies: data, then intercept."""
+    if variant.kind == "th":
+        vec = np.concatenate([node_basis(m, a) for a in tree_path(m.tree, nid)])
+    else:
+        vec = node_basis(m, nid)
+    return np.concatenate([vec, [1.0]])
+
+
 def build_ldr_model(m: Msilp, agg: AggregationMap, variant: LdrVariant,
                     theta_lb: float = 0.0, cap: int = FIRST_STAGE_CAP) -> LdrModel:
     tree = m.tree
     k, l, r = m.k, m.l, m.r
-    blen = _stage_basis_len(m)
-    icpt = 1 if variant.include_intercept else 0
+    _stage_basis_len(m)  # one rule basis length per stage, else ValueError
 
     # first-stage columns
     z_off = {g: i * l for i, g in enumerate(agg.group_index)}
@@ -131,13 +144,9 @@ def build_ldr_model(m: Msilp, agg: AggregationMap, variant: LdrVariant,
         key = _lam_key(variant, m, node.id)
         if key in lam_off:
             continue
-        if variant.kind == "th":
-            nb = sum(blen[s] for s in range(1, node.stage + 1)) + icpt
-        else:
-            nb = blen[node.stage] + icpt
         lam_off[key] = col
-        lam_cols[key] = nb
-        col += k * nb
+        lam_cols[key] = _rule_basis(variant, m, node.id).size
+        col += k * lam_cols[key]
     theta_off: dict[tuple, int] = {}
     theta_keys: list[tuple] = []
     for t in range(2, tree.stages + 1):
@@ -149,211 +158,75 @@ def build_ldr_model(m: Msilp, agg: AggregationMap, variant: LdrVariant,
         raise Overflow(f"LDR first stage needs {col} columns, cap is {cap}")
     n = col
 
-    basis_of: dict[int, np.ndarray] = {}
-    for node in tree.nodes:
-        if node.stage == 1:
-            continue
-        if variant.kind == "th":
-            hist = [node_basis(m, nid) for nid in tree_path(tree, node.id)]
-            vec = np.concatenate(hist)
-        else:
-            vec = node_basis(m, node.id)
-        if icpt:
-            vec = np.concatenate([vec, [1.0]])
-        basis_of[node.id] = vec
-
-    def x_expr(nid: int) -> list[list[tuple[int, float]]]:
-        """Per state coordinate, the (column, coefficient) list of x_n."""
+    def x_map(nid: int):
+        """P of x_n: the root's own columns, else x_q = sum_j Lambda[q, j] basis_j."""
         if nid == tree.root:
-            return [[(x_off + q, 1.0)] for q in range(k)]
+            return x_off
         key = _lam_key(variant, m, nid)
-        off, nb = lam_off[key], lam_cols[key]
-        vec = basis_of[nid]
-        return [[(off + q * nb + j, float(vec[j])) for j in range(nb) if vec[j]]
-                for q in range(k)]
+        nb = lam_cols[key]
+        vec = _rule_basis(variant, m, nid)
+        j = np.flatnonzero(vec)
+        cols = lam_off[key] + nb * np.arange(k)[:, None] + j
+        return sp.csr_matrix((np.tile(vec[j], k), cols.ravel(), np.arange(k + 1) * j.size),
+                             shape=(k, n))
 
-    obj = np.zeros(n)
-    lo = np.full(n, -np.inf)
-    up = np.full(n, np.inf)
-    integer = np.zeros(n, dtype=bool)
-    root = m.data[tree.root]
+    def zcol(nid):
+        return z_off[agg.node_to_group[nid]]
+
+    P = {node.id: x_map(node.id) for node in tree.nodes}
+    obj, lo, up, integer = first_stage_columns(m, zcol, x_off, y_off, n)
     for node in tree.nodes:
-        nd = m.data[node.id]
-        zc = z_off[agg.node_to_group[node.id]]
-        obj[zc:zc + l] += node.p * nd.c
-        lo[zc:zc + l] = np.maximum(lo[zc:zc + l], nd.z_lo)
-        up[zc:zc + l] = np.minimum(up[zc:zc + l], nd.z_up)
-        integer[zc:zc + l] = True
-        if node.id != tree.root and np.any(nd.d):
-            for q in range(k):
-                if nd.d[q]:
-                    for c, v in x_expr(node.id)[q]:
-                        obj[c] += node.p * nd.d[q] * v
-    obj[x_off:x_off + k] = root.d
-    obj[y_off:y_off + r] = root.h
-    lo[x_off:x_off + k] = root.x_lo
-    up[x_off:x_off + k] = root.x_up
-    lo[y_off:y_off + r] = root.y_lo
-    up[y_off:y_off + r] = root.y_up
+        if node.id != tree.root and np.any(m.data[node.id].d):
+            obj += P[node.id].T @ (node.p * m.data[node.id].d)
     for key in theta_keys:
         obj[theta_off[key]] = 1.0
         lo[theta_off[key]] = theta_lb
-
-    rows_i, cols_j, vals, senses, rhs = [], [], [], [], []
-    seen: set = set()
-
-    def add_row(cv: dict[int, float], sense: str, b: float):
-        ent = tuple(sorted((c, round(v, 12)) for c, v in cv.items() if abs(v) > 1e-12))
-        sig = (sense, round(b, 12), ent)
-        if sig in seen:
-            return
-        seen.add(sig)
-        i = len(rhs)
-        for c, v in ent:
-            rows_i.append(i); cols_j.append(c); vals.append(v)
-        senses.append(sense); rhs.append(b)
-
-    def acc(cv, mat, i, expr_cols, sign=1.0):
-        if mat is None:
-            return
-        s, e = mat.indptr[i], mat.indptr[i + 1]
-        for t in range(s, e):
-            for c, v in expr_cols[mat.indices[t]]:
-                cv[c] = cv.get(c, 0.0) + sign * mat.data[t] * v
 
     node_lps: dict[int, _NodeLp] = {}
     second_keys: dict = {}
     pgraph = None
     if variant.kind in ("t", "m"):
         pgraph = build_policy_graph(tree, agg)
-
+    pick_bound = sp.csr_matrix(np.repeat(np.eye(k), 2, axis=0))  # rows lo_q, up_q
+    blocks = []
     for node in tree.nodes:
         nd = m.data[node.id]
-        nid = node.id
-        zc = z_off[agg.node_to_group[nid]]
-        zp = None if node.parent is None else z_off[agg.node_to_group[node.parent]]
-        xe = x_expr(nid)
-        xe_par = None if node.parent is None else x_expr(node.parent)
-        # z-rows
-        for i in range(nd.g.size):
-            cv: dict[int, float] = {}
-            if nd.H is not None:
-                s, e = nd.H.indptr[i], nd.H.indptr[i + 1]
-                for t in range(s, e):
-                    c = zc + nd.H.indices[t]
-                    cv[c] = cv.get(c, 0.0) + nd.H.data[t]
-            if zp is not None and nd.G is not None:
-                s, e = nd.G.indptr[i], nd.G.indptr[i + 1]
-                for t in range(s, e):
-                    c = zp + nd.G.indices[t]
-                    cv[c] = cv.get(c, 0.0) - nd.G.data[t]
-            add_row(cv, nd.sen_z[i], nd.g[i])
-        # state rows, fully substituted
-        for i in range(nd.f.size):
-            cv = {}
-            acc(cv, nd.J, i, xe)
-            if xe_par is not None:
-                acc(cv, nd.F, i, xe_par, -1.0)
-            add_row(cv, nd.sen_x[i], nd.f[i])
-        # state bounds become rows once x is an expression
-        if nid != tree.root:
-            for q in range(k):
-                if np.isfinite(nd.x_lo[q]):
-                    add_row({c: v for c, v in xe[q]}, GE, float(nd.x_lo[q]))
-                if np.isfinite(nd.x_up[q]):
-                    add_row({c: v for c, v in xe[q]}, LE, float(nd.x_up[q]))
-        # linking rows: master when free of locals, stage 2 otherwise
-        if nd.b.size == 0:
-            continue
-        e_sup = np.zeros(nd.b.size, dtype=bool)
-        if nd.E is not None:
-            e_sup = np.diff(nd.E.indptr) > 0
-        ancestors = tree_path(tree, nid)[:-1] if nd.W is not None else []
-        master_rows = np.flatnonzero(~e_sup) if nid != tree.root else \
-            np.arange(nd.b.size)
-        for i in master_rows:
-            cv = {}
-            acc(cv, nd.C, i, xe)
-            if nd.D is not None:
-                s, e = nd.D.indptr[i], nd.D.indptr[i + 1]
-                for t in range(s, e):
-                    c = zc + nd.D.indices[t]
-                    cv[c] = cv.get(c, 0.0) + nd.D.data[t]
-            if nid == tree.root and nd.E is not None:
-                s, e = nd.E.indptr[i], nd.E.indptr[i + 1]
-                for t in range(s, e):
-                    c = y_off + nd.E.indices[t]
-                    cv[c] = cv.get(c, 0.0) + nd.E.data[t]
-            if xe_par is not None:
-                acc(cv, nd.A, i, xe_par, -1.0)
-            if zp is not None and nd.B is not None:
-                s, e = nd.B.indptr[i], nd.B.indptr[i + 1]
-                for t in range(s, e):
-                    c = zp + nd.B.indices[t]
-                    cv[c] = cv.get(c, 0.0) - nd.B.data[t]
-            for anc in ancestors:
-                za = z_off[agg.node_to_group[anc]]
-                s, e = nd.W.indptr[i], nd.W.indptr[i + 1]
-                for t in range(s, e):
-                    c = za + nd.W.indices[t]
-                    cv[c] = cv.get(c, 0.0) - nd.W.data[t]
-            add_row(cv, nd.sen_l[i], nd.b[i])
-        if nid == tree.root:
-            continue
-        keep = np.flatnonzero(e_sup)
+        nid, par, is_root = node.id, node.parent, node.id == tree.root
+        zp = None if par is None else zcol(par)
+        x_par = None if par is None else P[par]
+        z_anc = [zcol(a) for a in tree_path(tree, nid)[:-1]] if nd.W is not None else []
+        z_rows, state, link = node_rows(nd, zcol(nid), P[nid], y_off if is_root else None,
+                                        zp, x_par, z_anc)
+        blocks += [z_rows, state]
+        if not is_root:  # state bounds become rows once x is an expression
+            bounds = np.column_stack([nd.x_lo, nd.x_up]).ravel()
+            blocks.append(RowBlock([(pick_bound, P[nid], 1.0)], np.tile([GE, LE], k),
+                                   bounds, np.flatnonzero(np.isfinite(bounds))))
+        # linking rows: master when free of locals (all of the root's), stage 2 otherwise
+        local = np.zeros(nd.b.size, dtype=bool) if is_root or nd.E is None else \
+            np.diff(nd.E.indptr) > 0
+        link.rows = np.flatnonzero(~local)
+        blocks.append(link)
+        keep = np.flatnonzero(local)
         if keep.size == 0:
             continue
         # stage-2 LP: E y {sense} const + R w
-        ri, ci, vv = [], [], []
-        const = np.zeros(keep.size)
-        rr, rc, rv = [], [], []
-        for out_i, i in enumerate(keep):
-            s, e = nd.E.indptr[i], nd.E.indptr[i + 1]
-            for t in range(s, e):
-                ri.append(out_i); ci.append(nd.E.indices[t]); vv.append(nd.E.data[t])
-            const[out_i] = nd.b[i]
-            cv = {}
-            acc(cv, nd.A, i, xe_par)
-            acc(cv, nd.C, i, xe, -1.0)
-            if nd.D is not None:
-                s, e = nd.D.indptr[i], nd.D.indptr[i + 1]
-                for t in range(s, e):
-                    c = zc + nd.D.indices[t]
-                    cv[c] = cv.get(c, 0.0) - nd.D.data[t]
-            if nd.B is not None:
-                s, e = nd.B.indptr[i], nd.B.indptr[i + 1]
-                for t in range(s, e):
-                    c = zp + nd.B.indices[t]
-                    cv[c] = cv.get(c, 0.0) + nd.B.data[t]
-            for anc in ancestors:
-                za = z_off[agg.node_to_group[anc]]
-                s, e = nd.W.indptr[i], nd.W.indptr[i + 1]
-                for t in range(s, e):
-                    c = za + nd.W.indices[t]
-                    cv[c] = cv.get(c, 0.0) + nd.W.data[t]
-            for c, v in cv.items():
-                rr.append(out_i); rc.append(c); rv.append(v)
-        lp = LpProblem(
-            c=nd.h.copy(),
-            A=sp.csr_matrix((vv, (ri, ci)), shape=(keep.size, r)),
-            senses=nd.sen_l[keep].copy(),
-            rhs=const.copy(), lo=nd.y_lo.copy(), up=nd.y_up.copy(),
-        )
-        node_lps[nid] = _NodeLp(
-            rows=keep, lp=lp,
-            R=sp.csr_matrix((rv, (rr, rc)), shape=(keep.size, n)),
-            const=const, p=node.p,
-        )
+        lp_a, senses, const = assemble([RowBlock([(nd.E, 0, 1.0)], nd.sen_l, nd.b, keep)],
+                                       r, canonical=False)
+        R, _, _ = assemble([RowBlock([(nd.A, x_par, 1.0), (nd.C, P[nid], -1.0),
+                                      (nd.D, zcol(nid), -1.0), (nd.B, zp, 1.0)]
+                                     + [(nd.W, za, 1.0) for za in z_anc],
+                                     nd.sen_l, nd.b, keep)], n, canonical=False)
+        lp = LpProblem(c=nd.h.copy(), A=lp_a, senses=senses, rhs=const.copy(),
+                       lo=nd.y_lo.copy(), up=nd.y_up.copy())
+        node_lps[nid] = _NodeLp(lp=lp, R=R, const=const, p=node.p)
         if variant.kind == "th":
             second_keys.setdefault(nid, []).append(nid)
         else:
             second_keys.setdefault(pgraph.node_to_sub[nid], []).append(nid)
 
-    master = MipProblem(
-        c=obj, A=sp.csr_matrix((vals, (rows_i, cols_j)), shape=(len(rhs), n)),
-        senses=np.array(senses, dtype="<U1"), rhs=np.array(rhs),
-        lo=lo, up=up, integer=integer,
-    )
+    A, senses, rhs = assemble(blocks, n, canonical=True)
+    master = MipProblem(c=obj, A=A, senses=senses, rhs=rhs, lo=lo, up=up, integer=integer)
     lay = LdrLayout(z_off, x_off, y_off, lam_off, lam_cols, theta_off, n)
     return LdrModel(m, agg, variant, master, lay, node_lps, second_keys, theta_keys)
 
@@ -485,13 +358,7 @@ def extract_policy(model: LdrModel, sol: LdrSolution) -> tuple[np.ndarray, dict]
         key = _lam_key(model.variant, m, node.id)
         lam = x[lay.lam_off[key]:lay.lam_off[key] + m.k * lay.lam_cols[key]] \
             .reshape(m.k, lay.lam_cols[key])
-        if model.variant.kind == "th":
-            vec = np.concatenate([node_basis(m, nid) for nid in tree_path(tree, node.id)])
-        else:
-            vec = node_basis(m, node.id)
-        if model.variant.include_intercept:
-            vec = np.concatenate([vec, [1.0]])
-        out[node.id] = lam @ vec
+        out[node.id] = lam @ _rule_basis(model.variant, m, node.id)
     return out, sol.z_by_group
 
 

@@ -1,7 +1,8 @@
 """LP and MIP kernel: simplex solves with duals and Farkas certificates,
 plus branch and bound with a lazy-cut callback hook.
 
-The LP solves are delegated to HiGHS through scipy.optimize.linprog; this
+The LP solves are delegated to the HiGHS inside scipy, called with the
+inputs and options scipy.optimize.linprog(method="highs") would pass; this
 module owns the sign conventions, the Farkas synthesis, and the search.
 
 Dual convention (minimization): duals[i] = d obj / d rhs[i], so '>=' rows
@@ -25,7 +26,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.optimize import linprog
+from scipy.optimize._highspy import _core as highs
 
 from .errors import DimensionMismatch, NumericalFailure
 from .model import EQ, GE, LE, LpProblem, MipProblem
@@ -33,11 +34,31 @@ from .model import EQ, GE, LE, LpProblem, MipProblem
 FEAS_TOL = 1e-7
 INT_TOL = 1e-6
 MIP_GAP = 1e-6
+VIOL_GUARD = 1e-9          # absolute slack below which a cut does not separate
+MAX_CUT_PASSES = 100_000   # oracle re-solves per branch-and-bound node
 
 OPTIMAL = "optimal"
 INFEASIBLE = "infeasible"
 UNBOUNDED = "unbounded"
 TIME_LIMIT = "time_limit"
+
+# HiGHS gets the options scipy.optimize.linprog(method="highs") sets
+_HIGHS_OPTIONS = highs.HighsOptions()
+_HIGHS_OPTIONS.presolve = "on"
+_HIGHS_OPTIONS.highs_debug_level = highs.HighsDebugLevel.kHighsDebugLevelNone
+_HIGHS_OPTIONS.log_to_console = False
+_HIGHS_OPTIONS.output_flag = False
+_HIGHS_OPTIONS.simplex_strategy = \
+    highs.simplex_constants.SimplexStrategy.kSimplexStrategyDual
+_HIGHS_STATUS = {
+    highs.HighsModelStatus.kOptimal: OPTIMAL,
+    highs.HighsModelStatus.kInfeasible: INFEASIBLE,
+    highs.HighsModelStatus.kModelError: INFEASIBLE,   # as linprog reports it
+    highs.HighsModelStatus.kUnbounded: UNBOUNDED,
+}
+_AT_LOWER = int(highs.HighsBasisStatus.kLower)
+_AT_UPPER = int(highs.HighsBasisStatus.kUpper)
+_ACCEPT_TOL = np.sqrt(1e-9) * 10  # linprog's tolerance for accepting an optimum
 
 
 @dataclass
@@ -64,40 +85,23 @@ class MipSolution:
 
 
 class DeadlineReached(Exception):
-    """Internal control-flow signal for time limits."""
+    """A time limit stopped work before it had a result to return."""
 
 
 def _split(p: LpProblem):
-    """ub/eq split of the row system; the structural part is cached on the
-    problem object and reused while the matrix is unchanged (rhs edits and
-    bound edits do not invalidate it)."""
+    """Row order and column-wise matrix that HiGHS gets: '>=' rows negated,
+    then '<=' rows, then '==' rows.  Cached on the matrix object and reused
+    while the matrix is unchanged (rhs edits and bound edits do not
+    invalidate it)."""
     cache = getattr(p.A, "_mcsip_split", None)
-    if cache is not None:
-        a_ub, a_eq, ge, le, eq = cache
-    else:
+    if cache is None:
         acsr = p.A.tocsr()
-        ge = np.flatnonzero(p.senses == GE)
-        le = np.flatnonzero(p.senses == LE)
-        eq = np.flatnonzero(p.senses == EQ)
-        blocks = []
-        if ge.size:
-            blocks.append(-acsr[ge])
-        if le.size:
-            blocks.append(acsr[le])
-        a_ub = sp.vstack(blocks).tocsr() if blocks else None
-        a_eq = acsr[eq] if eq.size else None
-        try:
-            p.A._mcsip_split = (a_ub, a_eq, ge, le, eq)
-        except AttributeError:
-            pass
-    rhs_ub = []
-    if ge.size:
-        rhs_ub.append(-p.rhs[ge])
-    if le.size:
-        rhs_ub.append(p.rhs[le])
-    b_ub = np.concatenate(rhs_ub) if rhs_ub else None
-    b_eq = p.rhs[eq] if eq.size else None
-    return a_ub, b_ub, a_eq, b_eq, ge, le, eq
+        ge, le, eq = (np.flatnonzero(p.senses == s) for s in (GE, LE, EQ))
+        a = sp.vstack([-acsr[ge], acsr[le], acsr[eq]]).tocsc()
+        if not np.isfinite(a.data).all():
+            raise ValueError("constraint matrix holds inf or nan")
+        cache = p.A._mcsip_split = (a.indptr, a.indices, a.data, ge, le, eq)
+    return cache
 
 
 def _dual_objective(p: LpProblem, duals, lo_duals, up_duals) -> float:
@@ -109,37 +113,78 @@ def _dual_objective(p: LpProblem, duals, lo_duals, up_duals) -> float:
     return val
 
 
-def solve_lp(p: LpProblem, warm=None, want_farkas: bool = True) -> LpSolution:
-    """Solve min c'x s.t. rows, bounds.  `warm` is accepted for interface
-    compatibility; HiGHS re-solves from scratch (deterministically)."""
-    a_ub, b_ub, a_eq, b_eq, ge, le, eq = _split(p)
-    bounds = np.column_stack([p.lo, p.up])
-    res = linprog(p.c, A_ub=a_ub, b_ub=b_ub, A_eq=a_eq, b_eq=b_eq,
-                  bounds=bounds, method="highs")
-    if res.status == 2:
+def solve_lp(p: LpProblem, want_farkas: bool = True) -> LpSolution:
+    """Solve min c'x s.t. rows, bounds; HiGHS solves from scratch
+    (deterministically)."""
+    indptr, indices, data, ge, le, eq = _split(p)
+    n_ub = ge.size + le.size
+    c = np.array(p.c, dtype=float)
+    rhs = np.concatenate([-p.rhs[ge], p.rhs[le], p.rhs[eq]]).astype(float, copy=False)
+    if not (np.isfinite(c).all() and np.isfinite(rhs).all()):
+        raise ValueError("objective or rhs holds inf or nan")
+    lhs = np.concatenate([np.full(n_ub, -np.inf), rhs[n_ub:]])
+    res = _run_highs(c, indptr, indices, data, lhs, rhs,
+                     np.array(p.lo, dtype=float), np.array(p.up, dtype=float))
+    status = _HIGHS_STATUS.get(res["status"])
+    if status == INFEASIBLE:
         sol = LpSolution(status=INFEASIBLE)
         if want_farkas:
             sol.farkas = _farkas_ray(p)
         return sol
-    if res.status == 3:
+    if status == UNBOUNDED:
         return LpSolution(status=UNBOUNDED)
-    if res.status != 0:
-        raise NumericalFailure(f"linprog status {res.status}: {res.message}")
+    if status is None or not _accepted(p, res, n_ub):
+        raise NumericalFailure(f"HiGHS ended with {res['status']}")
+    lam = res["row_dual"]
     duals = np.zeros(p.m)
-    if res.ineqlin is not None and res.ineqlin.marginals is not None:
-        m_ub = np.asarray(res.ineqlin.marginals)
-        duals[ge] = -m_ub[: ge.size]          # flipped rows: d obj / d rhs >= 0
-        duals[le] = m_ub[ge.size:]
-    if eq.size and res.eqlin is not None:
-        duals[eq] = np.asarray(res.eqlin.marginals)
-    lo_d = np.asarray(res.lower.marginals)
-    up_d = np.asarray(res.upper.marginals)
-    obj = float(res.fun)
+    duals[ge] = -lam[: ge.size]          # flipped rows: d obj / d rhs >= 0
+    duals[le] = lam[ge.size:n_ub]
+    duals[eq] = lam[n_ub:]
+    lo_d, up_d = res["marg_bnds"]
+    obj = float(res["fun"])
     return LpSolution(
-        status=OPTIMAL, x=np.asarray(res.x), duals=duals,
+        status=OPTIMAL, x=res["x"], duals=duals,
         lo_duals=lo_d, up_duals=up_d, objective=obj,
         dual_objective=_dual_objective(p, duals, lo_d, up_d),
     )
+
+
+def _run_highs(c, indptr, indices, data, lhs, rhs, lb, ub) -> dict:
+    """One HiGHS LP solve of min c'x, lhs <= A x <= rhs, lb <= x <= ub (A
+    column-wise), read back as scipy's HiGHS wrapper reads it."""
+    lp = highs.HighsLp()
+    lp.num_col_ = lp.a_matrix_.num_col_ = c.size
+    lp.num_row_ = lp.a_matrix_.num_row_ = rhs.size
+    lp.a_matrix_.format_ = highs.MatrixFormat.kColwise
+    lp.col_cost_, lp.col_lower_, lp.col_upper_ = c, lb, ub
+    lp.row_lower_, lp.row_upper_ = lhs, rhs
+    lp.a_matrix_.start_, lp.a_matrix_.index_, lp.a_matrix_.value_ = indptr, indices, data
+    h = highs._Highs()
+    h.passOptions(_HIGHS_OPTIONS)
+    if h.passModel(lp) == highs.HighsStatus.kError:
+        return {"status": highs.HighsModelStatus.kModelError}
+    h.run()
+    res = {"status": h.getModelStatus()}
+    if res["status"] != highs.HighsModelStatus.kOptimal:
+        return res
+    sol, info = h.getSolution(), h.getInfo()
+    # a bound's multiplier is the column dual where the column sits at it
+    at = np.fromiter(map(int, h.getBasis().col_status), dtype=np.int8, count=c.size)
+    marg_bnds = np.where([at == _AT_LOWER, at == _AT_UPPER], np.array(sol.col_dual), 0.0)
+    res.update(x=np.array(sol.col_value), slack=rhs - sol.row_value,
+               row_dual=np.array(sol.row_dual), marg_bnds=marg_bnds,
+               fun=info.objective_function_value)
+    return res
+
+
+def _accepted(p: LpProblem, res: dict, n_ub: int) -> bool:
+    """linprog's check of an optimum: no nan, and bounds and rows hold to
+    its tolerance."""
+    x, slack = res["x"], res["slack"]
+    return not (np.isnan(x).any() or np.isnan(slack).any() or np.isnan(res["fun"])
+                or (x < p.lo - _ACCEPT_TOL).any() or (x > p.up + _ACCEPT_TOL).any()
+                or (slack[:n_ub] < -_ACCEPT_TOL).any()
+                or (np.abs(slack[n_ub:]) > _ACCEPT_TOL).any())
 
 
 def infeasibility_lp(p: LpProblem) -> tuple[LpProblem, int]:
@@ -150,18 +195,16 @@ def infeasibility_lp(p: LpProblem) -> tuple[LpProblem, int]:
     which is what both the Farkas ray and feasibility cuts are made of.
     """
     n, m = p.n, p.m
-    n_slack = int(np.sum(p.senses != EQ)) + 2 * int(np.sum(p.senses == EQ))
-    cols_i, cols_j, vals = [], [], []
-    scol = n
-    for i in range(m):
-        if p.senses[i] == GE:
-            cols_i.append(i); cols_j.append(scol); vals.append(1.0); scol += 1
-        elif p.senses[i] == LE:
-            cols_i.append(i); cols_j.append(scol); vals.append(-1.0); scol += 1
-        else:
-            cols_i.append(i); cols_j.append(scol); vals.append(1.0); scol += 1
-            cols_i.append(i); cols_j.append(scol); vals.append(-1.0); scol += 1
-    slack = sp.csr_matrix((vals, (cols_i, cols_j)), shape=(m, n + n_slack))
+    # row i gets slack column first[i] (+1, or -1 on '<=' rows); an '==' row
+    # also gets first[i] + 1 (-1)
+    eq = p.senses == EQ
+    width = np.where(eq, 2, 1)
+    first = n + np.cumsum(width) - width
+    n_slack = int(width.sum())
+    slack = sp.csr_matrix(
+        (np.concatenate([np.where(p.senses == LE, -1.0, 1.0), np.full(eq.sum(), -1.0)]),
+         (np.concatenate([np.arange(m), np.flatnonzero(eq)]),
+          np.concatenate([first, first[eq] + 1]))), shape=(m, n + n_slack))
     a = sp.hstack([p.A, sp.csr_matrix((m, n_slack))]).tocsr() + slack
     c = np.concatenate([np.zeros(n), np.ones(n_slack)])
     lo = np.concatenate([p.lo, np.zeros(n_slack)])
@@ -189,17 +232,10 @@ def verify_farkas(p: LpProblem, ray: np.ndarray, tol: float = FEAS_TOL) -> float
     if np.any(ray[p.senses == GE] < -tol) or np.any(ray[p.senses == LE] > tol):
         return -np.inf
     d = p.A.T @ ray
-    box = 0.0
-    for j in range(p.n):
-        if d[j] > tol:
-            if not np.isfinite(p.up[j]):
-                return -np.inf
-            box += d[j] * p.up[j]
-        elif d[j] < -tol:
-            if not np.isfinite(p.lo[j]):
-                return -np.inf
-            box += d[j] * p.lo[j]
-    return float(ray @ p.rhs - box)
+    up, lo = d > tol, d < -tol
+    if not (np.isfinite(p.up[up]).all() and np.isfinite(p.lo[lo]).all()):
+        return -np.inf
+    return float(ray @ p.rhs - d[up] @ p.up[up] - d[lo] @ p.lo[lo])
 
 
 Row = tuple[dict[int, float], str, float]  # (column -> coef, sense, rhs)
@@ -252,8 +288,7 @@ def _fractional(x, int_cols, tol):
 
 def branch_and_cut(p: MipProblem, oracle: CutOracle | None = None,
                    time_limit: float | None = None, rel_gap: float = MIP_GAP,
-                   int_tol: float = INT_TOL, round_heuristic: bool = True,
-                   max_cut_passes: int = 100_000) -> MipSolution:
+                   round_heuristic: bool = True) -> MipSolution:
     """Best-bound branch and bound over solve_lp with an optional cut oracle."""
     deadline = None if time_limit is None else time.monotonic() + time_limit
     int_cols = np.flatnonzero(p.integer)
@@ -287,7 +322,7 @@ def branch_and_cut(p: MipProblem, oracle: CutOracle | None = None,
                     break
                 if sol.status == UNBOUNDED:
                     return MipSolution(status=UNBOUNDED, nodes=n_nodes, cuts=n_cuts)
-                col, _ = _fractional(sol.x, int_cols, int_tol)
+                col, _ = _fractional(sol.x, int_cols, INT_TOL)
                 if col is not None or oracle is None:
                     break
                 cuts = oracle.separate(sol.x)
@@ -297,13 +332,13 @@ def branch_and_cut(p: MipProblem, oracle: CutOracle | None = None,
                 sub.A, sub.senses, sub.rhs = p.A, p.senses, p.rhs
                 n_cuts += len(cuts)
                 passes += 1
-                if passes > max_cut_passes:
+                if passes > MAX_CUT_PASSES:
                     raise NumericalFailure("cut loop did not terminate")
             if sol.status == INFEASIBLE:
                 continue
             if sol.objective >= inc_obj - rel_gap * max(abs(inc_obj), 1.0):
                 continue
-            col, _ = _fractional(sol.x, int_cols, int_tol)
+            col, _ = _fractional(sol.x, int_cols, INT_TOL)
             if col is None:
                 x = sol.x.copy()
                 x[int_cols] = np.round(x[int_cols])
@@ -314,7 +349,7 @@ def branch_and_cut(p: MipProblem, oracle: CutOracle | None = None,
                 cand = _round_and_fix(p, sub, sol.x, int_cols)
                 if cand is not None and cand[1] < inc_obj:
                     incumbent, inc_obj = cand
-            floor = np.floor(sol.x[col] + int_tol)
+            floor = np.floor(sol.x[col] + INT_TOL)
             for lo_v, up_v in ((None, floor), (floor + 1.0, None)):
                 lo2, up2 = node.lo.copy(), node.up.copy()
                 if lo_v is not None:
@@ -326,6 +361,9 @@ def branch_and_cut(p: MipProblem, oracle: CutOracle | None = None,
                 seq += 1
                 heapq.heappush(heap, BnbNode(sol.objective, seq, lo2, up2))
     except DeadlineReached:
+        # the oracle was separating this node's LP optimum: the node stays
+        # open with that bound, valid because every cut added so far is
+        heapq.heappush(heap, BnbNode(sol.objective, node.seq, node.lo, node.up))
         status = TIME_LIMIT
 
     open_bound = min((nd.bound for nd in heap), default=np.inf)

@@ -1,4 +1,4 @@
-"""Generic multi-stage node data and extensive-form MILP assembly.
+"""Generic multi-stage node data, the shared row assembler, validation.
 
 Per-node constraint blocks, all rows normalized to sense '>= ' or '==':
 
@@ -11,6 +11,21 @@ Per-node constraint blocks, all rows normalized to sense '>= ' or '==':
 W is an optional ancestor-coupling block used by formulations that fold a
 telescoped state recursion into the integer variables; it is only legal
 when the integer variables are first-stage (extensive or two-stage use).
+
+Every solver model turns these blocks into constraint rows by one rule: a
+row block is sum(sign * M @ P) over its terms, where M is one of a node's
+blocks and P maps that variable block onto model columns.  For most
+blocks P is a plain column offset; for the decision-rule substitution
+x_n = Lambda' basis(n) it is a sparse basis-expansion matrix.  `assemble`
+produces two kinds of output:
+
+    canonical   models handed to branch and bound (the extensive forms,
+                the S master, the LDR master): coefficients with
+                |v| <= DROP_TOL are dropped, the rest rounded to 12
+                decimals, and whole duplicate rows removed (first kept)
+    positional  LPs whose rows are addressed by offset (the S
+                subproblems, the LDR node LPs): one row per listed row,
+                in order, coefficients summed but otherwise untouched
 
 The extensive-form builders share one variable layout object so that
 solutions can be decoded and cross-checked between the plain and the
@@ -114,9 +129,6 @@ class Msilp:
     name: str = ""
     basis_rows: np.ndarray | None = None  # linking-row indices whose rhs is the LDR basis
 
-    def node_data(self, nid: int) -> NodeData:
-        return self.data[nid]
-
 
 @dataclass
 class LpProblem:
@@ -152,50 +164,145 @@ class Layout:
     aggregated: bool = False
 
 
-class _RowBuilder:
-    """Accumulates sparse rows, dropping tiny coefficients and duplicates."""
+@dataclass
+class RowBlock:
+    """Rows sum(sign * M[rows] @ P for M, P, sign in terms) {senses} rhs.
 
-    def __init__(self, dedup: bool = False):
-        self.rows_i: list[int] = []
-        self.cols: list[int] = []
-        self.vals: list[float] = []
-        self.rhs: list[float] = []
-        self.senses: list[str] = []
-        self._dedup = dedup
-        self._seen: set = set()
-        self._cur: dict[int, float] = {}
+    P is a column offset or a sparse (M columns x model columns) matrix; a
+    term whose M or P is None is absent.  `rows` picks rows of the block
+    (of every M, senses and rhs alike); None takes all of them.
+    """
 
-    def add(self, cols_vals: dict[int, float], sense: str, rhs: float,
-            dedup: bool = False) -> None:
-        entries = tuple(sorted((c, round(v, 12)) for c, v in cols_vals.items()
-                               if abs(v) > DROP_TOL))
-        if dedup and self._dedup:
-            sig = (sense, round(rhs, 12), entries)
-            if sig in self._seen:
-                return
-            self._seen.add(sig)
-        i = len(self.rhs)
-        for c, v in entries:
-            self.rows_i.append(i)
-            self.cols.append(c)
-            self.vals.append(v)
-        self.rhs.append(rhs)
-        self.senses.append(sense)
-
-    def matrix(self, n_cols: int) -> sp.csr_matrix:
-        return sp.csr_matrix(
-            (self.vals, (self.rows_i, self.cols)), shape=(len(self.rhs), n_cols)
-        )
+    terms: list
+    senses: np.ndarray
+    rhs: np.ndarray
+    rows: np.ndarray | None = None
 
 
-def _accumulate(target: dict[int, float], mat: sp.csr_matrix | None, row: int,
-                offset: int, sign: float = 1.0) -> None:
-    if mat is None:
-        return
-    start, end = mat.indptr[row], mat.indptr[row + 1]
-    for idx in range(start, end):
-        col = offset + mat.indices[idx]
-        target[col] = target.get(col, 0.0) + sign * mat.data[idx]
+def node_rows(nd: NodeData, z, x, y, z_par, x_par, z_anc) -> list[RowBlock]:
+    """The z-, x- and linking-row blocks of one node, each variable block
+    given by its P; parent maps are None at the root or where the caller
+    moves the parent terms to the right-hand side."""
+    return [
+        RowBlock([(nd.H, z, 1.0), (nd.G, z_par, -1.0)], nd.sen_z, nd.g),
+        RowBlock([(nd.J, x, 1.0), (nd.F, x_par, -1.0)], nd.sen_x, nd.f),
+        RowBlock([(nd.C, x, 1.0), (nd.D, z, 1.0), (nd.E, y, 1.0), (nd.A, x_par, -1.0),
+                  (nd.B, z_par, -1.0)] + [(nd.W, za, -1.0) for za in z_anc],
+                 nd.sen_l, nd.b),
+    ]
+
+
+def _term_entries(mat: sp.csr_matrix, P, sign: float, rows):
+    """(row, column, value) of sign * mat[rows] @ P, row by row in the order
+    of mat's entries and, within one entry, of P's row."""
+    r = np.repeat(np.arange(mat.shape[0]), np.diff(mat.indptr))
+    k, v = mat.indices, sign * mat.data
+    if rows is not None:
+        pos = np.full(mat.shape[0], -1)
+        pos[rows] = np.arange(len(rows))
+        r = pos[r]
+        sel = r >= 0
+        r, k, v = r[sel], k[sel], v[sel]
+    if not sp.issparse(P):
+        return r, P + k, v
+    cnt = np.diff(P.indptr)[k]
+    e = np.repeat(np.arange(k.size), cnt)
+    at = P.indptr[k][e] + np.arange(e.size) - np.repeat(np.cumsum(cnt) - cnt, cnt)
+    return r[e], P.indices[at], v[e] * P.data[at]
+
+
+def _coalesce(r, c, v):
+    """Sort entries by (row, column) and sum duplicates left to right in
+    the order they were listed."""
+    order = np.lexsort((c, r))
+    r, c, v = r[order], c[order], v[order]
+    first = np.ones(r.size, dtype=bool)
+    first[1:] = (r[1:] != r[:-1]) | (c[1:] != c[:-1])
+    group = np.cumsum(first) - 1
+    rank = np.arange(r.size) - np.flatnonzero(first)[group]
+    out = v[first]
+    for k in range(1, rank.max(initial=0) + 1):
+        sel = rank == k
+        out[group[sel]] += v[sel]
+    return r[first], c[first], out
+
+
+def _first_of_each_row(r, c, v, senses, rhs) -> np.ndarray:
+    """Mask of the rows that do not repeat an earlier (sense, rhs, row)."""
+    m = rhs.size
+    length = np.bincount(r, minlength=m)
+    start = np.cumsum(length) - length
+    sense_id = np.unique(senses, return_inverse=True)[1]
+    rhs_key = (np.round(rhs, 12) + 0.0).view(np.int64)  # +0.0 folds -0.0 into 0.0
+    keep = np.ones(m, dtype=bool)
+    for n in np.unique(length):
+        ids = np.flatnonzero(length == n)
+        if ids.size < 2:
+            continue
+        at = start[ids][:, None] + np.arange(n)
+        key = np.column_stack([sense_id[ids], rhs_key[ids], c[at], v[at].view(np.int64)])
+        first = np.unique(key, axis=0, return_index=True)[1]
+        keep[ids] = False
+        keep[ids[first]] = True
+    return keep
+
+
+def assemble(blocks: list[RowBlock], n_cols: int, canonical: bool
+             ) -> tuple[sp.csr_matrix, np.ndarray, np.ndarray]:
+    """Stack row blocks into (A, senses, rhs); see the module docstring for
+    what canonical output drops, rounds and dedupes."""
+    rs, cs, vs = [np.zeros(0, dtype=int)], [np.zeros(0, dtype=int)], [np.zeros(0)]
+    senses, rhs = [np.empty(0, dtype="<U1")], [np.zeros(0)]
+    base = 0
+    for blk in blocks:
+        sel = slice(None) if blk.rows is None else blk.rows
+        for mat, P, sign in blk.terms:
+            if mat is not None and P is not None:
+                r, c, v = _term_entries(mat, P, sign, blk.rows)
+                rs.append(r + base)
+                cs.append(c)
+                vs.append(v)
+        senses.append(np.asarray(blk.senses)[sel])
+        rhs.append(np.asarray(blk.rhs, dtype=float)[sel])
+        base += senses[-1].size
+    senses, rhs = np.concatenate(senses), np.concatenate(rhs)
+    r, c, v = _coalesce(np.concatenate(rs), np.concatenate(cs), np.concatenate(vs))
+    if canonical:
+        big = np.abs(v) > DROP_TOL
+        r, c, v = r[big], c[big], np.round(v[big], 12)
+        keep = _first_of_each_row(r, c, v, senses, rhs)
+        big = keep[r]
+        r, c, v = (np.cumsum(keep) - 1)[r[big]], c[big], v[big]
+        senses, rhs = senses[keep], rhs[keep]
+    indptr = np.concatenate([[0], np.cumsum(np.bincount(r, minlength=rhs.size))])
+    return sp.csr_matrix((v, c, indptr), shape=(rhs.size, n_cols)), senses, rhs
+
+
+def first_stage_columns(m: Msilp, z_col, x_off: int, y_off: int, n: int):
+    """(obj, lo, up, integer) over n columns with the first-stage blocks
+    filled in: every node's probability-weighted z cost in its block (node
+    id -> column by z_col; shared blocks keep the tightest member bounds)
+    and the root's x and y blocks.  Other columns are free at zero cost."""
+    l, k, r = m.l, m.k, m.r
+    obj = np.zeros(n)
+    lo = np.full(n, -np.inf)
+    up = np.full(n, np.inf)
+    integer = np.zeros(n, dtype=bool)
+    for node in m.tree.nodes:
+        nd = m.data[node.id]
+        zc = z_col(node.id)
+        obj[zc:zc + l] += node.p * nd.c
+        lo[zc:zc + l] = np.maximum(lo[zc:zc + l], nd.z_lo)
+        up[zc:zc + l] = np.minimum(up[zc:zc + l], nd.z_up)
+        integer[zc:zc + l] = True
+    root = m.data[m.tree.root]
+    obj[x_off:x_off + k] = root.d
+    obj[y_off:y_off + r] = root.h
+    lo[x_off:x_off + k] = root.x_lo
+    up[x_off:x_off + k] = root.x_up
+    lo[y_off:y_off + r] = root.y_lo
+    up[y_off:y_off + r] = root.y_up
+    return obj, lo, up, integer
 
 
 def _make_layout(m: Msilp, agg: AggregationMap | None, cap: int) -> Layout:
@@ -221,85 +328,46 @@ def _make_layout(m: Msilp, agg: AggregationMap | None, cap: int) -> Layout:
     return lay
 
 
-def _zcol(lay: Layout, agg: AggregationMap | None, nid: int) -> int:
-    if agg is None:
-        return lay.z_off[nid]
-    return lay.z_off[agg.node_to_group[nid]]
-
-
-def _build_form(m: Msilp, agg: AggregationMap | None, cap: int) -> MipProblem:
+def _extensive_form(m: Msilp, agg: AggregationMap | None, cap: int) -> MipProblem:
     tree = m.tree
     lay = _make_layout(m, agg, cap)
-    rows = _RowBuilder(dedup=agg is not None)
-    obj = np.zeros(lay.n_cols)
-    lo = np.full(lay.n_cols, -np.inf)
-    up = np.full(lay.n_cols, np.inf)
-    integer = np.zeros(lay.n_cols, dtype=bool)
 
+    def zcol(nid):
+        return lay.z_off[nid if agg is None else agg.node_to_group[nid]]
+
+    obj, lo, up, integer = first_stage_columns(m, zcol, lay.x_off[tree.root],
+                                               lay.y_off[tree.root], lay.n_cols)
+    blocks = []
     for node in tree.nodes:
         nd = m.data[node.id]
-        zc, xc, yc = _zcol(lay, agg, node.id), lay.x_off[node.id], lay.y_off[node.id]
-        par = node.parent
-        zp = None if par is None else _zcol(lay, agg, par)
-        xp = None if par is None else lay.x_off[par]
-
-        obj[xc:xc + m.k] += node.p * nd.d
-        obj[yc:yc + m.r] += node.p * nd.h
-        obj[zc:zc + m.l] += node.p * nd.c
+        xc, yc, par = lay.x_off[node.id], lay.y_off[node.id], node.parent
+        obj[xc:xc + m.k] = node.p * nd.d
+        obj[yc:yc + m.r] = node.p * nd.h
         lo[xc:xc + m.k] = nd.x_lo
         up[xc:xc + m.k] = nd.x_up
         lo[yc:yc + m.r] = nd.y_lo
         up[yc:yc + m.r] = nd.y_up
-        # shared z blocks keep the tightest bounds over their member nodes
-        lo[zc:zc + m.l] = np.maximum(lo[zc:zc + m.l], nd.z_lo)
-        up[zc:zc + m.l] = np.minimum(up[zc:zc + m.l], nd.z_up)
-        integer[zc:zc + m.l] = True
-
-        if nd.H is not None or nd.g.size:
-            for i in range(nd.g.size):
-                cv: dict[int, float] = {}
-                _accumulate(cv, nd.H, i, zc)
-                if zp is not None:
-                    _accumulate(cv, nd.G, i, zp, -1.0)
-                rows.add(cv, nd.sen_z[i], nd.g[i], dedup=True)
-        for i in range(nd.f.size):
-            cv = {}
-            _accumulate(cv, nd.J, i, xc)
-            if xp is not None:
-                _accumulate(cv, nd.F, i, xp, -1.0)
-            rows.add(cv, nd.sen_x[i], nd.f[i])
         ancestors = path(tree, node.id)[:-1] if nd.W is not None else []
-        for i in range(nd.b.size):
-            cv = {}
-            _accumulate(cv, nd.C, i, xc)
-            _accumulate(cv, nd.D, i, zc)
-            _accumulate(cv, nd.E, i, yc)
-            if xp is not None:
-                _accumulate(cv, nd.A, i, xp, -1.0)
-            if zp is not None:
-                _accumulate(cv, nd.B, i, zp, -1.0)
-            for anc in ancestors:
-                _accumulate(cv, nd.W, i, _zcol(lay, agg, anc), -1.0)
-            rows.add(cv, nd.sen_l[i], nd.b[i])
+        blocks += node_rows(nd, zcol(node.id), xc, yc,
+                            None if par is None else zcol(par),
+                            None if par is None else lay.x_off[par],
+                            [zcol(a) for a in ancestors])
 
-    prob = MipProblem(
-        c=obj, A=rows.matrix(lay.n_cols),
-        senses=np.array(rows.senses, dtype="<U1"),
-        rhs=np.array(rows.rhs), lo=lo, up=up, integer=integer,
-    )
+    A, senses, rhs = assemble(blocks, lay.n_cols, canonical=True)
+    prob = MipProblem(c=obj, A=A, senses=senses, rhs=rhs, lo=lo, up=up, integer=integer)
     prob.layout = lay
     return prob
 
 
 def build_extensive_form(m: Msilp, cap: int = VAR_CAP) -> MipProblem:
     """One (x, y, z) block per node; optimal value is the true optimum."""
-    return _build_form(m, None, cap)
+    return _extensive_form(m, None, cap)
 
 
 def build_aggregated_extensive_form(m: Msilp, agg: AggregationMap,
                                     cap: int = VAR_CAP) -> MipProblem:
-    """Integer blocks shared per aggregation group; duplicate z-rows coalesced."""
-    return _build_form(m, agg, cap)
+    """Integer blocks shared per aggregation group; duplicate rows coalesced."""
+    return _extensive_form(m, agg, cap)
 
 
 def expand_aggregated_solution(m: Msilp, agg: AggregationMap, prob_agg: MipProblem,
@@ -320,14 +388,9 @@ def expand_aggregated_solution(m: Msilp, agg: AggregationMap, prob_agg: MipProbl
 def max_violation(p: LpProblem, x: np.ndarray) -> float:
     """Worst constraint/bound violation of x; <= tol means feasible."""
     act = p.A @ x
-    v = 0.0
-    for i in range(p.m):
-        if p.senses[i] == GE:
-            v = max(v, p.rhs[i] - act[i])
-        elif p.senses[i] == LE:
-            v = max(v, act[i] - p.rhs[i])
-        else:
-            v = max(v, abs(act[i] - p.rhs[i]))
+    v = np.max(np.where(p.senses == GE, p.rhs - act,
+                        np.where(p.senses == LE, act - p.rhs, np.abs(act - p.rhs))),
+               initial=0.0)
     with np.errstate(invalid="ignore"):
         v = max(v, np.max(np.where(np.isfinite(p.lo), p.lo - x, 0.0), initial=0.0))
         v = max(v, np.max(np.where(np.isfinite(p.up), x - p.up, 0.0), initial=0.0))
@@ -386,86 +449,3 @@ def validate(m: Msilp) -> list[str]:
                          f" state {node.mc_state.attrs}")
         by_state.setdefault(key, sig)
     return diags
-
-
-def write_lp_text(p: LpProblem, fp) -> None:
-    """Human-readable LP dump (own dialect, re-readable by read_lp_text)."""
-
-    def term(v, j):
-        return f"{'+' if v >= 0 else '-'} {abs(v):.17g} x{j} "
-
-    fp.write("minimize\n obj: ")
-    fp.write("".join(term(v, j) for j, v in enumerate(p.c) if v != 0.0) or "0")
-    fp.write("\nsubject to\n")
-    acsr = p.A.tocsr()
-    op = {GE: ">=", LE: "<=", EQ: "="}
-    for i in range(p.m):
-        s, e = acsr.indptr[i], acsr.indptr[i + 1]
-        body = "".join(term(acsr.data[t], acsr.indices[t]) for t in range(s, e)) or "0 "
-        fp.write(f" r{i}: {body}{op[p.senses[i]]} {p.rhs[i]:.17g}\n")
-    fp.write("bounds\n")
-    for j in range(p.n):
-        lo = "-inf" if not np.isfinite(p.lo[j]) else f"{p.lo[j]:.17g}"
-        hi = "+inf" if not np.isfinite(p.up[j]) else f"{p.up[j]:.17g}"
-        fp.write(f" {lo} <= x{j} <= {hi}\n")
-    if isinstance(p, MipProblem) and p.integer.any():
-        fp.write("general\n " + " ".join(f"x{j}" for j in np.flatnonzero(p.integer)) + "\n")
-    fp.write("end\n")
-
-
-def read_lp_text(fp) -> MipProblem:
-    """Parse the dialect written by write_lp_text."""
-    import re
-
-    text = fp.read()
-    sec_obj = re.search(r"minimize\s+obj:(.*?)subject to", text, re.S).group(1)
-    sec_rows = re.search(r"subject to(.*?)bounds", text, re.S).group(1)
-    sec_bounds = re.search(r"bounds(.*?)(general|end)", text, re.S).group(1)
-    sec_int = re.search(r"general(.*?)end", text, re.S)
-
-    term_re = re.compile(r"([+-])\s*([\d.eE+-]+)\s*x(\d+)")
-
-    def parse_terms(s):
-        return [(int(j), float(f"{sg}{v}")) for sg, v, j in term_re.findall(s)]
-
-    n = 0
-    obj_terms = parse_terms(sec_obj)
-    rows = []
-    for line in sec_rows.strip().splitlines():
-        body = line.split(":", 1)[1]
-        mm = re.search(r"(>=|<=|=)\s*([\d.eE+-]+)\s*$", body)
-        sense = {">=": GE, "<=": LE, "=": EQ}[mm.group(1)]
-        rhs = float(mm.group(2))
-        terms = parse_terms(body[:mm.start()])
-        rows.append((terms, sense, rhs))
-        n = max([n] + [j + 1 for j, _ in terms])
-    n = max([n] + [j + 1 for j, _ in obj_terms])
-    bounds = []
-    for line in sec_bounds.strip().splitlines():
-        lo_s, rest = line.strip().split("<=", 1)
-        _, hi_s = rest.strip().split("<=", 1)
-        bounds.append((float(lo_s) if "inf" not in lo_s else -np.inf,
-                       float(hi_s) if "inf" not in hi_s else np.inf))
-    n = max(n, len(bounds))
-    c = np.zeros(n)
-    for j, v in obj_terms:
-        c[j] = v
-    ri, ci, vv, rhs_l, sen_l = [], [], [], [], []
-    for i, (terms, sense, rhs) in enumerate(rows):
-        for j, v in terms:
-            ri.append(i)
-            ci.append(j)
-            vv.append(v)
-        rhs_l.append(rhs)
-        sen_l.append(sense)
-    lo = np.array([b[0] for b in bounds]) if bounds else np.full(n, -np.inf)
-    up = np.array([b[1] for b in bounds]) if bounds else np.full(n, np.inf)
-    integer = np.zeros(n, dtype=bool)
-    if sec_int:
-        for tok in sec_int.group(1).split():
-            integer[int(tok[1:])] = True
-    return MipProblem(
-        c=c, A=sp.csr_matrix((vv, (ri, ci)), shape=(len(rows), n)),
-        senses=np.array(sen_l, dtype="<U1"), rhs=np.array(rhs_l),
-        lo=lo, up=up, integer=integer,
-    )

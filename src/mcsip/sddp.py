@@ -27,25 +27,32 @@ mode's termination rule certifies there is none: exact mode widens the
 sample to full coverage and insists on a no-cut round, relaxed mode caps
 the rounds and never widens the sample, which keeps every returned bound
 a valid relaxation of the aggregated problem.
+
+Rows come from the shared assembler (model.assemble), every variable
+block mapped by its column offset.  The master is canonical (tiny
+coefficients dropped, rounded, duplicate rows removed); each subproblem LP
+is positional, because set_rhs and the cut extraction address its state,
+copy and linking rows by offset.  solve_exact, solve_lower_bound and
+evaluate_policy share one driver: master, optional policy fixing, root
+cut loop, branch and cut.
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 import scipy.sparse as sp
 
 from .aggregate import AggregationMap, GroupKey, PolicyGraph, SubKey, build_policy_graph
 from .errors import InfeasiblePolicy, MissingCertificate, MissingDuals, NumericalFailure
-from .lp_engine import (INFEASIBLE, OPTIMAL, TIME_LIMIT, CutOracle, DeadlineReached,
-                        LpSolution, MipSolution, add_rows, branch_and_cut,
-                        infeasibility_lp, solve_lp)
-from .model import GE, LpProblem, MipProblem, Msilp
+from .lp_engine import (INFEASIBLE, OPTIMAL, TIME_LIMIT, VIOL_GUARD, CutOracle,
+                        DeadlineReached, LpSolution, MipSolution, add_rows,
+                        branch_and_cut, infeasibility_lp, solve_lp)
+from .model import EQ, GE, LpProblem, MipProblem, Msilp, RowBlock, assemble, \
+    first_stage_columns, node_rows
 from .tree import path as tree_path
-
-VIOL_GUARD = 1e-9
 
 
 @dataclass
@@ -138,33 +145,19 @@ class _Sub:
         self.theta0 = self.y0 + r
         self.n = self.theta0 + len(self.children)
         self.theta_col = {ck: self.theta0 + i for i, (ck, _) in enumerate(self.children)}
+        self.zeta_col = {g: self.zeta0 + off for g, off in self.zg_off.items()}
 
         nd = self.data
         self.nx = nd.f.size
         self.ncopy = nzeta
         self.nlink = nd.b.size
-        rows_i, cols, vals, senses = [], [], [], []
-        row = 0
-        for i in range(self.nx):  # J x >= F x_par + f
-            if nd.J is not None:
-                s, e = nd.J.indptr[i], nd.J.indptr[i + 1]
-                for t in range(s, e):
-                    rows_i.append(row); cols.append(self.x0 + nd.J.indices[t])
-                    vals.append(nd.J.data[t])
-            senses.append(nd.sen_x[i]); row += 1
-        for i in range(self.ncopy):  # zeta pinned to the incoming copy
-            rows_i.append(row); cols.append(self.zeta0 + i); vals.append(1.0)
-            senses.append("E"); row += 1
-        own_off = self.zeta0 + self.zg_off[self.group]
-        for i in range(self.nlink):
-            for mat, off in ((nd.C, self.x0), (nd.D, own_off), (nd.E, self.y0)):
-                if mat is None:
-                    continue
-                s, e = mat.indptr[i], mat.indptr[i + 1]
-                for t in range(s, e):
-                    rows_i.append(row); cols.append(off + mat.indices[t])
-                    vals.append(mat.data[t])
-            senses.append(nd.sen_l[i]); row += 1
+        # state rows, zeta pinned to the incoming copy, linking rows; every
+        # parent term lives in the rhs (set_rhs)
+        _, state, link = node_rows(nd, self.zeta_col[self.group], self.x0, self.y0,
+                                   None, None, ())
+        copy = RowBlock([(sp.identity(nzeta, format="csr"), self.zeta0, 1.0)],
+                        np.full(nzeta, EQ), np.zeros(nzeta))
+        A, senses, _ = assemble([state, copy, link], self.n, canonical=False)
 
         c = np.zeros(self.n)
         c[self.x0:self.x0 + k] = nd.d
@@ -179,31 +172,13 @@ class _Sub:
         up[self.y0:self.y0 + r] = nd.y_up
         for ck, _ in self.children:
             lo[self.theta_col[ck]] = engine.cfg.theta_lb
-        self.lp = LpProblem(
-            c=c, A=sp.csr_matrix((vals, (rows_i, cols)), shape=(row, self.n)),
-            senses=np.array(senses, dtype="<U1"),
-            rhs=np.zeros(row), lo=lo, up=up,
-        )
+        self.lp = LpProblem(c=c, A=A, senses=senses, rhs=np.zeros(senses.size),
+                            lo=lo, up=up)
         self.hosted: list[Cut] = []
 
-    def host_row(self, cut: Cut) -> tuple[dict[int, float], str, float]:
-        cols: dict[int, float] = {}
-        if cut.kind == "optimality":
-            cols[self.theta_col[cut.owner]] = 1.0
-
-        def put(off, coefs, sign=-1.0):
-            for j, v in enumerate(coefs):
-                if v:
-                    cols[off + j] = cols.get(off + j, 0.0) + sign * v
-
-        put(self.x0, cut.alpha)
-        put(self.zeta0 + self.zg_off[self.group], cut.beta_parent)
-        for g, coef in cut.rho.items():
-            put(self.zeta0 + self.zg_off[g], coef)
-        return cols, GE, cut.gamma
-
     def add_hosted(self, cut: Cut) -> None:
-        add_rows(self.lp, [self.host_row(cut)])
+        add_rows(self.lp, [_cut_row(cut, self.theta_col[cut.owner], self.x0,
+                                    self.zeta_col[self.group], self.zeta_col)])
         self.hosted.append(cut)
 
     def set_rhs(self, x_par: np.ndarray, zvals: dict[GroupKey, np.ndarray],
@@ -291,14 +266,10 @@ class SddpEngine:
         beta = nd.B.T @ pi_l if nd.B is not None else np.zeros(self.msilp.l)
         rho_map = {}
         for g in sub.zeta_groups:
-            seg = rho[sub.zg_off[g]:sub.zg_off[g] + self.l_]
+            seg = rho[sub.zg_off[g]:sub.zg_off[g] + self.msilp.l]
             if np.any(seg):
                 rho_map[g] = seg.copy()
         return alpha, beta, rho_map
-
-    @property
-    def l_(self) -> int:
-        return self.msilp.l
 
     def make_optimality_cut(self, sub: _Sub, ss: _SubSolution) -> Cut:
         sol = ss.lp_solution
@@ -471,8 +442,8 @@ class SddpEngine:
 # -- master problem --------------------------------------------------------
 
 
-def build_master(m: Msilp, agg: AggregationMap, theta_lb: float = 0.0,
-                 with_theta: bool = True) -> tuple[MipProblem, MasterLayout]:
+def build_master(m: Msilp, agg: AggregationMap,
+                 theta_lb: float = 0.0) -> tuple[MipProblem, MasterLayout]:
     """First-stage MIP: all aggregated integer blocks, root continuous block,
     one cost-to-go variable per stage-2 node, and every pure-z row."""
     tree = m.tree
@@ -480,92 +451,25 @@ def build_master(m: Msilp, agg: AggregationMap, theta_lb: float = 0.0,
     z_off = {g: i * l for i, g in enumerate(agg.group_index)}
     x_off = l * len(agg.group_index)
     y_off = x_off + k
-    theta_cols = {}
-    col = y_off + r
-    if with_theta and tree.stages > 1:
-        for nid in tree.node(tree.root).children:
-            theta_cols[nid] = col
-            col += 1
-    n = col
+    theta_cols = {nid: y_off + r + i
+                  for i, nid in enumerate(tree.node(tree.root).children)}
+    n = y_off + r + len(theta_cols)
 
-    obj = np.zeros(n)
-    lo = np.full(n, -np.inf)
-    up = np.full(n, np.inf)
-    integer = np.zeros(n, dtype=bool)
-    for node in tree.nodes:
-        nd = m.data[node.id]
-        zc = z_off[agg.node_to_group[node.id]]
-        obj[zc:zc + l] += node.p * nd.c
-        lo[zc:zc + l] = np.maximum(lo[zc:zc + l], nd.z_lo)
-        up[zc:zc + l] = np.minimum(up[zc:zc + l], nd.z_up)
-        integer[zc:zc + l] = True
-    root = m.data[tree.root]
-    obj[x_off:x_off + k] = root.d
-    obj[y_off:y_off + r] = root.h
-    lo[x_off:x_off + k] = root.x_lo
-    up[x_off:x_off + k] = root.x_up
-    lo[y_off:y_off + r] = root.y_lo
-    up[y_off:y_off + r] = root.y_up
+    def zcol(nid):
+        return z_off[agg.node_to_group[nid]]
+
+    obj, lo, up, integer = first_stage_columns(m, zcol, x_off, y_off, n)
     for nid, tc in theta_cols.items():
         obj[tc] = tree.node(nid).p_cond
         lo[tc] = theta_lb
 
-    rows_i, cols_j, vals, senses, rhs = [], [], [], [], []
-    seen = set()
-
-    def add_row(cv: dict[int, float], sense: str, b: float):
-        ent = tuple(sorted((c, round(v, 12)) for c, v in cv.items() if abs(v) > 1e-12))
-        sig = (sense, round(b, 12), ent)
-        if sig in seen:
-            return
-        seen.add(sig)
-        i = len(rhs)
-        for c, v in ent:
-            rows_i.append(i); cols_j.append(c); vals.append(v)
-        senses.append(sense); rhs.append(b)
-
-    for node in tree.nodes:
-        nd = m.data[node.id]
-        zc = z_off[agg.node_to_group[node.id]]
-        zp = None if node.parent is None else z_off[agg.node_to_group[node.parent]]
-        for i in range(nd.g.size):
-            cv: dict[int, float] = {}
-            if nd.H is not None:
-                s, e = nd.H.indptr[i], nd.H.indptr[i + 1]
-                for t in range(s, e):
-                    c = zc + nd.H.indices[t]
-                    cv[c] = cv.get(c, 0.0) + nd.H.data[t]
-            if zp is not None and nd.G is not None:
-                s, e = nd.G.indptr[i], nd.G.indptr[i + 1]
-                for t in range(s, e):
-                    c = zp + nd.G.indices[t]
-                    cv[c] = cv.get(c, 0.0) - nd.G.data[t]
-            add_row(cv, nd.sen_z[i], nd.g[i])
-    # root state and linking rows live in the master as well
-    for i in range(root.f.size):
-        cv = {}
-        if root.J is not None:
-            s, e = root.J.indptr[i], root.J.indptr[i + 1]
-            for t in range(s, e):
-                cv[x_off + root.J.indices[t]] = root.J.data[t]
-        add_row(cv, root.sen_x[i], root.f[i])
-    zc_root = z_off[agg.node_to_group[tree.root]]
-    for i in range(root.b.size):
-        cv = {}
-        for mat, off in ((root.C, x_off), (root.D, zc_root), (root.E, y_off)):
-            if mat is None:
-                continue
-            s, e = mat.indptr[i], mat.indptr[i + 1]
-            for t in range(s, e):
-                c = off + mat.indices[t]
-                cv[c] = cv.get(c, 0.0) + mat.data[t]
-        add_row(cv, root.sen_l[i], root.b[i])
-
-    prob = MipProblem(
-        c=obj, A=sp.csr_matrix((vals, (rows_i, cols_j)), shape=(len(rhs), n)),
-        senses=np.array(senses, dtype="<U1"), rhs=np.array(rhs),
-        lo=lo, up=up, integer=integer,
-    )
+    # every node's z-rows, then the root's state and linking rows
+    blocks = [node_rows(m.data[node.id], zcol(node.id), None, None,
+                        None if node.parent is None else zcol(node.parent), None, ())[0]
+              for node in tree.nodes]
+    blocks += node_rows(m.data[tree.root], zcol(tree.root), x_off, y_off, None, None, ())[1:]
+    A, senses, rhs = assemble(blocks, n, canonical=True)
+    prob = MipProblem(c=obj, A=A, senses=senses, rhs=rhs, lo=lo, up=up, integer=integer)
     return prob, MasterLayout(z_off, x_off, y_off, theta_cols, n)
 
 
@@ -577,21 +481,17 @@ def decode_master(m: Msilp, agg: AggregationMap, lay: MasterLayout,
     return MasterPoint(x[lay.x_off:lay.x_off + m.k].copy(), z, theta, root_group)
 
 
-def master_cut_row(cut: Cut, lay: MasterLayout, m: Msilp, agg: AggregationMap,
-                   node_id: int):
+def _cut_row(cut: Cut, theta_col: int, x_off: int, own_off: int,
+             z_off: dict[GroupKey, int]) -> tuple[dict[int, float], str, float]:
+    """The cut as a row of its host: theta - alpha'x - beta'z_own
+    - sum_g rho_g'z_g >= gamma, without theta for a feasibility cut."""
     cols: dict[int, float] = {}
     if cut.kind == "optimality":
-        cols[lay.theta[node_id]] = 1.0
-
-    def put(off, coefs):
-        for j, v in enumerate(coefs):
-            if v:
-                cols[off + j] = cols.get(off + j, 0.0) - v
-
-    put(lay.x_off, cut.alpha)
-    put(lay.z_off[agg.node_to_group[m.tree.root]], cut.beta_parent)
-    for g, coef in cut.rho.items():
-        put(lay.z_off[g], coef)
+        cols[theta_col] = 1.0
+    for off, coefs in [(x_off, cut.alpha), (own_off, cut.beta_parent)] + \
+            [(z_off[g], coef) for g, coef in cut.rho.items()]:
+        for j in np.flatnonzero(coefs):
+            cols[off + j] = cols.get(off + j, 0.0) - coefs[j]
     return cols, GE, cut.gamma
 
 
@@ -612,7 +512,9 @@ class _MasterOracle(CutOracle):
         for nid in eng.msilp.tree.node(eng.msilp.tree.root).children:
             cut = eng.sddp_subroutine(cand, nid)
             if cut is not None:
-                rows.append(master_cut_row(cut, self.lay, eng.msilp, eng.agg, nid))
+                lay = self.lay
+                rows.append(_cut_row(cut, lay.theta[nid], lay.x_off,
+                                     lay.z_off[cand.root_group], lay.z_off))
         return rows
 
 
@@ -650,10 +552,14 @@ def _as_result(sol: MipSolution, m: Msilp, agg: AggregationMap,
     return res
 
 
-def solve_exact(m: Msilp, agg: AggregationMap, cfg: SddpConfig | None = None) -> SddpResult:
-    """Exact optimum of the aggregated problem via branch-and-cut + SDDP."""
-    cfg = cfg or SddpConfig()
+def _solve(m: Msilp, agg: AggregationMap, cfg: SddpConfig,
+           z_fixed: dict[GroupKey, np.ndarray] | None = None) -> SddpResult:
+    """Master, optional policy fixing, then the SDDP-driven branch and cut
+    (a plain MIP when there is a single stage)."""
     master, lay = build_master(m, agg, cfg.theta_lb)
+    if z_fixed is not None:
+        for g, off in lay.z_off.items():
+            master.lo[off:off + m.l] = master.up[off:off + m.l] = z_fixed[g]
     if m.tree.stages == 1:
         sol = branch_and_cut(master, time_limit=cfg.time_limit, rel_gap=cfg.mip_gap)
         return _as_result(sol, m, agg, lay, None)
@@ -668,6 +574,11 @@ def solve_exact(m: Msilp, agg: AggregationMap, cfg: SddpConfig | None = None) ->
     return _as_result(sol, m, agg, lay, engine)
 
 
+def solve_exact(m: Msilp, agg: AggregationMap, cfg: SddpConfig | None = None) -> SddpResult:
+    """Exact optimum of the aggregated problem via branch-and-cut + SDDP."""
+    return _solve(m, agg, cfg or SddpConfig())
+
+
 def solve_lower_bound(m: Msilp, agg: AggregationMap,
                       cfg: SddpConfig | None = None) -> tuple[float, SddpResult]:
     """Relaxed-termination bound plus the incumbent first-stage candidate.
@@ -675,27 +586,9 @@ def solve_lower_bound(m: Msilp, agg: AggregationMap,
     The returned bound never exceeds the aggregated optimum: every cut is a
     valid underestimator and the relaxed run only leaves cuts out.
     """
-    cfg = cfg or SddpConfig(eps=0.1, exact=False)
-    if cfg.exact:
-        cfg = SddpConfig(eps=cfg.eps, k=cfg.k, exact=False, max_rounds=cfg.max_rounds,
-                         seed=cfg.seed, theta_lb=cfg.theta_lb,
-                         time_limit=cfg.time_limit, mip_gap=cfg.mip_gap)
-    master, lay = build_master(m, agg, cfg.theta_lb)
-    if m.tree.stages == 1:
-        sol = branch_and_cut(master, time_limit=cfg.time_limit, rel_gap=cfg.mip_gap)
-        res = _as_result(sol, m, agg, lay, None)
-        return float(sol.bound), res
-    engine = SddpEngine(m, agg, cfg)
-    oracle = _MasterOracle(engine, lay)
-    try:
-        _root_precut(master, oracle)
-    except DeadlineReached:
-        pass
-    sol = branch_and_cut(master, oracle, time_limit=cfg.time_limit,
-                         rel_gap=cfg.mip_gap, round_heuristic=False)
-    res = _as_result(sol, m, agg, lay, engine)
-    bound = sol.bound if sol.bound is not None else cfg.theta_lb
-    return float(bound), res
+    cfg = replace(cfg, exact=False) if cfg else SddpConfig(eps=0.1, exact=False)
+    res = _solve(m, agg, cfg)
+    return float(res.bound if res.bound is not None else cfg.theta_lb), res
 
 
 def evaluate_policy(m: Msilp, agg: AggregationMap, z_hat: dict[GroupKey, np.ndarray],
@@ -705,30 +598,13 @@ def evaluate_policy(m: Msilp, agg: AggregationMap, z_hat: dict[GroupKey, np.ndar
     Convergence is driven by the absolute violation guard (eps vanishing):
     a meaningful relative tolerance would let every cost-to-go variable
     settle a relative notch below its true value, compounding across
-    stages."""
-    base = cfg or SddpConfig()
-    cfg = SddpConfig(eps=1e-15, k=base.k, exact=True,
-                     max_rounds=base.max_rounds, seed=base.seed,
-                     theta_lb=base.theta_lb, time_limit=base.time_limit,
-                     mip_gap=base.mip_gap)
-    master, lay = build_master(m, agg, cfg.theta_lb)
-    for g, off in lay.z_off.items():
-        vals = np.asarray(z_hat[g], dtype=float)
-        master.lo[off:off + m.l] = vals
-        master.up[off:off + m.l] = vals
-    if m.tree.stages == 1:
-        sol = branch_and_cut(master, time_limit=cfg.time_limit, rel_gap=cfg.mip_gap)
-    else:
-        engine = SddpEngine(m, agg, cfg)
-        oracle = _MasterOracle(engine, lay)
-        try:
-            _root_precut(master, oracle)
-        except DeadlineReached:
-            pass
-        sol = branch_and_cut(master, oracle, time_limit=cfg.time_limit,
-                             rel_gap=cfg.mip_gap, round_heuristic=False)
-    if sol.status == INFEASIBLE:
+    stages.  Raises DeadlineReached when the time limit ends the
+    evaluation before it certifies a value."""
+    res = _solve(m, agg, replace(cfg or SddpConfig(), eps=1e-15, exact=True), z_hat)
+    if res.status == INFEASIBLE:
         raise InfeasiblePolicy("no feasible continuous completion for the fixed policy")
-    if sol.status == TIME_LIMIT or sol.objective is None:
-        raise NumericalFailure("policy evaluation hit the time limit")
-    return float(sol.objective)
+    if res.status == TIME_LIMIT:
+        raise DeadlineReached("policy evaluation hit the time limit")
+    if res.objective is None:
+        raise NumericalFailure(f"policy evaluation ended {res.status}")
+    return float(res.objective)

@@ -5,7 +5,9 @@ import os
 import numpy as np
 import pytest
 
-from mcsip.cli import gap_closed, main, relative_difference
+from mcsip import cli
+from mcsip.aggregate import Transformation
+from mcsip.cli import gap_closed, main, relative_difference, run_solve
 
 
 def test_gap_closed_endpoints():
@@ -166,3 +168,28 @@ def test_out_dir_env_var(tmp_path, monkeypatch):
     rc = main(["generate", "--grid", "2x4", "--seed", "1"])
     assert rc == 0
     assert os.path.exists(tmp_path / "outs" / "hdr_2x4_s1.json")
+
+
+
+PM = Transformation("pm", partial_attrs=(2,))
+
+
+def test_sddp_ub_without_incumbent_is_a_time_limit_row(hdr_toy):
+    # the lower-bound run stops before it has an incumbent policy
+    rec = run_solve(hdr_toy, "sddp-ub", PM, eps=None, k=None, seed=0,
+                    time_limit=1e-9, rounds=3)
+    assert rec["status"] == "time_limit" and rec["objective"] is None
+    assert rec["bound"] is not None
+
+
+def test_sddp_ub_evaluation_time_limit_is_a_row(hdr_toy, monkeypatch):
+    from dataclasses import replace
+
+    # the incumbent's exact evaluation runs out of time
+    evaluate = cli.evaluate_policy
+    monkeypatch.setattr(cli, "evaluate_policy", lambda m, agg, z, cfg:
+                        evaluate(m, agg, z, replace(cfg, time_limit=1e-9)))
+    rec = run_solve(hdr_toy, "sddp-ub", PM, eps=None, k=None, seed=0,
+                    time_limit=None, rounds=3)
+    assert rec["status"] == "time_limit" and rec["objective"] is None
+    assert np.isfinite(rec["bound"]) and rec["z"]

@@ -1,4 +1,3 @@
-import io
 import itertools
 
 import numpy as np
@@ -7,8 +6,7 @@ import pytest
 from mcsip.aggregate import Transformation, build_aggregation, refines
 from mcsip.lp_engine import branch_and_cut, solve_lp
 from mcsip.model import LpProblem, build_aggregated_extensive_form, \
-    build_extensive_form, expand_aggregated_solution, max_violation, \
-    read_lp_text, validate, write_lp_text
+    build_extensive_form, expand_aggregated_solution, max_violation, validate
 
 from conftest import make_random_msilp
 
@@ -158,15 +156,3 @@ def test_variable_cap_overflow():
     with pytest.raises(Overflow):
         build_extensive_form(m, cap=10)
 
-
-def test_lp_text_round_trip():
-    m = make_random_msilp(seed=13, T=2)
-    prob = build_extensive_form(m)
-    buf = io.StringIO()
-    write_lp_text(prob, buf)
-    buf.seek(0)
-    back = read_lp_text(buf)
-    s1 = branch_and_cut(prob)
-    s2 = branch_and_cut(back)
-    assert s2.objective == pytest.approx(s1.objective, rel=1e-9)
-    assert np.array_equal(np.flatnonzero(prob.integer), np.flatnonzero(back.integer))

@@ -292,3 +292,39 @@ def test_sandwich_on_random_instances():
         if res.z_by_group is not None:
             ub = evaluate_policy(m, agg, res.z_by_group, SddpConfig(seed=0))
             assert exact.objective <= ub + 1e-6
+
+
+@pytest.mark.parametrize("solve", ["exact", "lower_bound"])
+def test_interrupted_solve_keeps_a_valid_bound(monkeypatch, solve):
+    """A deadline that fires inside the oracle from its N-th call on still
+    leaves a bound at or below the optimum, for every N the solve reaches."""
+    from mcsip import sddp
+    from mcsip.lp_engine import DeadlineReached
+
+    m = make_random_msilp(seed=9, T=3)
+    agg = build_aggregation(m.tree, Transformation("ma"))
+    ex = branch_and_cut(build_aggregated_extensive_form(m, agg)).objective
+    cfg = SddpConfig(seed=0) if solve == "exact" else SddpConfig(eps=0.1, exact=False, seed=0)
+    real = sddp._MasterOracle.separate
+    calls = {"n": 0, "stop": None}
+
+    def separate(self, x):
+        calls["n"] += 1
+        if calls["stop"] is not None and calls["n"] >= calls["stop"]:
+            raise DeadlineReached
+        return real(self, x)
+
+    def run():
+        calls["n"] = 0
+        if solve == "exact":
+            return solve_exact(m, agg, cfg).bound
+        return solve_lower_bound(m, agg, cfg)[0]
+
+    monkeypatch.setattr(sddp._MasterOracle, "separate", separate)
+    assert run() <= ex + 1e-6
+    total = calls["n"]
+    assert total >= 2
+    for stop in range(1, total):
+        calls["stop"] = stop
+        bound = run()
+        assert bound is not None and bound <= ex + 1e-6, stop
