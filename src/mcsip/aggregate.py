@@ -4,7 +4,9 @@ Every stage-t node of the scenario tree carries a state history of length
 s*t.  A transformation compresses that history into a group key; nodes
 with equal keys share one block of aggregated integer variables.  Group
 keys are canonical integer tuples, never floating matrix products, so
-grouping is exact.
+grouping is exact.  Each transformation is one list of kept positions in
+the flattened history (_kept); the compression matrix Phi and the group
+key both read it.
 
 Supported kinds:
 
@@ -43,57 +45,44 @@ class Transformation:
             raise ValueError("pm requires a nonempty partial attribute set")
 
 
-def build_phi(tr: Transformation, t: int, s: int) -> np.ndarray:
-    """The stage-t compression matrix applied to the flattened history.
-
-    Shape is (q_t, s*t).  At t=1 the kinds that look one stage back fall
-    back to the current-state map; at t<1 the stage is invalid.
-    """
+def _kept(tr: Transformation, t: int, s: int) -> list[int]:
+    """Positions of the stage-t flattened history (s attributes per stage)
+    that the transformation keeps, in key order.  At t=1 the kinds that
+    look one stage back fall back to the current-state map; at t<1 the
+    stage is invalid."""
     if t < 1:
         raise InvalidStage(f"stage must be >= 1, got {t}")
     n = s * t
     kind = tr.kind
     if kind in ("mm", "pm") and t == 1:
         kind = "ma"
-    if kind == "hn":
-        return np.zeros((1, n), dtype=int)
-    if kind == "ma":
-        phi = np.zeros((s, n), dtype=int)
-        phi[:, n - s:] = np.eye(s, dtype=int)
-        return phi
-    if kind == "mm":
-        phi = np.zeros((2 * s, n), dtype=int)
-        phi[:, n - 2 * s:] = np.eye(2 * s, dtype=int)
-        return phi
-    if kind == "pm":
-        sbar = len(tr.partial_attrs)
-        if any(a < 0 or a >= s for a in tr.partial_attrs):
-            raise ValueError("partial attribute index out of range")
-        phi = np.zeros((sbar + s, n), dtype=int)
-        for row, a in enumerate(sorted(tr.partial_attrs)):
-            phi[row, s * (t - 2) + a] = 1
-        phi[sbar:, n - s:] = np.eye(s, dtype=int)
-        return phi
-    return np.eye(n, dtype=int)  # fh
+    if kind == "pm" and any(a < 0 or a >= s for a in tr.partial_attrs):
+        raise ValueError("partial attribute index out of range")
+    return {
+        "hn": [],
+        "ma": list(range(n - s, n)),
+        "mm": list(range(n - 2 * s, n)),
+        "pm": [s * (t - 2) + a for a in sorted(tr.partial_attrs)] + list(range(n - s, n)),
+        "fh": list(range(n)),
+    }[kind]
+
+
+def build_phi(tr: Transformation, t: int, s: int) -> np.ndarray:
+    """The stage-t compression matrix applied to the flattened history:
+    one row per kept position, shape (q_t, s*t); hn keeps nothing and is a
+    single zero row."""
+    kept = _kept(tr, t, s)
+    phi = np.zeros((max(len(kept), 1), s * t), dtype=int)
+    phi[np.arange(len(kept)), kept] = 1
+    return phi
 
 
 def group_key(tr: Transformation, history: list[McState]) -> GroupKey:
-    """Canonical key of a node given its state history (stage = len)."""
-    t = len(history)
-    kind = tr.kind
-    if kind in ("mm", "pm") and t == 1:
-        kind = "ma"
-    if kind == "hn":
-        return (t,)
-    if kind == "ma":
-        return (t,) + history[-1].attrs
-    if kind == "mm":
-        return (t,) + history[-2].attrs + history[-1].attrs
-    if kind == "pm":
-        prev = history[-2].attrs
-        kept = tuple(prev[a] for a in sorted(tr.partial_attrs))
-        return (t,) + kept + history[-1].attrs
-    return (t,) + tuple(a for st in history for a in st.attrs)  # fh
+    """Canonical key of a node given its state history (stage = len): the
+    stage, then the kept history attributes."""
+    t, s = len(history), len(history[0].attrs)
+    flat = [a for st in history for a in st.attrs]
+    return (t,) + tuple(flat[i] for i in _kept(tr, t, s))
 
 
 @dataclass

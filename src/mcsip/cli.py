@@ -25,7 +25,7 @@ from .hdr import HdrConfig, generate_instance, load_instance, save_instance, \
     build_hdr_aggregated, build_hdr_msilp
 from .ldr import LdrVariant, benders_solve, build_ldr_model, extract_policy
 from .lp_engine import TIME_LIMIT, DeadlineReached, branch_and_cut
-from .model import build_aggregated_extensive_form
+from .model import build_aggregated_extensive_form, z_values
 from .sddp import SddpConfig, evaluate_policy, solve_exact, solve_lower_bound
 
 METHODS = ("ex", "sddp", "sddp-lb", "sddp-ub", "ldr-th", "ldr-t", "ldr-m")
@@ -94,15 +94,11 @@ def run_solve(inst, method: str, tr: Transformation, *, eps: float | None,
         if method == "ex":
             prob = build_aggregated_extensive_form(m, agg)
             sol = branch_and_cut(prob, time_limit=time_limit)
-            lay = prob.layout
-            z = {g: sol.x[lay.z_off[g]:lay.z_off[g] + m.l] for g in agg.group_index} \
-                if sol.x is not None else None
+            z = z_values(prob.layout.z_off, m.l, sol.x) if sol.x is not None else None
             out.update(status=sol.status, objective=sol.objective, bound=sol.bound,
                        gap=sol.gap, cuts=0)
         else:
-            cfg = SddpConfig(eps=eps if eps is not None else
-                             (0.1 if method in ("sddp-lb", "sddp-ub") else 1e-6),
-                             k=k, exact=(method == "sddp"), seed=seed,
+            cfg = SddpConfig(eps=eps, k=k, exact=(method == "sddp"), seed=seed,
                              time_limit=time_limit, max_rounds=rounds)
             if method == "sddp":
                 res = solve_exact(m, agg, cfg)
@@ -136,10 +132,9 @@ def run_solve(inst, method: str, tr: Transformation, *, eps: float | None,
         ma = build_hdr_aggregated(inst, agg0)
         agg = build_aggregation(ma.tree, tr)
         model = build_ldr_model(ma, agg, LdrVariant(method.split("-")[1]))
-        sol = benders_solve(model, eps=eps if eps is not None else 1e-6,
-                            time_limit=time_limit)
+        sol = benders_solve(model, eps=eps, time_limit=time_limit)
         out.update(status=sol.status, objective=sol.objective, bound=sol.bound,
-                   gap=sol.gap, cuts=sol.cut_count)
+                   gap=sol.gap, cuts=sol.cuts)
         if sol.x is not None:
             x_by_node, z = extract_policy(model, sol)
             out["z"] = [[_group_key_to_json(g), list(map(float, v))]
@@ -183,7 +178,7 @@ def cmd_solve(args) -> int:
     rec["instance"] = args.instance
     path = _out_path(f"sol_{args.method}_{args.transform}.json", args.out)
     with open(path, "w") as fp:
-        json.dump(rec, fp, indent=1, sort_keys=True)
+        json.dump(rec, fp, indent=1, sort_keys=True, allow_nan=False)
     print(f"{args.method}/{args.transform}: status={rec.get('status')} "
           f"objective={_fmt(rec.get('objective'))} bound={_fmt(rec.get('bound'))} "
           f"({rec['wall_time']:.2f}s) -> {path}")
@@ -203,7 +198,7 @@ def cmd_evaluate(args) -> int:
     print(f"exact policy value: {_fmt(val)}")
     if args.out:
         with open(args.out, "w") as fp:
-            json.dump({"objective": val, "solution": args.solution}, fp)
+            json.dump({"objective": val, "solution": args.solution}, fp, allow_nan=False)
     return 0
 
 

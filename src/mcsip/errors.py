@@ -37,10 +37,6 @@ class MissingDuals(McsipError):
     """Dual values requested from a solve that did not end Optimal."""
 
 
-class MissingCertificate(McsipError):
-    """A Farkas certificate requested from a solve that is not Infeasible."""
-
-
 class InfeasiblePolicy(McsipError):
     """A fixed integer policy admits no feasible continuous completion."""
 

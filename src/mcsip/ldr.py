@@ -16,8 +16,9 @@ Lambda, theta) holding every row free of non-root locals, and one LP per
 non-root node over its locals only.  The master is solved by branch and
 cut; cost-to-go variables theta_{t,m} are hybrid, one per stage and
 Markov state, and optimality cuts aggregate the member-node duals with
-path-probability weights.  Feasibility cuts come from phase-1 duals of an
-infeasible node LP.
+path-probability weights.  Feasibility cuts come from the phase-1 duals of
+an infeasible node LP (lp_engine.violation_certificate), and both kinds
+become master rows through lp_engine.cut_row, the writer S uses too.
 
 Rows come from the shared assembler (model.assemble), with x_n mapped onto
 the Lambda columns by a sparse basis-expansion P and x_root by its column
@@ -37,10 +38,11 @@ import scipy.sparse as sp
 
 from .aggregate import AggregationMap, GroupKey, build_policy_graph
 from .errors import InfeasibleModel, NumericalFailure, Overflow
-from .lp_engine import (INFEASIBLE, OPTIMAL, VIOL_GUARD, CutOracle, LpSolution,
-                        MipSolution, branch_and_cut, infeasibility_lp, solve_lp)
+from .lp_engine import (INFEASIBLE, OPTIMAL, THETA_LB, VIOL_GUARD, CutOracle, LpSolution,
+                        MipSolution, branch_and_cut, cut_row, solve_lp,
+                        violation_certificate)
 from .model import GE, LE, LpProblem, MipProblem, Msilp, RowBlock, assemble, \
-    first_stage_columns, node_rows
+    first_stage_columns, first_stage_offsets, node_rows, z_values
 from .tree import path as tree_path
 
 VARIANTS = ("th", "t", "m")
@@ -125,16 +127,13 @@ def _rule_basis(variant: LdrVariant, m: Msilp, nid: int) -> np.ndarray:
     return np.concatenate([vec, [1.0]])
 
 
-def build_ldr_model(m: Msilp, agg: AggregationMap, variant: LdrVariant,
-                    theta_lb: float = 0.0, cap: int = FIRST_STAGE_CAP) -> LdrModel:
+def build_ldr_model(m: Msilp, agg: AggregationMap, variant: LdrVariant) -> LdrModel:
     tree = m.tree
-    k, l, r = m.k, m.l, m.r
+    k, r = m.k, m.r
     _stage_basis_len(m)  # one rule basis length per stage, else ValueError
 
     # first-stage columns
-    z_off = {g: i * l for i, g in enumerate(agg.group_index)}
-    x_off = l * len(agg.group_index)
-    y_off = x_off + k
+    z_off, x_off, y_off = first_stage_offsets(m, agg)
     col = y_off + r
     lam_off: dict[tuple, int] = {}
     lam_cols: dict[tuple, int] = {}
@@ -154,8 +153,8 @@ def build_ldr_model(m: Msilp, agg: AggregationMap, variant: LdrVariant,
             theta_off[(t, attrs)] = col
             theta_keys.append((t, attrs))
             col += 1
-    if col > cap:
-        raise Overflow(f"LDR first stage needs {col} columns, cap is {cap}")
+    if col > FIRST_STAGE_CAP:
+        raise Overflow(f"LDR first stage needs {col} columns, cap is {FIRST_STAGE_CAP}")
     n = col
 
     def x_map(nid: int):
@@ -180,7 +179,7 @@ def build_ldr_model(m: Msilp, agg: AggregationMap, variant: LdrVariant,
             obj += P[node.id].T @ (node.p * m.data[node.id].d)
     for key in theta_keys:
         obj[theta_off[key]] = 1.0
-        lo[theta_off[key]] = theta_lb
+        lo[theta_off[key]] = THETA_LB
 
     node_lps: dict[int, _NodeLp] = {}
     second_keys: dict = {}
@@ -244,7 +243,6 @@ class _BendersOracle(CutOracle):
         for nid in model.node_lps:
             node = tree.node(nid)
             self.nodes_by_theta[(node.stage, node.mc_state.attrs)].append(nid)
-        self.cut_count = 0
         self.emitted: list[dict] = []  # kept for audits of cut validity
 
     def _solve_node(self, nid: int, w: np.ndarray, memo: dict) -> LpSolution:
@@ -287,57 +285,45 @@ class _BendersOracle(CutOracle):
             const = total - float(grad @ x)
             if theta_hat >= total - VIOL_GUARD:
                 continue  # numerically cannot separate
-            cols = {int(c): -float(grad[c]) for c in np.flatnonzero(grad)}
-            cols[model.layout.theta_off[key]] = cols.get(model.layout.theta_off[key], 0.0) + 1.0
-            self.cut_count += 1
             self.emitted.append({"kind": "optimality", "theta_key": key,
                                  "grad": grad.copy(), "const": const,
                                  "gen_w": x.copy(), "gen_value": total})
-            return [(cols, GE, const)]
+            return [cut_row(model.layout.theta_off[key], [(0, grad)], const)]
         return []
 
     def _feasibility_row(self, nid: int, x: np.ndarray):
         nl = self.model.node_lps[nid]
         nl.lp.rhs = nl.const + nl.R @ x
-        aux, _ = infeasibility_lp(nl.lp)
-        sol = solve_lp(aux, want_farkas=False)
-        if sol.status != OPTIMAL or sol.objective <= VIOL_GUARD:
-            raise NumericalFailure(f"no violation certificate at node {nid}")
-        grad = nl.R.T @ sol.duals
-        const = sol.objective - float(grad @ x)
+        violation, duals = violation_certificate(nl.lp)
+        grad = nl.R.T @ duals
+        const = violation - float(grad @ x)
         # violation(w) >= grad.w + const must be forced to zero
-        cols = {int(c): -float(grad[c]) for c in np.flatnonzero(grad)}
-        self.cut_count += 1
         self.emitted.append({"kind": "feasibility", "node": nid,
                              "grad": grad.copy(), "const": const,
-                             "gen_w": x.copy(), "gen_value": sol.objective})
-        return cols, GE, const
+                             "gen_w": x.copy(), "gen_value": violation})
+        return cut_row(None, [(0, grad)], const)
 
 
 @dataclass
 class LdrSolution(MipSolution):
     z_by_group: dict[GroupKey, np.ndarray] | None = None
     lam: dict[tuple, np.ndarray] | None = None
-    cut_count: int = 0
     emitted_cuts: list[dict] = field(default_factory=list)
 
 
-def benders_solve(model: LdrModel, eps: float = 1e-6,
-                  time_limit: float | None = None, rel_gap: float = 1e-6) -> LdrSolution:
-    oracle = _BendersOracle(model, eps)
-    sol = branch_and_cut(model.master, oracle, time_limit=time_limit,
-                         rel_gap=rel_gap, round_heuristic=False)
+def benders_solve(model: LdrModel, eps: float | None = None,
+                  time_limit: float | None = None) -> LdrSolution:
+    """Branch and cut on the LDR master; a (stage, state) cost-to-go within
+    relative eps (default 1e-6) of its group's value is accepted."""
+    oracle = _BendersOracle(model, 1e-6 if eps is None else eps)
+    sol = branch_and_cut(model.master, oracle, time_limit=time_limit, round_heuristic=False)
     if sol.status == INFEASIBLE:
         raise InfeasibleModel("LDR first stage is infeasible")
-    out = LdrSolution(status=sol.status, x=sol.x, objective=sol.objective,
-                      bound=sol.bound, gap=sol.gap, nodes=sol.nodes,
-                      cuts=sol.cuts, cut_count=oracle.cut_count,
-                      emitted_cuts=oracle.emitted)
+    out = LdrSolution(**vars(sol), emitted_cuts=oracle.emitted)
     if sol.x is not None:
         lay = model.layout
         m = model.msilp
-        out.z_by_group = {g: sol.x[off:off + m.l].copy()
-                          for g, off in lay.z_off.items()}
+        out.z_by_group = z_values(lay.z_off, m.l, sol.x)
         out.lam = {key: sol.x[off:off + m.k * lay.lam_cols[key]]
                    .reshape(m.k, lay.lam_cols[key]).copy()
                    for key, off in lay.lam_off.items()}
@@ -355,10 +341,8 @@ def extract_policy(model: LdrModel, sol: LdrSolution) -> tuple[np.ndarray, dict]
     for node in tree.nodes:
         if node.stage == 1:
             continue
-        key = _lam_key(model.variant, m, node.id)
-        lam = x[lay.lam_off[key]:lay.lam_off[key] + m.k * lay.lam_cols[key]] \
-            .reshape(m.k, lay.lam_cols[key])
-        out[node.id] = lam @ _rule_basis(model.variant, m, node.id)
+        out[node.id] = sol.lam[_lam_key(model.variant, m, node.id)] @ \
+            _rule_basis(model.variant, m, node.id)
     return out, sol.z_by_group
 
 

@@ -1,5 +1,6 @@
 """LP and MIP kernel: simplex solves with duals and Farkas certificates,
-plus branch and bound with a lazy-cut callback hook.
+the Benders cut plumbing both decompositions share, and branch and bound
+with a lazy-cut callback hook.
 
 The LP solves are delegated to the HiGHS inside scipy, called with the
 inputs and options scipy.optimize.linprog(method="highs") would pass; this
@@ -9,6 +10,10 @@ Dual convention (minimization): duals[i] = d obj / d rhs[i], so '>=' rows
 carry nonnegative duals and '<=' rows nonpositive ones.  Infeasible solves
 return a ray in the same convention; see verify_farkas for the exact
 certificate the ray satisfies.
+
+Benders layer of S and LDR: cuts are read off LP duals, or off the phase-1
+duals of violation_certificate (also the Farkas ray's source), and cut_row
+writes every cut as a row of the problem that hosts it.
 
 Branch and bound: best-bound node selection, most-fractional branching with
 lowest-index tie break, relative gap termination.  When a cut oracle is
@@ -35,6 +40,7 @@ FEAS_TOL = 1e-7
 INT_TOL = 1e-6
 MIP_GAP = 1e-6
 VIOL_GUARD = 1e-9          # absolute slack below which a cut does not separate
+THETA_LB = 0.0             # cost-to-go lower bound, valid for nonnegative costs
 MAX_CUT_PASSES = 100_000   # oracle re-solves per branch-and-bound node
 
 OPTIMAL = "optimal"
@@ -187,12 +193,12 @@ def _accepted(p: LpProblem, res: dict, n_ub: int) -> bool:
                 or (np.abs(slack[n_ub:]) > _ACCEPT_TOL).any())
 
 
-def infeasibility_lp(p: LpProblem) -> tuple[LpProblem, int]:
+def infeasibility_lp(p: LpProblem) -> LpProblem:
     """Phase-1 companion of p: minimize total row violation over the same box.
 
-    Returns (problem, slack column start).  The optimal value is 0 iff p is
-    feasible; its row duals support the violation as a function of the rhs,
-    which is what both the Farkas ray and feasibility cuts are made of.
+    The optimal value is 0 iff p is feasible; its row duals support the
+    violation as a function of the rhs, which is what both the Farkas ray
+    and feasibility cuts are made of.
     """
     n, m = p.n, p.m
     # row i gets slack column first[i] (+1, or -1 on '<=' rows); an '==' row
@@ -210,29 +216,39 @@ def infeasibility_lp(p: LpProblem) -> tuple[LpProblem, int]:
     lo = np.concatenate([p.lo, np.zeros(n_slack)])
     up = np.concatenate([p.up, np.full(n_slack, np.inf)])
     return LpProblem(c=c, A=a, senses=p.senses.copy(), rhs=p.rhs.copy(),
-                     lo=lo, up=up), n
+                     lo=lo, up=up)
+
+
+def violation_certificate(p: LpProblem) -> tuple[float, np.ndarray]:
+    """(violation, duals) of p's phase-1 companion: the least total row
+    violation over p's box and its row duals, whose support in the rhs
+    certifies that violation.  Raises NumericalFailure when the phase-1 LP
+    does not solve or finds no violation above VIOL_GUARD."""
+    sol = solve_lp(infeasibility_lp(p), want_farkas=False)
+    if sol.status != OPTIMAL:
+        raise NumericalFailure("phase-1 LP did not solve")
+    if sol.objective <= VIOL_GUARD:
+        raise NumericalFailure("phase-1 found no violation")
+    return sol.objective, sol.duals
 
 
 def _farkas_ray(p: LpProblem) -> np.ndarray:
-    aux, _ = infeasibility_lp(p)
-    res = solve_lp(aux, want_farkas=False)
-    if res.status != OPTIMAL:
-        raise NumericalFailure("phase-1 LP did not solve")
-    if res.objective <= FEAS_TOL:
+    violation, duals = violation_certificate(p)
+    if violation <= FEAS_TOL:
         raise NumericalFailure("phase-1 found the problem feasible")
-    return res.duals
+    return duals
 
 
-def verify_farkas(p: LpProblem, ray: np.ndarray, tol: float = FEAS_TOL) -> float:
+def verify_farkas(p: LpProblem, ray: np.ndarray) -> float:
     """Margin of the box Farkas certificate; > 0 certifies infeasibility.
 
-    Requires ray >= 0 on '>=' rows and <= 0 on '<=' rows (free on '==');
-    the certified statement is sup_{lo<=x<=up} (A' ray)'x < ray'rhs.
+    Requires ray >= 0 on '>=' rows and <= 0 on '<=' rows (free on '==') to
+    FEAS_TOL; the certified statement is sup_{lo<=x<=up} (A' ray)'x < ray'rhs.
     """
-    if np.any(ray[p.senses == GE] < -tol) or np.any(ray[p.senses == LE] > tol):
+    if np.any(ray[p.senses == GE] < -FEAS_TOL) or np.any(ray[p.senses == LE] > FEAS_TOL):
         return -np.inf
     d = p.A.T @ ray
-    up, lo = d > tol, d < -tol
+    up, lo = d > FEAS_TOL, d < -FEAS_TOL
     if not (np.isfinite(p.up[up]).all() and np.isfinite(p.lo[lo]).all()):
         return -np.inf
     return float(ray @ p.rhs - d[up] @ p.up[up] - d[lo] @ p.lo[lo])
@@ -259,6 +275,17 @@ def add_rows(p: LpProblem, rows: Sequence[Row]) -> LpProblem:
     return p
 
 
+def cut_row(theta_col: int | None, terms, rhs: float) -> Row:
+    """The cut theta - sum coef'w >= rhs as a row of its host: terms are
+    (column offset, coefficient vector) pairs, summed left to right where
+    they overlap; theta_col None (a feasibility cut) leaves theta out."""
+    cols: dict[int, float] = {} if theta_col is None else {theta_col: 1.0}
+    for off, coefs in terms:
+        for j in np.flatnonzero(coefs):
+            cols[off + j] = cols.get(off + j, 0.0) - coefs[j]
+    return cols, GE, rhs
+
+
 class CutOracle:
     """Callback interface for lazy cuts at integer-feasible points.
 
@@ -278,18 +305,18 @@ class BnbNode:
     up: np.ndarray = field(compare=False)
 
 
-def _fractional(x, int_cols, tol):
+def _fractional(x, int_cols):
     if int_cols.size == 0:
-        return None, 0.0
+        return None
     frac = np.abs(x[int_cols] - np.round(x[int_cols]))
     worst = np.argmax(frac)
-    return (int_cols[worst], frac[worst]) if frac[worst] > tol else (None, 0.0)
+    return int_cols[worst] if frac[worst] > INT_TOL else None
 
 
 def branch_and_cut(p: MipProblem, oracle: CutOracle | None = None,
-                   time_limit: float | None = None, rel_gap: float = MIP_GAP,
+                   time_limit: float | None = None,
                    round_heuristic: bool = True) -> MipSolution:
-    """Best-bound branch and bound over solve_lp with an optional cut oracle."""
+    """Best-bound branch and bound to gap MIP_GAP with an optional cut oracle."""
     deadline = None if time_limit is None else time.monotonic() + time_limit
     int_cols = np.flatnonzero(p.integer)
     incumbent, inc_obj = None, np.inf
@@ -306,7 +333,7 @@ def branch_and_cut(p: MipProblem, oracle: CutOracle | None = None,
     try:
         while heap:
             node = heapq.heappop(heap)
-            if node.bound >= inc_obj - rel_gap * max(abs(inc_obj), 1.0):
+            if node.bound >= inc_obj - MIP_GAP * max(abs(inc_obj), 1.0):
                 continue
             if timed_out():
                 heapq.heappush(heap, node)  # keep its bound visible in the summary
@@ -322,7 +349,7 @@ def branch_and_cut(p: MipProblem, oracle: CutOracle | None = None,
                     break
                 if sol.status == UNBOUNDED:
                     return MipSolution(status=UNBOUNDED, nodes=n_nodes, cuts=n_cuts)
-                col, _ = _fractional(sol.x, int_cols, INT_TOL)
+                col = _fractional(sol.x, int_cols)
                 if col is not None or oracle is None:
                     break
                 cuts = oracle.separate(sol.x)
@@ -336,9 +363,9 @@ def branch_and_cut(p: MipProblem, oracle: CutOracle | None = None,
                     raise NumericalFailure("cut loop did not terminate")
             if sol.status == INFEASIBLE:
                 continue
-            if sol.objective >= inc_obj - rel_gap * max(abs(inc_obj), 1.0):
+            if sol.objective >= inc_obj - MIP_GAP * max(abs(inc_obj), 1.0):
                 continue
-            col, _ = _fractional(sol.x, int_cols, INT_TOL)
+            col = _fractional(sol.x, int_cols)
             if col is None:
                 x = sol.x.copy()
                 x[int_cols] = np.round(x[int_cols])
@@ -370,7 +397,8 @@ def branch_and_cut(p: MipProblem, oracle: CutOracle | None = None,
     bound = min(inc_obj, open_bound) if status != OPTIMAL else inc_obj
     if incumbent is None:
         if status == TIME_LIMIT:
-            return MipSolution(status=TIME_LIMIT, bound=None if not heap else open_bound,
+            # before the root LP solves, its -inf is no bound at all
+            return MipSolution(status=TIME_LIMIT, bound=open_bound if n_nodes else None,
                                nodes=n_nodes, cuts=n_cuts)
         return MipSolution(status=INFEASIBLE, nodes=n_nodes, cuts=n_cuts)
     gap = (inc_obj - bound) / max(abs(inc_obj), 1e-9)

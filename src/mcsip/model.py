@@ -161,7 +161,6 @@ class Layout:
     x_off: dict[int, int] = field(default_factory=dict)
     y_off: dict[int, int] = field(default_factory=dict)
     n_cols: int = 0
-    aggregated: bool = False
 
 
 @dataclass
@@ -278,6 +277,22 @@ def assemble(blocks: list[RowBlock], n_cols: int, canonical: bool
     return sp.csr_matrix((v, c, indptr), shape=(rhs.size, n_cols)), senses, rhs
 
 
+def first_stage_offsets(m: Msilp, agg: AggregationMap | None) -> tuple[dict, int, int]:
+    """(z_off, x_off, y_off) of the blocks every model's columns start with:
+    one l-wide integer block per aggregation group in group_index order (per
+    node id without agg), then the root's x block at x_off and, in the
+    two-stage models, its y block at y_off."""
+    keys = agg.group_index if agg is not None else [node.id for node in m.tree.nodes]
+    z_off = {key: i * m.l for i, key in enumerate(keys)}
+    x_off = m.l * len(z_off)
+    return z_off, x_off, x_off + m.k
+
+
+def z_values(z_off: dict, l: int, x: np.ndarray) -> dict:
+    """Every integer block's values in the solution vector x, keyed as z_off."""
+    return {key: x[off:off + l].copy() for key, off in z_off.items()}
+
+
 def first_stage_columns(m: Msilp, z_col, x_off: int, y_off: int, n: int):
     """(obj, lo, up, integer) over n columns with the first-stage blocks
     filled in: every node's probability-weighted z cost in its block (node
@@ -306,16 +321,8 @@ def first_stage_columns(m: Msilp, z_col, x_off: int, y_off: int, n: int):
 
 
 def _make_layout(m: Msilp, agg: AggregationMap | None, cap: int) -> Layout:
-    lay = Layout(aggregated=agg is not None)
-    col = 0
-    if agg is None:
-        for node in m.tree.nodes:
-            lay.z_off[node.id] = col
-            col += m.l
-    else:
-        for key in agg.group_index:
-            lay.z_off[key] = col
-            col += m.l
+    z_off, col, _ = first_stage_offsets(m, agg)
+    lay = Layout(z_off=z_off)
     for node in m.tree.nodes:
         lay.x_off[node.id] = col
         col += m.k

@@ -18,7 +18,10 @@ value as a function of the incoming state: alpha collects the F/A duals,
 the parent-group coefficient collects the B duals, and the copy-row duals
 enter separately so the cut stays valid in any same-stage host (the
 parent-group part binds to the host's own block when materialized).  Cuts
-are shared with every subproblem carrying the theta variable.
+are shared with every subproblem carrying the theta variable.  Both kinds of
+cut come from one constructor: an optimality cut supports the subproblem
+value, a feasibility cut the phase-1 violation (lp_engine's
+violation_certificate); lp_engine.cut_row writes either as a host row.
 
 Forward passes sample leaf paths without replacement; backward passes are
 quick passes over the forward solutions.  The subroutine returns the first
@@ -46,27 +49,30 @@ import numpy as np
 import scipy.sparse as sp
 
 from .aggregate import AggregationMap, GroupKey, PolicyGraph, SubKey, build_policy_graph
-from .errors import InfeasiblePolicy, MissingCertificate, MissingDuals, NumericalFailure
-from .lp_engine import (INFEASIBLE, OPTIMAL, TIME_LIMIT, VIOL_GUARD, CutOracle,
+from .errors import InfeasiblePolicy, MissingDuals, NumericalFailure
+from .lp_engine import (INFEASIBLE, OPTIMAL, THETA_LB, TIME_LIMIT, VIOL_GUARD, CutOracle,
                         DeadlineReached, LpSolution, MipSolution, add_rows,
-                        branch_and_cut, infeasibility_lp, solve_lp)
-from .model import EQ, GE, LpProblem, MipProblem, Msilp, RowBlock, assemble, \
-    first_stage_columns, node_rows
+                        branch_and_cut, cut_row, solve_lp, violation_certificate)
+from .model import EQ, LpProblem, MipProblem, Msilp, RowBlock, assemble, \
+    first_stage_columns, first_stage_offsets, node_rows, z_values
 from .tree import path as tree_path
+
+PRECUT_ROUNDS = 500  # LP-relaxation cut rounds before branching
 
 
 @dataclass
 class SddpConfig:
-    eps: float = 1e-6
+    eps: float | None = None      # default 1e-6 in exact mode, 0.1 relaxed
     k: int | None = None          # sample paths per round; default min(20, leaves)
     exact: bool = True
     max_rounds: int = 3           # relaxed mode only
     seed: int = 0
-    theta_lb: float = 0.0         # valid lower bound on every cost-to-go
+    theta_lb: float = THETA_LB
     time_limit: float | None = None
-    mip_gap: float = 1e-6
 
     def __post_init__(self):
+        if self.eps is None:
+            self.eps = 1e-6 if self.exact else 0.1
         if self.eps <= 0:
             raise ValueError("eps must be positive")
         if self.k is not None and self.k < 1:
@@ -94,6 +100,12 @@ class Cut:
             v += float(coef @ zvals[g])
         return v
 
+    def terms(self, x_off: int, own_off: int, z_off: dict[GroupKey, int]) -> list:
+        """cut_row terms of alpha, beta and every rho in a host whose x, own
+        group and z blocks start at these columns."""
+        return [(x_off, self.alpha), (own_off, self.beta_parent)] + \
+            [(z_off[g], coef) for g, coef in self.rho.items()]
+
 
 @dataclass
 class MasterPoint:
@@ -119,7 +131,6 @@ class MasterLayout:
 class SddpResult(MipSolution):
     z_by_group: dict[GroupKey, np.ndarray] | None = None
     cut_counts: dict[str, int] = field(default_factory=dict)
-    n_subproblems: int = 0
 
 
 class _Sub:
@@ -177,8 +188,9 @@ class _Sub:
         self.hosted: list[Cut] = []
 
     def add_hosted(self, cut: Cut) -> None:
-        add_rows(self.lp, [_cut_row(cut, self.theta_col[cut.owner], self.x0,
-                                    self.zeta_col[self.group], self.zeta_col)])
+        theta = self.theta_col[cut.owner] if cut.kind == "optimality" else None
+        add_rows(self.lp, [cut_row(theta, cut.terms(self.x0, self.zeta_col[self.group],
+                                                    self.zeta_col), cut.gamma)])
         self.hosted.append(cut)
 
     def set_rhs(self, x_par: np.ndarray, zvals: dict[GroupKey, np.ndarray],
@@ -271,35 +283,30 @@ class SddpEngine:
                 rho_map[g] = seg.copy()
         return alpha, beta, rho_map
 
+    def _cut(self, sub: _Sub, kind: str, duals: np.ndarray, value: float,
+             x_par: np.ndarray, zvals, parent_group) -> Cut:
+        """The affine support with these duals, tight at value in the state
+        (x_par, zvals) it was generated at."""
+        alpha, beta, rho_map = self._extract(sub, duals)
+        gamma = value - float(alpha @ x_par) - float(beta @ zvals[parent_group])
+        for g, coef in rho_map.items():
+            gamma -= float(coef @ zvals[g])
+        return Cut(sub.key, kind, alpha, beta, rho_map, gamma, gen_x=x_par.copy(),
+                   gen_z={g: np.array(v) for g, v in zvals.items()},
+                   gen_parent_group=parent_group, gen_value=value)
+
     def make_optimality_cut(self, sub: _Sub, ss: _SubSolution) -> Cut:
         sol = ss.lp_solution
         if sol.status != OPTIMAL or sol.duals is None:
             raise MissingDuals(f"subproblem {sub.key} not solved to optimality")
-        alpha, beta, rho_map = self._extract(sub, sol.duals)
-        gamma = ss.value - float(alpha @ ss.x_par) - float(beta @ ss.zvals[ss.parent_group])
-        for g, coef in rho_map.items():
-            gamma -= float(coef @ ss.zvals[g])
-        return Cut(sub.key, "optimality", alpha, beta, rho_map, gamma,
-                   gen_x=ss.x_par.copy(),
-                   gen_z={g: np.array(v) for g, v in ss.zvals.items()},
-                   gen_parent_group=ss.parent_group, gen_value=ss.value)
+        return self._cut(sub, "optimality", sol.duals, ss.value, ss.x_par, ss.zvals,
+                         ss.parent_group)
 
     def make_feasibility_cut(self, sub: _Sub, x_par, zvals, parent_group) -> Cut:
         """Affine minorant of the subproblem's violation, forced to zero."""
-        aux, _ = infeasibility_lp(sub.lp)
-        sol = solve_lp(aux, want_farkas=False)
-        if sol.status != OPTIMAL:
-            raise MissingCertificate(f"phase-1 failed for {sub.key}")
-        if sol.objective <= VIOL_GUARD:
-            raise MissingCertificate(f"{sub.key} is feasible, no certificate")
-        alpha, beta, rho_map = self._extract(sub, sol.duals)
-        x_par = np.asarray(x_par, dtype=float)
-        gamma = sol.objective - float(alpha @ x_par) - float(beta @ zvals[parent_group])
-        for g, coef in rho_map.items():
-            gamma -= float(coef @ zvals[g])
-        return Cut(sub.key, "feasibility", alpha, beta, rho_map, gamma,
-                   gen_x=x_par.copy(), gen_z={g: np.array(v) for g, v in zvals.items()},
-                   gen_parent_group=parent_group, gen_value=sol.objective)
+        violation, duals = violation_certificate(sub.lp)
+        return self._cut(sub, "feasibility", duals, violation,
+                         np.asarray(x_par, dtype=float), zvals, parent_group)
 
     def _cut_signature(self, cut: Cut):
         parts = [cut.kind, round(cut.gamma, 9), tuple(np.round(cut.alpha, 9)),
@@ -338,9 +345,8 @@ class SddpEngine:
             self._memo[key] = sol
         return sol
 
-    def sddp_subroutine(self, candidate: MasterPoint, n_child: int,
-                        cfg: SddpConfig | None = None) -> Cut | None:
-        cfg = cfg or self.cfg
+    def sddp_subroutine(self, candidate: MasterPoint, n_child: int) -> Cut | None:
+        cfg = self.cfg
         ids, weights = self._leaves_under[n_child]
         k_default = min(20, ids.size)
         k_cur = min(cfg.k or k_default, ids.size)
@@ -443,14 +449,12 @@ class SddpEngine:
 
 
 def build_master(m: Msilp, agg: AggregationMap,
-                 theta_lb: float = 0.0) -> tuple[MipProblem, MasterLayout]:
+                 theta_lb: float = THETA_LB) -> tuple[MipProblem, MasterLayout]:
     """First-stage MIP: all aggregated integer blocks, root continuous block,
     one cost-to-go variable per stage-2 node, and every pure-z row."""
     tree = m.tree
-    l, k, r = m.l, m.k, m.r
-    z_off = {g: i * l for i, g in enumerate(agg.group_index)}
-    x_off = l * len(agg.group_index)
-    y_off = x_off + k
+    r = m.r
+    z_off, x_off, y_off = first_stage_offsets(m, agg)
     theta_cols = {nid: y_off + r + i
                   for i, nid in enumerate(tree.node(tree.root).children)}
     n = y_off + r + len(theta_cols)
@@ -475,24 +479,10 @@ def build_master(m: Msilp, agg: AggregationMap,
 
 def decode_master(m: Msilp, agg: AggregationMap, lay: MasterLayout,
                   x: np.ndarray) -> MasterPoint:
-    z = {g: x[off:off + m.l].copy() for g, off in lay.z_off.items()}
     theta = {nid: float(x[tc]) for nid, tc in lay.theta.items()}
     root_group = agg.node_to_group[m.tree.root]
-    return MasterPoint(x[lay.x_off:lay.x_off + m.k].copy(), z, theta, root_group)
-
-
-def _cut_row(cut: Cut, theta_col: int, x_off: int, own_off: int,
-             z_off: dict[GroupKey, int]) -> tuple[dict[int, float], str, float]:
-    """The cut as a row of its host: theta - alpha'x - beta'z_own
-    - sum_g rho_g'z_g >= gamma, without theta for a feasibility cut."""
-    cols: dict[int, float] = {}
-    if cut.kind == "optimality":
-        cols[theta_col] = 1.0
-    for off, coefs in [(x_off, cut.alpha), (own_off, cut.beta_parent)] + \
-            [(z_off[g], coef) for g, coef in cut.rho.items()]:
-        for j in np.flatnonzero(coefs):
-            cols[off + j] = cols.get(off + j, 0.0) - coefs[j]
-    return cols, GE, cut.gamma
+    return MasterPoint(x[lay.x_off:lay.x_off + m.k].copy(), z_values(lay.z_off, m.l, x),
+                       theta, root_group)
 
 
 class _MasterOracle(CutOracle):
@@ -513,13 +503,13 @@ class _MasterOracle(CutOracle):
             cut = eng.sddp_subroutine(cand, nid)
             if cut is not None:
                 lay = self.lay
-                rows.append(_cut_row(cut, lay.theta[nid], lay.x_off,
-                                     lay.z_off[cand.root_group], lay.z_off))
+                theta = lay.theta[nid] if cut.kind == "optimality" else None
+                rows.append(cut_row(theta, cut.terms(lay.x_off, lay.z_off[cand.root_group],
+                                                     lay.z_off), cut.gamma))
         return rows
 
 
-def _root_precut(master: MipProblem, oracle: "_MasterOracle",
-                 max_iters: int = 500) -> None:
+def _root_precut(master: MipProblem, oracle: "_MasterOracle") -> None:
     """Cut loop on the LP relaxation before branching starts.
 
     Cut validity never uses integrality of the candidate, so separating at
@@ -528,7 +518,7 @@ def _root_precut(master: MipProblem, oracle: "_MasterOracle",
     """
     relax = LpProblem(c=master.c, A=master.A, senses=master.senses,
                       rhs=master.rhs, lo=master.lo, up=master.up)
-    for _ in range(max_iters):
+    for _ in range(PRECUT_ROUNDS):
         sol = solve_lp(relax, want_farkas=False)
         if sol.status != OPTIMAL:
             return
@@ -539,16 +529,13 @@ def _root_precut(master: MipProblem, oracle: "_MasterOracle",
         relax.A, relax.senses, relax.rhs = master.A, master.senses, master.rhs
 
 
-def _as_result(sol: MipSolution, m: Msilp, agg: AggregationMap,
-               lay: MasterLayout, engine: SddpEngine | None) -> SddpResult:
-    res = SddpResult(status=sol.status, x=sol.x, objective=sol.objective,
-                     bound=sol.bound, gap=sol.gap, nodes=sol.nodes, cuts=sol.cuts)
+def _as_result(sol: MipSolution, m: Msilp, lay: MasterLayout,
+               engine: SddpEngine | None) -> SddpResult:
+    res = SddpResult(**vars(sol))
     if sol.x is not None:
-        res.z_by_group = {g: sol.x[off:off + m.l].copy()
-                          for g, off in lay.z_off.items()}
+        res.z_by_group = z_values(lay.z_off, m.l, sol.x)
     if engine is not None:
         res.cut_counts = engine.cut_counts()
-        res.n_subproblems = len(engine.subs)
     return res
 
 
@@ -561,17 +548,16 @@ def _solve(m: Msilp, agg: AggregationMap, cfg: SddpConfig,
         for g, off in lay.z_off.items():
             master.lo[off:off + m.l] = master.up[off:off + m.l] = z_fixed[g]
     if m.tree.stages == 1:
-        sol = branch_and_cut(master, time_limit=cfg.time_limit, rel_gap=cfg.mip_gap)
-        return _as_result(sol, m, agg, lay, None)
+        sol = branch_and_cut(master, time_limit=cfg.time_limit)
+        return _as_result(sol, m, lay, None)
     engine = SddpEngine(m, agg, cfg)
     oracle = _MasterOracle(engine, lay)
     try:
         _root_precut(master, oracle)
     except DeadlineReached:
         pass
-    sol = branch_and_cut(master, oracle, time_limit=cfg.time_limit,
-                         rel_gap=cfg.mip_gap, round_heuristic=False)
-    return _as_result(sol, m, agg, lay, engine)
+    sol = branch_and_cut(master, oracle, time_limit=cfg.time_limit, round_heuristic=False)
+    return _as_result(sol, m, lay, engine)
 
 
 def solve_exact(m: Msilp, agg: AggregationMap, cfg: SddpConfig | None = None) -> SddpResult:
@@ -586,7 +572,7 @@ def solve_lower_bound(m: Msilp, agg: AggregationMap,
     The returned bound never exceeds the aggregated optimum: every cut is a
     valid underestimator and the relaxed run only leaves cuts out.
     """
-    cfg = replace(cfg, exact=False) if cfg else SddpConfig(eps=0.1, exact=False)
+    cfg = replace(cfg, exact=False) if cfg else SddpConfig(exact=False)
     res = _solve(m, agg, cfg)
     return float(res.bound if res.bound is not None else cfg.theta_lb), res
 

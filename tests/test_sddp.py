@@ -294,18 +294,19 @@ def test_sandwich_on_random_instances():
             assert exact.objective <= ub + 1e-6
 
 
-@pytest.mark.parametrize("solve", ["exact", "lower_bound"])
+@pytest.mark.parametrize("solve", ["exact", "lower_bound", "ldr"])
 def test_interrupted_solve_keeps_a_valid_bound(monkeypatch, solve):
     """A deadline that fires inside the oracle from its N-th call on still
-    leaves a bound at or below the optimum, for every N the solve reaches."""
-    from mcsip import sddp
+    leaves a bound at or below the optimum, for every N the solve reaches:
+    the aggregated optimum for S and S-LB, the LDR optimum for LDR."""
+    from mcsip import ldr, sddp
     from mcsip.lp_engine import DeadlineReached
 
     m = make_random_msilp(seed=9, T=3)
     agg = build_aggregation(m.tree, Transformation("ma"))
-    ex = branch_and_cut(build_aggregated_extensive_form(m, agg)).objective
     cfg = SddpConfig(seed=0) if solve == "exact" else SddpConfig(eps=0.1, exact=False, seed=0)
-    real = sddp._MasterOracle.separate
+    oracle = ldr._BendersOracle if solve == "ldr" else sddp._MasterOracle
+    real = oracle.separate
     calls = {"n": 0, "stop": None}
 
     def separate(self, x):
@@ -318,13 +319,17 @@ def test_interrupted_solve_keeps_a_valid_bound(monkeypatch, solve):
         calls["n"] = 0
         if solve == "exact":
             return solve_exact(m, agg, cfg).bound
+        if solve == "ldr":  # a fresh master: the solve adds its cuts in place
+            return ldr.benders_solve(ldr.build_ldr_model(m, agg, ldr.LdrVariant("m"))).bound
         return solve_lower_bound(m, agg, cfg)[0]
 
-    monkeypatch.setattr(sddp._MasterOracle, "separate", separate)
-    assert run() <= ex + 1e-6
+    monkeypatch.setattr(oracle, "separate", separate)
+    opt = run() if solve == "ldr" else \
+        branch_and_cut(build_aggregated_extensive_form(m, agg)).objective
+    assert run() <= opt + 1e-6
     total = calls["n"]
     assert total >= 2
-    for stop in range(1, total):
+    for stop in range(1, total + 1):
         calls["stop"] = stop
         bound = run()
-        assert bound is not None and bound <= ex + 1e-6, stop
+        assert bound is not None and bound <= opt + 1e-6, stop
