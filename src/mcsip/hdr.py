@@ -31,7 +31,7 @@ increments of every modality activated strictly before the current stage
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp

@@ -30,7 +30,6 @@ them row by row.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -257,28 +256,36 @@ class _BendersOracle(CutOracle):
             memo[key] = hit
         return hit
 
+    def group_value(self, key: tuple, x: np.ndarray, memo: dict):
+        """(value, member solutions) of a (stage, state) group at x: the
+        path-probability weighted sum of its node LP optima; value is None,
+        and the list holds the first infeasible node id, when one has no
+        feasible point."""
+        total = 0.0
+        solved: list[tuple[int, LpSolution]] = []
+        for nid in self.nodes_by_theta[key]:
+            sol = self._solve_node(nid, x, memo)
+            if sol.status == INFEASIBLE:
+                return None, [nid]
+            if sol.status != OPTIMAL:
+                raise NumericalFailure(f"node {nid} LP: {sol.status}")
+            total += self.model.node_lps[nid].p * sol.objective
+            solved.append((nid, sol))
+        return total, solved
+
     def separate(self, x: np.ndarray):
         model = self.model
         memo: dict = {}
         for key in model.theta_keys:
-            nids = self.nodes_by_theta[key]
-            if not nids:
+            if not self.nodes_by_theta[key]:
                 continue
-            total = 0.0
-            grad = np.zeros(model.layout.n_cols)
-            solved: list[tuple[int, LpSolution]] = []
-            for nid in nids:
-                nl = model.node_lps[nid]
-                sol = self._solve_node(nid, x, memo)
-                if sol.status == INFEASIBLE:
-                    return [self._feasibility_row(nid, x)]
-                if sol.status != OPTIMAL:
-                    raise NumericalFailure(f"node {nid} LP: {sol.status}")
-                total += nl.p * sol.objective
-                solved.append((nid, sol))
+            total, solved = self.group_value(key, x, memo)
+            if total is None:
+                return [self._feasibility_row(solved[0], x)]
             theta_hat = float(x[model.layout.theta_off[key]])
             if abs(total - theta_hat) < self.eps * abs(total) + VIOL_GUARD:
                 continue
+            grad = np.zeros(model.layout.n_cols)
             for nid, sol in solved:
                 nl = model.node_lps[nid]
                 grad += nl.p * (nl.R.T @ sol.duals)
@@ -290,6 +297,21 @@ class _BendersOracle(CutOracle):
                                  "gen_w": x.copy(), "gen_value": total})
             return [cut_row(model.layout.theta_off[key], [(0, grad)], const)]
         return []
+
+    def true_cost(self, x: np.ndarray) -> float:
+        """Master cost c'x with every grouped cost-to-go column replaced by
+        its group's value at x."""
+        model = self.model
+        cost = float(model.master.c @ x)
+        memo: dict = {}
+        for key in model.theta_keys:
+            if not self.nodes_by_theta[key]:
+                continue
+            value, _ = self.group_value(key, x, memo)
+            if value is None:
+                raise NumericalFailure("an LDR node LP is infeasible at the incumbent")
+            cost += value - float(x[model.layout.theta_off[key]])
+        return cost
 
     def _feasibility_row(self, nid: int, x: np.ndarray):
         nl = self.model.node_lps[nid]
@@ -314,7 +336,12 @@ class LdrSolution(MipSolution):
 def benders_solve(model: LdrModel, eps: float | None = None,
                   time_limit: float | None = None) -> LdrSolution:
     """Branch and cut on the LDR master; a (stage, state) cost-to-go within
-    relative eps (default 1e-6) of its group's value is accepted."""
+    relative eps (default 1e-6) of its group's value is accepted.
+
+    The objective is the true cost of the incumbent: each accepted
+    cost-to-go is replaced by its group's value at the incumbent, so an
+    accepted lag never makes the policy look cheaper than it is.  The bound
+    is the branch and cut's."""
     oracle = _BendersOracle(model, 1e-6 if eps is None else eps)
     sol = branch_and_cut(model.master, oracle, time_limit=time_limit, round_heuristic=False)
     if sol.status == INFEASIBLE:
@@ -323,6 +350,8 @@ def benders_solve(model: LdrModel, eps: float | None = None,
     if sol.x is not None:
         lay = model.layout
         m = model.msilp
+        out.objective = oracle.true_cost(sol.x)
+        out.gap = (out.objective - sol.bound) / max(abs(out.objective), 1e-9)
         out.z_by_group = z_values(lay.z_off, m.l, sol.x)
         out.lam = {key: sol.x[off:off + m.k * lay.lam_cols[key]]
                    .reshape(m.k, lay.lam_cols[key]).copy()

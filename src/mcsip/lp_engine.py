@@ -2,24 +2,34 @@
 the Benders cut plumbing both decompositions share, and branch and bound
 with a lazy-cut callback hook.
 
-The LP solves are delegated to the HiGHS inside scipy, called with the
-inputs and options scipy.optimize.linprog(method="highs") would pass; this
-module owns the sign conventions, the Farkas synthesis, and the search.
+The LP solves go to the HiGHS bundled with scipy, through its private
+module scipy.optimize._highspy._core (checked at import to be HiGHS 1.x,
+x >= 12, the version this kernel was verified on).  Each solve builds a
+fresh HiGHS object; rows go to it in their own order as row bounds
+([rhs, inf) for '>=', (-inf, rhs] for '<=', [rhs, rhs] for '==').
+
+Warm starts: an LpProblem keeps the basis of its last optimal solve, and
+the next solve of the same object starts HiGHS's dual simplex from it
+without presolve.  Rows appended since (add_rows) enter as basic; a column
+count that no longer matches makes the solve cold, and a warm solve that
+ends in no usable status is retried once cold.  Re-solves after an rhs
+edit, a bound change or an appended cut thus cost a few pivots.
 
 Dual convention (minimization): duals[i] = d obj / d rhs[i], so '>=' rows
-carry nonnegative duals and '<=' rows nonpositive ones.  Infeasible solves
-return a ray in the same convention; see verify_farkas for the exact
-certificate the ray satisfies.
+carry nonnegative duals and '<=' rows nonpositive ones; this is HiGHS's own
+row dual.  Infeasible solves return a ray in the same convention; see
+verify_farkas for the exact certificate the ray satisfies.
 
 Benders layer of S and LDR: cuts are read off LP duals, or off the phase-1
 duals of violation_certificate (also the Farkas ray's source), and cut_row
 writes every cut as a row of the problem that hosts it.
 
 Branch and bound: best-bound node selection, most-fractional branching with
-lowest-index tie break, relative gap termination.  When a cut oracle is
-supplied, every integer-feasible relaxation solution is offered to the
-oracle and the node is re-solved until the oracle returns no cut, which is
-what makes lazy Benders-style decompositions exact.
+lowest-index tie break, relative gap termination; each child node starts
+from its parent's final basis.  When a cut oracle is supplied, every
+integer-feasible relaxation solution is offered to the oracle and the node
+is re-solved until the oracle returns no cut, which is what makes lazy
+Benders-style decompositions exact.
 """
 
 from __future__ import annotations
@@ -27,7 +37,7 @@ from __future__ import annotations
 import heapq
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 import scipy.sparse as sp
@@ -48,14 +58,29 @@ INFEASIBLE = "infeasible"
 UNBOUNDED = "unbounded"
 TIME_LIMIT = "time_limit"
 
-# HiGHS gets the options scipy.optimize.linprog(method="highs") sets
-_HIGHS_OPTIONS = highs.HighsOptions()
-_HIGHS_OPTIONS.presolve = "on"
-_HIGHS_OPTIONS.highs_debug_level = highs.HighsDebugLevel.kHighsDebugLevelNone
-_HIGHS_OPTIONS.log_to_console = False
-_HIGHS_OPTIONS.output_flag = False
-_HIGHS_OPTIONS.simplex_strategy = \
-    highs.simplex_constants.SimplexStrategy.kSimplexStrategyDual
+
+def _check_highs_version(major: int, minor: int) -> None:
+    """The private HiGHS module's API is used as of HiGHS 1.12."""
+    if major != 1 or minor < 12:
+        raise ImportError(f"mcsip needs HiGHS 1.x with x >= 12 inside scipy, "
+                          f"found {major}.{minor}")
+
+
+_check_highs_version(highs.HIGHS_VERSION_MAJOR, highs.HIGHS_VERSION_MINOR)
+
+
+def _highs_options(presolve: str) -> highs.HighsOptions:
+    opts = highs.HighsOptions()
+    opts.presolve = presolve
+    opts.highs_debug_level = highs.HighsDebugLevel.kHighsDebugLevelNone
+    opts.log_to_console = False
+    opts.output_flag = False
+    opts.simplex_strategy = highs.simplex_constants.SimplexStrategy.kSimplexStrategyDual
+    return opts
+
+
+_COLD_OPTIONS = _highs_options("on")
+_WARM_OPTIONS = _highs_options("off")
 _HIGHS_STATUS = {
     highs.HighsModelStatus.kOptimal: OPTIMAL,
     highs.HighsModelStatus.kInfeasible: INFEASIBLE,
@@ -64,6 +89,8 @@ _HIGHS_STATUS = {
 }
 _AT_LOWER = int(highs.HighsBasisStatus.kLower)
 _AT_UPPER = int(highs.HighsBasisStatus.kUpper)
+_BASIC = highs.HighsBasisStatus.kBasic
+_BASIS_STATUS = {int(s): s for s in highs.HighsBasisStatus.__members__.values()}
 _ACCEPT_TOL = np.sqrt(1e-9) * 10  # linprog's tolerance for accepting an optimum
 
 
@@ -94,19 +121,15 @@ class DeadlineReached(Exception):
     """A time limit stopped work before it had a result to return."""
 
 
-def _split(p: LpProblem):
-    """Row order and column-wise matrix that HiGHS gets: '>=' rows negated,
-    then '<=' rows, then '==' rows.  Cached on the matrix object and reused
-    while the matrix is unchanged (rhs edits and bound edits do not
-    invalidate it)."""
-    cache = getattr(p.A, "_mcsip_split", None)
+def _colwise(p: LpProblem):
+    """Column-wise matrix that HiGHS gets, cached on the matrix object and
+    reused while the matrix is unchanged (add_rows replaces it)."""
+    cache = getattr(p.A, "_mcsip_csc", None)
     if cache is None:
-        acsr = p.A.tocsr()
-        ge, le, eq = (np.flatnonzero(p.senses == s) for s in (GE, LE, EQ))
-        a = sp.vstack([-acsr[ge], acsr[le], acsr[eq]]).tocsc()
+        a = p.A.tocsc()
         if not np.isfinite(a.data).all():
             raise ValueError("constraint matrix holds inf or nan")
-        cache = p.A._mcsip_split = (a.indptr, a.indices, a.data, ge, le, eq)
+        cache = p.A._mcsip_csc = (a.indptr, a.indices, a.data)
     return cache
 
 
@@ -119,19 +142,37 @@ def _dual_objective(p: LpProblem, duals, lo_duals, up_duals) -> float:
     return val
 
 
+def _start_basis(p: LpProblem):
+    """p's last optimal basis, with rows appended since it was taken made
+    basic; None (a cold start) when there is none or the columns changed."""
+    if p.basis is None:
+        return None
+    cols, rows = p.basis
+    if cols.size != p.n or rows.size > p.m:
+        return None
+    basis = highs.HighsBasis()
+    basis.col_status = [_BASIS_STATUS[s] for s in cols.tolist()]
+    basis.row_status = [_BASIS_STATUS[s] for s in rows.tolist()] + \
+        [_BASIC] * (p.m - rows.size)
+    basis.valid = True
+    return basis
+
+
 def solve_lp(p: LpProblem, want_farkas: bool = True) -> LpSolution:
-    """Solve min c'x s.t. rows, bounds; HiGHS solves from scratch
-    (deterministically)."""
-    indptr, indices, data, ge, le, eq = _split(p)
-    n_ub = ge.size + le.size
+    """Solve min c'x s.t. rows, bounds, warm from p's last optimal basis when
+    it has one (deterministically either way); an optimum stores its basis
+    on p."""
     c = np.array(p.c, dtype=float)
-    rhs = np.concatenate([-p.rhs[ge], p.rhs[le], p.rhs[eq]]).astype(float, copy=False)
+    rhs = np.asarray(p.rhs, dtype=float)
     if not (np.isfinite(c).all() and np.isfinite(rhs).all()):
         raise ValueError("objective or rhs holds inf or nan")
-    lhs = np.concatenate([np.full(n_ub, -np.inf), rhs[n_ub:]])
-    res = _run_highs(c, indptr, indices, data, lhs, rhs,
-                     np.array(p.lo, dtype=float), np.array(p.up, dtype=float))
-    status = _HIGHS_STATUS.get(res["status"])
+    model = (c, *_colwise(p), np.where(p.senses == LE, -np.inf, rhs),
+             np.where(p.senses == GE, np.inf, rhs),
+             np.array(p.lo, dtype=float), np.array(p.up, dtype=float))
+    basis = _start_basis(p)
+    status, res = _run_highs(*model, basis)
+    if status is None and basis is not None:  # one cold retry
+        status, res = _run_highs(*model, None)
     if status == INFEASIBLE:
         sol = LpSolution(status=INFEASIBLE)
         if want_farkas:
@@ -139,58 +180,59 @@ def solve_lp(p: LpProblem, want_farkas: bool = True) -> LpSolution:
         return sol
     if status == UNBOUNDED:
         return LpSolution(status=UNBOUNDED)
-    if status is None or not _accepted(p, res, n_ub):
+    if status is None:
         raise NumericalFailure(f"HiGHS ended with {res['status']}")
-    lam = res["row_dual"]
-    duals = np.zeros(p.m)
-    duals[ge] = -lam[: ge.size]          # flipped rows: d obj / d rhs >= 0
-    duals[le] = lam[ge.size:n_ub]
-    duals[eq] = lam[n_ub:]
+    p.basis = res["basis"]
+    duals = res["row_dual"]
     lo_d, up_d = res["marg_bnds"]
-    obj = float(res["fun"])
     return LpSolution(
         status=OPTIMAL, x=res["x"], duals=duals,
-        lo_duals=lo_d, up_duals=up_d, objective=obj,
+        lo_duals=lo_d, up_duals=up_d, objective=float(res["fun"]),
         dual_objective=_dual_objective(p, duals, lo_d, up_d),
     )
 
 
-def _run_highs(c, indptr, indices, data, lhs, rhs, lb, ub) -> dict:
-    """One HiGHS LP solve of min c'x, lhs <= A x <= rhs, lb <= x <= ub (A
-    column-wise), read back as scipy's HiGHS wrapper reads it."""
+def _run_highs(c, indptr, indices, data, row_lo, row_up, lb, ub,
+               basis) -> tuple[str | None, dict]:
+    """One HiGHS LP solve of min c'x, row_lo <= A x <= row_up, lb <= x <= ub
+    (A column-wise), from basis without presolve when one is given.
+
+    Returns (status, result); status is None for an outcome solve_lp cannot
+    use: a HiGHS status it does not map, a rejected basis, or an optimum
+    that fails linprog's acceptance check."""
     lp = highs.HighsLp()
     lp.num_col_ = lp.a_matrix_.num_col_ = c.size
-    lp.num_row_ = lp.a_matrix_.num_row_ = rhs.size
+    lp.num_row_ = lp.a_matrix_.num_row_ = row_lo.size
     lp.a_matrix_.format_ = highs.MatrixFormat.kColwise
     lp.col_cost_, lp.col_lower_, lp.col_upper_ = c, lb, ub
-    lp.row_lower_, lp.row_upper_ = lhs, rhs
+    lp.row_lower_, lp.row_upper_ = row_lo, row_up
     lp.a_matrix_.start_, lp.a_matrix_.index_, lp.a_matrix_.value_ = indptr, indices, data
     h = highs._Highs()
-    h.passOptions(_HIGHS_OPTIONS)
+    h.passOptions(_COLD_OPTIONS if basis is None else _WARM_OPTIONS)
     if h.passModel(lp) == highs.HighsStatus.kError:
-        return {"status": highs.HighsModelStatus.kModelError}
+        return INFEASIBLE, {"status": highs.HighsModelStatus.kModelError}
+    if basis is not None and h.setBasis(basis) == highs.HighsStatus.kError:
+        return None, {"status": "a rejected basis"}
     h.run()
     res = {"status": h.getModelStatus()}
-    if res["status"] != highs.HighsModelStatus.kOptimal:
-        return res
-    sol, info = h.getSolution(), h.getInfo()
+    status = _HIGHS_STATUS.get(res["status"])
+    if status != OPTIMAL:
+        return status, res
+    sol, info, hb = h.getSolution(), h.getInfo(), h.getBasis()
+    x, ax = np.array(sol.col_value), np.array(sol.row_value)
+    fun = info.objective_function_value
+    # linprog's check of an optimum: no nan, bounds and rows hold to its tolerance
+    if (np.isnan(x).any() or np.isnan(ax).any() or np.isnan(fun)
+            or (x < lb - _ACCEPT_TOL).any() or (x > ub + _ACCEPT_TOL).any()
+            or (ax < row_lo - _ACCEPT_TOL).any() or (ax > row_up + _ACCEPT_TOL).any()):
+        return None, res
+    at = np.fromiter(map(int, hb.col_status), dtype=np.int8, count=c.size)
+    rows = np.fromiter(map(int, hb.row_status), dtype=np.int8, count=row_lo.size)
     # a bound's multiplier is the column dual where the column sits at it
-    at = np.fromiter(map(int, h.getBasis().col_status), dtype=np.int8, count=c.size)
     marg_bnds = np.where([at == _AT_LOWER, at == _AT_UPPER], np.array(sol.col_dual), 0.0)
-    res.update(x=np.array(sol.col_value), slack=rhs - sol.row_value,
-               row_dual=np.array(sol.row_dual), marg_bnds=marg_bnds,
-               fun=info.objective_function_value)
-    return res
-
-
-def _accepted(p: LpProblem, res: dict, n_ub: int) -> bool:
-    """linprog's check of an optimum: no nan, and bounds and rows hold to
-    its tolerance."""
-    x, slack = res["x"], res["slack"]
-    return not (np.isnan(x).any() or np.isnan(slack).any() or np.isnan(res["fun"])
-                or (x < p.lo - _ACCEPT_TOL).any() or (x > p.up + _ACCEPT_TOL).any()
-                or (slack[:n_ub] < -_ACCEPT_TOL).any()
-                or (np.abs(slack[n_ub:]) > _ACCEPT_TOL).any())
+    res.update(x=x, row_dual=np.array(sol.row_dual), marg_bnds=marg_bnds, fun=fun,
+               basis=(at, rows))
+    return OPTIMAL, res
 
 
 def infeasibility_lp(p: LpProblem) -> LpProblem:
@@ -303,6 +345,7 @@ class BnbNode:
     seq: int
     lo: np.ndarray = field(compare=False)
     up: np.ndarray = field(compare=False)
+    basis: tuple | None = field(default=None, compare=False)  # parent's final basis
 
 
 def _fractional(x, int_cols):
@@ -324,7 +367,7 @@ def branch_and_cut(p: MipProblem, oracle: CutOracle | None = None,
     seq = 0
     n_cuts = 0
     n_nodes = 0
-    heapq.heappush(heap, BnbNode(-np.inf, seq, p.lo.copy(), p.up.copy()))
+    heapq.heappush(heap, BnbNode(-np.inf, seq, p.lo.copy(), p.up.copy(), p.basis))
 
     def timed_out():
         return deadline is not None and time.monotonic() > deadline
@@ -341,7 +384,7 @@ def branch_and_cut(p: MipProblem, oracle: CutOracle | None = None,
                 break
             n_nodes += 1
             sub = LpProblem(c=p.c, A=p.A, senses=p.senses, rhs=p.rhs,
-                            lo=node.lo, up=node.up)
+                            lo=node.lo, up=node.up, basis=node.basis)
             passes = 0
             while True:
                 sol = solve_lp(sub, want_farkas=False)
@@ -386,11 +429,12 @@ def branch_and_cut(p: MipProblem, oracle: CutOracle | None = None,
                 if lo2[col] > up2[col]:
                     continue
                 seq += 1
-                heapq.heappush(heap, BnbNode(sol.objective, seq, lo2, up2))
+                heapq.heappush(heap, BnbNode(sol.objective, seq, lo2, up2, sub.basis))
     except DeadlineReached:
         # the oracle was separating this node's LP optimum: the node stays
         # open with that bound, valid because every cut added so far is
-        heapq.heappush(heap, BnbNode(sol.objective, node.seq, node.lo, node.up))
+        heapq.heappush(heap, BnbNode(sol.objective, node.seq, node.lo, node.up,
+                                     sub.basis))
         status = TIME_LIMIT
 
     open_bound = min((nd.bound for nd in heap), default=np.inf)
@@ -414,7 +458,8 @@ def _round_and_fix(p: MipProblem, sub: LpProblem, x, int_cols):
     vals = np.clip(np.round(x[int_cols]), lo2[int_cols], up2[int_cols])
     lo2[int_cols] = vals
     up2[int_cols] = vals
-    fixed = LpProblem(c=p.c, A=p.A, senses=p.senses, rhs=p.rhs, lo=lo2, up=up2)
+    fixed = LpProblem(c=p.c, A=p.A, senses=p.senses, rhs=p.rhs, lo=lo2, up=up2,
+                      basis=sub.basis)
     sol = solve_lp(fixed, want_farkas=False)
     if sol.status != OPTIMAL:
         return None

@@ -138,6 +138,8 @@ class LpProblem:
     rhs: np.ndarray
     lo: np.ndarray
     up: np.ndarray
+    # HiGHS column and row statuses (int8) of the last optimal solve (lp_engine)
+    basis: tuple | None = field(default=None, repr=False, compare=False)
 
     @property
     def n(self) -> int:

@@ -514,19 +514,18 @@ def _root_precut(master: MipProblem, oracle: "_MasterOracle") -> None:
 
     Cut validity never uses integrality of the candidate, so separating at
     the relaxation optimum is sound; it just front-loads pool growth so the
-    branch-and-bound candidates start out well approximated.
+    branch-and-bound candidates start out well approximated.  The master
+    keeps the relaxation's last basis, from which branch and cut starts its
+    root.
     """
-    relax = LpProblem(c=master.c, A=master.A, senses=master.senses,
-                      rhs=master.rhs, lo=master.lo, up=master.up)
     for _ in range(PRECUT_ROUNDS):
-        sol = solve_lp(relax, want_farkas=False)
+        sol = solve_lp(master, want_farkas=False)
         if sol.status != OPTIMAL:
             return
         rows = oracle.separate(sol.x)
         if not rows:
             return
         add_rows(master, rows)
-        relax.A, relax.senses, relax.rhs = master.A, master.senses, master.rhs
 
 
 def _as_result(sol: MipSolution, m: Msilp, lay: MasterLayout,
@@ -566,15 +565,17 @@ def solve_exact(m: Msilp, agg: AggregationMap, cfg: SddpConfig | None = None) ->
 
 
 def solve_lower_bound(m: Msilp, agg: AggregationMap,
-                      cfg: SddpConfig | None = None) -> tuple[float, SddpResult]:
+                      cfg: SddpConfig | None = None) -> tuple[float | None, SddpResult]:
     """Relaxed-termination bound plus the incumbent first-stage candidate.
 
     The returned bound never exceeds the aggregated optimum: every cut is a
-    valid underestimator and the relaxed run only leaves cuts out.
+    valid underestimator and the relaxed run only leaves cuts out.  It is
+    None when the run ended before it had one (a time limit before the root
+    LP solved).
     """
     cfg = replace(cfg, exact=False) if cfg else SddpConfig(exact=False)
     res = _solve(m, agg, cfg)
-    return float(res.bound if res.bound is not None else cfg.theta_lb), res
+    return (None if res.bound is None else float(res.bound)), res
 
 
 def evaluate_policy(m: Msilp, agg: AggregationMap, z_hat: dict[GroupKey, np.ndarray],

@@ -210,3 +210,26 @@ def test_generic_ldr_bounds_above_aggregated_optimum():
         for kind in ("t", "m"):
             sol = benders_solve(build_ldr_model(m, agg, LdrVariant(kind)))
             assert sol.objective >= pa - 1e-6
+
+
+def test_loose_eps_reports_the_true_cost_of_its_incumbent(hdr_pair):
+    ma, agg = hdr_pair
+    model = build_ldr_model(ma, agg, LdrVariant("m"))
+    loose = benders_solve(model, eps=1e-2)
+    tight = benders_solve(build_ldr_model(ma, agg, LdrVariant("m")))
+    # c'x with each grouped cost-to-go replaced by its members' LP values
+    x = loose.x
+    master_cost = float(model.master.c @ x)
+    cost = master_cost
+    grouped = set()
+    for nid, nl in model.node_lps.items():
+        node = ma.tree.node(nid)
+        grouped.add((node.stage, node.mc_state.attrs))
+        sol = solve_lp(LpProblem(c=nl.lp.c, A=nl.lp.A, senses=nl.lp.senses,
+                                 rhs=nl.const + nl.R @ x, lo=nl.lp.lo, up=nl.lp.up))
+        cost += nl.p * sol.objective
+    cost -= sum(float(x[model.layout.theta_off[key]]) for key in grouped)
+    assert cost > master_cost + 1e-6  # the loose run accepted a lagging theta
+    assert loose.objective == pytest.approx(cost, rel=1e-9)
+    assert loose.objective >= tight.objective - 1e-9 * abs(tight.objective)
+    assert loose.gap == pytest.approx((loose.objective - loose.bound) / abs(loose.objective))

@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from mcsip.lp_engine import CutOracle, add_rows, branch_and_cut, solve_lp, \
-    solve_mip, verify_farkas
+from mcsip import lp_engine
+from mcsip.lp_engine import CutOracle, _check_highs_version, add_rows, branch_and_cut, \
+    solve_lp, solve_mip, verify_farkas
 from mcsip.model import LpProblem, MipProblem
 
 
@@ -245,3 +246,113 @@ def test_random_small_mips_match_enumeration():
             assert sol.status == "infeasible"
         else:
             assert sol.objective == pytest.approx(best, abs=1e-7)
+
+
+@pytest.mark.parametrize("version", [(1, 11), (2, 0)], ids=["1.11", "2.0"])
+def test_highs_version_check_rejects_other_versions(version):
+    with pytest.raises(ImportError, match=r"found %d\.%d" % version):
+        _check_highs_version(*version)
+
+
+def test_highs_version_check_accepts_the_verified_version():
+    _check_highs_version(1, 12)
+
+
+@pytest.fixture
+def warm_starts(monkeypatch):
+    """Records, per HiGHS run, whether it started from a basis."""
+    starts = []
+    run = lp_engine._run_highs
+
+    def recording(*args):
+        starts.append(args[-1] is not None)
+        return run(*args)
+
+    monkeypatch.setattr(lp_engine, "_run_highs", recording)
+    return starts
+
+
+def cold_copy(p):
+    return LpProblem(c=p.c.copy(), A=p.A.copy(), senses=p.senses.copy(),
+                     rhs=p.rhs.copy(), lo=p.lo.copy(), up=p.up.copy())
+
+
+def test_warm_resolve_after_rhs_and_bound_changes_matches_cold(warm_starts):
+    rng = np.random.default_rng(7)
+    checked = 0
+    for _ in range(60):
+        p = random_feasible_lp(rng)
+        assert solve_lp(p).status == "optimal" and p.basis is not None
+        for _ in range(3):
+            p.rhs = p.rhs + rng.uniform(-0.3, 0.3, size=p.m)
+            j = int(rng.integers(0, p.n))
+            p.lo[j], p.up[j] = sorted(rng.uniform(0.0, 5.0, size=2))
+            del warm_starts[:]
+            warm = solve_lp(p)
+            cold = solve_lp(cold_copy(p))
+            assert warm_starts[0] and not warm_starts[-1]
+            assert warm.status == cold.status
+            if warm.status != "optimal":
+                break
+            assert warm.objective == pytest.approx(cold.objective, rel=1e-9, abs=1e-9)
+            assert warm.dual_objective == pytest.approx(warm.objective, rel=1e-9, abs=1e-9)
+            checked += 1
+    assert checked >= 100
+
+
+def test_warm_resolve_after_appended_rows_matches_cold(warm_starts):
+    rng = np.random.default_rng(8)
+    for _ in range(40):
+        p = random_feasible_lp(rng)
+        x = solve_lp(p).x
+        for _ in range(4):
+            coefs = rng.uniform(-1, 1, size=p.n)
+            # cut off the current optimum but keep a feasible point
+            rhs = float(coefs @ x) + rng.uniform(0.0, 0.3)
+            add_rows(p, [({j: float(coefs[j]) for j in range(p.n)}, "G", rhs)])
+            del warm_starts[:]
+            warm = solve_lp(p)
+            cold = solve_lp(cold_copy(p))
+            assert warm_starts[0]
+            assert warm.status == cold.status
+            if warm.status != "optimal":
+                break
+            assert warm.objective == pytest.approx(cold.objective, rel=1e-9, abs=1e-9)
+            assert warm.dual_objective == pytest.approx(warm.objective, rel=1e-9, abs=1e-9)
+            x = warm.x
+
+
+def test_warm_start_that_turns_infeasible_gives_a_certified_ray(warm_starts):
+    rng = np.random.default_rng(9)
+    for _ in range(40):
+        p = random_feasible_lp(rng)
+        j = int(rng.integers(0, p.n))
+        add_rows(p, [({j: 1.0}, "G", 0.0), ({j: 1.0}, "L", 5.0)])  # slack at first
+        assert solve_lp(p).status == "optimal"
+        p.rhs[-2:] = [4.5, 0.5]
+        del warm_starts[:]
+        sol = solve_lp(p)
+        assert warm_starts[0]
+        assert sol.status == "infeasible"
+        assert verify_farkas(p, sol.farkas) > 1e-9
+
+
+def test_branch_and_cut_warm_starts_children_and_matches_enumeration(warm_starts):
+    rng = np.random.default_rng(10)
+    for _ in range(30):
+        n = int(rng.integers(3, 11))
+        mrows = int(rng.integers(1, 5))
+        a = rng.uniform(-2, 2, size=(mrows, n))
+        senses = rng.choice(["G", "L"], size=mrows)
+        rhs = a @ rng.integers(0, 2, size=n) + np.where(senses == "G", -0.25, 0.25)
+        c = rng.uniform(-2, 2, size=n)
+        bits = np.array(list(itertools.product((0, 1), repeat=n)), dtype=float)
+        act = bits @ a.T
+        feas = np.all(np.where(senses == "G", act >= rhs - 1e-9, act <= rhs + 1e-9), axis=1)
+        sol = solve_mip(mip(c, a, senses, rhs, lo=np.zeros(n), up=np.ones(n),
+                            integer=[True] * n))
+        if not feas.any():
+            assert sol.status == "infeasible"
+        else:
+            assert sol.objective == pytest.approx(float((bits[feas] @ c).min()), abs=1e-7)
+    assert any(warm_starts), "child nodes start from their parent's basis"
