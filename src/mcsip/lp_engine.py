@@ -4,16 +4,21 @@ with a lazy-cut callback hook.
 
 The LP solves go to the HiGHS bundled with scipy, through its private
 module scipy.optimize._highspy._core (checked at import to be HiGHS 1.x,
-x >= 12, the version this kernel was verified on).  Each solve builds a
-fresh HiGHS object; rows go to it in their own order as row bounds
-([rhs, inf) for '>=', (-inf, rhs] for '<=', [rhs, rhs] for '==').
+x >= 12, the version this kernel was verified on).  The process has one
+HiGHS object (so solves run one at a time, never from several threads);
+each solve hands it the model as numpy arrays and clears it again
+afterwards, so no model outlives its solve.  Rows go to HiGHS in their
+own order as row bounds ([rhs, inf) for '>=', (-inf, rhs] for '<=',
+[rhs, rhs] for '==').
 
-Warm starts: an LpProblem keeps the basis of its last optimal solve, and
-the next solve of the same object starts HiGHS's dual simplex from it
-without presolve.  Rows appended since (add_rows) enter as basic; a column
-count that no longer matches makes the solve cold, and a warm solve that
-ends in no usable status is retried once cold.  Re-solves after an rhs
-edit, a bound change or an appended cut thus cost a few pivots.
+Warm starts: an LpProblem keeps the basis of its last optimal solve, as
+the HighsBasis object HiGHS returned, and the next solve of the same object
+hands that object back and starts HiGHS's dual simplex from it without
+presolve.  Rows appended since (add_rows) enter as basic, in a new
+HighsBasis; a column count that no longer matches makes the solve cold,
+and a warm solve that ends in no usable status is retried once cold.
+Re-solves after an rhs edit, a bound change or an appended cut thus cost a
+few pivots.
 
 Dual convention (minimization): duals[i] = d obj / d rhs[i], so '>=' rows
 carry nonnegative duals and '<=' rows nonpositive ones; this is HiGHS's own
@@ -87,11 +92,11 @@ _HIGHS_STATUS = {
     highs.HighsModelStatus.kModelError: INFEASIBLE,   # as linprog reports it
     highs.HighsModelStatus.kUnbounded: UNBOUNDED,
 }
-_AT_LOWER = int(highs.HighsBasisStatus.kLower)
-_AT_UPPER = int(highs.HighsBasisStatus.kUpper)
 _BASIC = highs.HighsBasisStatus.kBasic
-_BASIS_STATUS = {int(s): s for s in highs.HighsBasisStatus.__members__.values()}
+_COLWISE = int(highs.MatrixFormat.kColwise)
+_MINIMIZE = int(highs.ObjSense.kMinimize)
 _ACCEPT_TOL = np.sqrt(1e-9) * 10  # linprog's tolerance for accepting an optimum
+_HIGHS = highs._Highs()  # the process's one HiGHS object, model-free between solves
 
 
 @dataclass
@@ -129,7 +134,8 @@ def _colwise(p: LpProblem):
         a = p.A.tocsc()
         if not np.isfinite(a.data).all():
             raise ValueError("constraint matrix holds inf or nan")
-        cache = p.A._mcsip_csc = (a.indptr, a.indices, a.data)
+        cache = p.A._mcsip_csc = (a.indptr.astype(np.int32, copy=False),
+                                  a.indices.astype(np.int32, copy=False), a.data)
     return cache
 
 
@@ -144,18 +150,20 @@ def _dual_objective(p: LpProblem, duals, lo_duals, up_duals) -> float:
 
 def _start_basis(p: LpProblem):
     """p's last optimal basis, with rows appended since it was taken made
-    basic; None (a cold start) when there is none or the columns changed."""
+    basic; None (a cold start) when there is none or the columns changed.
+    The stored HighsBasis is never modified: B&B siblings share it."""
     if p.basis is None:
         return None
-    cols, rows = p.basis
-    if cols.size != p.n or rows.size > p.m:
+    n, m, basis = p.basis
+    if n != p.n or m > p.m:
         return None
-    basis = highs.HighsBasis()
-    basis.col_status = [_BASIS_STATUS[s] for s in cols.tolist()]
-    basis.row_status = [_BASIS_STATUS[s] for s in rows.tolist()] + \
-        [_BASIC] * (p.m - rows.size)
-    basis.valid = True
-    return basis
+    if m == p.m:
+        return basis
+    grown = highs.HighsBasis()
+    grown.col_status = basis.col_status
+    grown.row_status = basis.row_status + [_BASIC] * (p.m - m)
+    grown.valid = True
+    return grown
 
 
 def solve_lp(p: LpProblem, want_farkas: bool = True) -> LpSolution:
@@ -195,44 +203,44 @@ def solve_lp(p: LpProblem, want_farkas: bool = True) -> LpSolution:
 def _run_highs(c, indptr, indices, data, row_lo, row_up, lb, ub,
                basis) -> tuple[str | None, dict]:
     """One HiGHS LP solve of min c'x, row_lo <= A x <= row_up, lb <= x <= ub
-    (A column-wise), from basis without presolve when one is given.
+    (A column-wise, int32 indices), from basis without presolve when one is
+    given.
 
     Returns (status, result); status is None for an outcome solve_lp cannot
     use: a HiGHS status it does not map, a rejected basis, or an optimum
     that fails linprog's acceptance check."""
-    lp = highs.HighsLp()
-    lp.num_col_ = lp.a_matrix_.num_col_ = c.size
-    lp.num_row_ = lp.a_matrix_.num_row_ = row_lo.size
-    lp.a_matrix_.format_ = highs.MatrixFormat.kColwise
-    lp.col_cost_, lp.col_lower_, lp.col_upper_ = c, lb, ub
-    lp.row_lower_, lp.row_upper_ = row_lo, row_up
-    lp.a_matrix_.start_, lp.a_matrix_.index_, lp.a_matrix_.value_ = indptr, indices, data
-    h = highs._Highs()
-    h.passOptions(_COLD_OPTIONS if basis is None else _WARM_OPTIONS)
-    if h.passModel(lp) == highs.HighsStatus.kError:
-        return INFEASIBLE, {"status": highs.HighsModelStatus.kModelError}
-    if basis is not None and h.setBasis(basis) == highs.HighsStatus.kError:
-        return None, {"status": "a rejected basis"}
-    h.run()
-    res = {"status": h.getModelStatus()}
-    status = _HIGHS_STATUS.get(res["status"])
-    if status != OPTIMAL:
-        return status, res
-    sol, info, hb = h.getSolution(), h.getInfo(), h.getBasis()
-    x, ax = np.array(sol.col_value), np.array(sol.row_value)
-    fun = info.objective_function_value
-    # linprog's check of an optimum: no nan, bounds and rows hold to its tolerance
-    if (np.isnan(x).any() or np.isnan(ax).any() or np.isnan(fun)
-            or (x < lb - _ACCEPT_TOL).any() or (x > ub + _ACCEPT_TOL).any()
-            or (ax < row_lo - _ACCEPT_TOL).any() or (ax > row_up + _ACCEPT_TOL).any()):
-        return None, res
-    at = np.fromiter(map(int, hb.col_status), dtype=np.int8, count=c.size)
-    rows = np.fromiter(map(int, hb.row_status), dtype=np.int8, count=row_lo.size)
-    # a bound's multiplier is the column dual where the column sits at it
-    marg_bnds = np.where([at == _AT_LOWER, at == _AT_UPPER], np.array(sol.col_dual), 0.0)
-    res.update(x=x, row_dual=np.array(sol.row_dual), marg_bnds=marg_bnds, fun=fun,
-               basis=(at, rows))
-    return OPTIMAL, res
+    h = _HIGHS
+    try:
+        h.passOptions(_COLD_OPTIONS if basis is None else _WARM_OPTIONS)
+        if h.passModel(c.size, row_lo.size, int(indptr[-1]), _COLWISE, _MINIMIZE, 0.0,
+                       c, lb, ub, row_lo, row_up, indptr, indices, data,
+                       np.zeros(c.size, dtype=np.int32)) == highs.HighsStatus.kError:
+            return INFEASIBLE, {"status": highs.HighsModelStatus.kModelError}
+        if basis is not None and h.setBasis(basis) == highs.HighsStatus.kError:
+            return None, {"status": "a rejected basis"}
+        h.run()
+        res = {"status": h.getModelStatus()}
+        status = _HIGHS_STATUS.get(res["status"])
+        if status != OPTIMAL:
+            return status, res
+        sol, fun = h.getSolution(), h.getInfo().objective_function_value
+        x, ax = np.array(sol.col_value), np.array(sol.row_value)
+        # linprog's check of an optimum: no nan, bounds and rows hold to its tolerance
+        if (np.isnan(x).any() or np.isnan(ax).any() or np.isnan(fun)
+                or (x < lb - _ACCEPT_TOL).any() or (x > ub + _ACCEPT_TOL).any()
+                or (ax < row_lo - _ACCEPT_TOL).any() or (ax > row_up + _ACCEPT_TOL).any()):
+            return None, res
+        # a bound's multiplier is the column dual where the column sits at
+        # it; a fixed column's goes by its sign (>= 0 lower), as HiGHS's
+        # basis status does
+        col_dual = np.array(sol.col_dual)
+        at_lb = (x == lb) & ((col_dual >= 0.0) | (lb != ub))
+        marg_bnds = np.where([at_lb, (x == ub) & ~at_lb], col_dual, 0.0)
+        res.update(x=x, row_dual=np.array(sol.row_dual), marg_bnds=marg_bnds, fun=fun,
+                   basis=(c.size, row_lo.size, h.getBasis()))
+        return OPTIMAL, res
+    finally:
+        h.clearModel()
 
 
 def infeasibility_lp(p: LpProblem) -> LpProblem:
@@ -300,20 +308,26 @@ Row = tuple[dict[int, float], str, float]  # (column -> coef, sense, rhs)
 
 
 def add_rows(p: LpProblem, rows: Sequence[Row]) -> LpProblem:
-    """Append rows in place; the problem object keeps its identity."""
+    """Append rows in place; the problem object keeps its identity.  The new
+    CSR arrays are the old ones with the rows' entries (column-sorted within
+    a row, explicit zeros kept) appended."""
     if not rows:
         return p
-    ri, ci, vv, rhs_l, sen_l = [], [], [], [], []
-    for i, (cols, sense, rhs) in enumerate(rows):
-        for j, v in cols.items():
-            if j < 0 or j >= p.n:
-                raise DimensionMismatch(f"column {j} outside 0..{p.n - 1}")
-            ri.append(i); ci.append(j); vv.append(v)
-        rhs_l.append(rhs); sen_l.append(sense)
-    new = sp.csr_matrix((vv, (ri, ci)), shape=(len(rows), p.n))
-    p.A = sp.vstack([p.A, new]).tocsr()
-    p.rhs = np.concatenate([p.rhs, rhs_l])
-    p.senses = np.concatenate([p.senses, np.array(sen_l, dtype="<U1")])
+    sizes = np.array([len(cols) for cols, _, _ in rows])
+    idx = np.fromiter((j for cols, _, _ in rows for j in cols), dtype=np.int64,
+                      count=sizes.sum())
+    vals = np.array([v for cols, _, _ in rows for v in cols.values()])
+    bad = np.flatnonzero((idx < 0) | (idx >= p.n))
+    if bad.size:
+        raise DimensionMismatch(f"column {idx[bad[0]]} outside 0..{p.n - 1}")
+    order = np.lexsort((idx, np.repeat(np.arange(len(rows)), sizes)))
+    a = p.A.tocsr()
+    p.A = type(a)((np.concatenate([a.data, vals[order]]),
+                   np.concatenate([a.indices, idx[order]]),
+                   np.concatenate([a.indptr, a.indptr[-1] + np.cumsum(sizes)])),
+                  shape=(a.shape[0] + len(rows), p.n))
+    p.rhs = np.concatenate([p.rhs, [rhs for _, _, rhs in rows]])
+    p.senses = np.concatenate([p.senses, np.array([s for _, s, _ in rows], dtype="<U1")])
     return p
 
 

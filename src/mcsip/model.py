@@ -138,7 +138,7 @@ class LpProblem:
     rhs: np.ndarray
     lo: np.ndarray
     up: np.ndarray
-    # HiGHS column and row statuses (int8) of the last optimal solve (lp_engine)
+    # (cols, rows, HighsBasis) of the last optimal solve (lp_engine)
     basis: tuple | None = field(default=None, repr=False, compare=False)
 
     @property

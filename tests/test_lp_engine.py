@@ -3,8 +3,10 @@ import itertools
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from scipy.optimize._highspy import _core as highs
 
 from mcsip import lp_engine
+from mcsip.errors import NumericalFailure
 from mcsip.lp_engine import CutOracle, _check_highs_version, add_rows, branch_and_cut, \
     solve_lp, solve_mip, verify_farkas
 from mcsip.model import LpProblem, MipProblem
@@ -356,3 +358,176 @@ def test_branch_and_cut_warm_starts_children_and_matches_enumeration(warm_starts
         else:
             assert sol.objective == pytest.approx(float((bits[feas] @ c).min()), abs=1e-7)
     assert any(warm_starts), "child nodes start from their parent's basis"
+
+
+def test_add_rows_appends_exactly_the_arrays_vstack_builds():
+    rng = np.random.default_rng(11)
+    zeros = 0
+    for _ in range(40):
+        p = random_feasible_lp(rng)
+        for _ in range(3):
+            rows = []
+            for _ in range(int(rng.integers(1, 5))):
+                cols = rng.choice(p.n, size=int(rng.integers(0, p.n + 1)), replace=False)
+                vals = rng.uniform(-1, 1, size=cols.size)
+                vals[rng.random(cols.size) < 0.3] = 0.0  # explicit zero coefficients
+                zeros += int((vals == 0.0).sum())
+                rows.append(({int(j): float(v) for j, v in zip(cols, vals)},
+                             str(rng.choice(["G", "L", "E"])), float(rng.uniform(-1, 1))))
+            ri = [i for i, (cols, _, _) in enumerate(rows) for _ in cols]
+            ci = [j for cols, _, _ in rows for j in cols]
+            vv = [v for cols, _, _ in rows for v in cols.values()]
+            want = sp.vstack([p.A, sp.csr_matrix((vv, (ri, ci)), shape=(len(rows), p.n))]).tocsr()
+            add_rows(p, rows)
+            assert type(p.A) is type(want) and p.A.shape == want.shape
+            for name in ("indptr", "indices", "data"):
+                got, ref = getattr(p.A, name), getattr(want, name)
+                assert got.dtype == ref.dtype and got.tobytes() == ref.tobytes(), name
+            assert p.senses[-len(rows):].tolist() == [r[1] for r in rows]
+            assert p.rhs[-len(rows):].tolist() == [r[2] for r in rows]
+    assert zeros > 0
+
+
+def test_shared_highs_object_holds_no_model_after_any_outcome(monkeypatch):
+    h = lp_engine._HIGHS
+
+    def empty():
+        return h.getNumCol() == 0 and h.getNumRow() == 0
+
+    assert solve_lp(lp([1.0], [[1.0]], "G", [3.0])).status == "optimal" and empty()
+    sol = solve_lp(lp([0.0], [[1.0], [1.0]], "GL", [1.0, 0.0]))  # nested phase-1 solve
+    assert sol.status == "infeasible" and sol.farkas is not None and empty()
+    assert solve_lp(lp([-1.0], [[1.0]], "G", [0.0])).status == "unbounded" and empty()
+    with pytest.raises(ValueError):
+        solve_lp(lp([np.nan], [[1.0]], "G", [3.0]))
+    with pytest.raises(ValueError):
+        solve_lp(lp([1.0], [[np.inf]], "G", [3.0]))
+    assert empty()
+
+    # a warm start that hits an iteration limit falls back to the cold retry
+    limited = lp_engine._highs_options("off")
+    limited.simplex_iteration_limit = 0
+    statuses = []
+    run = lp_engine._run_highs
+
+    def recording(*args):
+        out = run(*args)
+        statuses.append((args[-1] is not None, out[0]))
+        return out
+
+    monkeypatch.setattr(lp_engine, "_run_highs", recording)
+    p = lp([1.0], [[1.0]], "G", [3.0])
+    solve_lp(p)
+    add_rows(p, [({0: 1.0}, "G", 4.0)])
+    monkeypatch.setattr(lp_engine, "_WARM_OPTIONS", limited)
+    del statuses[:]
+    assert solve_lp(p).objective == pytest.approx(4.0) and empty()
+    assert statuses == [(True, None), (False, "optimal")]
+
+    monkeypatch.setattr(lp_engine, "_COLD_OPTIONS", limited)
+    with pytest.raises(NumericalFailure):
+        solve_lp(lp([1.0], [[1.0]], "G", [3.0]))
+    assert empty()
+
+
+def test_sibling_nodes_keep_their_parents_basis_while_rows_are_appended(monkeypatch):
+    rng = np.random.default_rng(12)
+    seen = {}  # id of a stored HighsBasis -> [basis tuple, its rows, its column statuses, users]
+    grown_shared = 0
+    solve = lp_engine.solve_lp
+
+    def checked(p, want_farkas=True):
+        nonlocal grown_shared
+        start = p.basis
+        if start is not None:
+            entry = seen.setdefault(id(start[2]), [start, len(start[2].row_status),
+                                                   list(start[2].col_status), set()])
+            entry[3].add(id(p))
+            grown_shared += len(entry[3]) > 1 and start[1] < p.m
+        sol = solve(p, want_farkas)
+        for basis, rows, cols, _ in seen.values():
+            assert basis[1] == rows == len(basis[2].row_status)
+            assert list(basis[2].col_status) == cols
+        if start is not None:
+            cold = solve(cold_copy(p), want_farkas)
+            assert sol.status == cold.status
+            if sol.status == "optimal":
+                assert sol.objective == pytest.approx(cold.objective, rel=1e-9, abs=1e-9)
+        return sol
+
+    monkeypatch.setattr(lp_engine, "solve_lp", checked)
+    for _ in range(12):
+        n = int(rng.integers(5, 9))
+        c = -rng.uniform(1, 3, size=n)
+        visible = rng.uniform(1, 4, size=(1, n))
+        hidden = rng.uniform(0, 4, size=(4, n))
+        cap = 0.6 * visible.sum()
+        hidden_cap = 0.5 * hidden.sum(axis=1)
+
+        class Lazy(CutOracle):
+            def separate(self, x):
+                bad = np.flatnonzero(hidden @ x > hidden_cap + 1e-9)
+                return [({j: float(hidden[i, j]) for j in range(n)}, "L", float(hidden_cap[i]))
+                        for i in bad[:1]]
+
+        sol = branch_and_cut(mip(c, visible, "L", [cap], lo=np.zeros(n), up=np.ones(n),
+                                 integer=[True] * n), oracle=Lazy())
+        bits = np.array(list(itertools.product((0, 1), repeat=n)), dtype=float)
+        feas = (bits @ visible.T <= cap + 1e-9).all(axis=1) & \
+            (bits @ hidden.T <= hidden_cap + 1e-9).all(axis=1)
+        assert sol.objective == pytest.approx(float((bits[feas] @ c).min()), abs=1e-7)
+    assert grown_shared > 0, "a sibling started from a basis taken before rows were appended"
+
+
+def test_bound_multipliers_give_the_dual_objective_of_the_basis_status_rule():
+    rng = np.random.default_rng(13)
+    fixed_duals = 0
+    for _ in range(50):
+        n, m = int(rng.integers(3, 10)), int(rng.integers(2, 8))
+        kind = rng.choice(["fixed", "free", "lower", "upper", "boxed"], size=n)
+        x0 = rng.uniform(-2, 2, size=n)
+        lo = np.where(np.isin(kind, ["lower", "boxed"]), x0 - rng.uniform(0, 1, size=n), -np.inf)
+        up = np.where(np.isin(kind, ["upper", "boxed"]), x0 + rng.uniform(0, 1, size=n), np.inf)
+        lo[kind == "fixed"] = up[kind == "fixed"] = x0[kind == "fixed"]
+        a = rng.uniform(-2, 2, size=(m, n)) * (rng.random((m, n)) < 0.7)
+        senses = rng.choice(["G", "L", "E"], size=m)
+        rhs = a @ x0 + np.where(senses == "G", -1, np.where(senses == "L", 1, 0)) \
+            * rng.uniform(0, 1, size=m)
+        # a dual-feasible cost keeps every LP bounded
+        y = rng.uniform(0, 1, size=m) * np.where(senses == "G", 1, np.where(senses == "L", -1, 0))
+        y[senses == "E"] = rng.uniform(-1, 1, size=(senses == "E").sum())
+        r = rng.uniform(-1, 1, size=n)
+        r[kind == "free"] = 0.0
+        r[kind == "lower"] = np.abs(r[kind == "lower"])
+        r[kind == "upper"] = -np.abs(r[kind == "upper"])
+        p = lp(a.T @ y + r, a, senses, rhs, lo, up)
+        sol = solve_lp(p)
+        assert sol.status == "optimal"
+
+        # the same solve on a HiGHS object of its own; multipliers by basis status
+        hl = highs.HighsLp()
+        hl.num_col_ = hl.a_matrix_.num_col_ = n
+        hl.num_row_ = hl.a_matrix_.num_row_ = m
+        hl.a_matrix_.format_ = highs.MatrixFormat.kColwise
+        csc = p.A.tocsc()
+        hl.a_matrix_.start_, hl.a_matrix_.index_, hl.a_matrix_.value_ = \
+            csc.indptr, csc.indices, csc.data
+        hl.col_cost_, hl.col_lower_, hl.col_upper_ = p.c, lo, up
+        hl.row_lower_ = np.where(senses == "L", -np.inf, rhs)
+        hl.row_upper_ = np.where(senses == "G", np.inf, rhs)
+        own = highs._Highs()
+        own.passOptions(lp_engine._COLD_OPTIONS)
+        own.passModel(hl)
+        own.run()
+        ref = own.getSolution()
+        status = np.array([int(s) for s in own.getBasis().col_status])
+        col_dual = np.array(ref.col_dual)
+        lo_d = np.where(status == int(highs.HighsBasisStatus.kLower), col_dual, 0.0)
+        up_d = np.where(status == int(highs.HighsBasisStatus.kUpper), col_dual, 0.0)
+        fin_lo, fin_up = (lo_d != 0) & np.isfinite(lo), (up_d != 0) & np.isfinite(up)
+        want = float(np.array(ref.row_dual) @ rhs + lo_d[fin_lo] @ lo[fin_lo]
+                     + up_d[fin_up] @ up[fin_up])
+        assert sol.dual_objective == pytest.approx(want, rel=1e-12, abs=1e-12)
+        assert sol.dual_objective == pytest.approx(sol.objective, rel=1e-9, abs=1e-9)
+        fixed_duals += int((col_dual[kind == "fixed"] != 0).sum())
+    assert fixed_duals > 0
