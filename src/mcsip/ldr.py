@@ -16,9 +16,15 @@ Lambda, theta) holding every row free of non-root locals, and one LP per
 non-root node over its locals only.  The master is solved by branch and
 cut; cost-to-go variables theta_{t,m} are hybrid, one per stage and
 Markov state, and optimality cuts aggregate the member-node duals with
-path-probability weights.  Feasibility cuts come from the phase-1 duals of
-an infeasible node LP (lp_engine.violation_certificate), and both kinds
-become master rows through lp_engine.cut_row, the writer S uses too.
+path-probability weights.  The oracle is multi-cut, as in Birge and
+Louveaux's multi-cut L-shaped method: one scan of the groups returns a cut
+for every group whose theta lags, and stops at the first infeasible node
+LP with its feasibility cut.  Feasibility cuts come from the phase-1 duals
+of that LP (lp_engine.violation_certificate), and both kinds become master
+rows through lp_engine.cut_row, the writer S uses too.  Node LP optima are
+memoised for the whole solve by (stage, state, rhs): node data depend on
+the stage and the Markov state only, so a memoised optimum is that of
+every member node at the same rhs.
 
 Rows come from the shared assembler (model.assemble), with x_n mapped onto
 the Lambda columns by a sparse basis-expansion P and x_root by its column
@@ -37,9 +43,8 @@ import scipy.sparse as sp
 
 from .aggregate import AggregationMap, GroupKey, build_policy_graph
 from .errors import InfeasibleModel, NumericalFailure, Overflow
-from .lp_engine import (INFEASIBLE, OPTIMAL, THETA_LB, VIOL_GUARD, CutOracle, LpSolution,
-                        MipSolution, branch_and_cut, cut_row, solve_lp,
-                        violation_certificate)
+from .lp_engine import (INFEASIBLE, OPTIMAL, THETA_LB, VIOL_GUARD, CutOracle, MipSolution,
+                        branch_and_cut, cut_row, solve_lp, violation_certificate)
 from .model import GE, LE, LpProblem, MipProblem, Msilp, RowBlock, assemble, \
     first_stage_columns, first_stage_offsets, node_rows, z_values
 from .tree import path as tree_path
@@ -231,8 +236,15 @@ def build_ldr_model(m: Msilp, agg: AggregationMap, variant: LdrVariant) -> LdrMo
 
 class _BendersOracle(CutOracle):
     """Algorithm loop: scan (stage, state) groups in order, evaluate every
-    member node, emit one aggregated cut for the first group whose hybrid
-    cost-to-go variable lags, or a feasibility cut on any infeasible node."""
+    member node, and emit one aggregated optimality cut for each group whose
+    hybrid cost-to-go variable lags; an infeasible node ends the scan with
+    its feasibility cut.  The paper scans to the first lagging group only;
+    cutting every lagging group found on the way re-solves the master less
+    often and leaves the optimum unchanged, since every cut is valid.
+
+    memo holds (status, objective, duals) of every node LP solved so far,
+    by (stage, state, rhs); a point is accepted only after each group was
+    evaluated at it, so true_cost of the incumbent solves no LP."""
 
     def __init__(self, model: LdrModel, eps: float):
         self.model = model
@@ -242,72 +254,73 @@ class _BendersOracle(CutOracle):
         for nid in model.node_lps:
             node = tree.node(nid)
             self.nodes_by_theta[(node.stage, node.mc_state.attrs)].append(nid)
+        self.memo: dict[tuple, tuple] = {}
         self.emitted: list[dict] = []  # kept for audits of cut validity
 
-    def _solve_node(self, nid: int, w: np.ndarray, memo: dict) -> LpSolution:
+    def _solve_node(self, nid: int, w: np.ndarray) -> tuple:
+        """(status, objective, duals) of node nid's LP at first stage w."""
         nl = self.model.node_lps[nid]
         rhs = nl.const + nl.R @ w
         node = self.model.msilp.tree.node(nid)
         key = (node.stage, node.mc_state.attrs, rhs.tobytes())
-        hit = memo.get(key)
+        hit = self.memo.get(key)
         if hit is None:
             nl.lp.rhs = rhs
-            hit = solve_lp(nl.lp, want_farkas=False)
-            memo[key] = hit
+            sol = solve_lp(nl.lp, want_farkas=False)
+            hit = self.memo[key] = (sol.status, sol.objective, sol.duals)
         return hit
 
-    def group_value(self, key: tuple, x: np.ndarray, memo: dict):
-        """(value, member solutions) of a (stage, state) group at x: the
-        path-probability weighted sum of its node LP optima; value is None,
-        and the list holds the first infeasible node id, when one has no
-        feasible point."""
+    def group_value(self, key: tuple, x: np.ndarray):
+        """(value, member duals) of a (stage, state) group at x: the
+        path-probability weighted sum of its node LP optima and a list of
+        (node id, duals); value is None, and the list holds the first
+        infeasible node id, when one has no feasible point."""
         total = 0.0
-        solved: list[tuple[int, LpSolution]] = []
+        solved: list[tuple[int, np.ndarray]] = []
         for nid in self.nodes_by_theta[key]:
-            sol = self._solve_node(nid, x, memo)
-            if sol.status == INFEASIBLE:
+            status, objective, duals = self._solve_node(nid, x)
+            if status == INFEASIBLE:
                 return None, [nid]
-            if sol.status != OPTIMAL:
-                raise NumericalFailure(f"node {nid} LP: {sol.status}")
-            total += self.model.node_lps[nid].p * sol.objective
-            solved.append((nid, sol))
+            if status != OPTIMAL:
+                raise NumericalFailure(f"node {nid} LP: {status}")
+            total += self.model.node_lps[nid].p * objective
+            solved.append((nid, duals))
         return total, solved
 
     def separate(self, x: np.ndarray):
         model = self.model
-        memo: dict = {}
+        rows = []
+        gen_w = x.copy()  # one copy for every record of this scan
         for key in model.theta_keys:
             if not self.nodes_by_theta[key]:
                 continue
-            total, solved = self.group_value(key, x, memo)
+            total, solved = self.group_value(key, x)
             if total is None:
-                return [self._feasibility_row(solved[0], x)]
+                rows.append(self._feasibility_row(solved[0], x))
+                return rows
             theta_hat = float(x[model.layout.theta_off[key]])
-            if abs(total - theta_hat) < self.eps * abs(total) + VIOL_GUARD:
-                continue
+            if total - theta_hat <= self.eps * abs(total) + VIOL_GUARD:
+                continue  # an accepted lag, or one too small to separate
             grad = np.zeros(model.layout.n_cols)
-            for nid, sol in solved:
+            for nid, duals in solved:
                 nl = model.node_lps[nid]
-                grad += nl.p * (nl.R.T @ sol.duals)
+                grad += nl.p * (nl.R.T @ duals)
             const = total - float(grad @ x)
-            if theta_hat >= total - VIOL_GUARD:
-                continue  # numerically cannot separate
             self.emitted.append({"kind": "optimality", "theta_key": key,
-                                 "grad": grad.copy(), "const": const,
-                                 "gen_w": x.copy(), "gen_value": total})
-            return [cut_row(model.layout.theta_off[key], [(0, grad)], const)]
-        return []
+                                 "grad": grad, "const": const,
+                                 "gen_w": gen_w, "gen_value": total})
+            rows.append(cut_row(model.layout.theta_off[key], [(0, grad)], const))
+        return rows
 
     def true_cost(self, x: np.ndarray) -> float:
         """Master cost c'x with every grouped cost-to-go column replaced by
         its group's value at x."""
         model = self.model
         cost = float(model.master.c @ x)
-        memo: dict = {}
         for key in model.theta_keys:
             if not self.nodes_by_theta[key]:
                 continue
-            value, _ = self.group_value(key, x, memo)
+            value, _ = self.group_value(key, x)
             if value is None:
                 raise NumericalFailure("an LDR node LP is infeasible at the incumbent")
             cost += value - float(x[model.layout.theta_off[key]])

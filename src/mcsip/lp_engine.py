@@ -34,7 +34,8 @@ lowest-index tie break, relative gap termination; each child node starts
 from its parent's final basis.  When a cut oracle is supplied, every
 integer-feasible relaxation solution is offered to the oracle and the node
 is re-solved until the oracle returns no cut, which is what makes lazy
-Benders-style decompositions exact.
+Benders-style decompositions exact.  The time limit is checked between
+nodes and after every round of cuts.
 """
 
 from __future__ import annotations
@@ -416,6 +417,8 @@ def branch_and_cut(p: MipProblem, oracle: CutOracle | None = None,
                 sub.A, sub.senses, sub.rhs = p.A, p.senses, p.rhs
                 n_cuts += len(cuts)
                 passes += 1
+                if timed_out():
+                    raise DeadlineReached
                 if passes > MAX_CUT_PASSES:
                     raise NumericalFailure("cut loop did not terminate")
             if sol.status == INFEASIBLE:
@@ -445,8 +448,9 @@ def branch_and_cut(p: MipProblem, oracle: CutOracle | None = None,
                 seq += 1
                 heapq.heappush(heap, BnbNode(sol.objective, seq, lo2, up2, sub.basis))
     except DeadlineReached:
-        # the oracle was separating this node's LP optimum: the node stays
-        # open with that bound, valid because every cut added so far is
+        # the oracle was separating this node's LP optimum, or the clock ran
+        # out after its cuts were added: the node stays open with that
+        # bound, valid because cuts only raise it
         heapq.heappush(heap, BnbNode(sol.objective, node.seq, node.lo, node.up,
                                      sub.basis))
         status = TIME_LIMIT

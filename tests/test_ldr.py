@@ -2,9 +2,10 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
+from mcsip import ldr
 from mcsip.aggregate import Transformation, build_aggregation, build_policy_graph
 from mcsip.hdr import build_hdr_aggregated
-from mcsip.ldr import LdrVariant, benders_solve, build_ldr_model, \
+from mcsip.ldr import LdrVariant, _BendersOracle, benders_solve, build_ldr_model, \
     evaluate_policy_extensive, extract_policy, node_basis
 from mcsip.lp_engine import branch_and_cut, solve_lp
 from mcsip.markov import MarkovChain, McState
@@ -127,16 +128,43 @@ def test_extract_policy_contract(hdr_pair):
     assert val == pytest.approx(sol.objective, rel=1e-6)
 
 
+def _lagging_point(model, x):
+    """x with every cost-to-go column at its lower bound."""
+    x = x.copy()
+    for off in model.layout.theta_off.values():
+        x[off] = model.master.lo[off]
+    return x
+
+
 def test_hybrid_cuts_underestimate_group_value(hdr_pair):
     ma, agg = hdr_pair
     model = build_ldr_model(ma, agg, LdrVariant("t"))
     sol = benders_solve(model)
     opt_cuts = [c for c in sol.emitted_cuts if c["kind"] == "optimality"]
     assert opt_cuts
-    rng = np.random.default_rng(0)
     lay = model.layout
     base = sol.x
-    for cut in opt_cuts[:12]:
+
+    # one scan at a point where every group with a positive value lags
+    # returns one row per lagging group, each read back as (grad, const)
+    oracle = _BendersOracle(model, 1e-6)
+    x = _lagging_point(model, base)
+    lagging = [key for key in model.theta_keys
+               if oracle.nodes_by_theta[key] and oracle.group_value(key, x)[0] > 1e-6]
+    rows = oracle.separate(x)
+    assert len(lagging) >= 2 and len(rows) == len(lagging)
+    row_cuts = []
+    for key, (cols, sense, rhs) in zip(lagging, rows):
+        theta = lay.theta_off[key]
+        assert sense == "G" and cols.pop(theta) == 1.0
+        grad = np.zeros(lay.n_cols)
+        grad[list(cols)] = [-v for v in cols.values()]
+        row_cuts.append({"theta_key": key, "grad": grad, "const": rhs, "gen_w": x,
+                         "gen_value": oracle.group_value(key, x)[0]})
+    assert [c["theta_key"] for c in oracle.emitted] == lagging
+
+    rng = np.random.default_rng(0)
+    for cut in opt_cuts[:12] + row_cuts:
         key = cut["theta_key"]
         nids = [nid for nid in model.node_lps
                 if (ma.tree.node(nid).stage, ma.tree.node(nid).mc_state.attrs) == key]
@@ -159,6 +187,29 @@ def test_hybrid_cuts_underestimate_group_value(hdr_pair):
         # tight where generated
         gen_val = float(cut["grad"] @ cut["gen_w"]) + cut["const"]
         assert gen_val == pytest.approx(cut["gen_value"], abs=1e-6)
+
+
+def test_accepted_points_solve_no_node_lp_twice(hdr_pair, monkeypatch):
+    ma, agg = hdr_pair
+    model = build_ldr_model(ma, agg, LdrVariant("m"))
+    oracle = _BendersOracle(model, 1e-6)
+    sol = branch_and_cut(model.master, oracle, round_heuristic=False)
+    x = _lagging_point(model, sol.x)
+    first = oracle.separate(x)
+    assert len(first) >= 2
+
+    calls = []
+    real = ldr.solve_lp
+
+    def counting(*args, **kw):
+        calls.append(args)
+        return real(*args, **kw)
+
+    monkeypatch.setattr(ldr, "solve_lp", counting)
+    # the incumbent was separated when the B&B accepted it
+    assert oracle.true_cost(sol.x) >= sol.objective - 1e-9 * abs(sol.objective)
+    assert oracle.separate(x) == first
+    assert calls == []
 
 
 def test_feasibility_cuts_drive_master_to_feasible_rules():

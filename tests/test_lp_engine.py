@@ -1,4 +1,5 @@
 import itertools
+import time
 
 import numpy as np
 import pytest
@@ -221,6 +222,20 @@ def test_time_limit_returns_bound():
             integer=[True] * n)
     sol = branch_and_cut(m, time_limit=0.0)
     assert sol.status == "time_limit"
+
+
+def test_time_limit_stops_a_cut_loop_that_never_closes():
+    class Endless(CutOracle):
+        def separate(self, x):
+            return [({0: 1.0}, "G", -1.0)]  # valid everywhere, never binding
+
+    m = mip([1.0], [[1.0]], "G", [1.0], lo=[0.0], up=[3.0], integer=[True])
+    t0 = time.monotonic()
+    sol = branch_and_cut(m, oracle=Endless(), time_limit=0.5)
+    assert time.monotonic() - t0 < 2.0
+    assert sol.status == "time_limit" and sol.x is None
+    # the root LP optimum is 1; no cut can raise it, so it is the bound
+    assert np.isfinite(sol.bound) and sol.bound <= 1.0 + 1e-9
 
 
 def test_random_small_mips_match_enumeration():
