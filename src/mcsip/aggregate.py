@@ -169,7 +169,7 @@ def build_policy_graph(tree: ScenarioTree, agg: AggregationMap) -> PolicyGraph:
                 own.add(ck)
                 seen[ck] = tree.node(cid).p_cond
             per_node_sets.add(frozenset(own))
-        # every hosted node must see the same child subproblems, otherwise the
+        # every member node must see the same child subproblems, otherwise the
         # expected cost-to-go term of the shared subproblem would be ill-defined
         if len(per_node_sets) > 1:
             raise ValueError(f"inconsistent child subproblems for {key}")

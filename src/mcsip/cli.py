@@ -16,6 +16,7 @@ import json
 import os
 import sys
 import time
+from dataclasses import replace
 
 import numpy as np
 
@@ -45,12 +46,6 @@ def gap_closed(obj_hn: float, obj_i: float, obj_fh: float) -> float | None:
     if abs(den) <= 1e-9:
         return None
     return 100.0 * (obj_hn - obj_i) / den
-
-
-def relative_difference(obj_ref: float, obj_i: float) -> float:
-    if obj_ref == 0:
-        raise ValueError("reference objective is zero")
-    return 100.0 * abs(obj_ref - obj_i) / obj_ref
 
 
 def _fmt(v) -> str:
@@ -116,6 +111,9 @@ def run_solve(inst, method: str, tr: Transformation, *, eps: float | None,
                 elif z is None:  # sddp-ub with no incumbent policy to evaluate
                     out.update(objective=None, gap=None)
                 else:  # sddp-ub: exact evaluation of the incumbent policy
+                    if time_limit is not None:  # in the time the bound run left
+                        cfg = replace(cfg, time_limit=max(0.0, time_limit
+                                                          - (time.monotonic() - t0)))
                     try:
                         val = evaluate_policy(m, agg, z, cfg)
                     except DeadlineReached:

@@ -36,12 +36,12 @@ them row by row.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
 
-from .aggregate import AggregationMap, GroupKey, build_policy_graph
+from .aggregate import AggregationMap, GroupKey
 from .errors import InfeasibleModel, NumericalFailure, Overflow
 from .lp_engine import (INFEASIBLE, OPTIMAL, THETA_LB, VIOL_GUARD, CutOracle, MipSolution,
                         branch_and_cut, cut_row, solve_lp, violation_certificate)
@@ -97,12 +97,7 @@ class LdrModel:
     master: MipProblem
     layout: LdrLayout
     node_lps: dict[int, _NodeLp]
-    second_stage_keys: dict          # dedup key -> node ids
     theta_keys: list[tuple]          # (stage, state attrs), scan order
-
-    @property
-    def n_second_stage(self) -> int:
-        return len(self.second_stage_keys)
 
 
 def _lam_key(variant: LdrVariant, m: Msilp, nid: int) -> tuple:
@@ -186,10 +181,6 @@ def build_ldr_model(m: Msilp, agg: AggregationMap, variant: LdrVariant) -> LdrMo
         lo[theta_off[key]] = THETA_LB
 
     node_lps: dict[int, _NodeLp] = {}
-    second_keys: dict = {}
-    pgraph = None
-    if variant.kind in ("t", "m"):
-        pgraph = build_policy_graph(tree, agg)
     pick_bound = sp.csr_matrix(np.repeat(np.eye(k), 2, axis=0))  # rows lo_q, up_q
     blocks = []
     for node in tree.nodes:
@@ -223,15 +214,11 @@ def build_ldr_model(m: Msilp, agg: AggregationMap, variant: LdrVariant) -> LdrMo
         lp = LpProblem(c=nd.h.copy(), A=lp_a, senses=senses, rhs=const.copy(),
                        lo=nd.y_lo.copy(), up=nd.y_up.copy())
         node_lps[nid] = _NodeLp(lp=lp, R=R, const=const, p=node.p)
-        if variant.kind == "th":
-            second_keys.setdefault(nid, []).append(nid)
-        else:
-            second_keys.setdefault(pgraph.node_to_sub[nid], []).append(nid)
 
     A, senses, rhs = assemble(blocks, n, canonical=True)
     master = MipProblem(c=obj, A=A, senses=senses, rhs=rhs, lo=lo, up=up, integer=integer)
     lay = LdrLayout(z_off, x_off, y_off, lam_off, lam_cols, theta_off, n)
-    return LdrModel(m, agg, variant, master, lay, node_lps, second_keys, theta_keys)
+    return LdrModel(m, agg, variant, master, lay, node_lps, theta_keys)
 
 
 class _BendersOracle(CutOracle):
@@ -255,7 +242,6 @@ class _BendersOracle(CutOracle):
             node = tree.node(nid)
             self.nodes_by_theta[(node.stage, node.mc_state.attrs)].append(nid)
         self.memo: dict[tuple, tuple] = {}
-        self.emitted: list[dict] = []  # kept for audits of cut validity
 
     def _solve_node(self, nid: int, w: np.ndarray) -> tuple:
         """(status, objective, duals) of node nid's LP at first stage w."""
@@ -290,7 +276,6 @@ class _BendersOracle(CutOracle):
     def separate(self, x: np.ndarray):
         model = self.model
         rows = []
-        gen_w = x.copy()  # one copy for every record of this scan
         for key in model.theta_keys:
             if not self.nodes_by_theta[key]:
                 continue
@@ -305,11 +290,8 @@ class _BendersOracle(CutOracle):
             for nid, duals in solved:
                 nl = model.node_lps[nid]
                 grad += nl.p * (nl.R.T @ duals)
-            const = total - float(grad @ x)
-            self.emitted.append({"kind": "optimality", "theta_key": key,
-                                 "grad": grad, "const": const,
-                                 "gen_w": gen_w, "gen_value": total})
-            rows.append(cut_row(model.layout.theta_off[key], [(0, grad)], const))
+            rows.append(cut_row(model.layout.theta_off[key], [(0, grad)],
+                                total - float(grad @ x)))
         return rows
 
     def true_cost(self, x: np.ndarray) -> float:
@@ -331,19 +313,14 @@ class _BendersOracle(CutOracle):
         nl.lp.rhs = nl.const + nl.R @ x
         violation, duals = violation_certificate(nl.lp)
         grad = nl.R.T @ duals
-        const = violation - float(grad @ x)
-        # violation(w) >= grad.w + const must be forced to zero
-        self.emitted.append({"kind": "feasibility", "node": nid,
-                             "grad": grad.copy(), "const": const,
-                             "gen_w": x.copy(), "gen_value": violation})
-        return cut_row(None, [(0, grad)], const)
+        # violation(w) >= violation(x) + grad.(w - x), forced to zero
+        return cut_row(None, [(0, grad)], violation - float(grad @ x))
 
 
 @dataclass
 class LdrSolution(MipSolution):
     z_by_group: dict[GroupKey, np.ndarray] | None = None
     lam: dict[tuple, np.ndarray] | None = None
-    emitted_cuts: list[dict] = field(default_factory=list)
 
 
 def benders_solve(model: LdrModel, eps: float | None = None,
@@ -359,7 +336,7 @@ def benders_solve(model: LdrModel, eps: float | None = None,
     sol = branch_and_cut(model.master, oracle, time_limit=time_limit, round_heuristic=False)
     if sol.status == INFEASIBLE:
         raise InfeasibleModel("LDR first stage is infeasible")
-    out = LdrSolution(**vars(sol), emitted_cuts=oracle.emitted)
+    out = LdrSolution(**vars(sol))
     if sol.x is not None:
         lay = model.layout
         m = model.msilp

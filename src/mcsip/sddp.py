@@ -34,10 +34,12 @@ a valid relaxation of the aggregated problem.
 Rows come from the shared assembler (model.assemble), every variable
 block mapped by its column offset.  The master is canonical (tiny
 coefficients dropped, rounded, duplicate rows removed); each subproblem LP
-is positional, because set_rhs and the cut extraction address its state,
-copy and linking rows by offset.  solve_exact, solve_lower_bound and
-evaluate_policy share one driver: master, optional policy fixing, root
-cut loop, branch and cut.
+is positional, and its state, copy and linking rows take their rhs from
+the map LDR's node LPs use: rhs = const + R w at the incoming state w,
+cut slope R' pi, both built by the same assembler.  Subproblem optima are
+memoised by (subproblem, state) until the next pool change.  solve_exact,
+solve_lower_bound and evaluate_policy share one driver: master, optional
+policy fixing, root cut loop, branch and cut.
 """
 
 from __future__ import annotations
@@ -115,7 +117,6 @@ class MasterPoint:
     z: dict[GroupKey, np.ndarray]
     theta: dict[int, float]       # stage-2 node id -> candidate value
     root_group: GroupKey
-    serial: int = 0               # distinguishes candidates for solve caching
 
 
 @dataclass
@@ -134,18 +135,20 @@ class SddpResult(MipSolution):
 
 
 class _Sub:
-    """One policy-graph subproblem and its growing LP."""
+    """One policy-graph subproblem and its growing LP.
+
+    The state, copy and linking rows come first, with rhs const + R @ w at
+    the incoming state w = [x_parent | z of the parent group | z of each
+    zeta group]; pooled cut rows follow with their own rhs."""
 
     def __init__(self, key: SubKey, engine: "SddpEngine"):
         self.key = key
-        self.stage = key[0]
         m = engine.msilp
-        self.l = m.l
-        self.node0 = engine.pgraph.sub_members[key][0]
-        self.data = m.data[self.node0]
-        self.group = engine.agg.node_to_group[self.node0]
+        node0 = engine.pgraph.sub_members[key][0]
+        nd = m.data[node0]
+        self.group = engine.agg.node_to_group[node0]
         self.children = engine.pgraph.children[key]
-        self.zeta_groups = [g for g in engine.agg.group_index if g[0] >= self.stage]
+        self.zeta_groups = [g for g in engine.agg.group_index if g[0] >= key[0]]
         self.zg_off = {g: i * m.l for i, g in enumerate(self.zeta_groups)}
 
         k, l, r = m.k, m.l, m.r
@@ -158,17 +161,18 @@ class _Sub:
         self.theta_col = {ck: self.theta0 + i for i, (ck, _) in enumerate(self.children)}
         self.zeta_col = {g: self.zeta0 + off for g, off in self.zg_off.items()}
 
-        nd = self.data
-        self.nx = nd.f.size
-        self.ncopy = nzeta
-        self.nlink = nd.b.size
         # state rows, zeta pinned to the incoming copy, linking rows; every
-        # parent term lives in the rhs (set_rhs)
+        # parent term lives in the rhs map (R, const)
         _, state, link = node_rows(nd, self.zeta_col[self.group], self.x0, self.y0,
                                    None, None, ())
-        copy = RowBlock([(sp.identity(nzeta, format="csr"), self.zeta0, 1.0)],
-                        np.full(nzeta, EQ), np.zeros(nzeta))
+        eye = sp.identity(nzeta, format="csr")
+        copy = RowBlock([(eye, self.zeta0, 1.0)], np.full(nzeta, EQ), np.zeros(nzeta))
         A, senses, _ = assemble([state, copy, link], self.n, canonical=False)
+        self.R, _, self.const = assemble(
+            [RowBlock([(nd.F, 0, 1.0)], nd.sen_x, nd.f),
+             RowBlock([(eye, k + l, 1.0)], copy.senses, copy.rhs),
+             RowBlock([(nd.A, 0, 1.0), (nd.B, k, 1.0)], nd.sen_l, nd.b)],
+            k + l + nzeta, canonical=False)
 
         c = np.zeros(self.n)
         c[self.x0:self.x0 + k] = nd.d
@@ -185,30 +189,11 @@ class _Sub:
             lo[self.theta_col[ck]] = engine.cfg.theta_lb
         self.lp = LpProblem(c=c, A=A, senses=senses, rhs=np.zeros(senses.size),
                             lo=lo, up=up)
-        self.hosted: list[Cut] = []
 
-    def add_hosted(self, cut: Cut) -> None:
-        theta = self.theta_col[cut.owner] if cut.kind == "optimality" else None
-        add_rows(self.lp, [cut_row(theta, cut.terms(self.x0, self.zeta_col[self.group],
-                                                    self.zeta_col), cut.gamma)])
-        self.hosted.append(cut)
-
-    def set_rhs(self, x_par: np.ndarray, zvals: dict[GroupKey, np.ndarray],
-                parent_group: GroupKey) -> None:
-        nd = self.data
-        rhs = self.lp.rhs
-        if self.nx:
-            rhs[:self.nx] = nd.f if nd.F is None else nd.f + nd.F @ x_par
-        for g in self.zeta_groups:
-            off = self.nx + self.zg_off[g]
-            rhs[off:off + self.l] = zvals[g]
-        link = nd.b.copy()
-        if nd.A is not None:
-            link += nd.A @ x_par
-        if nd.B is not None:
-            link += nd.B @ zvals[parent_group]
-        base = self.nx + self.ncopy
-        rhs[base:base + self.nlink] = link
+    def state(self, x_par: np.ndarray, zvals: dict[GroupKey, np.ndarray],
+              parent_group: GroupKey) -> np.ndarray:
+        return np.concatenate([x_par, zvals[parent_group]]
+                              + [zvals[g] for g in self.zeta_groups])
 
 
 @dataclass
@@ -239,10 +224,7 @@ class SddpEngine:
         self.pools: dict[SubKey, list[Cut]] = {k: [] for k in self.pgraph.subproblems}
         self._pool_sigs: dict[SubKey, set] = {k: set() for k in self.pgraph.subproblems}
         self.master_pool: dict[int, list[Cut]] = {}
-        self.visit_log: list[SubKey] = []
-        self._memo: dict[tuple, LpSolution] = {}
-        self._version = 0  # bumped on every pool change; invalidates the memo
-        self._serial = 0
+        self._memo: dict[tuple, LpSolution] = {}  # (sub key, state) -> optimum
         self._stage2_seen: set = set()
         self.deadline = None if cfg.time_limit is None else \
             time.monotonic() + cfg.time_limit
@@ -265,33 +247,16 @@ class SddpEngine:
 
     # -- cut construction --------------------------------------------------
 
-    def _extract(self, sub: _Sub, duals: np.ndarray):
-        nd = sub.data
-        pi_x = duals[:sub.nx]
-        rho = duals[sub.nx:sub.nx + sub.ncopy]
-        pi_l = duals[sub.nx + sub.ncopy:sub.nx + sub.ncopy + sub.nlink]
-        alpha = np.zeros(self.msilp.k)
-        if nd.F is not None:
-            alpha += nd.F.T @ pi_x
-        if nd.A is not None:
-            alpha += nd.A.T @ pi_l
-        beta = nd.B.T @ pi_l if nd.B is not None else np.zeros(self.msilp.l)
-        rho_map = {}
-        for g in sub.zeta_groups:
-            seg = rho[sub.zg_off[g]:sub.zg_off[g] + self.msilp.l]
-            if np.any(seg):
-                rho_map[g] = seg.copy()
-        return alpha, beta, rho_map
-
     def _cut(self, sub: _Sub, kind: str, duals: np.ndarray, value: float,
              x_par: np.ndarray, zvals, parent_group) -> Cut:
         """The affine support with these duals, tight at value in the state
-        (x_par, zvals) it was generated at."""
-        alpha, beta, rho_map = self._extract(sub, duals)
-        gamma = value - float(alpha @ x_par) - float(beta @ zvals[parent_group])
-        for g, coef in rho_map.items():
-            gamma -= float(coef @ zvals[g])
-        return Cut(sub.key, kind, alpha, beta, rho_map, gamma, gen_x=x_par.copy(),
+        (x_par, zvals) it was generated at: slope R' pi over that state."""
+        k, l = self.msilp.k, self.msilp.l
+        grad = sub.R.T @ duals[:sub.const.size]
+        rho = {g: seg for g, off in sub.zg_off.items()
+               if np.any(seg := grad[k + l + off:k + l + off + l])}
+        gamma = value - float(grad @ sub.state(x_par, zvals, parent_group))
+        return Cut(sub.key, kind, grad[:k], grad[k:k + l], rho, gamma, gen_x=x_par.copy(),
                    gen_z={g: np.array(v) for g, v in zvals.items()},
                    gen_parent_group=parent_group, gen_value=value)
 
@@ -304,9 +269,10 @@ class SddpEngine:
 
     def make_feasibility_cut(self, sub: _Sub, x_par, zvals, parent_group) -> Cut:
         """Affine minorant of the subproblem's violation, forced to zero."""
+        x_par = np.asarray(x_par, dtype=float)
+        sub.lp.rhs[:sub.const.size] = sub.const + sub.R @ sub.state(x_par, zvals, parent_group)
         violation, duals = violation_certificate(sub.lp)
-        return self._cut(sub, "feasibility", duals, violation,
-                         np.asarray(x_par, dtype=float), zvals, parent_group)
+        return self._cut(sub, "feasibility", duals, violation, x_par, zvals, parent_group)
 
     def _cut_signature(self, cut: Cut):
         parts = [cut.kind, round(cut.gamma, 9), tuple(np.round(cut.alpha, 9)),
@@ -323,25 +289,27 @@ class SddpEngine:
         self._pool_sigs[cut.owner].add(sig)
         self.pools[cut.owner].append(cut)
         for pk in self.pgraph.parents[cut.owner]:
-            self.subs[pk].add_hosted(cut)
-        self._version += 1
+            host = self.subs[pk]
+            theta = host.theta_col[cut.owner] if cut.kind == "optimality" else None
+            add_rows(host.lp, [cut_row(theta, cut.terms(host.x0, host.zeta_col[host.group],
+                                                        host.zeta_col), cut.gamma)])
         self._memo.clear()
         return True
 
     # -- forward / backward ------------------------------------------------
 
-    def solve_sub(self, sub: _Sub, x_par, zvals, parent_group,
-                  serial: int = -1) -> LpSolution:
+    def solve_sub(self, sub: _Sub, x_par, zvals, parent_group) -> LpSolution:
+        """The subproblem LP at this state; optima are memoised by state until
+        the next pool change."""
         self._check_time()
-        self.visit_log.append(sub.key)
-        x_par = np.asarray(x_par, dtype=float)
-        key = (sub.key, x_par.tobytes(), parent_group, serial, self._version)
+        w = sub.state(x_par, zvals, parent_group)
+        key = (sub.key, w.tobytes())
         hit = self._memo.get(key)
         if hit is not None:
             return hit
-        sub.set_rhs(x_par, zvals, parent_group)
+        sub.lp.rhs[:sub.const.size] = sub.const + sub.R @ w
         sol = solve_lp(sub.lp, want_farkas=False)
-        if serial >= 0 and sol.status == OPTIMAL:
+        if sol.status == OPTIMAL:
             self._memo[key] = sol
         return sol
 
@@ -392,9 +360,8 @@ class SddpEngine:
             else:
                 prev = sols[node.parent]
                 x_par, pg = prev.x, self.agg.node_to_group[node.parent]
-            sol = self.solve_sub(sub, x_par, zvals, pg, serial=candidate.serial)
+            sol = self.solve_sub(sub, x_par, zvals, pg)
             if sol.status == INFEASIBLE:
-                sub.set_rhs(np.asarray(x_par, dtype=float), zvals, pg)
                 cut = self.make_feasibility_cut(sub, x_par, zvals, pg)
                 self.add_cut(cut)
                 return cut
@@ -496,8 +463,6 @@ class _MasterOracle(CutOracle):
     def separate(self, x: np.ndarray):
         eng = self.engine
         cand = decode_master(eng.msilp, eng.agg, self.lay, x)
-        eng._serial += 1
-        cand.serial = eng._serial
         rows = []
         for nid in eng.msilp.tree.node(eng.msilp.tree.root).children:
             cut = eng.sddp_subroutine(cand, nid)

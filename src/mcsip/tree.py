@@ -6,7 +6,6 @@ breadth-first so each stage occupies a contiguous id range.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, field
 
 from .errors import Overflow, UnknownNode
@@ -94,11 +93,3 @@ def mc_history(tree: ScenarioTree, n: int) -> list[McState]:
     """The Markov-state sequence along the root-to-n path."""
     return [tree.nodes[i].mc_state for i in path(tree, n)]
 
-
-def export_edges_csv(tree: ScenarioTree, fp) -> None:
-    """Debug dump of the tree as (parent, child, conditional probability)."""
-    w = csv.writer(fp)
-    w.writerow(["parent", "child", "p_cond"])
-    for node in tree.nodes:
-        if node.parent is not None:
-            w.writerow([node.parent, node.id, repr(node.p_cond)])

@@ -1,13 +1,14 @@
 import csv
 import json
 import os
+import time
 
 import numpy as np
 import pytest
 
 from mcsip import cli
 from mcsip.aggregate import Transformation
-from mcsip.cli import gap_closed, main, relative_difference, run_solve
+from mcsip.cli import gap_closed, main, run_solve
 
 
 def test_gap_closed_endpoints():
@@ -26,14 +27,6 @@ def test_gap_closed_degenerate_denominator():
 def test_gap_closed_rejects_inverted_inputs():
     with pytest.raises(ValueError):
         gap_closed(80.0, 90.0, 100.0)
-
-
-def test_relative_difference():
-    assert relative_difference(100.0, 100.0) == 0.0
-    assert relative_difference(100.0, 101.0) == pytest.approx(1.0)
-    assert relative_difference(200.0, 150.0) == pytest.approx(25.0)
-    with pytest.raises(ValueError):
-        relative_difference(0.0, 1.0)
 
 
 @pytest.fixture(scope="module")
@@ -202,3 +195,22 @@ def test_sddp_ub_evaluation_time_limit_is_a_row(hdr_toy, monkeypatch):
                     time_limit=None, rounds=3)
     assert rec["status"] == "time_limit" and rec["objective"] is None
     assert np.isfinite(rec["bound"]) and rec["z"]
+
+
+def test_sddp_ub_evaluation_gets_only_the_time_left(hdr_toy, monkeypatch):
+    # a lower-bound run that takes 0.5 s leaves at most 59.5 s of a 60 s limit
+    lower = cli.solve_lower_bound
+
+    def slow_lower(m, agg, cfg):
+        out = lower(m, agg, cfg)
+        time.sleep(0.5)
+        return out
+
+    limits = []
+    monkeypatch.setattr(cli, "solve_lower_bound", slow_lower)
+    monkeypatch.setattr(cli, "evaluate_policy", lambda m, agg, z, cfg:
+                        limits.append(cfg.time_limit) or 1.0)
+    rec = run_solve(hdr_toy, "sddp-ub", PM, eps=None, k=None, seed=0,
+                    time_limit=60.0, rounds=3)
+    assert rec["objective"] == 1.0
+    assert len(limits) == 1 and 0.0 < limits[0] <= 59.5

@@ -38,3 +38,61 @@ def test_unused_import_scan_sees_an_unused_name():
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+# module-level definitions no other mcsip code refers to, kept on purpose
+UNREFERENCED_OK = {
+    "solve_mip": "the acceptance gate imports it",
+    "verify_farkas": "the acceptance gate imports it",
+    "max_violation": "the tests' feasibility reference",
+    "expand_aggregated_solution": "pins the paper's semantics of an aggregated solution",
+    "evaluate_policy_extensive": "pins the paper's semantics of an extracted LDR policy",
+}
+
+
+def unreferenced_definitions(sources: dict[str, str]) -> list[str]:
+    """Module-level functions and classes that no Name or Attribute node
+    outside their own definition refers to, in any of the modules, and that
+    the package's __init__ does not import."""
+    defs: list[tuple[str, str]] = []                  # (module, name)
+    users: dict[str, set[tuple[str, str | None]]] = {}  # name -> (module, top-level def)
+    exported: set[str] = set()
+    for mod, source in sources.items():
+        for stmt in ast.parse(source).body:
+            owner = None
+            if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                owner = stmt.name
+                defs.append((mod, owner))
+            if mod == "__init__" and isinstance(stmt, ast.ImportFrom):
+                exported.update(alias.asname or alias.name for alias in stmt.names)
+            for node in ast.walk(stmt):
+                name = node.id if isinstance(node, ast.Name) else \
+                    node.attr if isinstance(node, ast.Attribute) else None
+                if name is not None:
+                    users.setdefault(name, set()).add((mod, owner))
+    return sorted(f"{mod}.{name}" for mod, name in defs
+                  if name not in exported and not users.get(name, set()) - {(mod, name)})
+
+
+def test_unreferenced_definition_scan_sees_dead_code():
+    sources = {
+        "__init__": "from .a import api\n",
+        "a": "def api():\n    return 1\n\n"
+             "def helper():\n    return 2\n\n"
+             "def dead(n):\n    return dead(n - 1)\n\n"
+             "class Box:\n    pass\n",
+        "b": "from . import a\n\n"
+             "def use(x: 'Box') -> None:\n    a.helper()\n\n"
+             "class Orphan:\n    def method(self):\n        return Orphan\n\n"
+             "use(None)\n",
+    }
+    # a string annotation, a recursive call and a self-reference do not count
+    assert unreferenced_definitions(sources) == ["a.Box", "a.dead", "b.Orphan"]
+
+
+def test_no_unreferenced_definitions():
+    sources = {p.stem: p.read_text() for p in sorted(SRC.glob("*.py"))}
+    found = unreferenced_definitions(sources)
+    assert [d for d in found if d.split(".")[1] not in UNREFERENCED_OK] == []
+    # an exception that is referenced again leaves the list
+    assert {d.split(".")[1] for d in found} >= set(UNREFERENCED_OK)

@@ -3,7 +3,7 @@ import pytest
 import scipy.sparse as sp
 
 from mcsip import ldr
-from mcsip.aggregate import Transformation, build_aggregation, build_policy_graph
+from mcsip.aggregate import Transformation, build_aggregation
 from mcsip.hdr import build_hdr_aggregated
 from mcsip.ldr import LdrVariant, _BendersOracle, benders_solve, build_ldr_model, \
     evaluate_policy_extensive, extract_policy, node_basis
@@ -52,16 +52,6 @@ def test_lambda_copies_variant_m(hdr_pair):
         states = {ma.tree.node(n).mc_state.attrs for n in ma.tree.stage_nodes(t)}
         keys = [k for k in model.layout.lam_off if k[0] == "m" and k[1] == t]
         assert len(keys) == len(states)
-
-
-def test_second_stage_counts(hdr_pair):
-    ma, agg = hdr_pair
-    pg = build_policy_graph(ma.tree, agg)
-    th = build_ldr_model(ma, agg, LdrVariant("th"))
-    assert th.n_second_stage == len(ma.tree) - 1
-    for kind in ("t", "m"):
-        model = build_ldr_model(ma, agg, LdrVariant(kind))
-        assert model.n_second_stage == len(pg.subproblems)
 
 
 def test_deterministic_chain_ldr_is_exact():
@@ -136,13 +126,36 @@ def _lagging_point(model, x):
     return x
 
 
+def _appended_rows(master, first: int):
+    """(columns -> coefficient, rhs) of the master rows from index first on."""
+    A = master.A.tocsr()
+    for i in range(first, A.shape[0]):
+        span = slice(A.indptr[i], A.indptr[i + 1])
+        yield dict(zip(A.indices[span].tolist(), A.data[span].tolist())), master.rhs[i]
+
+
+def _optimality_cut(lay, cols: dict, rhs: float) -> dict:
+    """The cut theta - grad.w >= const of a row with a theta column."""
+    cols = dict(cols)
+    key = next(key for key, off in lay.theta_off.items() if off in cols)
+    assert cols.pop(lay.theta_off[key]) == 1.0
+    grad = np.zeros(lay.n_cols)
+    grad[list(cols)] = [-v for v in cols.values()]
+    return {"theta_key": key, "grad": grad, "const": rhs}
+
+
 def test_hybrid_cuts_underestimate_group_value(hdr_pair):
     ma, agg = hdr_pair
     model = build_ldr_model(ma, agg, LdrVariant("t"))
+    n_model_rows = model.master.A.shape[0]
     sol = benders_solve(model)
-    opt_cuts = [c for c in sol.emitted_cuts if c["kind"] == "optimality"]
-    assert opt_cuts
     lay = model.layout
+    thetas = set(lay.theta_off.values())
+    # the solve's optimality cuts, read back from the rows it appended
+    opt_cuts = [_optimality_cut(lay, cols, rhs)
+                for cols, rhs in _appended_rows(model.master, n_model_rows)
+                if thetas & cols.keys()]
+    assert opt_cuts
     base = sol.x
 
     # one scan at a point where every group with a positive value lags
@@ -155,13 +168,10 @@ def test_hybrid_cuts_underestimate_group_value(hdr_pair):
     assert len(lagging) >= 2 and len(rows) == len(lagging)
     row_cuts = []
     for key, (cols, sense, rhs) in zip(lagging, rows):
-        theta = lay.theta_off[key]
-        assert sense == "G" and cols.pop(theta) == 1.0
-        grad = np.zeros(lay.n_cols)
-        grad[list(cols)] = [-v for v in cols.values()]
-        row_cuts.append({"theta_key": key, "grad": grad, "const": rhs, "gen_w": x,
-                         "gen_value": oracle.group_value(key, x)[0]})
-    assert [c["theta_key"] for c in oracle.emitted] == lagging
+        cut = _optimality_cut(lay, cols, rhs)
+        assert sense == "G" and cut["theta_key"] == key
+        cut.update(gen_w=x, gen_value=oracle.group_value(key, x)[0])
+        row_cuts.append(cut)
 
     rng = np.random.default_rng(0)
     for cut in opt_cuts[:12] + row_cuts:
@@ -184,9 +194,9 @@ def test_hybrid_cuts_underestimate_group_value(hdr_pair):
                 continue
             cut_val = float(cut["grad"] @ w) + cut["const"]
             assert cut_val <= total + 1e-6
-        # tight where generated
-        gen_val = float(cut["grad"] @ cut["gen_w"]) + cut["const"]
-        assert gen_val == pytest.approx(cut["gen_value"], abs=1e-6)
+        if "gen_w" in cut:  # tight where generated
+            gen_val = float(cut["grad"] @ cut["gen_w"]) + cut["const"]
+            assert gen_val == pytest.approx(cut["gen_value"], abs=1e-6)
 
 
 def test_accepted_points_solve_no_node_lp_twice(hdr_pair, monkeypatch):
@@ -246,11 +256,15 @@ def test_feasibility_cuts_drive_master_to_feasible_rules():
     m = Msilp(tree=tree, data=data, k=k, l=l, r=r)
     agg = build_aggregation(tree, Transformation("ma"))
     model = build_ldr_model(m, agg, LdrVariant("t"))
+    n_model_rows = model.master.A.shape[0]
     sol = benders_solve(model)
     ex = branch_and_cut(build_aggregated_extensive_form(m, agg))
     # rule covers the single scenario exactly, so the bound is tight
     assert sol.objective == pytest.approx(ex.objective, rel=1e-6)
-    assert any(c["kind"] == "feasibility" for c in sol.emitted_cuts)
+    # a feasibility cut is an appended master row without a theta column
+    thetas = set(model.layout.theta_off.values())
+    assert any(not thetas & cols.keys()
+               for cols, _ in _appended_rows(model.master, n_model_rows))
 
 
 def test_generic_ldr_bounds_above_aggregated_optimum():

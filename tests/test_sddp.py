@@ -58,7 +58,7 @@ def candidate_for(engine, m, agg, x_root=None):
     z = {g: np.zeros(m.l) for g in agg.group_index}
     theta = {nid: engine.cfg.theta_lb for nid in m.tree.node(m.tree.root).children}
     return MasterPoint(np.zeros(m.k) if x_root is None else np.asarray(x_root, float),
-                       z, theta, agg.node_to_group[m.tree.root], serial=0)
+                       z, theta, agg.node_to_group[m.tree.root])
 
 
 def test_two_stage_reduces_to_benders():
@@ -189,10 +189,11 @@ def test_forward_pass_visits_state_keyed_subproblems():
             target = leaf
     assert target is not None
     cand = candidate_for(engine, m, agg)
-    engine._forward(tpath(m.tree, target)[1:], cand, {})
-    assert [key[:2] for key in engine.visit_log] == \
-        [(2, (1,)), (3, (1,)), (4, (1,))]
-    for key in engine.visit_log:
+    sols = {}
+    assert engine._forward(tpath(m.tree, target)[1:], cand, sols) is None
+    visited = [engine.pgraph.node_to_sub[nid] for nid in sols]
+    assert [key[:2] for key in visited] == [(2, (1,)), (3, (1,)), (4, (1,))]
+    for key in visited:
         assert key[1] == (1,)  # every visited subproblem is keyed by dark
 
 
@@ -221,7 +222,6 @@ def test_feasibility_cuts_satisfied_at_feasible_points():
     zv = {g: np.zeros(m.l) for g in agg.group_index}
     x_bad = np.array([3.0])
     assert engine.solve_sub(sub, x_bad, zv, pg).status == "infeasible"
-    sub.set_rhs(x_bad, zv, pg)
     cut = engine.make_feasibility_cut(sub, x_bad, zv, pg)
     assert cut.value_at(cut.gen_x, cut.gen_z, cut.gen_parent_group) > 0
     rng = np.random.default_rng(2)

@@ -1,11 +1,10 @@
-import io
 
 import numpy as np
 import pytest
 
 from mcsip.errors import Overflow, UnknownNode
 from mcsip.markov import MarkovChain, McState
-from mcsip.tree import build_tree, export_edges_csv, mc_history, path
+from mcsip.tree import build_tree, mc_history, path
 
 from conftest import DARK, LIGHT, random_chain
 
@@ -113,10 +112,3 @@ def test_node_cap_overflow(two_state_chain):
     with pytest.raises(Overflow):
         build_tree(two_state_chain, 6, cap=10)
 
-
-def test_edge_list_export(two_state_tree):
-    buf = io.StringIO()
-    export_edges_csv(two_state_tree, buf)
-    lines = buf.getvalue().strip().splitlines()
-    assert lines[0] == "parent,child,p_cond"
-    assert len(lines) == 1 + 14  # every non-root node contributes one edge
