@@ -25,7 +25,7 @@ from .errors import ConfigError
 from .hdr import HdrConfig, generate_instance, load_instance, save_instance, \
     build_hdr_aggregated, build_hdr_msilp
 from .ldr import LdrVariant, benders_solve, build_ldr_model, extract_policy
-from .lp_engine import TIME_LIMIT, DeadlineReached, branch_and_cut
+from .lp_engine import TIME_LIMIT, DeadlineReached, branch_and_cut, relative_gap
 from .model import build_aggregated_extensive_form, z_values
 from .sddp import SddpConfig, evaluate_policy, solve_exact, solve_lower_bound
 
@@ -119,8 +119,7 @@ def run_solve(inst, method: str, tr: Transformation, *, eps: float | None,
                     except DeadlineReached:
                         out.update(status=TIME_LIMIT, objective=None, gap=None)
                     else:
-                        out.update(objective=val,
-                                   gap=(val - bound) / max(abs(val), 1e-9))
+                        out.update(objective=val, gap=relative_gap(val, bound))
         if z is not None:
             out["z"] = [[_group_key_to_json(g), list(map(float, v))]
                         for g, v in sorted(z.items())]

@@ -44,7 +44,7 @@ import scipy.sparse as sp
 from .aggregate import AggregationMap, GroupKey
 from .errors import InfeasibleModel, NumericalFailure, Overflow
 from .lp_engine import (INFEASIBLE, OPTIMAL, THETA_LB, VIOL_GUARD, CutOracle, MipSolution,
-                        branch_and_cut, cut_row, solve_lp, violation_certificate)
+                        branch_and_cut, cut_row, relative_gap, solve_lp, violation_certificate)
 from .model import GE, LE, LpProblem, MipProblem, Msilp, RowBlock, assemble, \
     first_stage_columns, first_stage_offsets, node_rows, z_values
 from .tree import path as tree_path
@@ -341,7 +341,7 @@ def benders_solve(model: LdrModel, eps: float | None = None,
         lay = model.layout
         m = model.msilp
         out.objective = oracle.true_cost(sol.x)
-        out.gap = (out.objective - sol.bound) / max(abs(out.objective), 1e-9)
+        out.gap = relative_gap(out.objective, sol.bound)
         out.z_by_group = z_values(lay.z_off, m.l, sol.x)
         out.lam = {key: sol.x[off:off + m.k * lay.lam_cols[key]]
                    .reshape(m.k, lay.lam_cols[key]).copy()

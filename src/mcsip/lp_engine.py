@@ -123,6 +123,11 @@ class MipSolution:
     cuts: int = 0
 
 
+def relative_gap(objective: float, bound: float) -> float:
+    """The reported gap of an objective over its bound."""
+    return (objective - bound) / max(abs(objective), 1e-9)
+
+
 class DeadlineReached(Exception):
     """A time limit stopped work before it had a result to return."""
 
@@ -224,7 +229,7 @@ def _run_highs(c, indptr, indices, data, row_lo, row_up, lb, ub,
         status = _HIGHS_STATUS.get(res["status"])
         if status != OPTIMAL:
             return status, res
-        sol, fun = h.getSolution(), h.getInfo().objective_function_value
+        sol, fun = h.getSolution(), h.getObjectiveValue()
         x, ax = np.array(sol.col_value), np.array(sol.row_value)
         # linprog's check of an optimum: no nan, bounds and rows hold to its tolerance
         if (np.isnan(x).any() or np.isnan(ax).any() or np.isnan(fun)
@@ -463,9 +468,8 @@ def branch_and_cut(p: MipProblem, oracle: CutOracle | None = None,
             return MipSolution(status=TIME_LIMIT, bound=open_bound if n_nodes else None,
                                nodes=n_nodes, cuts=n_cuts)
         return MipSolution(status=INFEASIBLE, nodes=n_nodes, cuts=n_cuts)
-    gap = (inc_obj - bound) / max(abs(inc_obj), 1e-9)
-    return MipSolution(status=status, x=incumbent, objective=inc_obj,
-                       bound=bound, gap=gap, nodes=n_nodes, cuts=n_cuts)
+    return MipSolution(status=status, x=incumbent, objective=inc_obj, bound=bound,
+                       gap=relative_gap(inc_obj, bound), nodes=n_nodes, cuts=n_cuts)
 
 
 def _round_and_fix(p: MipProblem, sub: LpProblem, x, int_cols):

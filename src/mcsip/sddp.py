@@ -36,8 +36,10 @@ block mapped by its column offset.  The master is canonical (tiny
 coefficients dropped, rounded, duplicate rows removed); each subproblem LP
 is positional, and its state, copy and linking rows take their rhs from
 the map LDR's node LPs use: rhs = const + R w at the incoming state w,
-cut slope R' pi, both built by the same assembler.  Subproblem optima are
-memoised by (subproblem, state) until the next pool change.  solve_exact,
+cut slope R' pi, both built by the same assembler.  Each subproblem
+memoises its optima by state until a cut lands in it: its rhs is re-set
+before every solve and its costs and bounds never change, so only an
+appended cut row changes its LP.  solve_exact,
 solve_lower_bound and evaluate_policy share one driver: master, optional
 policy fixing, root cut loop, branch and cut.
 """
@@ -46,6 +48,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field, replace
+from typing import NamedTuple
 
 import numpy as np
 import scipy.sparse as sp
@@ -53,7 +56,7 @@ import scipy.sparse as sp
 from .aggregate import AggregationMap, GroupKey, PolicyGraph, SubKey, build_policy_graph
 from .errors import InfeasiblePolicy, MissingDuals, NumericalFailure
 from .lp_engine import (INFEASIBLE, OPTIMAL, THETA_LB, TIME_LIMIT, VIOL_GUARD, CutOracle,
-                        DeadlineReached, LpSolution, MipSolution, add_rows,
+                        DeadlineReached, MipSolution, add_rows,
                         branch_and_cut, cut_row, solve_lp, violation_certificate)
 from .model import EQ, LpProblem, MipProblem, Msilp, RowBlock, assemble, \
     first_stage_columns, first_stage_offsets, node_rows, z_values
@@ -139,7 +142,9 @@ class _Sub:
 
     The state, copy and linking rows come first, with rhs const + R @ w at
     the incoming state w = [x_parent | z of the parent group | z of each
-    zeta group]; pooled cut rows follow with their own rhs."""
+    zeta group]; pooled cut rows follow with their own rhs.  memo maps an
+    incoming state's bytes to the LP's optimum there; add_cut empties it
+    when it appends a row."""
 
     def __init__(self, key: SubKey, engine: "SddpEngine"):
         self.key = key
@@ -189,6 +194,7 @@ class _Sub:
             lo[self.theta_col[ck]] = engine.cfg.theta_lb
         self.lp = LpProblem(c=c, A=A, senses=senses, rhs=np.zeros(senses.size),
                             lo=lo, up=up)
+        self.memo: dict[bytes, _SubOptimum] = {}
 
     def state(self, x_par: np.ndarray, zvals: dict[GroupKey, np.ndarray],
               parent_group: GroupKey) -> np.ndarray:
@@ -196,12 +202,24 @@ class _Sub:
                               + [zvals[g] for g in self.zeta_groups])
 
 
+class _SubOptimum(NamedTuple):
+    """What forward passes and cuts read of a subproblem solve: the state
+    x[:k], the child thetas and the duals of the structural rows; all but
+    status are None when it is not optimal."""
+
+    status: str
+    objective: float | None = None
+    x: np.ndarray | None = None
+    thetas: np.ndarray | None = None
+    duals: np.ndarray | None = None
+
+
 @dataclass
 class _SubSolution:
     value: float
     x: np.ndarray
     thetas: dict[SubKey, float]
-    lp_solution: LpSolution
+    opt: _SubOptimum
     x_par: np.ndarray
     zvals: dict[GroupKey, np.ndarray]
     parent_group: GroupKey
@@ -224,8 +242,6 @@ class SddpEngine:
         self.pools: dict[SubKey, list[Cut]] = {k: [] for k in self.pgraph.subproblems}
         self._pool_sigs: dict[SubKey, set] = {k: set() for k in self.pgraph.subproblems}
         self.master_pool: dict[int, list[Cut]] = {}
-        self._memo: dict[tuple, LpSolution] = {}  # (sub key, state) -> optimum
-        self._stage2_seen: set = set()
         self.deadline = None if cfg.time_limit is None else \
             time.monotonic() + cfg.time_limit
         tree = m.tree
@@ -261,7 +277,7 @@ class SddpEngine:
                    gen_parent_group=parent_group, gen_value=value)
 
     def make_optimality_cut(self, sub: _Sub, ss: _SubSolution) -> Cut:
-        sol = ss.lp_solution
+        sol = ss.opt
         if sol.status != OPTIMAL or sol.duals is None:
             raise MissingDuals(f"subproblem {sub.key} not solved to optimality")
         return self._cut(sub, "optimality", sol.duals, ss.value, ss.x_par, ss.zvals,
@@ -293,25 +309,29 @@ class SddpEngine:
             theta = host.theta_col[cut.owner] if cut.kind == "optimality" else None
             add_rows(host.lp, [cut_row(theta, cut.terms(host.x0, host.zeta_col[host.group],
                                                         host.zeta_col), cut.gamma)])
-        self._memo.clear()
+            host.memo.clear()
         return True
 
     # -- forward / backward ------------------------------------------------
 
-    def solve_sub(self, sub: _Sub, x_par, zvals, parent_group) -> LpSolution:
+    def solve_sub(self, sub: _Sub, x_par, zvals, parent_group) -> _SubOptimum:
         """The subproblem LP at this state; optima are memoised by state until
-        the next pool change."""
+        a cut lands in this subproblem."""
         self._check_time()
         w = sub.state(x_par, zvals, parent_group)
-        key = (sub.key, w.tobytes())
-        hit = self._memo.get(key)
+        key = w.tobytes()
+        hit = sub.memo.get(key)
         if hit is not None:
             return hit
         sub.lp.rhs[:sub.const.size] = sub.const + sub.R @ w
         sol = solve_lp(sub.lp, want_farkas=False)
-        if sol.status == OPTIMAL:
-            self._memo[key] = sol
-        return sol
+        if sol.status != OPTIMAL:
+            return _SubOptimum(sol.status)
+        # copies, not views: an entry must not keep the full solution alive
+        opt = sub.memo[key] = _SubOptimum(
+            OPTIMAL, float(sol.objective), sol.x[:self.msilp.k].copy(),
+            sol.x[sub.theta0:].copy(), sol.duals[:sub.const.size].copy())
+        return opt
 
     def sddp_subroutine(self, candidate: MasterPoint, n_child: int) -> Cut | None:
         cfg = self.cfg
@@ -367,9 +387,8 @@ class SddpEngine:
                 return cut
             if sol.status != OPTIMAL:
                 raise NumericalFailure(f"subproblem {sub.key}: {sol.status}")
-            thetas = {ck: float(sol.x[sub.theta_col[ck]]) for ck, _ in sub.children}
-            sols[nid] = _SubSolution(float(sol.objective),
-                                     sol.x[:self.msilp.k].copy(), thetas, sol,
+            thetas = {ck: float(t) for (ck, _), t in zip(sub.children, sol.thetas)}
+            sols[nid] = _SubSolution(sol.objective, sol.x, thetas, sol,
                                      np.asarray(x_par, dtype=float), zvals, pg)
         return None
 

@@ -197,6 +197,49 @@ def test_forward_pass_visits_state_keyed_subproblems():
         assert key[1] == (1,)  # every visited subproblem is keyed by dark
 
 
+def test_add_cut_clears_only_the_memos_of_its_hosts():
+    """A cut changes the LP of its owner's parents only: their memos go,
+    every other memoised optimum is still that of a cold solve of its LP,
+    and an entry holds no array longer than the structural rows."""
+    from mcsip.tree import path as tpath
+
+    m = make_random_msilp(seed=4, T=4)
+    agg = build_aggregation(m.tree, Transformation("ma"))
+    engine = SddpEngine(m, agg, SddpConfig(seed=0))
+    cand = candidate_for(engine, m, agg)
+    for n2 in m.tree.node(m.tree.root).children:  # grow the pools
+        engine.sddp_subroutine(cand, n2)
+    sols = {}
+    for frac in (0.25, 0.5, 0.75):  # memoise optima at new states
+        cand = candidate_for(engine, m, agg, x_root=frac * m.data[0].x_up)
+        for leaf in m.tree.leaves():
+            assert engine._forward(tpath(m.tree, leaf)[1:], cand, sols) is None
+    cuts = (engine.make_optimality_cut(engine.subs[engine.pgraph.node_to_sub[n]], ss)
+            for n, ss in sols.items() if m.tree.node(n).stage > 2)
+    cut = next(c for c in cuts if engine._cut_signature(c) not in engine._pool_sigs[c.owner])
+    hosts = set(engine.pgraph.parents[cut.owner])
+    before = {key: dict(sub.memo) for key, sub in engine.subs.items()}
+    assert engine.add_cut(cut)
+
+    kept = 0
+    for key, sub in engine.subs.items():
+        if key in hosts:
+            assert before[key] and not sub.memo
+            continue
+        assert sub.memo == before[key]
+        for w, opt in sub.memo.items():
+            assert max(a.size for a in (opt.x, opt.thetas, opt.duals)) <= sub.const.size
+            cold = LpProblem(c=sub.lp.c, A=sub.lp.A, senses=sub.lp.senses,
+                             rhs=sub.lp.rhs.copy(), lo=sub.lp.lo, up=sub.lp.up)
+            cold.rhs[:sub.const.size] = sub.const + sub.R @ np.frombuffer(w)
+            fresh = solve_lp(cold, want_farkas=False)
+            assert fresh.objective == pytest.approx(opt.objective, rel=1e-9, abs=1e-9)
+            np.testing.assert_allclose(opt.duals, fresh.duals[:sub.const.size],
+                                       rtol=1e-9, atol=1e-9)
+            kept += 1
+    assert kept > 0
+
+
 def test_feasibility_cut_spec_example():
     # child row forces x_parent <= 0; the engine must cut the root to x <= 0
     m = chain_msilp(child_rows=(None, None, [1.0], [0.0], "G"),
@@ -235,6 +278,28 @@ def test_feasibility_cuts_satisfied_at_feasible_points():
         else:
             infeas += 1
     assert feas > 0 and infeas > 0
+
+
+def test_feasibility_cut_in_a_subproblem_hosting_cuts():
+    # every child feasible exactly when x_parent <= 1; the stage-2
+    # subproblem hosts a stage-3 cut when its feasibility cut is made, so
+    # the phase-1 duals cover more rows than the rhs map
+    m = chain_msilp(child_rows=([[0.0], [0.0]], [[0.0], [1.0]], [[1.0], [0.0]],
+                                [-1.0, 0.5], "GG"), T=3)
+    agg = build_aggregation(m.tree, Transformation("fh"))
+    engine = SddpEngine(m, agg, SddpConfig(seed=0))
+    n2, n3 = m.tree.stage_nodes(2)[0], m.tree.stage_nodes(3)[0]
+    sols = {}
+    assert engine._forward([n2, n3], candidate_for(engine, m, agg, x_root=[0.5]), sols) is None
+    sub3 = engine.subs[engine.pgraph.node_to_sub[n3]]
+    assert engine.add_cut(engine.make_optimality_cut(sub3, sols[n3]))
+    sub2 = engine.subs[engine.pgraph.node_to_sub[n2]]
+    assert sub2.lp.m > sub2.const.size
+    pg = agg.node_to_group[m.tree.root]
+    zv = {g: np.zeros(m.l) for g in agg.group_index}
+    cut = engine.make_feasibility_cut(sub2, np.array([3.0]), zv, pg)
+    assert cut.value_at(cut.gen_x, cut.gen_z, cut.gen_parent_group) > 0
+    assert cut.value_at(np.array([1.0]), zv, pg) <= 1e-7
 
 
 def test_lower_bound_below_exact_and_eps_monotonicity(hdr_toy_msilp):
