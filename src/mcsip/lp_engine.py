@@ -12,13 +12,13 @@ own order as row bounds ([rhs, inf) for '>=', (-inf, rhs] for '<=',
 [rhs, rhs] for '==').
 
 Warm starts: an LpProblem keeps the basis of its last optimal solve, as
-the HighsBasis object HiGHS returned, and the next solve of the same object
-hands that object back and starts HiGHS's dual simplex from it without
-presolve.  Rows appended since (add_rows) enter as basic, in a new
-HighsBasis; a column count that no longer matches makes the solve cold,
-and a warm solve that ends in no usable status is retried once cold.
-Re-solves after an rhs edit, a bound change or an appended cut thus cost a
-few pivots.
+(columns, rows, the HighsBasis HiGHS returned).  The next solve of the same
+object hands HiGHS that many rows of the row-wise model (p.A's CSR arrays
+as they are), then that basis unmodified (B&B siblings share it), then the
+rows appended since (add_rows) with addRows, which makes them basic, and
+runs dual simplex without presolve.  A column count that no longer matches
+makes the solve cold; a warm solve that ends in no usable status is retried
+once cold.
 
 Dual convention (minimization): duals[i] = d obj / d rhs[i], so '>=' rows
 carry nonnegative duals and '<=' rows nonpositive ones; this is HiGHS's own
@@ -93,11 +93,12 @@ _HIGHS_STATUS = {
     highs.HighsModelStatus.kModelError: INFEASIBLE,   # as linprog reports it
     highs.HighsModelStatus.kUnbounded: UNBOUNDED,
 }
-_BASIC = highs.HighsBasisStatus.kBasic
-_COLWISE = int(highs.MatrixFormat.kColwise)
+_ROWWISE = int(highs.MatrixFormat.kRowwise)
+_ERROR = highs.HighsStatus.kError
 _MINIMIZE = int(highs.ObjSense.kMinimize)
 _ACCEPT_TOL = np.sqrt(1e-9) * 10  # linprog's tolerance for accepting an optimum
 _HIGHS = highs._Highs()  # the process's one HiGHS object, model-free between solves
+_passed_options = None   # the options object _HIGHS was last given
 
 
 @dataclass
@@ -108,8 +109,23 @@ class LpSolution:
     lo_duals: np.ndarray | None = None
     up_duals: np.ndarray | None = None
     objective: float | None = None
-    dual_objective: float | None = None
     farkas: np.ndarray | None = None
+    _row_bounds: tuple | None = field(default=None, repr=False, compare=False)
+
+    @property
+    def dual_objective(self) -> float | None:
+        """rhs'duals plus every finite bound times its multiplier, computed
+        when read; None unless optimal.  It reads only arrays the solve
+        made, as callers edit p's rhs and bounds in place."""
+        if self._row_bounds is None:
+            return None
+        row_lo, row_up = self._row_bounds
+        val = float(self.duals @ np.where(row_lo == -np.inf, row_up, row_lo))
+        # a multiplier is nonzero only where x sits at its (finite) bound
+        for bound_duals in (self.lo_duals, self.up_duals):
+            mask = bound_duals != 0.0
+            val += float(bound_duals[mask] @ self.x[mask])
+        return val
 
 
 @dataclass
@@ -132,58 +148,34 @@ class DeadlineReached(Exception):
     """A time limit stopped work before it had a result to return."""
 
 
-def _colwise(p: LpProblem):
-    """Column-wise matrix that HiGHS gets, cached on the matrix object and
-    reused while the matrix is unchanged (add_rows replaces it)."""
-    cache = getattr(p.A, "_mcsip_csc", None)
+def _rowwise(p: LpProblem):
+    """The CSR arrays of p.A that HiGHS gets, indices as int32, cached on
+    the matrix object and checked finite once (add_rows replaces it)."""
+    cache = getattr(p.A, "_mcsip_csr", None)
     if cache is None:
-        a = p.A.tocsc()
+        a = p.A.tocsr()
         if not np.isfinite(a.data).all():
             raise ValueError("constraint matrix holds inf or nan")
-        cache = p.A._mcsip_csc = (a.indptr.astype(np.int32, copy=False),
+        cache = p.A._mcsip_csr = (a.indptr.astype(np.int32, copy=False),
                                   a.indices.astype(np.int32, copy=False), a.data)
     return cache
-
-
-def _dual_objective(p: LpProblem, duals, lo_duals, up_duals) -> float:
-    val = float(duals @ p.rhs)
-    mask = (lo_duals != 0.0) & np.isfinite(p.lo)
-    val += float(lo_duals[mask] @ p.lo[mask])
-    mask = (up_duals != 0.0) & np.isfinite(p.up)
-    val += float(up_duals[mask] @ p.up[mask])
-    return val
-
-
-def _start_basis(p: LpProblem):
-    """p's last optimal basis, with rows appended since it was taken made
-    basic; None (a cold start) when there is none or the columns changed.
-    The stored HighsBasis is never modified: B&B siblings share it."""
-    if p.basis is None:
-        return None
-    n, m, basis = p.basis
-    if n != p.n or m > p.m:
-        return None
-    if m == p.m:
-        return basis
-    grown = highs.HighsBasis()
-    grown.col_status = basis.col_status
-    grown.row_status = basis.row_status + [_BASIC] * (p.m - m)
-    grown.valid = True
-    return grown
 
 
 def solve_lp(p: LpProblem, want_farkas: bool = True) -> LpSolution:
     """Solve min c'x s.t. rows, bounds, warm from p's last optimal basis when
     it has one (deterministically either way); an optimum stores its basis
     on p."""
-    c = np.array(p.c, dtype=float)
+    c = np.asarray(p.c, dtype=float)
     rhs = np.asarray(p.rhs, dtype=float)
     if not (np.isfinite(c).all() and np.isfinite(rhs).all()):
         raise ValueError("objective or rhs holds inf or nan")
-    model = (c, *_colwise(p), np.where(p.senses == LE, -np.inf, rhs),
-             np.where(p.senses == GE, np.inf, rhs),
-             np.array(p.lo, dtype=float), np.array(p.up, dtype=float))
-    basis = _start_basis(p)
+    row_lo = np.where(p.senses == LE, -np.inf, rhs)
+    row_up = np.where(p.senses == GE, np.inf, rhs)
+    model = (c, *_rowwise(p), row_lo, row_up,
+             np.asarray(p.lo, dtype=float), np.asarray(p.up, dtype=float))
+    basis = p.basis
+    if basis is not None and (basis[0] != p.n or basis[1] > p.m):
+        basis = None  # columns changed or rows dropped: a cold start
     status, res = _run_highs(*model, basis)
     if status is None and basis is not None:  # one cold retry
         status, res = _run_highs(*model, None)
@@ -197,33 +189,40 @@ def solve_lp(p: LpProblem, want_farkas: bool = True) -> LpSolution:
     if status is None:
         raise NumericalFailure(f"HiGHS ended with {res['status']}")
     p.basis = res["basis"]
-    duals = res["row_dual"]
     lo_d, up_d = res["marg_bnds"]
-    return LpSolution(
-        status=OPTIMAL, x=res["x"], duals=duals,
-        lo_duals=lo_d, up_duals=up_d, objective=float(res["fun"]),
-        dual_objective=_dual_objective(p, duals, lo_d, up_d),
-    )
+    return LpSolution(status=OPTIMAL, x=res["x"], duals=res["row_dual"], lo_duals=lo_d,
+                      up_duals=up_d, objective=float(res["fun"]),
+                      _row_bounds=(row_lo, row_up))
 
 
 def _run_highs(c, indptr, indices, data, row_lo, row_up, lb, ub,
                basis) -> tuple[str | None, dict]:
     """One HiGHS LP solve of min c'x, row_lo <= A x <= row_up, lb <= x <= ub
-    (A column-wise, int32 indices), from basis without presolve when one is
-    given.
+    (A row-wise, int32 indices), without presolve from basis = (columns,
+    rows m0, HighsBasis) when one is given: the first m0 rows go in with
+    the basis, the rest are appended after it.
 
     Returns (status, result); status is None for an outcome solve_lp cannot
-    use: a HiGHS status it does not map, a rejected basis, or an optimum
-    that fails linprog's acceptance check."""
+    use: a HiGHS status it does not map, a rejected basis or appended rows,
+    or an optimum that fails linprog's acceptance check."""
+    global _passed_options
     h = _HIGHS
+    m = row_lo.size
+    m0 = m if basis is None else basis[1]
+    nz0 = int(indptr[m0])
     try:
-        h.passOptions(_COLD_OPTIONS if basis is None else _WARM_OPTIONS)
-        if h.passModel(c.size, row_lo.size, int(indptr[-1]), _COLWISE, _MINIMIZE, 0.0,
-                       c, lb, ub, row_lo, row_up, indptr, indices, data,
-                       np.zeros(c.size, dtype=np.int32)) == highs.HighsStatus.kError:
+        options = _COLD_OPTIONS if basis is None else _WARM_OPTIONS
+        if options is not _passed_options:
+            h.passOptions(options)
+            _passed_options = options
+        if h.passModel(c.size, m0, nz0, _ROWWISE, _MINIMIZE, 0.0, c, lb, ub,
+                       row_lo[:m0], row_up[:m0], indptr[:m0 + 1], indices[:nz0],
+                       data[:nz0], np.zeros(c.size, dtype=np.int32)) == _ERROR:
             return INFEASIBLE, {"status": highs.HighsModelStatus.kModelError}
-        if basis is not None and h.setBasis(basis) == highs.HighsStatus.kError:
-            return None, {"status": "a rejected basis"}
+        if basis is not None and (h.setBasis(basis[2]) == _ERROR or m0 < m and h.addRows(
+                m - m0, row_lo[m0:], row_up[m0:], int(indptr[m]) - nz0, indptr[m0:m] - nz0,
+                indices[nz0:], data[nz0:]) == _ERROR):
+            return None, {"status": "a rejected basis or rejected appended rows"}
         h.run()
         res = {"status": h.getModelStatus()}
         status = _HIGHS_STATUS.get(res["status"])

@@ -294,6 +294,22 @@ def cold_copy(p):
                      rhs=p.rhs.copy(), lo=p.lo.copy(), up=p.up.copy())
 
 
+def random_rows(rng, z, count):
+    """count rows over z's columns, of mixed senses with explicit zero
+    coefficients, that hold at z: '>=' and '<=' rows with up to 0.3 slack,
+    '==' rows exactly."""
+    rows = []
+    for _ in range(count):
+        cols = rng.choice(z.size, size=int(rng.integers(1, z.size + 1)), replace=False)
+        vals = rng.uniform(-1, 1, size=cols.size)
+        vals[rng.random(cols.size) < 0.3] = 0.0
+        sense = str(rng.choice(["G", "L", "E"]))
+        slack = {"G": -1.0, "L": 1.0, "E": 0.0}[sense] * rng.uniform(0.0, 0.3)
+        rows.append(({int(j): float(v) for j, v in zip(cols, vals)}, sense,
+                     float(vals @ z[cols]) + slack))
+    return rows
+
+
 def test_warm_resolve_after_rhs_and_bound_changes_matches_cold(warm_starts):
     rng = np.random.default_rng(7)
     checked = 0
@@ -337,6 +353,83 @@ def test_warm_resolve_after_appended_rows_matches_cold(warm_starts):
             assert warm.objective == pytest.approx(cold.objective, rel=1e-9, abs=1e-9)
             assert warm.dual_objective == pytest.approx(warm.objective, rel=1e-9, abs=1e-9)
             x = warm.x
+
+    # batches of several rows, all holding at a point z between two vertices,
+    # so every LP stays feasible; the basis falls one to three batches behind
+    moved = 0
+    for _ in range(40):
+        p = random_feasible_lp(rng)
+        x = solve_lp(p).x
+        flipped = cold_copy(p)
+        flipped.c = -flipped.c
+        z = (x + solve_lp(flipped).x) / 2
+        for batches in (1, 2, 3):
+            for _ in range(batches):
+                add_rows(p, random_rows(rng, z, int(rng.integers(1, 5))))
+            del warm_starts[:]
+            warm = solve_lp(p)
+            cold = solve_lp(cold_copy(p))
+            assert warm_starts == [True, False]
+            assert warm.status == cold.status == "optimal"
+            assert warm.objective == pytest.approx(cold.objective, rel=1e-9, abs=1e-9)
+            assert warm.dual_objective == pytest.approx(warm.objective, rel=1e-9, abs=1e-9)
+            moved += not np.array_equal(warm.x, x)
+            x = warm.x
+    assert moved >= 80, "most batches cut the last optimum off"
+
+
+class RecordingHighs:
+    """The shared HiGHS object, with its setBasis, addRows and passOptions
+    calls recorded."""
+
+    def __init__(self, h):
+        self.h, self.calls = h, []
+
+    def __getattr__(self, name):
+        attr = getattr(self.h, name)
+        if name not in ("setBasis", "addRows", "passOptions"):
+            return attr
+
+        def recorded(*args):
+            self.calls.append((name, args))
+            return attr(*args)
+        return recorded
+
+
+def test_warm_solve_hands_highs_the_stored_basis_then_only_the_appended_rows(monkeypatch):
+    rng = np.random.default_rng(14)
+    h = RecordingHighs(lp_engine._HIGHS)
+    monkeypatch.setattr(lp_engine, "_HIGHS", h)
+    for _ in range(20):
+        p = random_feasible_lp(rng)
+        x = solve_lp(p).x
+        stored, m0 = p.basis, p.m
+        statuses = list(stored[2].row_status)
+        first = random_rows(rng, x, int(rng.integers(1, 5)))  # both hold at x
+        second = random_rows(rng, x, int(rng.integers(1, 5)))
+        add_rows(p, first)
+        add_rows(p, second)
+        rows = first + second
+        del h.calls[:]
+        assert solve_lp(p).status == "optimal"
+        set_basis = [args for name, args in h.calls if name == "setBasis"]
+        added = [args for name, args in h.calls if name == "addRows"]
+        assert set_basis[0][0] is stored[2] and not stored[2].alien
+        k, lower, upper, nnz, starts, indices, values = added[0]
+        cols = [sorted(r[0]) for r in rows]
+        assert k == len(rows) == p.m - m0 and nnz == sum(map(len, cols))
+        assert lower.tolist() == [-np.inf if s == "L" else b for _, s, b in rows]
+        assert upper.tolist() == [np.inf if s == "G" else b for _, s, b in rows]
+        assert starts.tolist() == np.cumsum([0] + [len(c) for c in cols[:-1]]).tolist()
+        assert indices.tolist() == [j for c in cols for j in c]
+        assert values.tolist() == [r[0][j] for r, c in zip(rows, cols) for j in c]
+        assert stored[1] == m0 == len(stored[2].row_status)
+        assert list(stored[2].row_status) == statuses
+        # the next warm solve appends nothing and keeps HiGHS's options
+        assert p.basis[1] == p.m
+        del h.calls[:]
+        solve_lp(p)
+        assert [name for name, _ in h.calls] == ["setBasis"]
 
 
 def test_warm_start_that_turns_infeasible_gives_a_certified_ray(warm_starts):
