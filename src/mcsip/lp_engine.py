@@ -11,6 +11,18 @@ afterwards, so no model outlives its solve.  Rows go to HiGHS in their
 own order as row bounds ([rhs, inf) for '>=', (-inf, rhs] for '<=',
 [rhs, rhs] for '==').
 
+Loading HiGHS: _load_highs finds that module's file in scipy's
+optimize/_highspy directory with the import system's own finder, and
+registers the module in sys.modules under its full dotted name before
+running it.  A later `import scipy.optimize` then reuses the same module
+object; if scipy.optimize came first, its entry is used.  The usual import
+would first run scipy.optimize's package init, which pulls in linprog,
+minimize, scipy.linalg, scipy.special, scipy.fft and scipy.spatial (about
+250 modules) that this kernel never calls, and every mcsip command is its
+own process, so each one would pay that start-up.  One difference
+remains: a scipy.optimize._highspy imported later has no _core attribute,
+but `from scipy.optimize._highspy import _core` finds the module.
+
 Warm starts: an LpProblem keeps the basis of its last optimal solve, as
 (columns, rows, the HighsBasis HiGHS returned).  The next solve of the same
 object hands HiGHS that many rows of the row-wise model (p.A's CSR arrays
@@ -41,13 +53,17 @@ nodes and after every round of cuts.
 from __future__ import annotations
 
 import heapq
+import importlib.util
+import os
+import sys
 import time
 from dataclasses import dataclass, field
+from importlib.machinery import PathFinder
 from typing import Sequence
 
 import numpy as np
+import scipy
 import scipy.sparse as sp
-from scipy.optimize._highspy import _core as highs
 
 from .errors import DimensionMismatch, NumericalFailure
 from .model import EQ, GE, LE, LpProblem, MipProblem
@@ -72,6 +88,27 @@ def _check_highs_version(major: int, minor: int) -> None:
                           f"found {major}.{minor}")
 
 
+def _load_highs():
+    """scipy.optimize._highspy._core, loaded from its file without running
+    scipy.optimize's package init; an entry already in sys.modules is used."""
+    name = "scipy.optimize._highspy._core"
+    if name in sys.modules:
+        return sys.modules[name]
+    found = PathFinder.find_spec("_core", [os.path.join(scipy.__path__[0], "optimize", "_highspy")])
+    if found is None:
+        raise ImportError(f"mcsip needs {name}, which this scipy does not ship")
+    spec = importlib.util.spec_from_file_location(name, found.origin)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[name] = module
+    try:
+        spec.loader.exec_module(module)
+    except BaseException:
+        del sys.modules[name]
+        raise
+    return module
+
+
+highs = _load_highs()
 _check_highs_version(highs.HIGHS_VERSION_MAJOR, highs.HIGHS_VERSION_MINOR)
 
 
@@ -182,7 +219,7 @@ def solve_lp(p: LpProblem, want_farkas: bool = True) -> LpSolution:
     if status == INFEASIBLE:
         sol = LpSolution(status=INFEASIBLE)
         if want_farkas:
-            sol.farkas = _farkas_ray(p)
+            sol.farkas = violation_certificate(p)[1]
         return sol
     if status == UNBOUNDED:
         return LpSolution(status=UNBOUNDED)
@@ -285,13 +322,6 @@ def violation_certificate(p: LpProblem) -> tuple[float, np.ndarray]:
     if sol.objective <= VIOL_GUARD:
         raise NumericalFailure("phase-1 found no violation")
     return sol.objective, sol.duals
-
-
-def _farkas_ray(p: LpProblem) -> np.ndarray:
-    violation, duals = violation_certificate(p)
-    if violation <= FEAS_TOL:
-        raise NumericalFailure("phase-1 found the problem feasible")
-    return duals
 
 
 def verify_farkas(p: LpProblem, ray: np.ndarray) -> float:

@@ -2,6 +2,8 @@
 
 import ast
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -96,3 +98,34 @@ def test_no_unreferenced_definitions():
     assert [d for d in found if d.split(".")[1] not in UNREFERENCED_OK] == []
     # an exception that is referenced again leaves the list
     assert {d.split(".")[1] for d in found} >= set(UNREFERENCED_OK)
+
+
+HIGHS = "scipy.optimize._highspy._core"
+STARTUP_CHECKS = {
+    "mcsip first": f"""
+import mcsip.cli
+heavy = [m for m in ("scipy.optimize", "scipy.linalg", "scipy.special") if m in sys.modules]
+assert heavy == [], heavy
+from scipy.optimize import linprog
+res = linprog([1.0], bounds=[(2.0, 3.0)])
+assert res.status == 0 and res.x[0] == 2.0, res
+from scipy.optimize._highspy import _core
+assert _core is sys.modules["{HIGHS}"] is mcsip.lp_engine.highs
+""",
+    "scipy.optimize first": f"""
+import scipy.optimize
+before = sys.modules["{HIGHS}"]
+import mcsip.cli
+assert mcsip.lp_engine.highs is before is scipy.optimize._highspy._core
+""",
+}
+
+
+@pytest.mark.parametrize("order", sorted(STARTUP_CHECKS))
+def test_mcsip_loads_highs_without_scipy_optimize(order):
+    """Importing mcsip runs no scipy.optimize package init, and mcsip and
+    scipy.optimize share one HiGHS module in either import order."""
+    code = f"import sys\nsys.path.insert(0, {str(SRC.parent)!r})\n" + STARTUP_CHECKS[order]
+    res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         timeout=120)
+    assert res.returncode == 0, res.stderr

@@ -59,6 +59,15 @@ def test_contradictory_bounds_yield_farkas():
     assert verify_farkas(p, sol.farkas) > 1e-7
 
 
+def test_farkas_ray_of_a_barely_infeasible_lp():
+    # the least row violation, 2e-8, lies between VIOL_GUARD and FEAS_TOL
+    p = lp([1, 1], [[0.01, 0], [0.01, 0], [1, 1]], "GLG", [0.01, 0.01 * (1 - 2e-6), 0.5],
+           lo=[0, 0], up=[5, 5])
+    sol = solve_lp(p)
+    assert sol.status == "infeasible"
+    assert verify_farkas(p, sol.farkas) > 1e-9
+
+
 def test_strong_duality_and_primal_residual_random_lps():
     from mcsip.model import max_violation
 
