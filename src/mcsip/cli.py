@@ -73,8 +73,13 @@ def _transformation(name: str, pm_attrs: list[int] | None) -> Transformation:
     return Transformation(name)
 
 
-def _group_key_to_json(key) -> list:
-    return list(key)
+def _load(path: str, load):
+    """load(fp) on the file at path; one that cannot be opened is a ConfigError."""
+    try:
+        with open(path) as fp:
+            return load(fp)
+    except OSError as exc:
+        raise ConfigError(f"cannot read {path}: {exc.strerror}") from exc
 
 
 def run_solve(inst, method: str, tr: Transformation, *, eps: float | None,
@@ -83,6 +88,7 @@ def run_solve(inst, method: str, tr: Transformation, *, eps: float | None,
     """One (instance, method, transform) cell; returns the solution record."""
     t0 = time.monotonic()
     out: dict = {"method": method, "transform": tr.kind, "seed": seed}
+    z = None
     if method in ("ex", "sddp", "sddp-lb", "sddp-ub"):
         m = build_hdr_msilp(inst)
         agg = build_aggregation(m.tree, tr)
@@ -120,9 +126,6 @@ def run_solve(inst, method: str, tr: Transformation, *, eps: float | None,
                         out.update(status=TIME_LIMIT, objective=None, gap=None)
                     else:
                         out.update(objective=val, gap=relative_gap(val, bound))
-        if z is not None:
-            out["z"] = [[_group_key_to_json(g), list(map(float, v))]
-                        for g, v in sorted(z.items())]
     elif method in ("ldr-th", "ldr-t", "ldr-m"):
         m0 = build_hdr_msilp(inst)
         agg0 = build_aggregation(m0.tree, tr)
@@ -134,12 +137,12 @@ def run_solve(inst, method: str, tr: Transformation, *, eps: float | None,
                    gap=sol.gap, cuts=sol.cuts)
         if sol.x is not None:
             x_by_node, z = extract_policy(model, sol)
-            out["z"] = [[_group_key_to_json(g), list(map(float, v))]
-                        for g, v in sorted(z.items())]
             out["lam"] = [[list(key), v.tolist()] for key, v in sorted(sol.lam.items())]
             out["x_nodes"] = np.round(x_by_node, 9).tolist()
     else:
         raise ConfigError(f"unknown method {method!r}")
+    if z is not None:
+        out["z"] = [[list(g), list(map(float, v))] for g, v in sorted(z.items())]
     out["wall_time"] = time.monotonic() - t0
     return out
 
@@ -166,8 +169,7 @@ def cmd_generate(args) -> int:
 
 
 def cmd_solve(args) -> int:
-    with open(args.instance) as fp:
-        inst = load_instance(fp)
+    inst = _load(args.instance, load_instance)
     tr = _transformation(args.transform, args.pm_attrs)
     rec = run_solve(inst, args.method, tr, eps=args.eps, k=args.k,
                     seed=args.seed, time_limit=args.time_limit,
@@ -183,10 +185,11 @@ def cmd_solve(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
-    with open(args.instance) as fp:
-        inst = load_instance(fp)
-    with open(args.solution) as fp:
-        sol = json.load(fp)
+    inst = _load(args.instance, load_instance)
+    sol = _load(args.solution, json.load)
+    if "z" not in sol:
+        raise ConfigError(f"{args.solution} holds no integer policy "
+                          f"(status {sol.get('status')})")
     tr = _transformation(args.transform or sol["transform"], args.pm_attrs)
     m = build_hdr_msilp(inst)
     agg = build_aggregation(m.tree, tr)

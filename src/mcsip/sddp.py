@@ -1,27 +1,28 @@
 """Nested decomposition over the policy graph, driven as a lazy-cut oracle.
 
 The master problem owns all aggregated integer blocks, the root-stage
-continuous variables and one cost-to-go variable per stage-2 node.  Each
-policy-graph subproblem is an LP over its continuous state x, a continuous
-copy zeta of every aggregated integer block of its stage onward, its local
-variables, and one theta per child subproblem:
+continuous variables and one cost-to-go variable per stage-2 node.  Every
+integer state z is a master decision, so inside a subproblem it is a
+constant.  Each policy-graph subproblem is an LP over its continuous state
+x, its local variables y and one theta per child subproblem, with z only
+on the right-hand side:
 
     min  d'x + h'y + sum_children p * theta_child
     s.t. J x >= F x_parent + f                     (state rows)
-         zeta = zeta_parent                        (copy rows)
-         C x + D zeta[own group] + E y >= A x_parent
-              + B zeta_parent[parent group] + b    (linking rows)
-         theta_child >= cut(x, zeta)               (pooled cuts)
+         C x + E y >= A x_parent + B z[parent group]
+              - D z[own group] + b                 (linking rows)
+         theta_child - alpha'x >= gamma + beta'z[own group]
+              + sum_g rho_g'z[g]                   (pooled cuts)
 
 A cut generated from a solved subproblem is the exact dual support of its
 value as a function of the incoming state: alpha collects the F/A duals,
-the parent-group coefficient collects the B duals, and the copy-row duals
-enter separately so the cut stays valid in any same-stage host (the
-parent-group part binds to the host's own block when materialized).  Cuts
-are shared with every subproblem carrying the theta variable.  Both kinds of
-cut come from one constructor: an optimality cut supports the subproblem
-value, a feasibility cut the phase-1 violation (lp_engine's
-violation_certificate); lp_engine.cut_row writes either as a host row.
+beta the B duals, and rho_g the slope on the z of every group g of the
+owner's stage onward (its D duals and those of the cuts it hosts), so the
+cut stays valid in any same-stage host (beta binds to the host's own
+group).  Cuts are shared with every subproblem carrying the theta
+variable.  Both kinds of cut come from one constructor: an optimality cut
+supports the subproblem value, a feasibility cut the phase-1 violation
+(lp_engine's violation_certificate).
 
 Forward passes sample leaf paths without replacement; backward passes are
 quick passes over the forward solutions.  The subroutine returns the first
@@ -33,15 +34,16 @@ a valid relaxation of the aggregated problem.
 
 Rows come from the shared assembler (model.assemble), every variable
 block mapped by its column offset.  The master is canonical (tiny
-coefficients dropped, rounded, duplicate rows removed); each subproblem LP
-is positional, and its state, copy and linking rows take their rhs from
-the map LDR's node LPs use: rhs = const + R w at the incoming state w,
-cut slope R' pi, both built by the same assembler.  Each subproblem
-memoises its optima by state until a cut lands in it: its rhs is re-set
-before every solve and its costs and bounds never change, so only an
-appended cut row changes its LP.  solve_exact,
-solve_lower_bound and evaluate_policy share one driver: master, optional
-policy fixing, root cut loop, branch and cut.
+coefficients dropped, rounded, duplicate rows removed) and writes cuts
+with lp_engine.cut_row over its z columns.  Each subproblem LP is
+positional, and every row takes its rhs from the map LDR's node LPs use:
+rhs = const + R w at the incoming state w = (x_parent, z), cut slope
+R' pi, built by the same assembler; a hosted cut adds one row to the LP,
+to R and to const.  Each subproblem memoises its optima by state until a
+cut lands in it: its rhs is re-set before every solve and its costs and
+bounds never change, so only an appended cut row changes its LP.
+solve_exact, solve_lower_bound and evaluate_policy share one driver:
+master, optional policy fixing, root cut loop, branch and cut.
 """
 
 from __future__ import annotations
@@ -58,7 +60,7 @@ from .errors import InfeasiblePolicy, MissingDuals, NumericalFailure
 from .lp_engine import (INFEASIBLE, OPTIMAL, THETA_LB, TIME_LIMIT, VIOL_GUARD, CutOracle,
                         DeadlineReached, MipSolution, add_rows,
                         branch_and_cut, cut_row, solve_lp, violation_certificate)
-from .model import EQ, LpProblem, MipProblem, Msilp, RowBlock, assemble, \
+from .model import LpProblem, MipProblem, Msilp, RowBlock, assemble, \
     first_stage_columns, first_stage_offsets, node_rows, z_values
 from .tree import path as tree_path
 
@@ -90,7 +92,7 @@ class Cut:
     kind: str                     # 'optimality' | 'feasibility'
     alpha: np.ndarray             # on the parent's continuous state
     beta_parent: np.ndarray       # on the host's own aggregated block
-    rho: dict[GroupKey, np.ndarray]  # copy-row duals, stages >= owner stage
+    rho: dict[GroupKey, np.ndarray]  # slope on z_g, groups of stages >= owner stage
     gamma: float
     gen_x: np.ndarray | None = None
     gen_z: dict[GroupKey, np.ndarray] | None = None
@@ -106,8 +108,8 @@ class Cut:
         return v
 
     def terms(self, x_off: int, own_off: int, z_off: dict[GroupKey, int]) -> list:
-        """cut_row terms of alpha, beta and every rho in a host whose x, own
-        group and z blocks start at these columns."""
+        """cut_row terms of alpha, beta and every rho in the master, whose x,
+        own group and z blocks start at these columns."""
         return [(x_off, self.alpha), (own_off, self.beta_parent)] + \
             [(z_off[g], coef) for g, coef in self.rho.items()]
 
@@ -138,13 +140,13 @@ class SddpResult(MipSolution):
 
 
 class _Sub:
-    """One policy-graph subproblem and its growing LP.
+    """One policy-graph subproblem and its growing LP over x, y and theta.
 
-    The state, copy and linking rows come first, with rhs const + R @ w at
-    the incoming state w = [x_parent | z of the parent group | z of each
-    zeta group]; pooled cut rows follow with their own rhs.  memo maps an
-    incoming state's bytes to the LP's optimum there; add_cut empties it
-    when it appends a row."""
+    z reaches the LP only through its rhs const + R @ w at the incoming
+    state w = [x_parent | z of the parent group | z of each group of this
+    stage onward].  The state and linking rows come first, hosted cut rows
+    follow.  memo maps an incoming state's bytes to the LP's optimum there;
+    host_cut empties it when it appends a row."""
 
     def __init__(self, key: SubKey, engine: "SddpEngine"):
         self.key = key
@@ -153,65 +155,61 @@ class _Sub:
         nd = m.data[node0]
         self.group = engine.agg.node_to_group[node0]
         self.children = engine.pgraph.children[key]
-        self.zeta_groups = [g for g in engine.agg.group_index if g[0] >= key[0]]
-        self.zg_off = {g: i * m.l for i, g in enumerate(self.zeta_groups)}
-
+        self.z_groups = [g for g in engine.agg.group_index if g[0] >= key[0]]
         k, l, r = m.k, m.l, m.r
-        nzeta = l * len(self.zeta_groups)
-        self.x0 = 0
-        self.zeta0 = k
-        self.y0 = k + nzeta
-        self.theta0 = self.y0 + r
-        self.n = self.theta0 + len(self.children)
+        self.w_off = {g: k + l + i * l for i, g in enumerate(self.z_groups)}
+        self.theta0 = k + r
         self.theta_col = {ck: self.theta0 + i for i, (ck, _) in enumerate(self.children)}
-        self.zeta_col = {g: self.zeta0 + off for g, off in self.zg_off.items()}
 
-        # state rows, zeta pinned to the incoming copy, linking rows; every
-        # parent term lives in the rhs map (R, const)
-        _, state, link = node_rows(nd, self.zeta_col[self.group], self.x0, self.y0,
-                                   None, None, ())
-        eye = sp.identity(nzeta, format="csr")
-        copy = RowBlock([(eye, self.zeta0, 1.0)], np.full(nzeta, EQ), np.zeros(nzeta))
-        A, senses, _ = assemble([state, copy, link], self.n, canonical=False)
+        # state and linking rows over x, y; every parent and z term lives in
+        # the rhs map (R, const)
+        _, state, link = node_rows(nd, None, 0, k, None, None, ())
+        A, senses, _ = assemble([state, link], self.theta0 + len(self.children),
+                                canonical=False)
         self.R, _, self.const = assemble(
             [RowBlock([(nd.F, 0, 1.0)], nd.sen_x, nd.f),
-             RowBlock([(eye, k + l, 1.0)], copy.senses, copy.rhs),
-             RowBlock([(nd.A, 0, 1.0), (nd.B, k, 1.0)], nd.sen_l, nd.b)],
-            k + l + nzeta, canonical=False)
+             RowBlock([(nd.A, 0, 1.0), (nd.B, k, 1.0), (nd.D, self.w_off[self.group], -1.0)],
+                      nd.sen_l, nd.b)],
+            k + l + l * len(self.z_groups), canonical=False)
 
-        c = np.zeros(self.n)
-        c[self.x0:self.x0 + k] = nd.d
-        c[self.y0:self.y0 + r] = nd.h
-        for ck, p in self.children:
-            c[self.theta_col[ck]] = p
-        lo = np.full(self.n, -np.inf)
-        up = np.full(self.n, np.inf)
-        lo[self.x0:self.x0 + k] = nd.x_lo
-        up[self.x0:self.x0 + k] = nd.x_up
-        lo[self.y0:self.y0 + r] = nd.y_lo
-        up[self.y0:self.y0 + r] = nd.y_up
-        for ck, _ in self.children:
-            lo[self.theta_col[ck]] = engine.cfg.theta_lb
-        self.lp = LpProblem(c=c, A=A, senses=senses, rhs=np.zeros(senses.size),
-                            lo=lo, up=up)
+        nt = len(self.children)
+        theta_lb = engine.cfg.theta_lb
+        self.lp = LpProblem(c=np.concatenate([nd.d, nd.h, [p for _, p in self.children]]),
+                            A=A, senses=senses, rhs=np.zeros(senses.size),
+                            lo=np.concatenate([nd.x_lo, nd.y_lo, np.full(nt, theta_lb)]),
+                            up=np.concatenate([nd.x_up, nd.y_up, np.full(nt, np.inf)]))
         self.memo: dict[bytes, _SubOptimum] = {}
 
     def state(self, x_par: np.ndarray, zvals: dict[GroupKey, np.ndarray],
               parent_group: GroupKey) -> np.ndarray:
         return np.concatenate([x_par, zvals[parent_group]]
-                              + [zvals[g] for g in self.zeta_groups])
+                              + [zvals[g] for g in self.z_groups])
+
+    def host_cut(self, cut: "Cut") -> None:
+        """Append cut as the row theta - alpha'x >= gamma + beta'z_own +
+        sum rho_g'z_g: its x part to the LP, its z part to R, gamma to
+        const."""
+        theta = self.theta_col[cut.owner] if cut.kind == "optimality" else None
+        add_rows(self.lp, [cut_row(theta, [(0, cut.alpha)], cut.gamma)])
+        row = np.zeros(self.R.shape[1])
+        for g, coef in [(self.group, cut.beta_parent), *cut.rho.items()]:
+            row[self.w_off[g]:self.w_off[g] + coef.size] += coef
+        self.R = sp.vstack([self.R, sp.csr_matrix(row)], format="csr")
+        self.const = np.append(self.const, cut.gamma)
+        self.memo.clear()
 
 
 class _SubOptimum(NamedTuple):
     """What forward passes and cuts read of a subproblem solve: the state
-    x[:k], the child thetas and the duals of the structural rows; all but
-    status are None when it is not optimal."""
+    x[:k], the child thetas and the value's slope R' pi in the incoming
+    state w, taken from the LP as it was solved; all but status are None
+    when it is not optimal."""
 
     status: str
     objective: float | None = None
     x: np.ndarray | None = None
     thetas: np.ndarray | None = None
-    duals: np.ndarray | None = None
+    slope: np.ndarray | None = None
 
 
 @dataclass
@@ -263,14 +261,12 @@ class SddpEngine:
 
     # -- cut construction --------------------------------------------------
 
-    def _cut(self, sub: _Sub, kind: str, duals: np.ndarray, value: float,
+    def _cut(self, sub: _Sub, kind: str, grad: np.ndarray, value: float,
              x_par: np.ndarray, zvals, parent_group) -> Cut:
-        """The affine support with these duals, tight at value in the state
-        (x_par, zvals) it was generated at: slope R' pi over that state."""
+        """The affine support with slope grad = R' pi in the state w, tight at
+        value in the state (x_par, zvals) it was generated at."""
         k, l = self.msilp.k, self.msilp.l
-        grad = sub.R.T @ duals[:sub.const.size]
-        rho = {g: seg for g, off in sub.zg_off.items()
-               if np.any(seg := grad[k + l + off:k + l + off + l])}
+        rho = {g: seg for g, off in sub.w_off.items() if np.any(seg := grad[off:off + l])}
         gamma = value - float(grad @ sub.state(x_par, zvals, parent_group))
         return Cut(sub.key, kind, grad[:k], grad[k:k + l], rho, gamma, gen_x=x_par.copy(),
                    gen_z={g: np.array(v) for g, v in zvals.items()},
@@ -278,17 +274,18 @@ class SddpEngine:
 
     def make_optimality_cut(self, sub: _Sub, ss: _SubSolution) -> Cut:
         sol = ss.opt
-        if sol.status != OPTIMAL or sol.duals is None:
+        if sol.status != OPTIMAL or sol.slope is None:
             raise MissingDuals(f"subproblem {sub.key} not solved to optimality")
-        return self._cut(sub, "optimality", sol.duals, ss.value, ss.x_par, ss.zvals,
+        return self._cut(sub, "optimality", sol.slope, ss.value, ss.x_par, ss.zvals,
                          ss.parent_group)
 
     def make_feasibility_cut(self, sub: _Sub, x_par, zvals, parent_group) -> Cut:
         """Affine minorant of the subproblem's violation, forced to zero."""
         x_par = np.asarray(x_par, dtype=float)
-        sub.lp.rhs[:sub.const.size] = sub.const + sub.R @ sub.state(x_par, zvals, parent_group)
+        sub.lp.rhs = sub.const + sub.R @ sub.state(x_par, zvals, parent_group)
         violation, duals = violation_certificate(sub.lp)
-        return self._cut(sub, "feasibility", duals, violation, x_par, zvals, parent_group)
+        return self._cut(sub, "feasibility", sub.R.T @ duals, violation, x_par, zvals,
+                         parent_group)
 
     def _cut_signature(self, cut: Cut):
         parts = [cut.kind, round(cut.gamma, 9), tuple(np.round(cut.alpha, 9)),
@@ -305,11 +302,7 @@ class SddpEngine:
         self._pool_sigs[cut.owner].add(sig)
         self.pools[cut.owner].append(cut)
         for pk in self.pgraph.parents[cut.owner]:
-            host = self.subs[pk]
-            theta = host.theta_col[cut.owner] if cut.kind == "optimality" else None
-            add_rows(host.lp, [cut_row(theta, cut.terms(host.x0, host.zeta_col[host.group],
-                                                        host.zeta_col), cut.gamma)])
-            host.memo.clear()
+            self.subs[pk].host_cut(cut)
         return True
 
     # -- forward / backward ------------------------------------------------
@@ -323,14 +316,14 @@ class SddpEngine:
         hit = sub.memo.get(key)
         if hit is not None:
             return hit
-        sub.lp.rhs[:sub.const.size] = sub.const + sub.R @ w
+        sub.lp.rhs = sub.const + sub.R @ w
         sol = solve_lp(sub.lp, want_farkas=False)
         if sol.status != OPTIMAL:
             return _SubOptimum(sol.status)
         # copies, not views: an entry must not keep the full solution alive
         opt = sub.memo[key] = _SubOptimum(
             OPTIMAL, float(sol.objective), sol.x[:self.msilp.k].copy(),
-            sol.x[sub.theta0:].copy(), sol.duals[:sub.const.size].copy())
+            sol.x[sub.theta0:].copy(), sub.R.T @ sol.duals)
         return opt
 
     def sddp_subroutine(self, candidate: MasterPoint, n_child: int) -> Cut | None:

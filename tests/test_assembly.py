@@ -2,7 +2,10 @@
 
 The digests below were taken from the row builders that preceded the
 shared assembler; each covers c, A (indptr, indices, data), senses, rhs,
-lo, up and, for MIPs, the integer mask, bytes and dtypes included.
+lo, up and, for MIPs, the integer mask, bytes and dtypes included.  The
+S subproblem digests were re-pinned when z moved out of those LPs into
+their rhs map; they cover R (indptr, indices, data) and const as well, as
+the LDR node-LP digests do.
 """
 
 import hashlib
@@ -24,7 +27,7 @@ PINNED = {
         "master":
             "d06902e46c96b1e75639f5aa498301201be39aaa548bfd65e2d5299adff54773",
         "subproblems":
-            "721da1a80d0b51354cf8825fdb5213eae44f6c6c0d5410a4ac0b225222bef0bc",
+            "28d916782685e01f6c30548b94d551374b85b886fa2763d25ec5f632369cac9c",
         "ldr_master":
             "6a53231658c6c6fa326f08e7d237f128589b0c309dcbdb12e6d0ec766d23dc9e",
         "ldr_node_lps":
@@ -36,7 +39,7 @@ PINNED = {
         "master":
             "42b4f7b30948a722576429c035a5adb6d6e81883d82a695d02a5982c3fe9920e",
         "subproblems":
-            "361a3f5bc28f8b8f2be82353ee08f25efce7cefe61f1d7d5af45e43dc68d67f8",
+            "2df3b871107fcc0c2c62a9d4fc55af8ef0efe0b9b9da10d3fcfec570565befe2",
         "ldr_master":
             "5252afbb7211306dd7affdf56e708d9c7bc4f2bf228bfae9297b0298712458e6",
         "ldr_node_lps":
@@ -48,7 +51,7 @@ PINNED = {
         "master":
             "19a13b10f4efab868f0f17f7a76838dab8a2cb4f14900954466a44ad9928c340",
         "subproblems":
-            "f379e4a5d144c8eb9d795f4ebe6ee3a76b9e9e81db07b63125012d1aae899ef8",
+            "459a367939cbfc0a71bec53f5b9a7761397e443d9dc71e2437445f95d5769019",
         "ldr_master":
             "6751c8326dc78d02b550a474b01ec175f50fcb21f59213f8adc9be0a9feae50b",
         "ldr_node_lps":
@@ -89,7 +92,9 @@ def model_digests(grid: str, transform: str, only_ex: bool = False) -> dict[str,
         return out
     out["master"] = _digest(_arrays(build_master(m, agg)[0]))
     engine = SddpEngine(m, agg, SddpConfig())
-    out["subproblems"] = _digest([a for sub in engine.subs.values() for a in _arrays(sub.lp)])
+    out["subproblems"] = _digest(
+        [a for sub in engine.subs.values() for a in
+         _arrays(sub.lp) + [sub.R.indptr, sub.R.indices, sub.R.data, sub.const]])
     ma = build_hdr_aggregated(inst, agg)
     model = build_ldr_model(ma, build_aggregation(ma.tree, tr), LdrVariant("m"))
     out["ldr_master"] = _digest(_arrays(model.master))

@@ -53,6 +53,27 @@ def test_generate_solve_evaluate_round_trip(workdir):
     assert ev["objective"] == pytest.approx(sol["objective"], rel=1e-6)
 
 
+def test_evaluate_of_a_record_without_a_policy_exits_3(workdir, capsys):
+    d = workdir
+    rc = main(["solve", "--instance", str(d / "inst.json"), "--method", "ex",
+               "--transform", "pm", "--time-limit", "1e-9", "--out", str(d / "none.json")])
+    assert rc == 0 and "z" not in json.loads((d / "none.json").read_text())
+    capsys.readouterr()
+    rc = main(["evaluate", "--instance", str(d / "inst.json"),
+               "--solution", str(d / "none.json")])
+    err = capsys.readouterr().err
+    assert rc == 3 and err.count("\n") == 1 and "no integer policy" in err
+
+
+@pytest.mark.parametrize("cmd", ["solve", "evaluate"])
+def test_missing_instance_file_exits_3(workdir, tmp_path, capsys, cmd):
+    missing = str(tmp_path / "missing.json")
+    rest = ["--method", "ex"] if cmd == "solve" else ["--solution", str(workdir / "x.json")]
+    rc = main([cmd, "--instance", missing] + rest)
+    err = capsys.readouterr().err
+    assert rc == 3 and err.count("\n") == 1 and missing in err
+
+
 def test_solve_ldr_writes_rule_and_inventories(workdir):
     d = workdir
     rc = main(["solve", "--instance", str(d / "inst.json"), "--method", "ldr-m",

@@ -200,7 +200,7 @@ def test_forward_pass_visits_state_keyed_subproblems():
 def test_add_cut_clears_only_the_memos_of_its_hosts():
     """A cut changes the LP of its owner's parents only: their memos go,
     every other memoised optimum is still that of a cold solve of its LP,
-    and an entry holds no array longer than the structural rows."""
+    and an entry holds the slope R' pi on the state, not the solution."""
     from mcsip.tree import path as tpath
 
     m = make_random_msilp(seed=4, T=4)
@@ -228,16 +228,82 @@ def test_add_cut_clears_only_the_memos_of_its_hosts():
             continue
         assert sub.memo == before[key]
         for w, opt in sub.memo.items():
-            assert max(a.size for a in (opt.x, opt.thetas, opt.duals)) <= sub.const.size
+            assert [a.size for a in (opt.x, opt.thetas, opt.slope)] == \
+                [m.k, len(sub.children), sub.R.shape[1]]
             cold = LpProblem(c=sub.lp.c, A=sub.lp.A, senses=sub.lp.senses,
-                             rhs=sub.lp.rhs.copy(), lo=sub.lp.lo, up=sub.lp.up)
-            cold.rhs[:sub.const.size] = sub.const + sub.R @ np.frombuffer(w)
+                             rhs=sub.const + sub.R @ np.frombuffer(w), lo=sub.lp.lo,
+                             up=sub.lp.up)
             fresh = solve_lp(cold, want_farkas=False)
             assert fresh.objective == pytest.approx(opt.objective, rel=1e-9, abs=1e-9)
-            np.testing.assert_allclose(opt.duals, fresh.duals[:sub.const.size],
+            np.testing.assert_allclose(opt.slope, sub.R.T @ fresh.duals,
                                        rtol=1e-9, atol=1e-9)
             kept += 1
     assert kept > 0
+
+
+def test_sub_lps_see_z_only_through_the_rhs_map():
+    """A subproblem LP has the x, y and theta columns only: z reaches it
+    through (R, const), which carries the D z_own term of the linking rows
+    and the z part of every hosted cut."""
+    from mcsip.model import assemble, node_rows
+    from mcsip.tree import path as tpath
+
+    m = make_random_msilp(seed=4, T=4)
+    agg = build_aggregation(m.tree, Transformation("ma"))
+    engine = SddpEngine(m, agg, SddpConfig(seed=0))
+    k, l, r = m.k, m.l, m.r
+    for sub in engine.subs.values():
+        assert sub.lp.n == k + r + len(sub.children)
+        assert sub.lp.m == sub.R.shape[0] == sub.const.size
+
+    # z differs between groups; a leaf subproblem's value is that of its
+    # node rows over columns x | y | x_parent | z_parent | z_own, pinned
+    rng = np.random.default_rng(1)
+    zvals = {g: rng.integers(0, 2, size=l).astype(float) for g in agg.group_index}
+    assert len({v.tobytes() for v in zvals.values()}) > 1
+    leaves = list(m.tree.leaves())
+    for leaf in leaves[:4]:
+        nd, pg = m.data[leaf], agg.node_to_group[m.tree.node(leaf).parent]
+        x_par = rng.uniform(0.0, 10.0, size=k)
+        got = engine.solve_sub(engine.subs[engine.pgraph.node_to_sub[leaf]], x_par, zvals, pg)
+        A, senses, rhs = assemble(node_rows(nd, 2 * k + r + l, 0, k, 2 * k + r, k + r, ())[1:],
+                                  2 * k + r + 2 * l, canonical=False)
+        pin = np.concatenate([x_par, zvals[pg], zvals[agg.node_to_group[leaf]]])
+        ref = solve_lp(LpProblem(c=np.concatenate([nd.d, nd.h, np.zeros(pin.size)]), A=A,
+                                 senses=senses, rhs=rhs,
+                                 lo=np.concatenate([nd.x_lo, nd.y_lo, pin]),
+                                 up=np.concatenate([nd.x_up, nd.y_up, pin])),
+                       want_farkas=False)
+        assert got.status == ref.status == "optimal"
+        assert got.objective == pytest.approx(ref.objective, rel=1e-9, abs=1e-9)
+
+    # a cut made there lands in each host as the LP row theta - alpha'x
+    # and the rhs row gamma + beta'z_own + sum rho_g'z_g
+    cand = candidate_for(engine, m, agg, x_root=0.5 * m.data[0].x_up)
+    cand.z = zvals
+    sols = {}
+    assert engine._forward(tpath(m.tree, leaves[0])[1:], cand, sols) is None
+    cut = engine.make_optimality_cut(engine.subs[engine.pgraph.node_to_sub[leaves[0]]],
+                                     sols[leaves[0]])
+    assert np.any(cut.beta_parent) and cut.rho
+    assert engine.add_cut(cut)
+    for pk in engine.pgraph.parents[cut.owner]:
+        host = engine.subs[pk]
+        want = np.zeros(host.R.shape[1])
+        want[host.w_off[host.group]:host.w_off[host.group] + l] = cut.beta_parent
+        for g, coef in cut.rho.items():
+            want[host.w_off[g]:host.w_off[g] + l] = coef
+        np.testing.assert_array_equal(host.R[-1].toarray().ravel(), want)
+        assert host.const[-1] == cut.gamma
+        want = np.zeros(host.lp.n)
+        want[:k] = -cut.alpha
+        want[host.theta_col[cut.owner]] = 1.0
+        np.testing.assert_array_equal(host.lp.A[-1].toarray().ravel(), want)
+        # solved at a state, the host's theta is at least the cut there
+        pg = agg.node_to_group[m.tree.node(engine.pgraph.sub_members[pk][0]).parent]
+        sol = engine.solve_sub(host, rng.uniform(0.0, 10.0, size=k), zvals, pg)
+        theta = sol.thetas[[ck for ck, _ in host.children].index(cut.owner)]
+        assert theta >= cut.value_at(sol.x, zvals, host.group) - 1e-7
 
 
 def test_feasibility_cut_spec_example():
@@ -283,7 +349,7 @@ def test_feasibility_cuts_satisfied_at_feasible_points():
 def test_feasibility_cut_in_a_subproblem_hosting_cuts():
     # every child feasible exactly when x_parent <= 1; the stage-2
     # subproblem hosts a stage-3 cut when its feasibility cut is made, so
-    # the phase-1 duals cover more rows than the rhs map
+    # the phase-1 duals cover that cut's row too
     m = chain_msilp(child_rows=([[0.0], [0.0]], [[0.0], [1.0]], [[1.0], [0.0]],
                                 [-1.0, 0.5], "GG"), T=3)
     agg = build_aggregation(m.tree, Transformation("fh"))
@@ -292,9 +358,11 @@ def test_feasibility_cut_in_a_subproblem_hosting_cuts():
     sols = {}
     assert engine._forward([n2, n3], candidate_for(engine, m, agg, x_root=[0.5]), sols) is None
     sub3 = engine.subs[engine.pgraph.node_to_sub[n3]]
-    assert engine.add_cut(engine.make_optimality_cut(sub3, sols[n3]))
+    cut3 = engine.make_optimality_cut(sub3, sols[n3])
+    assert engine.add_cut(cut3)
     sub2 = engine.subs[engine.pgraph.node_to_sub[n2]]
-    assert sub2.lp.m > sub2.const.size
+    assert sub2.lp.m == sub2.R.shape[0] == sub2.const.size
+    assert sub2.const[-1] == cut3.gamma
     pg = agg.node_to_group[m.tree.root]
     zv = {g: np.zeros(m.l) for g in agg.group_index}
     cut = engine.make_feasibility_cut(sub2, np.array([3.0]), zv, pg)
