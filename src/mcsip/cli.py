@@ -74,12 +74,15 @@ def _transformation(name: str, pm_attrs: list[int] | None) -> Transformation:
 
 
 def _load(path: str, load):
-    """load(fp) on the file at path; one that cannot be opened is a ConfigError."""
+    """load(fp) on the file at path; one that cannot be opened, or holds
+    no valid JSON, is a ConfigError."""
     try:
         with open(path) as fp:
             return load(fp)
     except OSError as exc:
         raise ConfigError(f"cannot read {path}: {exc.strerror}") from exc
+    except json.JSONDecodeError as exc:
+        raise ConfigError(f"{path} is not valid JSON: {exc}") from exc
 
 
 def run_solve(inst, method: str, tr: Transformation, *, eps: float | None,
@@ -274,8 +277,7 @@ def cmd_bench(args) -> int:
 
 
 def cmd_report(args) -> int:
-    with open(args.input) as fp:
-        rows = list(csv.DictReader(fp))
+    rows = _load(args.input, lambda fp: list(csv.DictReader(fp)))
     by_inst: dict[str, dict[tuple[str, str], float]] = {}
     for row in rows:
         if row["status"] in ("optimal",) and row["objective"]:

@@ -29,9 +29,10 @@ every member node at the same rhs.
 Rows come from the shared assembler (model.assemble), with x_n mapped onto
 the Lambda columns by a sparse basis-expansion P and x_root by its column
 offset.  The master is canonical (tiny coefficients dropped, rounded,
-duplicate rows removed); each node LP's E block and its rhs map R are
-positional, one row per kept linking row, because the Benders oracle reads
-them row by row.
+duplicate rows removed); each node LP's E block and its rhs map (an
+lp_engine.RhsMap, rhs = const + R w at the first stage w, the map S's
+subproblems use) are positional, one row per kept linking row, because the
+Benders oracle reads them row by row.
 """
 
 from __future__ import annotations
@@ -44,7 +45,8 @@ import scipy.sparse as sp
 from .aggregate import AggregationMap, GroupKey
 from .errors import InfeasibleModel, NumericalFailure, Overflow
 from .lp_engine import (INFEASIBLE, OPTIMAL, THETA_LB, VIOL_GUARD, CutOracle, MipSolution,
-                        branch_and_cut, cut_row, relative_gap, solve_lp, violation_certificate)
+                        RhsMap, branch_and_cut, cut_row, relative_gap, solve_lp,
+                        violation_certificate)
 from .model import GE, LE, LpProblem, MipProblem, Msilp, RowBlock, assemble, \
     first_stage_columns, first_stage_offsets, node_rows, z_values
 from .tree import path as tree_path
@@ -73,8 +75,7 @@ def node_basis(m: Msilp, nid: int) -> np.ndarray:
 @dataclass
 class _NodeLp:
     lp: LpProblem               # over the node's locals
-    R: sp.csr_matrix            # rhs = const + R @ first_stage
-    const: np.ndarray
+    rhs_map: RhsMap             # over the first stage
     p: float
 
 
@@ -213,7 +214,7 @@ def build_ldr_model(m: Msilp, agg: AggregationMap, variant: LdrVariant) -> LdrMo
                                      nd.sen_l, nd.b, keep)], n, canonical=False)
         lp = LpProblem(c=nd.h.copy(), A=lp_a, senses=senses, rhs=const.copy(),
                        lo=nd.y_lo.copy(), up=nd.y_up.copy())
-        node_lps[nid] = _NodeLp(lp=lp, R=R, const=const, p=node.p)
+        node_lps[nid] = _NodeLp(lp=lp, rhs_map=RhsMap(R, const), p=node.p)
 
     A, senses, rhs = assemble(blocks, n, canonical=True)
     master = MipProblem(c=obj, A=A, senses=senses, rhs=rhs, lo=lo, up=up, integer=integer)
@@ -246,7 +247,7 @@ class _BendersOracle(CutOracle):
     def _solve_node(self, nid: int, w: np.ndarray) -> tuple:
         """(status, objective, duals) of node nid's LP at first stage w."""
         nl = self.model.node_lps[nid]
-        rhs = nl.const + nl.R @ w
+        rhs = nl.rhs_map.rhs(w)
         node = self.model.msilp.tree.node(nid)
         key = (node.stage, node.mc_state.attrs, rhs.tobytes())
         hit = self.memo.get(key)
@@ -289,7 +290,7 @@ class _BendersOracle(CutOracle):
             grad = np.zeros(model.layout.n_cols)
             for nid, duals in solved:
                 nl = model.node_lps[nid]
-                grad += nl.p * (nl.R.T @ duals)
+                grad += nl.p * nl.rhs_map.slope(duals)
             rows.append(cut_row(model.layout.theta_off[key], [(0, grad)],
                                 total - float(grad @ x)))
         return rows
@@ -310,9 +311,9 @@ class _BendersOracle(CutOracle):
 
     def _feasibility_row(self, nid: int, x: np.ndarray):
         nl = self.model.node_lps[nid]
-        nl.lp.rhs = nl.const + nl.R @ x
+        nl.lp.rhs = nl.rhs_map.rhs(x)
         violation, duals = violation_certificate(nl.lp)
-        grad = nl.R.T @ duals
+        grad = nl.rhs_map.slope(duals)
         # violation(w) >= violation(x) + grad.(w - x), forced to zero
         return cut_row(None, [(0, grad)], violation - float(grad @ x))
 

@@ -37,9 +37,15 @@ carry nonnegative duals and '<=' rows nonpositive ones; this is HiGHS's own
 row dual.  Infeasible solves return a ray in the same convention; see
 verify_farkas for the exact certificate the ray satisfies.
 
-Benders layer of S and LDR: cuts are read off LP duals, or off the phase-1
-duals of violation_certificate (also the Farkas ray's source), and cut_row
-writes every cut as a row of the problem that hosts it.
+Benders layer of S and LDR: each subproblem LP takes its rhs from an
+RhsMap, const + R w at the incoming state w, and a cut's slope in w is
+R' pi of its duals pi.  The map keeps R as the CSR arrays model.assemble
+made and does both products with one np.bincount, which adds the terms in
+the order scipy's csr_matvec and csc_matvec do, so its sums match scipy's
+bit for bit and no sparse object is built per solve.  Cuts are read off LP
+duals, or off the phase-1 duals of violation_certificate (also the Farkas
+ray's source), and cut_row writes every cut as a row of the problem that
+hosts it.
 
 Branch and bound: best-bound node selection, most-fractional branching with
 lowest-index tie break, relative gap termination; each child node starts
@@ -375,6 +381,43 @@ def cut_row(theta_col: int | None, terms, rhs: float) -> Row:
         for j in np.flatnonzero(coefs):
             cols[off + j] = cols.get(off + j, 0.0) - coefs[j]
     return cols, GE, rhs
+
+
+class RhsMap:
+    """rhs = const + R w of a subproblem LP at an incoming state w, and the
+    slope R' pi of its value in w from row duals pi.
+
+    R is kept as the CSR arrays it was built with (indptr, indices, data)
+    plus each entry's row; both products are one np.bincount that adds the
+    entries in storage order, as scipy's csr_matvec (rhs) and csc_matvec
+    (slope, over R's transpose) do, so they match scipy's bit for bit."""
+
+    def __init__(self, R: sp.csr_matrix, const: np.ndarray):
+        self.indptr, self.indices, self.data = R.indptr, R.indices, R.data
+        self.rows = np.repeat(np.arange(R.shape[0]), np.diff(R.indptr))
+        self.const = np.asarray(const, dtype=float)
+        self.n = R.shape[1]
+
+    def rhs(self, w: np.ndarray) -> np.ndarray:
+        return self.const + np.bincount(self.rows, self.data * w[self.indices],
+                                        minlength=self.const.size)
+
+    def slope(self, duals: np.ndarray) -> np.ndarray:
+        """R' duals over R's first duals.size rows: a solve's duals keep
+        pairing with the rows it was solved on after append."""
+        nz = self.indptr[duals.size]
+        return np.bincount(self.indices[:nz], self.data[:nz] * duals[self.rows[:nz]],
+                           minlength=self.n)
+
+    def append(self, row: np.ndarray, gamma: float) -> None:
+        """Add the row const_i = gamma, R_i = row (a dense n-vector; its
+        nonzeros are kept) in place."""
+        j = np.flatnonzero(row)
+        self.indptr = np.append(self.indptr, self.indptr[-1] + j.size)
+        self.indices = np.concatenate([self.indices, j.astype(self.indices.dtype)])
+        self.data = np.concatenate([self.data, row[j]])
+        self.rows = np.concatenate([self.rows, np.full(j.size, self.const.size)])
+        self.const = np.append(self.const, gamma)
 
 
 class CutOracle:

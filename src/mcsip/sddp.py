@@ -36,12 +36,15 @@ Rows come from the shared assembler (model.assemble), every variable
 block mapped by its column offset.  The master is canonical (tiny
 coefficients dropped, rounded, duplicate rows removed) and writes cuts
 with lp_engine.cut_row over its z columns.  Each subproblem LP is
-positional, and every row takes its rhs from the map LDR's node LPs use:
-rhs = const + R w at the incoming state w = (x_parent, z), cut slope
-R' pi, built by the same assembler; a hosted cut adds one row to the LP,
-to R and to const.  Each subproblem memoises its optima by state until a
-cut lands in it: its rhs is re-set before every solve and its costs and
-bounds never change, so only an appended cut row changes its LP.
+positional, and every row takes its rhs from an lp_engine.RhsMap, the map
+LDR's node LPs use: rhs = const + R w at the incoming state
+w = (x_parent, z), cut slope R' pi, with R built by the same assembler; a
+hosted cut adds one row to the LP and one (its z part and gamma) to the
+map.  Each subproblem memoises its optima by state until a cut lands in
+it: its rhs is re-set before every solve and its costs and bounds never
+change, so only an appended cut row changes its LP.  A memo entry keeps
+the slope R' pi read off the LP it was solved on, so a cut appended later
+does not pair that solve's duals with rows it never saw.
 solve_exact, solve_lower_bound and evaluate_policy share one driver:
 master, optional policy fixing, root cut loop, branch and cut.
 """
@@ -53,12 +56,11 @@ from dataclasses import dataclass, field, replace
 from typing import NamedTuple
 
 import numpy as np
-import scipy.sparse as sp
 
 from .aggregate import AggregationMap, GroupKey, PolicyGraph, SubKey, build_policy_graph
 from .errors import InfeasiblePolicy, MissingDuals, NumericalFailure
 from .lp_engine import (INFEASIBLE, OPTIMAL, THETA_LB, TIME_LIMIT, VIOL_GUARD, CutOracle,
-                        DeadlineReached, MipSolution, add_rows,
+                        DeadlineReached, MipSolution, RhsMap, add_rows,
                         branch_and_cut, cut_row, solve_lp, violation_certificate)
 from .model import LpProblem, MipProblem, Msilp, RowBlock, assemble, \
     first_stage_columns, first_stage_offsets, node_rows, z_values
@@ -142,11 +144,11 @@ class SddpResult(MipSolution):
 class _Sub:
     """One policy-graph subproblem and its growing LP over x, y and theta.
 
-    z reaches the LP only through its rhs const + R @ w at the incoming
-    state w = [x_parent | z of the parent group | z of each group of this
-    stage onward].  The state and linking rows come first, hosted cut rows
-    follow.  memo maps an incoming state's bytes to the LP's optimum there;
-    host_cut empties it when it appends a row."""
+    z reaches the LP only through its rhs map, rhs = const + R w at the
+    incoming state w = [x_parent | z of the parent group | z of each group
+    of this stage onward].  The state and linking rows come first, hosted
+    cut rows follow.  memo maps an incoming state's bytes to the LP's
+    optimum there; host_cut empties it when it appends a row."""
 
     def __init__(self, key: SubKey, engine: "SddpEngine"):
         self.key = key
@@ -162,15 +164,16 @@ class _Sub:
         self.theta_col = {ck: self.theta0 + i for i, (ck, _) in enumerate(self.children)}
 
         # state and linking rows over x, y; every parent and z term lives in
-        # the rhs map (R, const)
+        # the rhs map
         _, state, link = node_rows(nd, None, 0, k, None, None, ())
         A, senses, _ = assemble([state, link], self.theta0 + len(self.children),
                                 canonical=False)
-        self.R, _, self.const = assemble(
+        R, _, const = assemble(
             [RowBlock([(nd.F, 0, 1.0)], nd.sen_x, nd.f),
              RowBlock([(nd.A, 0, 1.0), (nd.B, k, 1.0), (nd.D, self.w_off[self.group], -1.0)],
                       nd.sen_l, nd.b)],
             k + l + l * len(self.z_groups), canonical=False)
+        self.rhs_map = RhsMap(R, const)
 
         nt = len(self.children)
         theta_lb = engine.cfg.theta_lb
@@ -187,15 +190,14 @@ class _Sub:
 
     def host_cut(self, cut: "Cut") -> None:
         """Append cut as the row theta - alpha'x >= gamma + beta'z_own +
-        sum rho_g'z_g: its x part to the LP, its z part to R, gamma to
-        const."""
+        sum rho_g'z_g: its x part to the LP, its z part and gamma to the
+        rhs map."""
         theta = self.theta_col[cut.owner] if cut.kind == "optimality" else None
         add_rows(self.lp, [cut_row(theta, [(0, cut.alpha)], cut.gamma)])
-        row = np.zeros(self.R.shape[1])
+        row = np.zeros(self.rhs_map.n)
         for g, coef in [(self.group, cut.beta_parent), *cut.rho.items()]:
             row[self.w_off[g]:self.w_off[g] + coef.size] += coef
-        self.R = sp.vstack([self.R, sp.csr_matrix(row)], format="csr")
-        self.const = np.append(self.const, cut.gamma)
+        self.rhs_map.append(row, cut.gamma)
         self.memo.clear()
 
 
@@ -266,7 +268,8 @@ class SddpEngine:
         """The affine support with slope grad = R' pi in the state w, tight at
         value in the state (x_par, zvals) it was generated at."""
         k, l = self.msilp.k, self.msilp.l
-        rho = {g: seg for g, off in sub.w_off.items() if np.any(seg := grad[off:off + l])}
+        nonzero = grad[k + l:].reshape(len(sub.z_groups), l).any(axis=1)
+        rho = {g: grad[off:off + l] for (g, off), nz in zip(sub.w_off.items(), nonzero) if nz}
         gamma = value - float(grad @ sub.state(x_par, zvals, parent_group))
         return Cut(sub.key, kind, grad[:k], grad[k:k + l], rho, gamma, gen_x=x_par.copy(),
                    gen_z={g: np.array(v) for g, v in zvals.items()},
@@ -282,10 +285,10 @@ class SddpEngine:
     def make_feasibility_cut(self, sub: _Sub, x_par, zvals, parent_group) -> Cut:
         """Affine minorant of the subproblem's violation, forced to zero."""
         x_par = np.asarray(x_par, dtype=float)
-        sub.lp.rhs = sub.const + sub.R @ sub.state(x_par, zvals, parent_group)
+        sub.lp.rhs = sub.rhs_map.rhs(sub.state(x_par, zvals, parent_group))
         violation, duals = violation_certificate(sub.lp)
-        return self._cut(sub, "feasibility", sub.R.T @ duals, violation, x_par, zvals,
-                         parent_group)
+        return self._cut(sub, "feasibility", sub.rhs_map.slope(duals), violation, x_par,
+                         zvals, parent_group)
 
     def _cut_signature(self, cut: Cut):
         parts = [cut.kind, round(cut.gamma, 9), tuple(np.round(cut.alpha, 9)),
@@ -316,14 +319,14 @@ class SddpEngine:
         hit = sub.memo.get(key)
         if hit is not None:
             return hit
-        sub.lp.rhs = sub.const + sub.R @ w
+        sub.lp.rhs = sub.rhs_map.rhs(w)
         sol = solve_lp(sub.lp, want_farkas=False)
         if sol.status != OPTIMAL:
             return _SubOptimum(sol.status)
         # copies, not views: an entry must not keep the full solution alive
         opt = sub.memo[key] = _SubOptimum(
             OPTIMAL, float(sol.objective), sol.x[:self.msilp.k].copy(),
-            sol.x[sub.theta0:].copy(), sub.R.T @ sol.duals)
+            sol.x[sub.theta0:].copy(), sub.rhs_map.slope(sol.duals))
         return opt
 
     def sddp_subroutine(self, candidate: MasterPoint, n_child: int) -> Cut | None:

@@ -74,6 +74,27 @@ def test_missing_instance_file_exits_3(workdir, tmp_path, capsys, cmd):
     assert rc == 3 and err.count("\n") == 1 and missing in err
 
 
+def test_missing_report_input_exits_3(tmp_path, capsys):
+    missing = str(tmp_path / "missing.csv")
+    rc = main(["report", "--input", missing])
+    err = capsys.readouterr().err
+    assert rc == 3 and err.count("\n") == 1 and missing in err
+
+
+@pytest.mark.parametrize("flag", ["--instance", "--solution"])
+def test_file_holding_invalid_json_exits_3(workdir, tmp_path, capsys, flag):
+    bad = tmp_path / "bad.json"
+    bad.write_text("{")
+    if flag == "--instance":
+        argv = ["solve", "--instance", str(bad), "--method", "ex"]
+    else:
+        argv = ["evaluate", "--instance", str(workdir / "inst.json"), "--solution", str(bad)]
+    rc = main(argv)
+    err = capsys.readouterr().err
+    assert rc == 3 and err.count("\n") == 1 and err.startswith("config error:")
+    assert str(bad) in err
+
+
 def test_solve_ldr_writes_rule_and_inventories(workdir):
     d = workdir
     rc = main(["solve", "--instance", str(d / "inst.json"), "--method", "ldr-m",

@@ -8,8 +8,8 @@ from scipy.optimize._highspy import _core as highs
 
 from mcsip import lp_engine
 from mcsip.errors import NumericalFailure
-from mcsip.lp_engine import CutOracle, _check_highs_version, add_rows, branch_and_cut, \
-    solve_lp, solve_mip, verify_farkas
+from mcsip.lp_engine import CutOracle, RhsMap, _check_highs_version, add_rows, \
+    branch_and_cut, solve_lp, solve_mip, verify_farkas
 from mcsip.model import LpProblem, MipProblem
 
 
@@ -503,6 +503,38 @@ def test_add_rows_appends_exactly_the_arrays_vstack_builds():
             assert p.senses[-len(rows):].tolist() == [r[1] for r in rows]
             assert p.rhs[-len(rows):].tolist() == [r[2] for r in rows]
     assert zeros > 0
+
+
+def test_rhs_map_matches_scipy_bit_for_bit():
+    """rhs and slope equal scipy's R @ w and R.T @ duals exactly, also after
+    appended rows, and duals sized to an earlier row count read only those
+    rows."""
+    rng = np.random.default_rng(12)
+    for _ in range(30):
+        m, n = int(rng.integers(3, 30)), int(rng.integers(3, 40))
+        dense = rng.normal(size=(m, n)) * 10.0 ** rng.integers(-8, 9, size=(m, n))
+        dense[rng.random((m, n)) < 0.6] = 0.0
+        dense[rng.choice(m, size=2, replace=False)] = 0.0  # empty rows
+        dense[:, rng.integers(n)] = 0.0                   # a column that never occurs
+        R = sp.csr_matrix(dense)
+        const = rng.normal(size=m)
+        rmap = RhsMap(R, const)
+        w = rng.normal(size=n) * 10.0 ** rng.integers(-6, 7, size=n)
+        duals = rng.normal(size=m)
+        np.testing.assert_array_equal(rmap.rhs(w), const + R @ w)
+        np.testing.assert_array_equal(rmap.slope(duals), R.T @ duals)
+
+        old, old_duals = R, duals
+        for zero in (False, True, False):
+            row = np.zeros(n) if zero else rng.normal(size=n) * (rng.random(n) < 0.5)
+            gamma = float(rng.normal())
+            rmap.append(row, gamma)
+            R = sp.vstack([R, sp.csr_matrix(row)], format="csr")
+            const = np.append(const, gamma)
+        duals = rng.normal(size=m + 3)
+        np.testing.assert_array_equal(rmap.rhs(w), const + R @ w)
+        np.testing.assert_array_equal(rmap.slope(duals), R.T @ duals)
+        np.testing.assert_array_equal(rmap.slope(old_duals), old.T @ old_duals)
 
 
 def test_shared_highs_object_holds_no_model_after_any_outcome(monkeypatch):

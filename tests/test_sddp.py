@@ -229,13 +229,13 @@ def test_add_cut_clears_only_the_memos_of_its_hosts():
         assert sub.memo == before[key]
         for w, opt in sub.memo.items():
             assert [a.size for a in (opt.x, opt.thetas, opt.slope)] == \
-                [m.k, len(sub.children), sub.R.shape[1]]
+                [m.k, len(sub.children), sub.rhs_map.n]
             cold = LpProblem(c=sub.lp.c, A=sub.lp.A, senses=sub.lp.senses,
-                             rhs=sub.const + sub.R @ np.frombuffer(w), lo=sub.lp.lo,
+                             rhs=sub.rhs_map.rhs(np.frombuffer(w)), lo=sub.lp.lo,
                              up=sub.lp.up)
             fresh = solve_lp(cold, want_farkas=False)
             assert fresh.objective == pytest.approx(opt.objective, rel=1e-9, abs=1e-9)
-            np.testing.assert_allclose(opt.slope, sub.R.T @ fresh.duals,
+            np.testing.assert_allclose(opt.slope, sub.rhs_map.slope(fresh.duals),
                                        rtol=1e-9, atol=1e-9)
             kept += 1
     assert kept > 0
@@ -243,8 +243,8 @@ def test_add_cut_clears_only_the_memos_of_its_hosts():
 
 def test_sub_lps_see_z_only_through_the_rhs_map():
     """A subproblem LP has the x, y and theta columns only: z reaches it
-    through (R, const), which carries the D z_own term of the linking rows
-    and the z part of every hosted cut."""
+    through its rhs map (R, const), which carries the D z_own term of the
+    linking rows and the z part of every hosted cut."""
     from mcsip.model import assemble, node_rows
     from mcsip.tree import path as tpath
 
@@ -254,7 +254,7 @@ def test_sub_lps_see_z_only_through_the_rhs_map():
     k, l, r = m.k, m.l, m.r
     for sub in engine.subs.values():
         assert sub.lp.n == k + r + len(sub.children)
-        assert sub.lp.m == sub.R.shape[0] == sub.const.size
+        assert sub.lp.m == sub.rhs_map.const.size == sub.rhs_map.indptr.size - 1
 
     # z differs between groups; a leaf subproblem's value is that of its
     # node rows over columns x | y | x_parent | z_parent | z_own, pinned
@@ -289,12 +289,15 @@ def test_sub_lps_see_z_only_through_the_rhs_map():
     assert engine.add_cut(cut)
     for pk in engine.pgraph.parents[cut.owner]:
         host = engine.subs[pk]
-        want = np.zeros(host.R.shape[1])
+        want = np.zeros(host.rhs_map.n)
         want[host.w_off[host.group]:host.w_off[host.group] + l] = cut.beta_parent
         for g, coef in cut.rho.items():
             want[host.w_off[g]:host.w_off[g] + l] = coef
-        np.testing.assert_array_equal(host.R[-1].toarray().ravel(), want)
-        assert host.const[-1] == cut.gamma
+        rm = host.rhs_map
+        last = np.zeros(rm.n)
+        last[rm.indices[rm.indptr[-2]:]] = rm.data[rm.indptr[-2]:]
+        np.testing.assert_array_equal(last, want)
+        assert rm.const[-1] == cut.gamma
         want = np.zeros(host.lp.n)
         want[:k] = -cut.alpha
         want[host.theta_col[cut.owner]] = 1.0
@@ -361,8 +364,8 @@ def test_feasibility_cut_in_a_subproblem_hosting_cuts():
     cut3 = engine.make_optimality_cut(sub3, sols[n3])
     assert engine.add_cut(cut3)
     sub2 = engine.subs[engine.pgraph.node_to_sub[n2]]
-    assert sub2.lp.m == sub2.R.shape[0] == sub2.const.size
-    assert sub2.const[-1] == cut3.gamma
+    assert sub2.lp.m == sub2.rhs_map.indptr.size - 1 == sub2.rhs_map.const.size
+    assert sub2.rhs_map.const[-1] == cut3.gamma
     pg = agg.node_to_group[m.tree.root]
     zv = {g: np.zeros(m.l) for g in agg.group_index}
     cut = engine.make_feasibility_cut(sub2, np.array([3.0]), zv, pg)
