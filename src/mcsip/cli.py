@@ -74,8 +74,9 @@ def _transformation(name: str, pm_attrs: list[int] | None) -> Transformation:
 
 
 def _load(path: str, load):
-    """load(fp) on the file at path; one that cannot be opened, or holds
-    no valid JSON, is a ConfigError."""
+    """load(fp) on the file at path; one that cannot be opened, holds no
+    valid JSON, or lacks an entry or holds a value that load cannot read,
+    is a ConfigError."""
     try:
         with open(path) as fp:
             return load(fp)
@@ -83,6 +84,10 @@ def _load(path: str, load):
         raise ConfigError(f"cannot read {path}: {exc.strerror}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path} is not valid JSON: {exc}") from exc
+    except KeyError as exc:
+        raise ConfigError(f"{path} has no entry {exc}") from exc
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"{path}: {exc}") from exc
 
 
 def run_solve(inst, method: str, tr: Transformation, *, eps: float | None,
@@ -193,7 +198,10 @@ def cmd_evaluate(args) -> int:
     if "z" not in sol:
         raise ConfigError(f"{args.solution} holds no integer policy "
                           f"(status {sol.get('status')})")
-    tr = _transformation(args.transform or sol["transform"], args.pm_attrs)
+    transform = args.transform or sol.get("transform")
+    if transform is None:
+        raise ConfigError(f"{args.solution} names no transform; pass --transform")
+    tr = _transformation(transform, args.pm_attrs)
     m = build_hdr_msilp(inst)
     agg = build_aggregation(m.tree, tr)
     z = {tuple(key): np.array(vals) for key, vals in sol["z"]}
@@ -276,13 +284,19 @@ def cmd_bench(args) -> int:
     return 2 if failed else 0
 
 
-def cmd_report(args) -> int:
-    rows = _load(args.input, lambda fp: list(csv.DictReader(fp)))
+def _optimal_objectives(fp) -> dict[str, dict[tuple[str, str], float]]:
+    """The objective of every optimal row of a bench CSV, by instance and
+    (method, transform)."""
     by_inst: dict[str, dict[tuple[str, str], float]] = {}
-    for row in rows:
+    for row in csv.DictReader(fp):
         if row["status"] in ("optimal",) and row["objective"]:
             by_inst.setdefault(row["instance"], {})[
                 (row["method"], row["transform"])] = float(row["objective"])
+    return by_inst
+
+
+def cmd_report(args) -> int:
+    by_inst = _load(args.input, _optimal_objectives)
     print("instance        transform  gap_closed_vs_hn_fh%")
     for inst, vals in sorted(by_inst.items()):
         hn = vals.get(("ex", "hn"))

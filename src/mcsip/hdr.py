@@ -34,11 +34,10 @@ import json
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 
 from .aggregate import AggregationMap
 from .markov import MarkovChain, McState, product_chain
-from .model import Msilp, NodeData, smat
+from .model import Csr, Msilp, NodeData, smat
 from .tree import build_tree
 
 SCHEMA_VERSION = 1
@@ -278,8 +277,8 @@ def _node_data(inst: HdrInstance, state: McState, is_root: bool,
             g.append(0.0)
             sen_z.append("G")
     nz = len(g)
-    H = smat(sp.csr_matrix((zv, (zi, zj)), shape=(nz, n_l)), (nz, n_l))
-    G = None if is_root else smat(sp.csr_matrix((gv, (gi, gj)), shape=(nz, n_l)), (nz, n_l))
+    H = smat(Csr.from_triplets(zi, zj, zv, (nz, n_l)), (nz, n_l))
+    G = None if is_root else smat(Csr.from_triplets(gi, gj, gv, (nz, n_l)), (nz, n_l))
 
     rows_c, rows_e, rows_a, rows_b, rows_w = [], [], [], [], []
     b_vec, sen_l = [], []
@@ -344,7 +343,7 @@ def _node_data(inst: HdrInstance, state: McState, is_root: bool,
         if not trips:
             return None
         ri, ci, vv = zip(*trips)
-        return smat(sp.csr_matrix((vv, (ri, ci)), shape=(nl, ncols)), (nl, ncols))
+        return smat(Csr.from_triplets(ri, ci, vv, (nl, ncols)), (nl, ncols))
 
     h = np.zeros(r)
     for j in range(n_j):

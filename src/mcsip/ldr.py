@@ -40,14 +40,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 
 from .aggregate import AggregationMap, GroupKey
 from .errors import InfeasibleModel, NumericalFailure, Overflow
 from .lp_engine import (INFEASIBLE, OPTIMAL, THETA_LB, VIOL_GUARD, CutOracle, MipSolution,
                         RhsMap, branch_and_cut, cut_row, relative_gap, solve_lp,
                         violation_certificate)
-from .model import GE, LE, LpProblem, MipProblem, Msilp, RowBlock, assemble, \
+from .model import GE, LE, Csr, LpProblem, MipProblem, Msilp, RowBlock, assemble, \
     first_stage_columns, first_stage_offsets, node_rows, z_values
 from .tree import path as tree_path
 
@@ -166,8 +165,7 @@ def build_ldr_model(m: Msilp, agg: AggregationMap, variant: LdrVariant) -> LdrMo
         vec = _rule_basis(variant, m, nid)
         j = np.flatnonzero(vec)
         cols = lam_off[key] + nb * np.arange(k)[:, None] + j
-        return sp.csr_matrix((np.tile(vec[j], k), cols.ravel(), np.arange(k + 1) * j.size),
-                             shape=(k, n))
+        return Csr(np.arange(k + 1) * j.size, cols.ravel(), np.tile(vec[j], k), (k, n))
 
     def zcol(nid):
         return z_off[agg.node_to_group[nid]]
@@ -176,13 +174,14 @@ def build_ldr_model(m: Msilp, agg: AggregationMap, variant: LdrVariant) -> LdrMo
     obj, lo, up, integer = first_stage_columns(m, zcol, x_off, y_off, n)
     for node in tree.nodes:
         if node.id != tree.root and np.any(m.data[node.id].d):
-            obj += P[node.id].T @ (node.p * m.data[node.id].d)
+            obj += P[node.id].rmatvec(node.p * m.data[node.id].d)
     for key in theta_keys:
         obj[theta_off[key]] = 1.0
         lo[theta_off[key]] = THETA_LB
 
     node_lps: dict[int, _NodeLp] = {}
-    pick_bound = sp.csr_matrix(np.repeat(np.eye(k), 2, axis=0))  # rows lo_q, up_q
+    pick_bound = Csr(np.arange(2 * k + 1), np.repeat(np.arange(k), 2), np.ones(2 * k),
+                     (2 * k, k))  # rows lo_q, up_q
     blocks = []
     for node in tree.nodes:
         nd = m.data[node.id]

@@ -32,6 +32,11 @@ runs dual simplex without presolve.  A column count that no longer matches
 makes the solve cold; a warm solve that ends in no usable status is retried
 once cold.
 
+Matrices: p.A is a model.Csr, or any other CSR matrix with the same
+attribute names (indptr, indices, data, shape; scipy's csr_matrix has
+them), which the kernel reads as it is.  add_rows and infeasibility_lp
+always make a Csr.
+
 Dual convention (minimization): duals[i] = d obj / d rhs[i], so '>=' rows
 carry nonnegative duals and '<=' rows nonpositive ones; this is HiGHS's own
 row dual.  Infeasible solves return a ray in the same convention; see
@@ -39,13 +44,13 @@ verify_farkas for the exact certificate the ray satisfies.
 
 Benders layer of S and LDR: each subproblem LP takes its rhs from an
 RhsMap, const + R w at the incoming state w, and a cut's slope in w is
-R' pi of its duals pi.  The map keeps R as the CSR arrays model.assemble
-made and does both products with one np.bincount, which adds the terms in
-the order scipy's csr_matvec and csc_matvec do, so its sums match scipy's
-bit for bit and no sparse object is built per solve.  Cuts are read off LP
-duals, or off the phase-1 duals of violation_certificate (also the Farkas
-ray's source), and cut_row writes every cut as a row of the problem that
-hosts it.
+R' pi of its duals pi.  The map keeps R as the Csr arrays model.assemble
+made and does both products with one np.bincount over the entries in
+storage order, the order of Csr's own products, so a rhs or slope equals
+R @ w or R.rmatvec(pi) bit for bit and no matrix object is built per
+solve.  Cuts are read off LP duals, or off the phase-1 duals of
+violation_certificate (also the Farkas ray's source), and cut_row writes
+every cut as a row of the problem that hosts it.
 
 Branch and bound: best-bound node selection, most-fractional branching with
 lowest-index tie break, relative gap termination; each child node starts
@@ -69,10 +74,9 @@ from typing import Sequence
 
 import numpy as np
 import scipy
-import scipy.sparse as sp
 
 from .errors import DimensionMismatch, NumericalFailure
-from .model import EQ, GE, LE, LpProblem, MipProblem
+from .model import EQ, GE, LE, Csr, LpProblem, MipProblem, as_csr
 
 FEAS_TOL = 1e-7
 INT_TOL = 1e-6
@@ -192,16 +196,14 @@ class DeadlineReached(Exception):
 
 
 def _rowwise(p: LpProblem):
-    """The CSR arrays of p.A that HiGHS gets, indices as int32, cached on
-    the matrix object and checked finite once (add_rows replaces it)."""
-    cache = getattr(p.A, "_mcsip_csr", None)
-    if cache is None:
-        a = p.A.tocsr()
+    """The CSR arrays of p.A that HiGHS gets, checked finite once per matrix
+    object (add_rows replaces it)."""
+    a = p.A
+    if not getattr(a, "_mcsip_finite", False):
         if not np.isfinite(a.data).all():
             raise ValueError("constraint matrix holds inf or nan")
-        cache = p.A._mcsip_csr = (a.indptr.astype(np.int32, copy=False),
-                                  a.indices.astype(np.int32, copy=False), a.data)
-    return cache
+        a._mcsip_finite = True
+    return a.indptr, a.indices, a.data
 
 
 def solve_lp(p: LpProblem, want_farkas: bool = True) -> LpSolution:
@@ -300,16 +302,18 @@ def infeasibility_lp(p: LpProblem) -> LpProblem:
     """
     n, m = p.n, p.m
     # row i gets slack column first[i] (+1, or -1 on '<=' rows); an '==' row
-    # also gets first[i] + 1 (-1)
+    # also gets first[i] + 1 (-1); each row's slacks follow its entries of
+    # p.A, whose explicit zeros are dropped
     eq = p.senses == EQ
     width = np.where(eq, 2, 1)
     first = n + np.cumsum(width) - width
     n_slack = int(width.sum())
-    slack = sp.csr_matrix(
-        (np.concatenate([np.where(p.senses == LE, -1.0, 1.0), np.full(eq.sum(), -1.0)]),
-         (np.concatenate([np.arange(m), np.flatnonzero(eq)]),
-          np.concatenate([first, first[eq] + 1]))), shape=(m, n + n_slack))
-    a = sp.hstack([p.A, sp.csr_matrix((m, n_slack))]).tocsr() + slack
+    a = as_csr(p.A)
+    a = Csr.from_triplets(
+        np.concatenate([a.entry_rows(), np.arange(m), np.flatnonzero(eq)]),
+        np.concatenate([a.indices, first, first[eq] + 1]),
+        np.concatenate([a.data, np.where(p.senses == LE, -1.0, 1.0), np.full(eq.sum(), -1.0)]),
+        (m, n + n_slack))
     c = np.concatenate([np.zeros(n), np.ones(n_slack)])
     lo = np.concatenate([p.lo, np.zeros(n_slack)])
     up = np.concatenate([p.up, np.full(n_slack, np.inf)])
@@ -338,7 +342,7 @@ def verify_farkas(p: LpProblem, ray: np.ndarray) -> float:
     """
     if np.any(ray[p.senses == GE] < -FEAS_TOL) or np.any(ray[p.senses == LE] > FEAS_TOL):
         return -np.inf
-    d = p.A.T @ ray
+    d = as_csr(p.A).rmatvec(ray)
     up, lo = d > FEAS_TOL, d < -FEAS_TOL
     if not (np.isfinite(p.up[up]).all() and np.isfinite(p.lo[lo]).all()):
         return -np.inf
@@ -362,11 +366,10 @@ def add_rows(p: LpProblem, rows: Sequence[Row]) -> LpProblem:
     if bad.size:
         raise DimensionMismatch(f"column {idx[bad[0]]} outside 0..{p.n - 1}")
     order = np.lexsort((idx, np.repeat(np.arange(len(rows)), sizes)))
-    a = p.A.tocsr()
-    p.A = type(a)((np.concatenate([a.data, vals[order]]),
-                   np.concatenate([a.indices, idx[order]]),
-                   np.concatenate([a.indptr, a.indptr[-1] + np.cumsum(sizes)])),
-                  shape=(a.shape[0] + len(rows), p.n))
+    a = p.A
+    p.A = Csr(np.concatenate([a.indptr, a.indptr[-1] + np.cumsum(sizes)]),
+              np.concatenate([a.indices, idx[order].astype(np.int32)]),
+              np.concatenate([a.data, vals[order]]), (a.shape[0] + len(rows), p.n))
     p.rhs = np.concatenate([p.rhs, [rhs for _, _, rhs in rows]])
     p.senses = np.concatenate([p.senses, np.array([s for _, s, _ in rows], dtype="<U1")])
     return p
@@ -387,14 +390,14 @@ class RhsMap:
     """rhs = const + R w of a subproblem LP at an incoming state w, and the
     slope R' pi of its value in w from row duals pi.
 
-    R is kept as the CSR arrays it was built with (indptr, indices, data)
+    R is kept as the Csr arrays it was built with (indptr, indices, data)
     plus each entry's row; both products are one np.bincount that adds the
-    entries in storage order, as scipy's csr_matvec (rhs) and csc_matvec
-    (slope, over R's transpose) do, so they match scipy's bit for bit."""
+    entries in storage order, as Csr's own @ (rhs) and rmatvec (slope) do,
+    so they equal R @ w and R.rmatvec(pi) bit for bit."""
 
-    def __init__(self, R: sp.csr_matrix, const: np.ndarray):
+    def __init__(self, R: Csr, const: np.ndarray):
         self.indptr, self.indices, self.data = R.indptr, R.indices, R.data
-        self.rows = np.repeat(np.arange(R.shape[0]), np.diff(R.indptr))
+        self.rows = R.entry_rows()
         self.const = np.asarray(const, dtype=float)
         self.n = R.shape[1]
 

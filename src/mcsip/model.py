@@ -12,11 +12,17 @@ W is an optional ancestor-coupling block used by formulations that fold a
 telescoped state recursion into the integer variables; it is only legal
 when the integer variables are first-stage (extensive or two-stage use).
 
+Every matrix here is a Csr: numpy arrays in compressed sparse row form
+(int32 indptr and indices, float data) with the two products the solvers
+need, A x and A' y, each one np.bincount that adds a row's (or a
+column's) terms in storage order.  The LP kernel also reads a caller's
+scipy CSR matrix through the same attribute names (as_csr).
+
 Every solver model turns these blocks into constraint rows by one rule: a
 row block is sum(sign * M @ P) over its terms, where M is one of a node's
 blocks and P maps that variable block onto model columns.  For most
 blocks P is a plain column offset; for the decision-rule substitution
-x_n = Lambda' basis(n) it is a sparse basis-expansion matrix.  `assemble`
+x_n = Lambda' basis(n) it is a sparse basis-expansion Csr.  `assemble`
 produces two kinds of output:
 
     canonical   models handed to branch and bound (the extensive forms,
@@ -37,7 +43,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.sparse as sp
 
 from .aggregate import AggregationMap
 from .errors import DimensionMismatch, Overflow
@@ -49,14 +54,76 @@ VAR_CAP = 5_000_000
 GE, EQ, LE = "G", "E", "L"
 
 
-def smat(m, shape) -> sp.csr_matrix | None:
-    """Normalize a matrix argument to csr, or None when empty/zero."""
+class Csr:
+    """A sparse matrix in compressed sparse row form: row i holds the values
+    data[indptr[i]:indptr[i + 1]] in the columns indices[indptr[i]:indptr[i + 1]].
+    indptr and indices are stored as int32, the index type HiGHS takes.
+
+    Both products are one np.bincount from zero over the entries in
+    storage order: A @ x sums each row left to right, A.rmatvec(y) = A' y
+    sums each column in row order (the orders of scipy's csr_matvec and
+    csc_matvec, so the sums equal scipy's bit for bit)."""
+
+    def __init__(self, indptr, indices, data, shape):
+        self.indptr = np.asarray(indptr).astype(np.int32, copy=False)
+        self.indices = np.asarray(indices).astype(np.int32, copy=False)
+        self.data = np.asarray(data, dtype=float)
+        self.shape = (int(shape[0]), int(shape[1]))
+
+    @classmethod
+    def from_triplets(cls, rows, cols, vals, shape) -> Csr:
+        """vals[e] at (rows[e], cols[e]): duplicates summed in listed order,
+        entries that are (or sum to) zero dropped, columns sorted in each row."""
+        r, c, v = _coalesce(np.asarray(rows, dtype=np.int64),
+                            np.asarray(cols, dtype=np.int64), np.asarray(vals, dtype=float))
+        nz = v != 0.0
+        return cls(_row_starts(r[nz], shape[0]), c[nz], v[nz], shape)
+
+    @property
+    def nnz(self) -> int:
+        return self.data.size
+
+    def entry_rows(self) -> np.ndarray:
+        """The row of every stored entry."""
+        return np.repeat(np.arange(self.shape[0]), np.diff(self.indptr))
+
+    def toarray(self) -> np.ndarray:
+        out = np.zeros(self.shape)
+        np.add.at(out, (self.entry_rows(), self.indices), self.data)
+        return out
+
+    def __matmul__(self, x) -> np.ndarray:
+        x = np.asarray(x, dtype=float)
+        return np.bincount(self.entry_rows(), self.data * x[self.indices],
+                           minlength=self.shape[0])
+
+    def rmatvec(self, y) -> np.ndarray:
+        """A' y."""
+        y = np.asarray(y, dtype=float)
+        return np.bincount(self.indices, self.data * y[self.entry_rows()],
+                           minlength=self.shape[1])
+
+
+def as_csr(a) -> Csr:
+    """a itself, or a Csr over the arrays of any other CSR matrix (one with
+    indptr, indices, data and shape, as scipy's has)."""
+    return a if isinstance(a, Csr) else Csr(a.indptr, a.indices, a.data, a.shape)
+
+
+def smat(m, shape) -> Csr | None:
+    """A matrix argument as a Csr without zeros, or None when it has no
+    nonzero; m is a Csr, a dense array or a sparse matrix with toarray()."""
     if m is None:
         return None
-    m = sp.csr_matrix(m)
+    if isinstance(m, Csr):
+        r, c, v = m.entry_rows(), m.indices, m.data
+    else:
+        m = np.atleast_2d(np.asarray(m.toarray() if hasattr(m, "toarray") else m, dtype=float))
+        r, c = np.nonzero(m)
+        v = m[r, c]
     if m.shape != shape:
         raise DimensionMismatch(f"expected {shape}, got {m.shape}")
-    m.eliminate_zeros()
+    m = Csr.from_triplets(r, c, v, shape)
     return m if m.nnz else None
 
 
@@ -65,22 +132,22 @@ class NodeData:
     """Matrices, vectors and bounds of one scenario-tree node."""
 
     # z-rows
-    H: sp.csr_matrix | None = None
-    G: sp.csr_matrix | None = None
+    H: Csr | None = None
+    G: Csr | None = None
     g: np.ndarray = field(default_factory=lambda: np.zeros(0))
     sen_z: np.ndarray = field(default_factory=lambda: np.empty(0, dtype="<U1"))
     # x-rows
-    J: sp.csr_matrix | None = None
-    F: sp.csr_matrix | None = None
+    J: Csr | None = None
+    F: Csr | None = None
     f: np.ndarray = field(default_factory=lambda: np.zeros(0))
     sen_x: np.ndarray = field(default_factory=lambda: np.empty(0, dtype="<U1"))
     # linking rows
-    C: sp.csr_matrix | None = None
-    D: sp.csr_matrix | None = None
-    E: sp.csr_matrix | None = None
-    A: sp.csr_matrix | None = None
-    B: sp.csr_matrix | None = None
-    W: sp.csr_matrix | None = None
+    C: Csr | None = None
+    D: Csr | None = None
+    E: Csr | None = None
+    A: Csr | None = None
+    B: Csr | None = None
+    W: Csr | None = None
     b: np.ndarray = field(default_factory=lambda: np.zeros(0))
     sen_l: np.ndarray = field(default_factory=lambda: np.empty(0, dtype="<U1"))
     # costs
@@ -105,10 +172,9 @@ class NodeData:
             if m is None:
                 hsh.update(b"-")
             else:
-                coo = m.tocoo()
-                hsh.update(np.asarray(coo.row).tobytes())
-                hsh.update(np.asarray(coo.col).tobytes())
-                hsh.update(np.round(coo.data, 12).tobytes())
+                hsh.update(m.indptr.tobytes())
+                hsh.update(m.indices.tobytes())
+                hsh.update(np.round(m.data, 12).tobytes())
         for v in (self.g, self.f, self.b, self.c, self.d, self.h,
                   self.x_lo, self.x_up, self.y_lo, self.y_up, self.z_lo, self.z_up):
             hsh.update(np.round(np.asarray(v, dtype=float), 12).tobytes())
@@ -133,7 +199,7 @@ class Msilp:
 @dataclass
 class LpProblem:
     c: np.ndarray
-    A: sp.csr_matrix
+    A: Csr  # or a caller's scipy CSR matrix
     senses: np.ndarray  # 'G' / 'E' / 'L' per row
     rhs: np.ndarray
     lo: np.ndarray
@@ -169,7 +235,7 @@ class Layout:
 class RowBlock:
     """Rows sum(sign * M[rows] @ P for M, P, sign in terms) {senses} rhs.
 
-    P is a column offset or a sparse (M columns x model columns) matrix; a
+    P is a column offset or a Csr (M columns x model columns); a
     term whose M or P is None is absent.  `rows` picks rows of the block
     (of every M, senses and rhs alike); None takes all of them.
     """
@@ -193,7 +259,7 @@ def node_rows(nd: NodeData, z, x, y, z_par, x_par, z_anc) -> list[RowBlock]:
     ]
 
 
-def _term_entries(mat: sp.csr_matrix, P, sign: float, rows):
+def _term_entries(mat: Csr, P, sign: float, rows):
     """(row, column, value) of sign * mat[rows] @ P, row by row in the order
     of mat's entries and, within one entry, of P's row."""
     r = np.repeat(np.arange(mat.shape[0]), np.diff(mat.indptr))
@@ -204,7 +270,7 @@ def _term_entries(mat: sp.csr_matrix, P, sign: float, rows):
         r = pos[r]
         sel = r >= 0
         r, k, v = r[sel], k[sel], v[sel]
-    if not sp.issparse(P):
+    if not isinstance(P, Csr):
         return r, P + k, v
     cnt = np.diff(P.indptr)[k]
     e = np.repeat(np.arange(k.size), cnt)
@@ -228,6 +294,11 @@ def _coalesce(r, c, v):
     return r[first], c[first], out
 
 
+def _row_starts(r, m: int) -> np.ndarray:
+    """indptr of m rows whose entries, sorted by row, lie in the rows r."""
+    return np.concatenate([[0], np.cumsum(np.bincount(r, minlength=m))])
+
+
 def _first_of_each_row(r, c, v, senses, rhs) -> np.ndarray:
     """Mask of the rows that do not repeat an earlier (sense, rhs, row)."""
     m = rhs.size
@@ -249,7 +320,7 @@ def _first_of_each_row(r, c, v, senses, rhs) -> np.ndarray:
 
 
 def assemble(blocks: list[RowBlock], n_cols: int, canonical: bool
-             ) -> tuple[sp.csr_matrix, np.ndarray, np.ndarray]:
+             ) -> tuple[Csr, np.ndarray, np.ndarray]:
     """Stack row blocks into (A, senses, rhs); see the module docstring for
     what canonical output drops, rounds and dedupes."""
     rs, cs, vs = [np.zeros(0, dtype=int)], [np.zeros(0, dtype=int)], [np.zeros(0)]
@@ -275,8 +346,7 @@ def assemble(blocks: list[RowBlock], n_cols: int, canonical: bool
         big = keep[r]
         r, c, v = (np.cumsum(keep) - 1)[r[big]], c[big], v[big]
         senses, rhs = senses[keep], rhs[keep]
-    indptr = np.concatenate([[0], np.cumsum(np.bincount(r, minlength=rhs.size))])
-    return sp.csr_matrix((v, c, indptr), shape=(rhs.size, n_cols)), senses, rhs
+    return Csr(_row_starts(r, rhs.size), c, v, (rhs.size, n_cols)), senses, rhs
 
 
 def first_stage_offsets(m: Msilp, agg: AggregationMap | None) -> tuple[dict, int, int]:

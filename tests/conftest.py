@@ -6,6 +6,13 @@ from mcsip.markov import MarkovChain, McState
 from mcsip.model import Msilp, NodeData, smat
 from mcsip.tree import build_tree
 
+
+def scipy_csr(a):
+    """scipy's csr_matrix over the arrays of an mcsip Csr, for the calls
+    (indexing, vstack, copy) that only scipy's matrices answer."""
+    return sp.csr_matrix((a.data, a.indices, a.indptr), shape=a.shape)
+
+
 # small relief instances whose stage-only and full-history optima differ
 ACCEPT_SEEDS = [5, 11, 19, 20, 24, 29, 34, 35, 37, 38]
 

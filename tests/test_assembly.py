@@ -12,13 +12,14 @@ import hashlib
 
 import numpy as np
 import pytest
-import scipy.sparse as sp
 
 from mcsip.aggregate import Transformation, build_aggregation
 from mcsip.hdr import HdrConfig, build_hdr_aggregated, build_hdr_msilp, generate_instance
 from mcsip.ldr import LdrVariant, build_ldr_model
-from mcsip.model import MipProblem, RowBlock, assemble, build_aggregated_extensive_form
+from mcsip.model import MipProblem, RowBlock, assemble, build_aggregated_extensive_form, smat
 from mcsip.sddp import SddpConfig, SddpEngine, build_master
+
+from conftest import scipy_csr
 
 PINNED = {
     ("2x4", "hn"): {
@@ -114,9 +115,9 @@ def test_models_match_pinned_digests(grid, transform):
 
 
 def test_canonical_drops_rounds_and_dedupes_positional_keeps_rows():
-    M = sp.csr_matrix(np.array([[1.0, 1e-13], [1.0, 1e-13], [2.0, 0.0]]))
+    M = smat(np.array([[1.0, 1e-13], [1.0, 1e-13], [2.0, 0.0]]), (3, 2))
     # x_0 = 0.5 w_1 + 0.25 w_2 maps M's first column onto two model columns
-    P = sp.csr_matrix(np.array([[0.0, 0.5, 0.25], [1.0, 0.0, 0.0]]))
+    P = smat(np.array([[0.0, 0.5, 0.25], [1.0, 0.0, 0.0]]), (2, 3))
     blocks = [RowBlock([(M, 0, 1.0), (M, 1, -1.0)], np.array(["G", "G", "E"]),
                        np.array([1.0, 1.0, 2.0])),
               RowBlock([(M, P, 1.0), (None, 0, 1.0)], np.array(["G", "G", "L"]),
@@ -128,5 +129,6 @@ def test_canonical_drops_rounds_and_dedupes_positional_keeps_rows():
                                     [0.0, 0.5, 0.25], [0.0, 1.0, 0.5]]
     A, senses, rhs = assemble(blocks, 3, canonical=False)
     assert senses.size == rhs.size == A.shape[0] == 5
+    A = scipy_csr(A)
     assert A[0, 1] == A[1, 1] == 1e-13 - 1.0
     assert A[3, 0] == 1e-13

@@ -95,6 +95,41 @@ def test_file_holding_invalid_json_exits_3(workdir, tmp_path, capsys, flag):
     assert str(bad) in err
 
 
+def _instance_doc(workdir, **changes) -> dict:
+    doc = json.loads((workdir / "inst.json").read_text())
+    doc.update(changes)
+    return doc
+
+
+@pytest.mark.parametrize("doc", [{}, {"schema_version": 99}],
+                         ids=["empty", "unsupported-schema"])
+def test_instance_file_that_is_no_instance_exits_3(workdir, tmp_path, capsys, doc):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc and _instance_doc(workdir, **doc)))
+    rc = main(["solve", "--instance", str(bad), "--method", "ex"])
+    err = capsys.readouterr().err
+    assert rc == 3 and err.count("\n") == 1 and err.startswith("config error:")
+    assert str(bad) in err and ("schema_version" if not doc else "99") in err
+
+
+def test_report_input_without_a_status_column_exits_3(tmp_path, capsys):
+    bad = tmp_path / "r.csv"
+    bad.write_text("instance,method,transform,objective\ni,ex,hn,100\n")
+    rc = main(["report", "--input", str(bad)])
+    err = capsys.readouterr().err
+    assert rc == 3 and err.count("\n") == 1 and err.startswith("config error:")
+    assert str(bad) in err and "status" in err
+
+
+def test_evaluate_of_a_record_without_a_transform_exits_3(workdir, tmp_path, capsys):
+    rec = tmp_path / "rec.json"
+    rec.write_text(json.dumps({"status": "optimal", "z": []}))
+    rc = main(["evaluate", "--instance", str(workdir / "inst.json"), "--solution", str(rec)])
+    err = capsys.readouterr().err
+    assert rc == 3 and err.count("\n") == 1 and err.startswith("config error:")
+    assert "--transform" in err
+
+
 def test_solve_ldr_writes_rule_and_inventories(workdir):
     d = workdir
     rc = main(["solve", "--instance", str(d / "inst.json"), "--method", "ldr-m",

@@ -104,7 +104,8 @@ HIGHS = "scipy.optimize._highspy._core"
 STARTUP_CHECKS = {
     "mcsip first": f"""
 import mcsip.cli
-heavy = [m for m in ("scipy.optimize", "scipy.linalg", "scipy.special") if m in sys.modules]
+heavy = [m for m in ("scipy.optimize", "scipy.linalg", "scipy.special", "scipy.sparse",
+                    "scipy._lib._array_api") if m in sys.modules]
 assert heavy == [], heavy
 from scipy.optimize import linprog
 res = linprog([1.0], bounds=[(2.0, 3.0)])
@@ -123,8 +124,9 @@ assert mcsip.lp_engine.highs is before is scipy.optimize._highspy._core
 
 @pytest.mark.parametrize("order", sorted(STARTUP_CHECKS))
 def test_mcsip_loads_highs_without_scipy_optimize(order):
-    """Importing mcsip runs no scipy.optimize package init, and mcsip and
-    scipy.optimize share one HiGHS module in either import order."""
+    """Importing mcsip runs no scipy.optimize package init and loads no
+    scipy.sparse (nor its array-API layer), and mcsip and scipy.optimize
+    share one HiGHS module in either import order."""
     code = f"import sys\nsys.path.insert(0, {str(SRC.parent)!r})\n" + STARTUP_CHECKS[order]
     res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          timeout=120)

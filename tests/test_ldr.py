@@ -14,7 +14,7 @@ from mcsip.model import LpProblem, Msilp, NodeData, \
 from mcsip.sddp import SddpConfig, solve_exact
 from mcsip.tree import build_tree
 
-from conftest import make_random_msilp
+from conftest import make_random_msilp, scipy_csr
 
 PM = Transformation("pm", partial_attrs=(2,))
 
@@ -128,7 +128,7 @@ def _lagging_point(model, x):
 
 def _appended_rows(master, first: int):
     """(columns -> coefficient, rhs) of the master rows from index first on."""
-    A = master.A.tocsr()
+    A = scipy_csr(master.A)
     for i in range(first, A.shape[0]):
         span = slice(A.indptr[i], A.indptr[i + 1])
         yield dict(zip(A.indices[span].tolist(), A.data[span].tolist())), master.rhs[i]

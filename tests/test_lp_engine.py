@@ -9,8 +9,10 @@ from scipy.optimize._highspy import _core as highs
 from mcsip import lp_engine
 from mcsip.errors import NumericalFailure
 from mcsip.lp_engine import CutOracle, RhsMap, _check_highs_version, add_rows, \
-    branch_and_cut, solve_lp, solve_mip, verify_farkas
-from mcsip.model import LpProblem, MipProblem
+    branch_and_cut, infeasibility_lp, solve_lp, solve_mip, verify_farkas
+from mcsip.model import Csr, LpProblem, MipProblem, as_csr
+
+from conftest import scipy_csr
 
 
 def lp(c, rows, senses, rhs, lo=None, up=None):
@@ -141,7 +143,7 @@ def test_add_rows_monotone_and_matches_cold_solve():
         rows.append(({j: float(coefs[j]) for j in range(p.n)}, "G", rhs))
     add_rows(p, rows)
     warm = solve_lp(p)
-    cold = solve_lp(LpProblem(c=p.c, A=p.A.copy(), senses=p.senses.copy(),
+    cold = solve_lp(LpProblem(c=p.c, A=scipy_csr(p.A).copy(), senses=p.senses.copy(),
                               rhs=p.rhs.copy(), lo=p.lo, up=p.up))
     assert warm.objective >= base - 1e-8
     assert warm.objective == pytest.approx(cold.objective, rel=1e-9)
@@ -299,7 +301,7 @@ def warm_starts(monkeypatch):
 
 
 def cold_copy(p):
-    return LpProblem(c=p.c.copy(), A=p.A.copy(), senses=p.senses.copy(),
+    return LpProblem(c=p.c.copy(), A=scipy_csr(p.A).copy(), senses=p.senses.copy(),
                      rhs=p.rhs.copy(), lo=p.lo.copy(), up=p.up.copy())
 
 
@@ -494,14 +496,48 @@ def test_add_rows_appends_exactly_the_arrays_vstack_builds():
             ri = [i for i, (cols, _, _) in enumerate(rows) for _ in cols]
             ci = [j for cols, _, _ in rows for j in cols]
             vv = [v for cols, _, _ in rows for v in cols.values()]
-            want = sp.vstack([p.A, sp.csr_matrix((vv, (ri, ci)), shape=(len(rows), p.n))]).tocsr()
+            want = sp.vstack([scipy_csr(p.A),
+                              sp.csr_matrix((vv, (ri, ci)), shape=(len(rows), p.n))]).tocsr()
             add_rows(p, rows)
-            assert type(p.A) is type(want) and p.A.shape == want.shape
+            assert isinstance(p.A, Csr) and p.A.shape == want.shape
             for name in ("indptr", "indices", "data"):
                 got, ref = getattr(p.A, name), getattr(want, name)
                 assert got.dtype == ref.dtype and got.tobytes() == ref.tobytes(), name
             assert p.senses[-len(rows):].tolist() == [r[1] for r in rows]
             assert p.rhs[-len(rows):].tolist() == [r[2] for r in rows]
+    assert zeros > 0
+
+
+def scipy_phase1_matrix(p):
+    """p.A widened by the phase-1 slack columns plus the slack entries, built
+    with scipy's hstack and sum."""
+    eq = p.senses == "E"
+    width = np.where(eq, 2, 1)
+    first = p.n + np.cumsum(width) - width
+    n_slack = int(width.sum())
+    slack = sp.csr_matrix(
+        (np.concatenate([np.where(p.senses == "L", -1.0, 1.0), np.full(eq.sum(), -1.0)]),
+         (np.concatenate([np.arange(p.m), np.flatnonzero(eq)]),
+          np.concatenate([first, first[eq] + 1]))), shape=(p.m, p.n + n_slack))
+    return sp.hstack([scipy_csr(p.A), sp.csr_matrix((p.m, n_slack))]).tocsr() + slack
+
+
+def test_infeasibility_lp_builds_exactly_the_arrays_scipy_builds():
+    """Also from a Csr with explicit zeros (add_rows keeps them), which
+    scipy's sum drops."""
+    rng = np.random.default_rng(14)
+    zeros = 0
+    for _ in range(40):
+        p = random_feasible_lp(rng)
+        for _ in range(3):
+            want = scipy_phase1_matrix(p)
+            got = infeasibility_lp(p).A
+            assert isinstance(got, Csr) and got.shape == want.shape
+            for name in ("indptr", "indices", "data"):
+                a, b = getattr(got, name), getattr(want, name)
+                assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
+            add_rows(p, random_rows(rng, np.zeros(p.n), int(rng.integers(1, 4))))
+            zeros += int((p.A.data == 0.0).sum())
     assert zeros > 0
 
 
@@ -518,7 +554,7 @@ def test_rhs_map_matches_scipy_bit_for_bit():
         dense[:, rng.integers(n)] = 0.0                   # a column that never occurs
         R = sp.csr_matrix(dense)
         const = rng.normal(size=m)
-        rmap = RhsMap(R, const)
+        rmap = RhsMap(as_csr(R), const)
         w = rng.normal(size=n) * 10.0 ** rng.integers(-6, 7, size=n)
         duals = rng.normal(size=m)
         np.testing.assert_array_equal(rmap.rhs(w), const + R @ w)

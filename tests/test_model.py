@@ -2,10 +2,11 @@ import itertools
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from mcsip.aggregate import Transformation, build_aggregation, refines
 from mcsip.lp_engine import branch_and_cut, solve_lp
-from mcsip.model import LpProblem, build_aggregated_extensive_form, \
+from mcsip.model import Csr, LpProblem, build_aggregated_extensive_form, \
     build_extensive_form, expand_aggregated_solution, max_violation, validate
 
 from conftest import make_random_msilp
@@ -156,3 +157,58 @@ def test_variable_cap_overflow():
     with pytest.raises(Overflow):
         build_extensive_form(m, cap=10)
 
+
+
+def random_triplets(rng, m, n):
+    """Triplets over m x n in shuffled order: 0-8 per row (some rows empty),
+    repeated positions, explicit zeros, values over 16 decades and entries
+    that a later one at the same position cancels.  A row holds at most 16
+    entries, the size up to which scipy's per-row sort (std::sort) keeps
+    equal columns in listed order, so its sums of repeats are order-exact."""
+    i = np.repeat(np.arange(m), rng.integers(0, 9, size=m))
+    j = rng.integers(0, n, size=i.size)
+    v = rng.normal(size=i.size) * 10.0 ** rng.integers(-8, 8, size=i.size)
+    v[rng.random(i.size) < 0.1] = 0.0
+    cancel = rng.random(i.size) < 0.15
+    i, j, v = (np.concatenate([i, i[cancel]]), np.concatenate([j, j[cancel]]),
+               np.concatenate([v, -v[cancel]]))
+    order = rng.permutation(i.size)
+    return i[order], j[order], v[order]
+
+
+def random_csr_pairs(seed, count=200):
+    """(Csr.from_triplets, scipy's csr_matrix with its zeros eliminated) over
+    the same random triplets."""
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        m, n = int(rng.integers(1, 30)), int(rng.integers(1, 40))
+        i, j, v = random_triplets(rng, m, n)
+        want = sp.csr_matrix((v, (i, j)), shape=(m, n))
+        want.eliminate_zeros()
+        yield rng, (i, j, v), Csr.from_triplets(i, j, v, (m, n)), want
+
+
+def test_csr_from_triplets_matches_scipy():
+    """Duplicates summed in listed order, zeros dropped, columns sorted:
+    the same arrays and dtypes as scipy's csr_matrix((v, (i, j))) after
+    eliminate_zeros."""
+    repeats = zeros = empty_rows = 0
+    for _, (i, j, v), got, want in random_csr_pairs(21):
+        assert got.shape == want.shape and got.nnz == want.nnz
+        for name in ("indptr", "indices", "data"):
+            a, b = getattr(got, name), getattr(want, name)
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
+        repeats += i.size - len(set(zip(i.tolist(), j.tolist())))
+        zeros += int((v == 0.0).sum())
+        empty_rows += int((np.diff(got.indptr) == 0).sum())
+    assert repeats and zeros and empty_rows
+
+
+def test_csr_products_match_scipy_bit_for_bit():
+    for rng, _, got, want in random_csr_pairs(22):
+        m, n = got.shape
+        x = rng.normal(size=n) * 10.0 ** rng.integers(-8, 8, size=n)
+        y = rng.normal(size=m) * 10.0 ** rng.integers(-8, 8, size=m)
+        assert (got @ x).tobytes() == (want @ x).tobytes()
+        assert got.rmatvec(y).tobytes() == (want.T @ y).tobytes()
+        assert got.toarray().tobytes() == want.toarray().tobytes()

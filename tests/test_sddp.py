@@ -12,7 +12,7 @@ from mcsip.sddp import MasterPoint, SddpConfig, SddpEngine, build_master, \
     decode_master, evaluate_policy, solve_exact, solve_lower_bound
 from mcsip.tree import build_tree
 
-from conftest import make_random_msilp
+from conftest import make_random_msilp, scipy_csr
 
 
 def chain_msilp(child_rows, k=1, l=1, r=1, T=2, root_d=(0.0,), h=(1.0,),
@@ -301,7 +301,7 @@ def test_sub_lps_see_z_only_through_the_rhs_map():
         want = np.zeros(host.lp.n)
         want[:k] = -cut.alpha
         want[host.theta_col[cut.owner]] = 1.0
-        np.testing.assert_array_equal(host.lp.A[-1].toarray().ravel(), want)
+        np.testing.assert_array_equal(scipy_csr(host.lp.A)[-1].toarray().ravel(), want)
         # solved at a state, the host's theta is at least the cut there
         pg = agg.node_to_group[m.tree.node(engine.pgraph.sub_members[pk][0]).parent]
         sol = engine.solve_sub(host, rng.uniform(0.0, 10.0, size=k), zvals, pg)
