@@ -28,6 +28,7 @@ from .ldr import LdrVariant, benders_solve, build_ldr_model, extract_policy
 from .lp_engine import TIME_LIMIT, DeadlineReached, branch_and_cut, relative_gap
 from .model import build_aggregated_extensive_form, z_values
 from .sddp import SddpConfig, evaluate_policy, solve_exact, solve_lower_bound
+from .tree import build_tree
 
 METHODS = ("ex", "sddp", "sddp-lb", "sddp-ub", "ldr-th", "ldr-t", "ldr-m")
 TRANSFORMS = ("hn", "ma", "mm", "pm", "fh")
@@ -135,8 +136,7 @@ def run_solve(inst, method: str, tr: Transformation, *, eps: float | None,
                     else:
                         out.update(objective=val, gap=relative_gap(val, bound))
     elif method in ("ldr-th", "ldr-t", "ldr-m"):
-        m0 = build_hdr_msilp(inst)
-        agg0 = build_aggregation(m0.tree, tr)
+        agg0 = build_aggregation(build_tree(inst.chain, inst.config.T), tr)
         ma = build_hdr_aggregated(inst, agg0)
         agg = build_aggregation(ma.tree, tr)
         model = build_ldr_model(ma, agg, LdrVariant(method.split("-")[1]))

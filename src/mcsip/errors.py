@@ -45,5 +45,5 @@ class InfeasibleModel(McsipError):
     """Feasibility cuts proved the first-stage feasible region empty."""
 
 
-class ConfigError(McsipError):
-    """Bad CLI or bench configuration."""
+class ConfigError(McsipError, ValueError):
+    """Bad CLI, bench or solver configuration."""

@@ -42,7 +42,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .aggregate import AggregationMap, GroupKey
-from .errors import InfeasibleModel, NumericalFailure, Overflow
+from .errors import ConfigError, InfeasibleModel, NumericalFailure, Overflow
 from .lp_engine import (INFEASIBLE, OPTIMAL, THETA_LB, VIOL_GUARD, CutOracle, MipSolution,
                         RhsMap, branch_and_cut, cut_row, relative_gap, solve_lp,
                         violation_certificate)
@@ -331,8 +331,13 @@ def benders_solve(model: LdrModel, eps: float | None = None,
     The objective is the true cost of the incumbent: each accepted
     cost-to-go is replaced by its group's value at the incumbent, so an
     accepted lag never makes the policy look cheaper than it is.  The bound
-    is the branch and cut's."""
-    oracle = _BendersOracle(model, 1e-6 if eps is None else eps)
+    is the branch and cut's.  A negative eps would ask each cost-to-go to
+    exceed its group's value, which no cut makes it do, and an infinite one
+    makes the test nan on a zero value: both are a ConfigError."""
+    eps = 1e-6 if eps is None else eps
+    if not 0 <= eps < np.inf:
+        raise ConfigError(f"eps must be nonnegative and finite, got {eps}")
+    oracle = _BendersOracle(model, eps)
     sol = branch_and_cut(model.master, oracle, time_limit=time_limit, round_heuristic=False)
     if sol.status == INFEASIBLE:
         raise InfeasibleModel("LDR first stage is infeasible")

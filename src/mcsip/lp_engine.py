@@ -153,25 +153,29 @@ class LpSolution:
     status: str
     x: np.ndarray | None = None
     duals: np.ndarray | None = None
-    lo_duals: np.ndarray | None = None
-    up_duals: np.ndarray | None = None
     objective: float | None = None
     farkas: np.ndarray | None = None
-    _row_bounds: tuple | None = field(default=None, repr=False, compare=False)
+    # (row_lo, row_up, lb, ub, HighsSolution) of an optimal solve
+    _dual_data: tuple | None = field(default=None, repr=False, compare=False)
 
     @property
     def dual_objective(self) -> float | None:
         """rhs'duals plus every finite bound times its multiplier, computed
-        when read; None unless optimal.  It reads only arrays the solve
-        made, as callers edit p's rhs and bounds in place."""
-        if self._row_bounds is None:
+        when read; None unless optimal.  A bound's multiplier is the column
+        dual where the column sits at it; a fixed column's goes by its sign
+        (>= 0 lower), as HiGHS's basis status does.  It reads only arrays
+        the solve made, as callers edit p's rhs and bounds in place."""
+        if self._dual_data is None:
             return None
-        row_lo, row_up = self._row_bounds
+        row_lo, row_up, lb, ub, highs_sol = self._dual_data
+        x = self.x
+        col_dual = np.array(highs_sol.col_dual)
+        at_lb = (x == lb) & ((col_dual >= 0.0) | (lb != ub))
         val = float(self.duals @ np.where(row_lo == -np.inf, row_up, row_lo))
         # a multiplier is nonzero only where x sits at its (finite) bound
-        for bound_duals in (self.lo_duals, self.up_duals):
-            mask = bound_duals != 0.0
-            val += float(bound_duals[mask] @ self.x[mask])
+        for at_bound in (at_lb, (x == ub) & ~at_lb):
+            mask = at_bound & (col_dual != 0.0)
+            val += float(col_dual[mask] @ x[mask])
         return val
 
 
@@ -216,8 +220,9 @@ def solve_lp(p: LpProblem, want_farkas: bool = True) -> LpSolution:
         raise ValueError("objective or rhs holds inf or nan")
     row_lo = np.where(p.senses == LE, -np.inf, rhs)
     row_up = np.where(p.senses == GE, np.inf, rhs)
-    model = (c, *_rowwise(p), row_lo, row_up,
-             np.asarray(p.lo, dtype=float), np.asarray(p.up, dtype=float))
+    # copies: dual_objective reads the bounds after callers edit p's
+    lb, ub = np.array(p.lo, dtype=float), np.array(p.up, dtype=float)
+    model = (c, *_rowwise(p), row_lo, row_up, lb, ub)
     basis = p.basis
     if basis is not None and (basis[0] != p.n or basis[1] > p.m):
         basis = None  # columns changed or rows dropped: a cold start
@@ -234,10 +239,9 @@ def solve_lp(p: LpProblem, want_farkas: bool = True) -> LpSolution:
     if status is None:
         raise NumericalFailure(f"HiGHS ended with {res['status']}")
     p.basis = res["basis"]
-    lo_d, up_d = res["marg_bnds"]
-    return LpSolution(status=OPTIMAL, x=res["x"], duals=res["row_dual"], lo_duals=lo_d,
-                      up_duals=up_d, objective=float(res["fun"]),
-                      _row_bounds=(row_lo, row_up))
+    return LpSolution(status=OPTIMAL, x=res["x"], duals=res["row_dual"],
+                      objective=float(res["fun"]),
+                      _dual_data=(row_lo, row_up, lb, ub, res["solution"]))
 
 
 def _run_highs(c, indptr, indices, data, row_lo, row_up, lb, ub,
@@ -280,13 +284,7 @@ def _run_highs(c, indptr, indices, data, row_lo, row_up, lb, ub,
                 or (x < lb - _ACCEPT_TOL).any() or (x > ub + _ACCEPT_TOL).any()
                 or (ax < row_lo - _ACCEPT_TOL).any() or (ax > row_up + _ACCEPT_TOL).any()):
             return None, res
-        # a bound's multiplier is the column dual where the column sits at
-        # it; a fixed column's goes by its sign (>= 0 lower), as HiGHS's
-        # basis status does
-        col_dual = np.array(sol.col_dual)
-        at_lb = (x == lb) & ((col_dual >= 0.0) | (lb != ub))
-        marg_bnds = np.where([at_lb, (x == ub) & ~at_lb], col_dual, 0.0)
-        res.update(x=x, row_dual=np.array(sol.row_dual), marg_bnds=marg_bnds, fun=fun,
+        res.update(x=x, row_dual=np.array(sol.row_dual), solution=sol, fun=fun,
                    basis=(c.size, row_lo.size, h.getBasis()))
         return OPTIMAL, res
     finally:

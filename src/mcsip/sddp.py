@@ -40,11 +40,15 @@ positional, and every row takes its rhs from an lp_engine.RhsMap, the map
 LDR's node LPs use: rhs = const + R w at the incoming state
 w = (x_parent, z), cut slope R' pi, with R built by the same assembler; a
 hosted cut adds one row to the LP and one (its z part and gamma) to the
-map.  Each subproblem memoises its optima by state until a cut lands in
-it: its rhs is re-set before every solve and its costs and bounds never
-change, so only an appended cut row changes its LP.  A memo entry keeps
-the slope R' pi read off the LP it was solved on, so a cut appended later
-does not pair that solve's duals with rows it never saw.
+map.  The engine memoises subproblem optima in one memo keyed by (LP
+identity, rhs), so an LP that several subproblems share (copies of the
+same stage and Markov state that the transform tells apart) is solved
+once per rhs.  An LP identity is interned exactly from the LP's costs,
+bounds, rows and senses when the subproblem is built, and from (previous
+identity, appended row) when it hosts a cut, so two subproblems share one
+exactly when their LPs are equal row for row.  An entry keeps the LP's row
+duals pi; the asking subproblem takes its cut slope R' pi through its own
+map, over the rows the duals were solved on.
 solve_exact, solve_lower_bound and evaluate_policy share one driver:
 master, optional policy fixing, root cut loop, branch and cut.
 """
@@ -58,7 +62,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .aggregate import AggregationMap, GroupKey, PolicyGraph, SubKey, build_policy_graph
-from .errors import InfeasiblePolicy, MissingDuals, NumericalFailure
+from .errors import ConfigError, InfeasiblePolicy, MissingDuals, NumericalFailure
 from .lp_engine import (INFEASIBLE, OPTIMAL, THETA_LB, TIME_LIMIT, VIOL_GUARD, CutOracle,
                         DeadlineReached, MipSolution, RhsMap, add_rows,
                         branch_and_cut, cut_row, solve_lp, violation_certificate)
@@ -82,10 +86,10 @@ class SddpConfig:
     def __post_init__(self):
         if self.eps is None:
             self.eps = 1e-6 if self.exact else 0.1
-        if self.eps <= 0:
-            raise ValueError("eps must be positive")
+        if not 0 < self.eps < np.inf:
+            raise ConfigError(f"eps must be positive and finite, got {self.eps}")
         if self.k is not None and self.k < 1:
-            raise ValueError("k must be at least 1")
+            raise ConfigError(f"k must be at least 1, got {self.k}")
 
 
 @dataclass
@@ -147,8 +151,9 @@ class _Sub:
     z reaches the LP only through its rhs map, rhs = const + R w at the
     incoming state w = [x_parent | z of the parent group | z of each group
     of this stage onward].  The state and linking rows come first, hosted
-    cut rows follow.  memo maps an incoming state's bytes to the LP's
-    optimum there; host_cut empties it when it appends a row."""
+    cut rows follow.  lp_id is the LP's interned identity (SddpEngine.intern),
+    equal for two subproblems exactly when their LPs are equal row for row;
+    it keys the engine's memo together with the rhs."""
 
     def __init__(self, key: SubKey, engine: "SddpEngine"):
         self.key = key
@@ -181,37 +186,42 @@ class _Sub:
                             A=A, senses=senses, rhs=np.zeros(senses.size),
                             lo=np.concatenate([nd.x_lo, nd.y_lo, np.full(nt, theta_lb)]),
                             up=np.concatenate([nd.x_up, nd.y_up, np.full(nt, np.inf)]))
-        self.memo: dict[bytes, _SubOptimum] = {}
+        lp = self.lp
+        self.lp_id = engine.intern(tuple(a.tobytes() for a in (
+            lp.c, lp.lo, lp.up, A.indptr, A.indices, A.data, lp.senses)))
 
     def state(self, x_par: np.ndarray, zvals: dict[GroupKey, np.ndarray],
               parent_group: GroupKey) -> np.ndarray:
         return np.concatenate([x_par, zvals[parent_group]]
                               + [zvals[g] for g in self.z_groups])
 
-    def host_cut(self, cut: "Cut") -> None:
+    def host_cut(self, cut: "Cut", intern) -> None:
         """Append cut as the row theta - alpha'x >= gamma + beta'z_own +
         sum rho_g'z_g: its x part to the LP, its z part and gamma to the
-        rhs map."""
+        rhs map; the new identity is (old identity, the LP row)."""
         theta = self.theta_col[cut.owner] if cut.kind == "optimality" else None
         add_rows(self.lp, [cut_row(theta, [(0, cut.alpha)], cut.gamma)])
+        a = self.lp.A
+        start = a.indptr[-2]
+        self.lp_id = intern((self.lp_id, a.indices[start:].tobytes(),
+                             a.data[start:].tobytes(), self.lp.senses[-1]))
         row = np.zeros(self.rhs_map.n)
         for g, coef in [(self.group, cut.beta_parent), *cut.rho.items()]:
             row[self.w_off[g]:self.w_off[g] + coef.size] += coef
         self.rhs_map.append(row, cut.gamma)
-        self.memo.clear()
 
 
 class _SubOptimum(NamedTuple):
-    """What forward passes and cuts read of a subproblem solve: the state
-    x[:k], the child thetas and the value's slope R' pi in the incoming
-    state w, taken from the LP as it was solved; all but status are None
-    when it is not optimal."""
+    """What forward passes and cuts read of a subproblem LP's optimum: the
+    state x[:k], the child thetas and the row duals; all but status are
+    None when it is not optimal.  It depends on the LP and rhs only, so
+    every subproblem with that LP identity may read it."""
 
     status: str
     objective: float | None = None
     x: np.ndarray | None = None
     thetas: np.ndarray | None = None
-    slope: np.ndarray | None = None
+    duals: np.ndarray | None = None
 
 
 @dataclass
@@ -238,6 +248,9 @@ class SddpEngine:
         self.cfg = cfg
         self.pgraph = pgraph or build_policy_graph(m.tree, agg)
         self.rng = np.random.default_rng(cfg.seed)
+        self._lp_ids: dict[tuple, int] = {}
+        # (LP identity, rhs bytes) -> optimum; infeasible outcomes stay out
+        self.memo: dict[tuple[int, bytes], _SubOptimum] = {}
         self.subs = {key: _Sub(key, self) for key in self.pgraph.subproblems}
         self.pools: dict[SubKey, list[Cut]] = {k: [] for k in self.pgraph.subproblems}
         self._pool_sigs: dict[SubKey, set] = {k: set() for k in self.pgraph.subproblems}
@@ -256,6 +269,10 @@ class SddpEngine:
         while node.stage > 2:
             node = self.msilp.tree.node(node.parent)
         return node.id
+
+    def intern(self, key: tuple) -> int:
+        """The identity of the LP key describes, one per distinct key."""
+        return self._lp_ids.setdefault(key, len(self._lp_ids))
 
     def _check_time(self):
         if self.deadline is not None and time.monotonic() > self.deadline:
@@ -276,11 +293,13 @@ class SddpEngine:
                    gen_parent_group=parent_group, gen_value=value)
 
     def make_optimality_cut(self, sub: _Sub, ss: _SubSolution) -> Cut:
+        """The cut of sub's value at the solution ss of its LP; its slope is
+        R' pi through sub's own map, over the rows pi was solved on."""
         sol = ss.opt
-        if sol.status != OPTIMAL or sol.slope is None:
+        if sol.status != OPTIMAL or sol.duals is None:
             raise MissingDuals(f"subproblem {sub.key} not solved to optimality")
-        return self._cut(sub, "optimality", sol.slope, ss.value, ss.x_par, ss.zvals,
-                         ss.parent_group)
+        return self._cut(sub, "optimality", sub.rhs_map.slope(sol.duals), ss.value,
+                         ss.x_par, ss.zvals, ss.parent_group)
 
     def make_feasibility_cut(self, sub: _Sub, x_par, zvals, parent_group) -> Cut:
         """Affine minorant of the subproblem's violation, forced to zero."""
@@ -305,28 +324,28 @@ class SddpEngine:
         self._pool_sigs[cut.owner].add(sig)
         self.pools[cut.owner].append(cut)
         for pk in self.pgraph.parents[cut.owner]:
-            self.subs[pk].host_cut(cut)
+            self.subs[pk].host_cut(cut, self.intern)
         return True
 
     # -- forward / backward ------------------------------------------------
 
     def solve_sub(self, sub: _Sub, x_par, zvals, parent_group) -> _SubOptimum:
-        """The subproblem LP at this state; optima are memoised by state until
-        a cut lands in this subproblem."""
+        """The subproblem LP at this state, solved only when no LP with the
+        same identity was solved at the same rhs before."""
         self._check_time()
-        w = sub.state(x_par, zvals, parent_group)
-        key = w.tobytes()
-        hit = sub.memo.get(key)
+        rhs = sub.rhs_map.rhs(sub.state(x_par, zvals, parent_group))
+        key = (sub.lp_id, rhs.tobytes())
+        hit = self.memo.get(key)
         if hit is not None:
             return hit
-        sub.lp.rhs = sub.rhs_map.rhs(w)
+        sub.lp.rhs = rhs
         sol = solve_lp(sub.lp, want_farkas=False)
         if sol.status != OPTIMAL:
             return _SubOptimum(sol.status)
         # copies, not views: an entry must not keep the full solution alive
-        opt = sub.memo[key] = _SubOptimum(
+        opt = self.memo[key] = _SubOptimum(
             OPTIMAL, float(sol.objective), sol.x[:self.msilp.k].copy(),
-            sol.x[sub.theta0:].copy(), sub.rhs_map.slope(sol.duals))
+            sol.x[sub.theta0:].copy(), sol.duals)
         return opt
 
     def sddp_subroutine(self, candidate: MasterPoint, n_child: int) -> Cut | None:

@@ -130,6 +130,17 @@ def test_evaluate_of_a_record_without_a_transform_exits_3(workdir, tmp_path, cap
     assert "--transform" in err
 
 
+@pytest.mark.parametrize("method,flag,value", [("sddp", "--k", "0"), ("sddp", "--eps", "-1"),
+                                               ("sddp", "--eps", "inf"), ("ldr-m", "--eps", "-1"),
+                                               ("ldr-m", "--eps", "inf")])
+def test_bad_solver_setting_exits_3(workdir, tmp_path, capsys, method, flag, value):
+    rc = main(["solve", "--instance", str(workdir / "inst.json"), "--method", method,
+               flag, value, "--out", str(tmp_path / "sol.json")])
+    err = capsys.readouterr().err
+    assert rc == 3 and err.count("\n") == 1 and err.startswith("config error:")
+    assert flag[2:] in err and not (tmp_path / "sol.json").exists()
+
+
 def test_solve_ldr_writes_rule_and_inventories(workdir):
     d = workdir
     rc = main(["solve", "--instance", str(d / "inst.json"), "--method", "ldr-m",

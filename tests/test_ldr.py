@@ -4,6 +4,7 @@ import scipy.sparse as sp
 
 from mcsip import ldr
 from mcsip.aggregate import Transformation, build_aggregation
+from mcsip.errors import ConfigError
 from mcsip.hdr import build_hdr_aggregated
 from mcsip.ldr import LdrVariant, _BendersOracle, benders_solve, build_ldr_model, \
     evaluate_policy_extensive, extract_policy, node_basis
@@ -275,6 +276,15 @@ def test_generic_ldr_bounds_above_aggregated_optimum():
         for kind in ("t", "m"):
             sol = benders_solve(build_ldr_model(m, agg, LdrVariant(kind)))
             assert sol.objective >= pa - 1e-6
+
+
+@pytest.mark.parametrize("eps", [-1.0, -1e-9, float("nan"), float("inf")])
+def test_negative_or_infinite_eps_is_rejected_before_any_solve(hdr_pair, monkeypatch, eps):
+    ma, agg = hdr_pair
+    model = build_ldr_model(ma, agg, LdrVariant("m"))
+    monkeypatch.setattr(ldr, "branch_and_cut", lambda *a, **k: pytest.fail("solved"))
+    with pytest.raises(ConfigError, match="eps"):
+        benders_solve(model, eps=eps)
 
 
 def test_loose_eps_reports_the_true_cost_of_its_incumbent(hdr_pair):

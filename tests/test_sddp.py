@@ -197,48 +197,147 @@ def test_forward_pass_visits_state_keyed_subproblems():
         assert key[1] == (1,)  # every visited subproblem is keyed by dark
 
 
-def test_add_cut_clears_only_the_memos_of_its_hosts():
-    """A cut changes the LP of its owner's parents only: their memos go,
-    every other memoised optimum is still that of a cold solve of its LP,
-    and an entry holds the slope R' pi on the state, not the solution."""
+def fh_engine(hdr_toy_msilp):
+    m = hdr_toy_msilp
+    agg = build_aggregation(m.tree, Transformation("fh"))
+    return m, agg, SddpEngine(m, agg, SddpConfig(seed=0))
+
+
+def incoming_group(engine, key):
+    tree = engine.msilp.tree
+    return engine.agg.node_to_group[tree.node(engine.pgraph.sub_members[key][0]).parent]
+
+
+def count_sub_lps(monkeypatch) -> list:
+    """A list that grows by one entry per subproblem LP solve."""
+    from mcsip import sddp
+
+    calls, real = [], sddp.solve_lp
+    monkeypatch.setattr(sddp, "solve_lp", lambda *args, **kw: calls.append(1) or real(*args, **kw))
+    return calls
+
+
+def same_lp(a, b):
+    return all(np.array_equal(getattr(a, f), getattr(b, f))
+               for f in ("c", "lo", "up", "senses")) and \
+        a.A.shape == b.A.shape and np.array_equal(a.A.toarray(), b.A.toarray())
+
+
+def test_equal_lps_share_one_identity_and_one_solve(hdr_toy_msilp, monkeypatch):
+    """Subproblems share an LP identity exactly when their LPs are equal,
+    and at equal rhs the second one is served without a solve."""
+    m, agg, engine = fh_engine(hdr_toy_msilp)
+    subs = list(engine.subs.values())
+    for i, a in enumerate(subs):
+        for b in subs[i + 1:]:
+            assert (a.lp_id == b.lp_id) == same_lp(a.lp, b.lp), (a.key, b.key)
+    a, b = next((a, b) for i, a in enumerate(subs) for b in subs[i + 1:]
+                if a.lp_id == b.lp_id)
+
+    calls = count_sub_lps(monkeypatch)
+    z = {g: np.zeros(m.l) for g in agg.group_index}
+    x_par = np.zeros(m.k)
+    ga, gb = incoming_group(engine, a.key), incoming_group(engine, b.key)
+    assert np.array_equal(a.rhs_map.rhs(a.state(x_par, z, ga)),
+                          b.rhs_map.rhs(b.state(x_par, z, gb)))
+    first = engine.solve_sub(a, x_par, z, ga)
+    assert first.status == "optimal" and len(calls) == 1
+    assert engine.solve_sub(b, x_par, z, gb) is first
+    assert len(calls) == 1
+
+
+def test_add_cut_gives_new_identities_to_its_hosts_only(hdr_toy_msilp, monkeypatch):
+    """A cut changes the LP of its owner's parents only: each host gets an
+    identity no subproblem had, hosts that shared one still share one, and
+    every other identity stays; a host's old optima are not served again."""
     from mcsip.tree import path as tpath
 
-    m = make_random_msilp(seed=4, T=4)
-    agg = build_aggregation(m.tree, Transformation("ma"))
-    engine = SddpEngine(m, agg, SddpConfig(seed=0))
+    m, agg, engine = fh_engine(hdr_toy_msilp)
     cand = candidate_for(engine, m, agg)
     for n2 in m.tree.node(m.tree.root).children:  # grow the pools
         engine.sddp_subroutine(cand, n2)
     sols = {}
-    for frac in (0.25, 0.5, 0.75):  # memoise optima at new states
-        cand = candidate_for(engine, m, agg, x_root=frac * m.data[0].x_up)
-        for leaf in m.tree.leaves():
-            assert engine._forward(tpath(m.tree, leaf)[1:], cand, sols) is None
+    cand = candidate_for(engine, m, agg, x_root=np.full(m.k, 10.0))
+    for leaf in m.tree.leaves():
+        assert engine._forward(tpath(m.tree, leaf)[1:], cand, sols) is None
     cuts = (engine.make_optimality_cut(engine.subs[engine.pgraph.node_to_sub[n]], ss)
             for n, ss in sols.items() if m.tree.node(n).stage > 2)
     cut = next(c for c in cuts if engine._cut_signature(c) not in engine._pool_sigs[c.owner])
     hosts = set(engine.pgraph.parents[cut.owner])
-    before = {key: dict(sub.memo) for key, sub in engine.subs.items()}
+    before = {key: sub.lp_id for key, sub in engine.subs.items()}
     assert engine.add_cut(cut)
 
-    kept = 0
     for key, sub in engine.subs.items():
         if key in hosts:
-            assert before[key] and not sub.memo
-            continue
-        assert sub.memo == before[key]
-        for w, opt in sub.memo.items():
-            assert [a.size for a in (opt.x, opt.thetas, opt.slope)] == \
-                [m.k, len(sub.children), sub.rhs_map.n]
-            cold = LpProblem(c=sub.lp.c, A=sub.lp.A, senses=sub.lp.senses,
-                             rhs=sub.rhs_map.rhs(np.frombuffer(w)), lo=sub.lp.lo,
-                             up=sub.lp.up)
-            fresh = solve_lp(cold, want_farkas=False)
-            assert fresh.objective == pytest.approx(opt.objective, rel=1e-9, abs=1e-9)
-            np.testing.assert_allclose(opt.slope, sub.rhs_map.slope(fresh.duals),
-                                       rtol=1e-9, atol=1e-9)
-            kept += 1
-    assert kept > 0
+            assert sub.lp_id not in before.values()
+        else:
+            assert sub.lp_id == before[key]
+    for a in hosts:
+        for b in hosts:
+            if before[a] == before[b]:
+                assert engine.subs[a].lp_id == engine.subs[b].lp_id
+
+    calls = count_sub_lps(monkeypatch)
+    nid, ss = next((n, ss) for n, ss in sols.items()
+                   if engine.pgraph.node_to_sub[n] in hosts)
+    engine.solve_sub(engine.subs[engine.pgraph.node_to_sub[nid]], ss.x_par, ss.zvals,
+                     ss.parent_group)
+    assert calls
+
+
+def dual_value(lp, rhs, pi):
+    """The Lagrangian dual value of min c'x over lp's rows at rhs and its
+    box, at row duals pi (wrong-signed duals make it -inf): it equals the
+    LP optimum exactly when pi is an optimal dual."""
+    if (pi[lp.senses == "G"] < -1e-9).any() or (pi[lp.senses == "L"] > 1e-9).any():
+        return -np.inf
+    r = lp.c - lp.A.rmatvec(pi)
+    r = np.where(np.abs(r) <= 1e-9, 0.0, r)
+    with np.errstate(invalid="ignore"):
+        return float(rhs @ pi + np.where(r > 0, r * lp.lo, np.where(r < 0, r * lp.up, 0.0)).sum())
+
+
+def test_memo_served_answers_are_optima_of_the_asking_lp(hdr_toy_msilp, monkeypatch):
+    """Every answer the engine memo serves during an S solve is an optimum
+    of the asking subproblem's LP at its rhs: its objective is a cold
+    solve's, its duals are optimal duals of that LP (so the slope R' pi
+    through the asking map is a tight one), and its state and thetas
+    extend to an optimal solution.  Degenerate LPs have several optimal
+    duals, so the slope itself may differ from the cold solve's."""
+    agg = build_aggregation(hdr_toy_msilp.tree, Transformation("fh"))
+    k = hdr_toy_msilp.k
+    calls = count_sub_lps(monkeypatch)
+    solved_by, served_to_others = {}, []
+    real_sub = SddpEngine.solve_sub
+
+    def solve_sub(self, sub, x_par, zvals, parent_group):
+        n = len(calls)
+        opt = real_sub(self, sub, x_par, zvals, parent_group)
+        lp = sub.lp
+        rhs = sub.rhs_map.rhs(sub.state(x_par, zvals, parent_group))
+        if len(calls) > n:
+            solved_by.setdefault((sub.lp_id, rhs.tobytes()), sub.key)
+        elif opt.status == "optimal":  # served from the memo
+            cold = solve_lp(LpProblem(c=lp.c, A=lp.A, senses=lp.senses, rhs=rhs,
+                                      lo=lp.lo, up=lp.up), want_farkas=False)
+            assert opt.objective == pytest.approx(cold.objective, rel=1e-9, abs=1e-9)
+            assert opt.duals.size == lp.m
+            assert dual_value(lp, rhs, opt.duals) == \
+                pytest.approx(cold.objective, rel=1e-9, abs=1e-9)
+            lo, up = lp.lo.copy(), lp.up.copy()
+            lo[:k] = up[:k] = opt.x
+            lo[sub.theta0:] = up[sub.theta0:] = opt.thetas
+            pinned = solve_lp(LpProblem(c=lp.c, A=lp.A, senses=lp.senses, rhs=rhs,
+                                        lo=lo, up=up), want_farkas=False)
+            assert pinned.objective == pytest.approx(cold.objective, rel=1e-9, abs=1e-9)
+            if solved_by[sub.lp_id, rhs.tobytes()] != sub.key:
+                served_to_others.append(sub.key)
+        return opt
+
+    monkeypatch.setattr(SddpEngine, "solve_sub", solve_sub)
+    res = solve_exact(hdr_toy_msilp, agg, SddpConfig(seed=0))
+    assert res.status == "optimal"
+    assert served_to_others
 
 
 def test_sub_lps_see_z_only_through_the_rhs_map():
@@ -279,7 +378,7 @@ def test_sub_lps_see_z_only_through_the_rhs_map():
 
     # a cut made there lands in each host as the LP row theta - alpha'x
     # and the rhs row gamma + beta'z_own + sum rho_g'z_g
-    cand = candidate_for(engine, m, agg, x_root=0.5 * m.data[0].x_up)
+    cand = candidate_for(engine, m, agg, x_root=np.full(m.k, 10.0))
     cand.z = zvals
     sols = {}
     assert engine._forward(tpath(m.tree, leaves[0])[1:], cand, sols) is None
