@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InvalidStage
+from .errors import ConfigError, InvalidStage
 from .markov import McState
 from .tree import ScenarioTree, mc_history
 
@@ -57,7 +57,8 @@ def _kept(tr: Transformation, t: int, s: int) -> list[int]:
     if kind in ("mm", "pm") and t == 1:
         kind = "ma"
     if kind == "pm" and any(a < 0 or a >= s for a in tr.partial_attrs):
-        raise ValueError("partial attribute index out of range")
+        raise ConfigError(f"partial attribute index out of range: {list(tr.partial_attrs)} "
+                          f"(the states have {s} attributes)")
     return {
         "hn": [],
         "ma": list(range(n - s, n)),
@@ -131,6 +132,9 @@ class PolicyGraph:
     """Quotient of the scenario tree by the subproblem key (stage, state, group).
 
     Stage-1 has no subproblems; the root is handled by the master problem.
+    reach lists a subproblem's reachable groups in group_index order: its
+    own group and those of every subproblem below it, the only integer
+    blocks its value can depend on besides its parent's group.
     """
 
     subproblems: list[SubKey]
@@ -139,6 +143,7 @@ class PolicyGraph:
     sub_members: dict[SubKey, list[int]]
     children: dict[SubKey, list[tuple[SubKey, float]]]
     parents: dict[SubKey, list[SubKey]] = field(default_factory=dict)
+    reach: dict[SubKey, list[GroupKey]] = field(default_factory=dict)
 
 
 def sub_key(agg: AggregationMap, nid: int) -> SubKey:
@@ -177,4 +182,9 @@ def build_policy_graph(tree: ScenarioTree, agg: AggregationMap) -> PolicyGraph:
             children[key].append((ck, seen[ck]))
             parents[ck].append(key)
     subproblems = [k for t in sorted(stage_subs) for k in stage_subs[t]]
-    return PolicyGraph(subproblems, stage_subs, node_to_sub, members, children, parents)
+    reach: dict[SubKey, list[GroupKey]] = {}
+    for key in reversed(subproblems):  # children before their parents
+        found = {key[2]}.union(*(reach[ck] for ck, _ in children[key]))
+        reach[key] = sorted(found, key=agg.group_index.__getitem__)
+    return PolicyGraph(subproblems, stage_subs, node_to_sub, members, children, parents,
+                       reach)

@@ -75,7 +75,7 @@ from typing import Sequence
 import numpy as np
 import scipy
 
-from .errors import DimensionMismatch, NumericalFailure
+from .errors import ConfigError, DimensionMismatch, NumericalFailure
 from .model import EQ, GE, LE, Csr, LpProblem, MipProblem, as_csr
 
 FEAS_TOL = 1e-7
@@ -449,10 +449,19 @@ def _fractional(x, int_cols):
     return int_cols[worst] if frac[worst] > INT_TOL else None
 
 
+def check_time_limit(time_limit: float | None) -> None:
+    """A time limit is None (no limit) or a nonnegative number of seconds;
+    a nan one would never fire and a negative one would fire at once."""
+    if time_limit is not None and not time_limit >= 0:
+        raise ConfigError(f"time limit must be a nonnegative number of seconds, "
+                          f"got {time_limit}")
+
+
 def branch_and_cut(p: MipProblem, oracle: CutOracle | None = None,
                    time_limit: float | None = None,
                    round_heuristic: bool = True) -> MipSolution:
     """Best-bound branch and bound to gap MIP_GAP with an optional cut oracle."""
+    check_time_limit(time_limit)
     deadline = None if time_limit is None else time.monotonic() + time_limit
     int_cols = np.flatnonzero(p.integer)
     incumbent, inc_obj = None, np.inf

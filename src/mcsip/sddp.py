@@ -16,13 +16,17 @@ on the right-hand side:
 
 A cut generated from a solved subproblem is the exact dual support of its
 value as a function of the incoming state: alpha collects the F/A duals,
-beta the B duals, and rho_g the slope on the z of every group g of the
-owner's stage onward (its D duals and those of the cuts it hosts), so the
-cut stays valid in any same-stage host (beta binds to the host's own
-group).  Cuts are shared with every subproblem carrying the theta
-variable.  Both kinds of cut come from one constructor: an optimality cut
-supports the subproblem value, a feasibility cut the phase-1 violation
-(lp_engine's violation_certificate).
+beta the B duals, and rho_g the slope on the z of every reachable group g
+of the owner (its D duals and those of the cuts it hosts), so the cut
+stays valid in any same-stage host (beta binds to the host's own group).
+The reachable groups (PolicyGraph.reach) are the owner's own group and
+those of every subproblem below it: the value depends on no other z, so
+by induction over hosted cuts rho is zero elsewhere and the state w
+carries only these groups.  Cuts are shared with every subproblem
+carrying the theta variable.  Both kinds of cut come from one
+constructor: an optimality cut supports the subproblem value, a
+feasibility cut the phase-1 violation (lp_engine's
+violation_certificate).
 
 Forward passes sample leaf paths without replacement; backward passes are
 quick passes over the forward solutions.  The subroutine returns the first
@@ -65,7 +69,8 @@ from .aggregate import AggregationMap, GroupKey, PolicyGraph, SubKey, build_poli
 from .errors import ConfigError, InfeasiblePolicy, MissingDuals, NumericalFailure
 from .lp_engine import (INFEASIBLE, OPTIMAL, THETA_LB, TIME_LIMIT, VIOL_GUARD, CutOracle,
                         DeadlineReached, MipSolution, RhsMap, add_rows,
-                        branch_and_cut, cut_row, solve_lp, violation_certificate)
+                        branch_and_cut, check_time_limit, cut_row, solve_lp,
+                        violation_certificate)
 from .model import LpProblem, MipProblem, Msilp, RowBlock, assemble, \
     first_stage_columns, first_stage_offsets, node_rows, z_values
 from .tree import path as tree_path
@@ -90,6 +95,11 @@ class SddpConfig:
             raise ConfigError(f"eps must be positive and finite, got {self.eps}")
         if self.k is not None and self.k < 1:
             raise ConfigError(f"k must be at least 1, got {self.k}")
+        if self.max_rounds < 1:
+            raise ConfigError(f"rounds must be at least 1, got {self.max_rounds}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be nonnegative, got {self.seed}")
+        check_time_limit(self.time_limit)
 
 
 @dataclass
@@ -98,10 +108,10 @@ class Cut:
     kind: str                     # 'optimality' | 'feasibility'
     alpha: np.ndarray             # on the parent's continuous state
     beta_parent: np.ndarray       # on the host's own aggregated block
-    rho: dict[GroupKey, np.ndarray]  # slope on z_g, groups of stages >= owner stage
+    rho: dict[GroupKey, np.ndarray]  # slope on z_g, nonzero groups the owner reaches
     gamma: float
     gen_x: np.ndarray | None = None
-    gen_z: dict[GroupKey, np.ndarray] | None = None
+    gen_z: dict[GroupKey, np.ndarray] | None = None  # the candidate's own dict
     gen_parent_group: GroupKey | None = None
     gen_value: float = 0.0
 
@@ -149,11 +159,12 @@ class _Sub:
     """One policy-graph subproblem and its growing LP over x, y and theta.
 
     z reaches the LP only through its rhs map, rhs = const + R w at the
-    incoming state w = [x_parent | z of the parent group | z of each group
-    of this stage onward].  The state and linking rows come first, hosted
-    cut rows follow.  lp_id is the LP's interned identity (SddpEngine.intern),
-    equal for two subproblems exactly when their LPs are equal row for row;
-    it keys the engine's memo together with the rhs."""
+    incoming state w = [x_parent | z of the parent group | z of each
+    reachable group (z_groups, PolicyGraph.reach)].  The state and
+    linking rows come first, hosted cut rows follow.  lp_id is the LP's
+    interned identity (SddpEngine.intern), equal for two subproblems
+    exactly when their LPs are equal row for row; it keys the engine's
+    memo together with the rhs."""
 
     def __init__(self, key: SubKey, engine: "SddpEngine"):
         self.key = key
@@ -162,7 +173,7 @@ class _Sub:
         nd = m.data[node0]
         self.group = engine.agg.node_to_group[node0]
         self.children = engine.pgraph.children[key]
-        self.z_groups = [g for g in engine.agg.group_index if g[0] >= key[0]]
+        self.z_groups = engine.pgraph.reach[key]
         k, l, r = m.k, m.l, m.r
         self.w_off = {g: k + l + i * l for i, g in enumerate(self.z_groups)}
         self.theta0 = k + r
@@ -289,8 +300,7 @@ class SddpEngine:
         rho = {g: grad[off:off + l] for (g, off), nz in zip(sub.w_off.items(), nonzero) if nz}
         gamma = value - float(grad @ sub.state(x_par, zvals, parent_group))
         return Cut(sub.key, kind, grad[:k], grad[k:k + l], rho, gamma, gen_x=x_par.copy(),
-                   gen_z={g: np.array(v) for g, v in zvals.items()},
-                   gen_parent_group=parent_group, gen_value=value)
+                   gen_z=zvals, gen_parent_group=parent_group, gen_value=value)
 
     def make_optimality_cut(self, sub: _Sub, ss: _SubSolution) -> Cut:
         """The cut of sub's value at the solution ss of its LP; its slope is
@@ -480,10 +490,14 @@ def build_master(m: Msilp, agg: AggregationMap,
 
 def decode_master(m: Msilp, agg: AggregationMap, lay: MasterLayout,
                   x: np.ndarray) -> MasterPoint:
+    """The candidate at master solution x; its z arrays are fresh and
+    read-only, since every cut made at it keeps them by reference."""
     theta = {nid: float(x[tc]) for nid, tc in lay.theta.items()}
     root_group = agg.node_to_group[m.tree.root]
-    return MasterPoint(x[lay.x_off:lay.x_off + m.k].copy(), z_values(lay.z_off, m.l, x),
-                       theta, root_group)
+    z = z_values(lay.z_off, m.l, x)
+    for v in z.values():
+        v.setflags(write=False)
+    return MasterPoint(x[lay.x_off:lay.x_off + m.k].copy(), z, theta, root_group)
 
 
 class _MasterOracle(CutOracle):

@@ -130,15 +130,24 @@ def test_evaluate_of_a_record_without_a_transform_exits_3(workdir, tmp_path, cap
     assert "--transform" in err
 
 
-@pytest.mark.parametrize("method,flag,value", [("sddp", "--k", "0"), ("sddp", "--eps", "-1"),
-                                               ("sddp", "--eps", "inf"), ("ldr-m", "--eps", "-1"),
-                                               ("ldr-m", "--eps", "inf")])
-def test_bad_solver_setting_exits_3(workdir, tmp_path, capsys, method, flag, value):
+BAD_SETTINGS = [("sddp", "--k", "0", "k"), ("sddp", "--eps", "-1", "eps"),
+                ("sddp", "--eps", "inf", "eps"), ("ldr-m", "--eps", "-1", "eps"),
+                ("ldr-m", "--eps", "inf", "eps"), ("sddp", "--seed", "-1", "seed"),
+                ("ex", "--pm-attrs", "9", "attribute"), ("sddp-lb", "--rounds", "0", "rounds"),
+                ("sddp-lb", "--rounds", "-2", "rounds"),
+                ("sddp", "--time-limit", "nan", "time limit"),
+                ("ex", "--time-limit", "-1", "time limit"),
+                ("ldr-m", "--time-limit", "-1", "time limit")]
+
+
+@pytest.mark.parametrize("method,flag,value,word", BAD_SETTINGS,
+                         ids=[f"{m}-{f}-{v}" for m, f, v, _ in BAD_SETTINGS])
+def test_bad_solver_setting_exits_3(workdir, tmp_path, capsys, method, flag, value, word):
     rc = main(["solve", "--instance", str(workdir / "inst.json"), "--method", method,
                flag, value, "--out", str(tmp_path / "sol.json")])
     err = capsys.readouterr().err
     assert rc == 3 and err.count("\n") == 1 and err.startswith("config error:")
-    assert flag[2:] in err and not (tmp_path / "sol.json").exists()
+    assert word in err and not (tmp_path / "sol.json").exists()
 
 
 def test_solve_ldr_writes_rule_and_inventories(workdir):

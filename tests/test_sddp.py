@@ -118,17 +118,23 @@ def test_cut_underestimates_resolved_value_at_random_points():
     audit_cut_validity(m, agg, seed=0, n_points=30)
 
 
-def audit_cut_validity(m, agg, seed, n_points, tol=1e-6):
-    """Re-solve children at sampled feasible points; stored cuts must stay
-    below the re-solved value and be tight where they were generated."""
+def s_solve(m, agg, seed=0):
+    """An S solve as solve_exact runs it; returns its engine."""
+    from mcsip.sddp import _MasterOracle, _root_precut
+
     cfg = SddpConfig(seed=seed)
     master, lay = build_master(m, agg, cfg.theta_lb)
     engine = SddpEngine(m, agg, cfg)
-    from mcsip.sddp import _MasterOracle, _root_precut
-
     oracle = _MasterOracle(engine, lay)
     _root_precut(master, oracle)
-    sol = branch_and_cut(master, oracle, round_heuristic=False)
+    assert branch_and_cut(master, oracle, round_heuristic=False).status == "optimal"
+    return engine
+
+
+def audit_cut_validity(m, agg, seed, n_points, tol=1e-6):
+    """Re-solve children at sampled feasible points; stored cuts must stay
+    below the re-solved value and be tight where they were generated."""
+    engine = s_solve(m, agg, seed)
     rng = np.random.default_rng(seed + 99)
     checked = 0
     for owner, cuts in engine.pools.items():
@@ -406,6 +412,81 @@ def test_sub_lps_see_z_only_through_the_rhs_map():
         sol = engine.solve_sub(host, rng.uniform(0.0, 10.0, size=k), zvals, pg)
         theta = sol.thetas[[ck for ck, _ in host.children].index(cut.owner)]
         assert theta >= cut.value_at(sol.x, zvals, host.group) - 1e-7
+
+
+def every_group_rhs_map(engine, sub):
+    """sub's rhs map before any cut, over w = [x_parent | z_parent | z of
+    every group of its stage onward]."""
+    from mcsip.lp_engine import RhsMap
+    from mcsip.model import RowBlock, assemble
+
+    m = engine.msilp
+    k, l = m.k, m.l
+    nd = m.data[engine.pgraph.sub_members[sub.key][0]]
+    groups = [g for g in engine.agg.group_index if g[0] >= sub.key[0]]
+    own = k + l + groups.index(sub.group) * l
+    R, _, const = assemble(
+        [RowBlock([(nd.F, 0, 1.0)], nd.sen_x, nd.f),
+         RowBlock([(nd.A, 0, 1.0), (nd.B, k, 1.0), (nd.D, own, -1.0)], nd.sen_l, nd.b)],
+        k + l + l * len(groups), canonical=False)
+    return RhsMap(R, const), groups
+
+
+@pytest.mark.parametrize("case", ["2x4-pm", "2x4-fh", "random-fh"])
+def test_reachable_groups_drop_no_term_of_the_state(request, case):
+    """A subproblem's w carries its reachable groups: its own group and
+    its children's reachable groups.  Before any cut its rhs equals, bit
+    for bit, that of a map over every group of its stage onward, and
+    after an S solve every pooled cut's slope lies inside its owner's
+    reachable groups.  The relief instance has no D z_own term, so its
+    cuts slope in beta only; the random one's also slope in rho."""
+    if case == "random-fh":
+        m, tr = make_random_msilp(seed=4, T=4), Transformation("fh")
+    else:
+        m = request.getfixturevalue("hdr_toy_msilp")
+        tr = Transformation("pm", partial_attrs=(2,)) if case == "2x4-pm" else \
+            Transformation("fh")
+    agg = build_aggregation(m.tree, tr)
+    engine = SddpEngine(m, agg, SddpConfig(seed=0))
+    reach = engine.pgraph.reach
+    rng = np.random.default_rng(3)
+    zvals = {g: rng.integers(0, 3, size=m.l).astype(float) for g in agg.group_index}
+    narrower = 0
+    for key, sub in engine.subs.items():
+        want = {sub.group}.union(*(reach[ck] for ck, _ in sub.children))
+        assert sub.z_groups == reach[key] == sorted(want, key=agg.group_index.__getitem__)
+        full, groups = every_group_rhs_map(engine, sub)
+        narrower += len(groups) > len(sub.z_groups)
+        x_par = rng.uniform(0.0, 10.0, size=m.k)
+        pg = incoming_group(engine, key)
+        w = np.concatenate([x_par, zvals[pg]] + [zvals[g] for g in groups])
+        np.testing.assert_array_equal(sub.rhs_map.rhs(sub.state(x_par, zvals, pg)),
+                                      full.rhs(w))
+    assert narrower
+
+    engine = s_solve(m, agg)
+    cuts = [c for pool in engine.pools.values() for c in pool]
+    assert cuts and (case != "random-fh" or any(len(c.rho) > 1 for c in cuts))
+    for cut in cuts:
+        assert set(cut.rho) <= set(reach[cut.owner]), cut.owner
+
+
+def test_cuts_keep_the_read_only_candidate_z(hdr_toy_msilp):
+    """decode_master hands out read-only z arrays, which every cut made
+    at that candidate keeps by reference; an S solve runs on them and
+    each cut stays tight where it was made."""
+    m = hdr_toy_msilp
+    agg = build_aggregation(m.tree, Transformation("pm", partial_attrs=(2,)))
+    engine = s_solve(m, agg)
+    cuts = [c for pool in engine.pools.values() for c in pool] + \
+        [c for pool in engine.master_pool.values() for c in pool]
+    assert cuts
+    for cut in cuts:
+        assert not any(v.flags.writeable for v in cut.gen_z.values())
+        assert cut.value_at(cut.gen_x, cut.gen_z, cut.gen_parent_group) == \
+            pytest.approx(cut.gen_value, rel=1e-9, abs=1e-6)
+    with pytest.raises(ValueError):
+        cuts[0].gen_z[cuts[0].gen_parent_group][0] = 1.0
 
 
 def test_feasibility_cut_spec_example():
