@@ -16,7 +16,6 @@ import json
 import os
 import sys
 import time
-from dataclasses import replace
 
 import numpy as np
 
@@ -25,7 +24,7 @@ from .errors import ConfigError
 from .hdr import HdrConfig, generate_instance, load_instance, save_instance, \
     build_hdr_aggregated, build_hdr_msilp
 from .ldr import LdrVariant, benders_solve, build_ldr_model, extract_policy
-from .lp_engine import TIME_LIMIT, DeadlineReached, branch_and_cut, relative_gap
+from .lp_engine import TIME_LIMIT, Deadline, DeadlineReached, branch_and_cut, relative_gap
 from .model import build_aggregated_extensive_form, z_values
 from .sddp import SddpConfig, evaluate_policy, solve_exact, solve_lower_bound
 from .tree import build_tree
@@ -96,6 +95,7 @@ def run_solve(inst, method: str, tr: Transformation, *, eps: float | None,
               rounds: int) -> dict:
     """One (instance, method, transform) cell; returns the solution record."""
     t0 = time.monotonic()
+    deadline = Deadline(time_limit)  # the one clock of every step, model build included
     out: dict = {"method": method, "transform": tr.kind, "seed": seed}
     z = None
     if method in ("ex", "sddp", "sddp-lb", "sddp-ub"):
@@ -103,13 +103,13 @@ def run_solve(inst, method: str, tr: Transformation, *, eps: float | None,
         agg = build_aggregation(m.tree, tr)
         if method == "ex":
             prob = build_aggregated_extensive_form(m, agg)
-            sol = branch_and_cut(prob, time_limit=time_limit)
+            sol = branch_and_cut(prob, deadline=deadline)
             z = z_values(prob.layout.z_off, m.l, sol.x) if sol.x is not None else None
             out.update(status=sol.status, objective=sol.objective, bound=sol.bound,
                        gap=sol.gap, cuts=0)
         else:
             cfg = SddpConfig(eps=eps, k=k, exact=(method == "sddp"), seed=seed,
-                             time_limit=time_limit, max_rounds=rounds)
+                             deadline=deadline, max_rounds=rounds)
             if method == "sddp":
                 res = solve_exact(m, agg, cfg)
                 z = res.z_by_group
@@ -126,9 +126,6 @@ def run_solve(inst, method: str, tr: Transformation, *, eps: float | None,
                 elif z is None:  # sddp-ub with no incumbent policy to evaluate
                     out.update(objective=None, gap=None)
                 else:  # sddp-ub: exact evaluation of the incumbent policy
-                    if time_limit is not None:  # in the time the bound run left
-                        cfg = replace(cfg, time_limit=max(0.0, time_limit
-                                                          - (time.monotonic() - t0)))
                     try:
                         val = evaluate_policy(m, agg, z, cfg)
                     except DeadlineReached:
@@ -140,7 +137,7 @@ def run_solve(inst, method: str, tr: Transformation, *, eps: float | None,
         ma = build_hdr_aggregated(inst, agg0)
         agg = build_aggregation(ma.tree, tr)
         model = build_ldr_model(ma, agg, LdrVariant(method.split("-")[1]))
-        sol = benders_solve(model, eps=eps, time_limit=time_limit)
+        sol = benders_solve(model, eps=eps, deadline=deadline)
         out.update(status=sol.status, objective=sol.objective, bound=sol.bound,
                    gap=sol.gap, cuts=sol.cuts)
         if sol.x is not None:
@@ -192,6 +189,23 @@ def cmd_solve(args) -> int:
     return 0
 
 
+def _policy(entries, path: str, agg, l: int) -> dict:
+    """The z policy of a solution record's entries, one l-vector for each
+    group of agg and no other group; the first mismatch is a ConfigError."""
+    z = {tuple(key): np.array(vals, dtype=float) for key, vals in entries}
+    kind = agg.transformation.kind
+    for g in agg.group_index:
+        if g not in z:
+            raise ConfigError(f"{path} has no policy for group {g} of transform {kind}")
+        if z[g].shape != (l,):
+            raise ConfigError(f"{path}: group {g} holds {z[g].size} values, expected {l}")
+    for g in z:
+        if g not in agg.group_index:
+            raise ConfigError(f"{path} has a policy for group {g}, "
+                              f"which transform {kind} does not have")
+    return z
+
+
 def cmd_evaluate(args) -> int:
     inst = _load(args.instance, load_instance)
     sol = _load(args.solution, json.load)
@@ -204,7 +218,7 @@ def cmd_evaluate(args) -> int:
     tr = _transformation(transform, args.pm_attrs)
     m = build_hdr_msilp(inst)
     agg = build_aggregation(m.tree, tr)
-    z = {tuple(key): np.array(vals) for key, vals in sol["z"]}
+    z = _policy(sol["z"], args.solution, agg, m.l)
     val = evaluate_policy(m, agg, z, SddpConfig(seed=args.seed))
     print(f"exact policy value: {_fmt(val)}")
     if args.out:
@@ -247,7 +261,10 @@ def cmd_bench(args) -> int:
         instances = conf["instances"]
         methods = conf.get("methods", [])
         transforms = conf.get("transforms", ["hn"])
-    except (OSError, KeyError, json.JSONDecodeError) as exc:
+        # the run-wide settings, checked as mcsip solve checks them
+        Deadline(conf.get("time_limit"))
+        SddpConfig(seed=conf.get("seed", 0), max_rounds=conf.get("rounds", 3))
+    except (OSError, KeyError, json.JSONDecodeError, TypeError, ConfigError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 3
     cells = []

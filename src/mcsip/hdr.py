@@ -36,6 +36,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .aggregate import AggregationMap
+from .errors import ConfigError
 from .markov import MarkovChain, McState, product_chain
 from .model import Csr, Msilp, NodeData, smat
 from .tree import build_tree
@@ -69,12 +70,16 @@ class HdrConfig:
     seed: int = 0
 
     def __post_init__(self):
+        if self.cols < 1:
+            raise ConfigError(f"grid needs at least one column, got {self.cols}")
         if self.rows < 2:
-            raise ValueError("grid needs at least two rows")
+            raise ConfigError(f"grid needs at least two rows, got {self.rows}")
         if not 0.0 < self.capacity_pct <= 1.0:
-            raise ValueError("capacity_pct must be in (0, 1]")
+            raise ConfigError(f"capacity_pct must be in (0, 1], got {self.capacity_pct}")
         if self.modality_type not in (1, 2):
-            raise ValueError("modality_type must be 1 or 2")
+            raise ConfigError(f"modality_type must be 1 or 2, got {self.modality_type}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be nonnegative, got {self.seed}")
 
     @property
     def T(self) -> int:

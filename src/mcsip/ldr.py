@@ -43,8 +43,8 @@ import numpy as np
 
 from .aggregate import AggregationMap, GroupKey
 from .errors import ConfigError, InfeasibleModel, NumericalFailure, Overflow
-from .lp_engine import (INFEASIBLE, OPTIMAL, THETA_LB, VIOL_GUARD, CutOracle, MipSolution,
-                        RhsMap, branch_and_cut, cut_row, relative_gap, solve_lp,
+from .lp_engine import (INFEASIBLE, OPTIMAL, THETA_LB, VIOL_GUARD, CutOracle, Deadline,
+                        MipSolution, RhsMap, branch_and_cut, cut_row, relative_gap, solve_lp,
                         violation_certificate)
 from .model import GE, LE, Csr, LpProblem, MipProblem, Msilp, RowBlock, assemble, \
     first_stage_columns, first_stage_offsets, node_rows, z_values
@@ -231,11 +231,12 @@ class _BendersOracle(CutOracle):
 
     memo holds (status, objective, duals) of every node LP solved so far,
     by (stage, state, rhs); a point is accepted only after each group was
-    evaluated at it, so true_cost of the incumbent solves no LP."""
+    evaluated at it, so true_cost of the incumbent solves no LP and cannot hit the deadline."""
 
-    def __init__(self, model: LdrModel, eps: float):
+    def __init__(self, model: LdrModel, eps: float, deadline: Deadline = Deadline()):
         self.model = model
         self.eps = eps
+        self.deadline = deadline
         self.nodes_by_theta: dict[tuple, list[int]] = {key: [] for key in model.theta_keys}
         tree = model.msilp.tree
         for nid in model.node_lps:
@@ -251,6 +252,7 @@ class _BendersOracle(CutOracle):
         key = (node.stage, node.mc_state.attrs, rhs.tobytes())
         hit = self.memo.get(key)
         if hit is None:
+            self.deadline.check()
             nl.lp.rhs = rhs
             sol = solve_lp(nl.lp, want_farkas=False)
             hit = self.memo[key] = (sol.status, sol.objective, sol.duals)
@@ -324,7 +326,7 @@ class LdrSolution(MipSolution):
 
 
 def benders_solve(model: LdrModel, eps: float | None = None,
-                  time_limit: float | None = None) -> LdrSolution:
+                  deadline: Deadline = Deadline()) -> LdrSolution:
     """Branch and cut on the LDR master; a (stage, state) cost-to-go within
     relative eps (default 1e-6) of its group's value is accepted.
 
@@ -337,8 +339,8 @@ def benders_solve(model: LdrModel, eps: float | None = None,
     eps = 1e-6 if eps is None else eps
     if not 0 <= eps < np.inf:
         raise ConfigError(f"eps must be nonnegative and finite, got {eps}")
-    oracle = _BendersOracle(model, eps)
-    sol = branch_and_cut(model.master, oracle, time_limit=time_limit, round_heuristic=False)
+    oracle = _BendersOracle(model, eps, deadline)
+    sol = branch_and_cut(model.master, oracle, deadline=deadline, round_heuristic=False)
     if sol.status == INFEASIBLE:
         raise InfeasibleModel("LDR first stage is infeasible")
     out = LdrSolution(**vars(sol))

@@ -57,8 +57,8 @@ lowest-index tie break, relative gap termination; each child node starts
 from its parent's final basis.  When a cut oracle is supplied, every
 integer-feasible relaxation solution is offered to the oracle and the node
 is re-solved until the oracle returns no cut, which is what makes lazy
-Benders-style decompositions exact.  The time limit is checked between
-nodes and after every round of cuts.
+Benders-style decompositions exact.  The solve's one Deadline is checked
+between nodes and after every round of cuts.
 """
 
 from __future__ import annotations
@@ -197,6 +197,23 @@ def relative_gap(objective: float, bound: float) -> float:
 
 class DeadlineReached(Exception):
     """A time limit stopped work before it had a result to return."""
+
+
+class Deadline:
+    """The one clock of a solve: the time.monotonic() instant at which
+    time_limit seconds from its making are over; None never passes."""
+
+    def __init__(self, time_limit: float | None = None):
+        if time_limit is not None and not time_limit >= 0:  # nan would never fire
+            raise ConfigError(f"time limit must be nonnegative seconds, got {time_limit}")
+        self.end = None if time_limit is None else time.monotonic() + time_limit
+
+    def passed(self) -> bool:
+        return self.end is not None and time.monotonic() > self.end
+
+    def check(self) -> None:
+        if self.passed():
+            raise DeadlineReached
 
 
 def _rowwise(p: LpProblem):
@@ -449,20 +466,10 @@ def _fractional(x, int_cols):
     return int_cols[worst] if frac[worst] > INT_TOL else None
 
 
-def check_time_limit(time_limit: float | None) -> None:
-    """A time limit is None (no limit) or a nonnegative number of seconds;
-    a nan one would never fire and a negative one would fire at once."""
-    if time_limit is not None and not time_limit >= 0:
-        raise ConfigError(f"time limit must be a nonnegative number of seconds, "
-                          f"got {time_limit}")
-
-
 def branch_and_cut(p: MipProblem, oracle: CutOracle | None = None,
-                   time_limit: float | None = None,
+                   deadline: Deadline = Deadline(),
                    round_heuristic: bool = True) -> MipSolution:
     """Best-bound branch and bound to gap MIP_GAP with an optional cut oracle."""
-    check_time_limit(time_limit)
-    deadline = None if time_limit is None else time.monotonic() + time_limit
     int_cols = np.flatnonzero(p.integer)
     incumbent, inc_obj = None, np.inf
     heap: list[BnbNode] = []
@@ -470,17 +477,13 @@ def branch_and_cut(p: MipProblem, oracle: CutOracle | None = None,
     n_cuts = 0
     n_nodes = 0
     heapq.heappush(heap, BnbNode(-np.inf, seq, p.lo.copy(), p.up.copy(), p.basis))
-
-    def timed_out():
-        return deadline is not None and time.monotonic() > deadline
-
     status = OPTIMAL
     try:
         while heap:
             node = heapq.heappop(heap)
             if node.bound >= inc_obj - MIP_GAP * max(abs(inc_obj), 1.0):
                 continue
-            if timed_out():
+            if deadline.passed():
                 heapq.heappush(heap, node)  # keep its bound visible in the summary
                 status = TIME_LIMIT
                 break
@@ -504,8 +507,7 @@ def branch_and_cut(p: MipProblem, oracle: CutOracle | None = None,
                 sub.A, sub.senses, sub.rhs = p.A, p.senses, p.rhs
                 n_cuts += len(cuts)
                 passes += 1
-                if timed_out():
-                    raise DeadlineReached
+                deadline.check()
                 if passes > MAX_CUT_PASSES:
                     raise NumericalFailure("cut loop did not terminate")
             if sol.status == INFEASIBLE:

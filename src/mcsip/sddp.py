@@ -59,7 +59,6 @@ master, optional policy fixing, root cut loop, branch and cut.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field, replace
 from typing import NamedTuple
 
@@ -68,9 +67,8 @@ import numpy as np
 from .aggregate import AggregationMap, GroupKey, PolicyGraph, SubKey, build_policy_graph
 from .errors import ConfigError, InfeasiblePolicy, MissingDuals, NumericalFailure
 from .lp_engine import (INFEASIBLE, OPTIMAL, THETA_LB, TIME_LIMIT, VIOL_GUARD, CutOracle,
-                        DeadlineReached, MipSolution, RhsMap, add_rows,
-                        branch_and_cut, check_time_limit, cut_row, solve_lp,
-                        violation_certificate)
+                        Deadline, DeadlineReached, MipSolution, RhsMap, add_rows,
+                        branch_and_cut, cut_row, solve_lp, violation_certificate)
 from .model import LpProblem, MipProblem, Msilp, RowBlock, assemble, \
     first_stage_columns, first_stage_offsets, node_rows, z_values
 from .tree import path as tree_path
@@ -86,7 +84,7 @@ class SddpConfig:
     max_rounds: int = 3           # relaxed mode only
     seed: int = 0
     theta_lb: float = THETA_LB
-    time_limit: float | None = None
+    deadline: Deadline = Deadline()
 
     def __post_init__(self):
         if self.eps is None:
@@ -99,7 +97,6 @@ class SddpConfig:
             raise ConfigError(f"rounds must be at least 1, got {self.max_rounds}")
         if self.seed < 0:
             raise ConfigError(f"seed must be nonnegative, got {self.seed}")
-        check_time_limit(self.time_limit)
 
 
 @dataclass
@@ -266,8 +263,6 @@ class SddpEngine:
         self.pools: dict[SubKey, list[Cut]] = {k: [] for k in self.pgraph.subproblems}
         self._pool_sigs: dict[SubKey, set] = {k: set() for k in self.pgraph.subproblems}
         self.master_pool: dict[int, list[Cut]] = {}
-        self.deadline = None if cfg.time_limit is None else \
-            time.monotonic() + cfg.time_limit
         tree = m.tree
         self._leaves_under: dict[int, tuple[np.ndarray, np.ndarray]] = {}
         for n2 in tree.node(tree.root).children:
@@ -284,10 +279,6 @@ class SddpEngine:
     def intern(self, key: tuple) -> int:
         """The identity of the LP key describes, one per distinct key."""
         return self._lp_ids.setdefault(key, len(self._lp_ids))
-
-    def _check_time(self):
-        if self.deadline is not None and time.monotonic() > self.deadline:
-            raise DeadlineReached
 
     # -- cut construction --------------------------------------------------
 
@@ -342,7 +333,7 @@ class SddpEngine:
     def solve_sub(self, sub: _Sub, x_par, zvals, parent_group) -> _SubOptimum:
         """The subproblem LP at this state, solved only when no LP with the
         same identity was solved at the same rhs before."""
-        self._check_time()
+        self.cfg.deadline.check()
         rhs = sub.rhs_map.rhs(sub.state(x_par, zvals, parent_group))
         key = (sub.lp_id, rhs.tobytes())
         hit = self.memo.get(key)
@@ -522,23 +513,30 @@ class _MasterOracle(CutOracle):
         return rows
 
 
-def _root_precut(master: MipProblem, oracle: "_MasterOracle") -> None:
-    """Cut loop on the LP relaxation before branching starts.
+def _root_precut(master: MipProblem, oracle: "_MasterOracle") -> float | None:
+    """Cut loop on the LP relaxation before branching starts, up to the
+    deadline; returns the last relaxation objective, a valid bound, or None.
 
     Cut validity never uses integrality of the candidate, so separating at
     the relaxation optimum is sound; it just front-loads pool growth so the
     branch-and-bound candidates start out well approximated.  The master
-    keeps the relaxation's last basis, from which branch and cut starts its
-    root.
+    keeps the relaxation's last basis, from which branch and cut starts its root.
     """
-    for _ in range(PRECUT_ROUNDS):
-        sol = solve_lp(master, want_farkas=False)
-        if sol.status != OPTIMAL:
-            return
-        rows = oracle.separate(sol.x)
-        if not rows:
-            return
-        add_rows(master, rows)
+    bound = None
+    try:
+        for _ in range(PRECUT_ROUNDS):
+            oracle.engine.cfg.deadline.check()
+            sol = solve_lp(master, want_farkas=False)
+            if sol.status != OPTIMAL:
+                break
+            bound = sol.objective
+            rows = oracle.separate(sol.x)
+            if not rows:
+                break
+            add_rows(master, rows)
+    except DeadlineReached:
+        pass
+    return bound
 
 
 def _as_result(sol: MipSolution, m: Msilp, lay: MasterLayout,
@@ -560,15 +558,14 @@ def _solve(m: Msilp, agg: AggregationMap, cfg: SddpConfig,
         for g, off in lay.z_off.items():
             master.lo[off:off + m.l] = master.up[off:off + m.l] = z_fixed[g]
     if m.tree.stages == 1:
-        sol = branch_and_cut(master, time_limit=cfg.time_limit)
+        sol = branch_and_cut(master, deadline=cfg.deadline)
         return _as_result(sol, m, lay, None)
     engine = SddpEngine(m, agg, cfg)
     oracle = _MasterOracle(engine, lay)
-    try:
-        _root_precut(master, oracle)
-    except DeadlineReached:
-        pass
-    sol = branch_and_cut(master, oracle, time_limit=cfg.time_limit, round_heuristic=False)
+    root_bound = _root_precut(master, oracle)
+    sol = branch_and_cut(master, oracle, deadline=cfg.deadline, round_heuristic=False)
+    if sol.status == TIME_LIMIT and sol.bound is None:  # branch and cut solved no node
+        sol.bound = root_bound
     return _as_result(sol, m, lay, engine)
 
 
@@ -598,7 +595,7 @@ def evaluate_policy(m: Msilp, agg: AggregationMap, z_hat: dict[GroupKey, np.ndar
     Convergence is driven by the absolute violation guard (eps vanishing):
     a meaningful relative tolerance would let every cost-to-go variable
     settle a relative notch below its true value, compounding across
-    stages.  Raises DeadlineReached when the time limit ends the
+    stages.  Raises DeadlineReached when cfg's deadline ends the
     evaluation before it certifies a value."""
     res = _solve(m, agg, replace(cfg or SddpConfig(), eps=1e-15, exact=True), z_hat)
     if res.status == INFEASIBLE:

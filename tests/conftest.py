@@ -2,9 +2,21 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
+from mcsip.lp_engine import Deadline
 from mcsip.markov import MarkovChain, McState
 from mcsip.model import Msilp, NodeData, smat
 from mcsip.tree import build_tree
+
+
+class CueDeadline(Deadline):
+    """A deadline that passes on cue, when expired is set, never by the clock."""
+
+    def __init__(self, expired: bool = False):
+        super().__init__()
+        self.expired = expired
+
+    def passed(self) -> bool:
+        return self.expired
 
 
 def scipy_csr(a):

@@ -1,14 +1,16 @@
 import csv
 import json
 import os
-import time
 
 import numpy as np
 import pytest
 
-from mcsip import cli
+from mcsip import cli, lp_engine, sddp
 from mcsip.aggregate import Transformation
 from mcsip.cli import gap_closed, main, run_solve
+from mcsip.lp_engine import Deadline
+
+from conftest import CueDeadline
 
 
 def test_gap_closed_endpoints():
@@ -150,6 +152,40 @@ def test_bad_solver_setting_exits_3(workdir, tmp_path, capsys, method, flag, val
     assert word in err and not (tmp_path / "sol.json").exists()
 
 
+BAD_GENERATE = [("--grid", "0x4", "column"), ("--capacity-pct", "-1", "capacity_pct"),
+                ("--modality-type", "9", "modality_type"), ("--seed", "-3", "seed")]
+
+
+@pytest.mark.parametrize("flag,value,word", BAD_GENERATE,
+                         ids=[f"{f}-{v}" for f, v, _ in BAD_GENERATE])
+def test_bad_generate_setting_exits_3(tmp_path, capsys, flag, value, word):
+    rc = main(["generate", flag, value, "--out", str(tmp_path / "inst.json")])
+    err = capsys.readouterr().err
+    assert rc == 3 and err.count("\n") == 1 and err.startswith("config error:")
+    assert word in err and not (tmp_path / "inst.json").exists()
+
+
+@pytest.mark.parametrize("case", ["other-transform", "short-vector"])
+def test_evaluate_of_a_policy_that_does_not_fit_the_aggregation_exits_3(
+        workdir, tmp_path, capsys, case):
+    d = workdir
+    rc = main(["solve", "--instance", str(d / "inst.json"), "--method", "ex",
+               "--transform", "hn", "--out", str(tmp_path / "hn.json")])
+    assert rc == 0
+    argv = ["evaluate", "--instance", str(d / "inst.json"), "--solution", str(tmp_path / "hn.json")]
+    if case == "other-transform":
+        argv += ["--transform", "pm"]
+    else:
+        rec = json.loads((tmp_path / "hn.json").read_text())
+        rec["z"][1][1] = rec["z"][1][1][:-1]
+        (tmp_path / "hn.json").write_text(json.dumps(rec))
+    capsys.readouterr()
+    rc = main(argv)
+    err = capsys.readouterr().err
+    assert rc == 3 and err.count("\n") == 1 and err.startswith("config error:")
+    assert ("no policy for group" if case == "other-transform" else "values, expected") in err
+
+
 def test_solve_ldr_writes_rule_and_inventories(workdir):
     d = workdir
     rc = main(["solve", "--instance", str(d / "inst.json"), "--method", "ldr-m",
@@ -224,6 +260,18 @@ def test_bench_partial_failure_exit_code(tmp_path):
     assert rows[0]["status"] == "error" and rows[0]["error"]
 
 
+@pytest.mark.parametrize("key,value,word", [("time_limit", -1, "time limit"),
+                                             ("seed", -1, "seed"), ("rounds", 0, "rounds")])
+def test_bench_bad_run_setting_exits_3_before_any_cell(tmp_path, capsys, key, value, word):
+    conf = json.loads(bench_config(tmp_path, ["ex", "sddp-lb"], ["pm"]).read_text())
+    conf[key] = value
+    (tmp_path / "bench.json").write_text(json.dumps(conf))
+    rc = main(["bench", "--config", str(tmp_path / "bench.json"), "--out", str(tmp_path / "r.csv")])
+    err = capsys.readouterr().err
+    assert rc == 3 and err.count("\n") == 1 and err.startswith("config error:")
+    assert word in err and not (tmp_path / "r.csv").exists()
+
+
 def test_bench_config_error_exit_code(tmp_path):
     missing = tmp_path / "none.json"
     rc = main(["bench", "--config", str(missing), "--out", str(tmp_path / "r.csv")])
@@ -287,27 +335,75 @@ def test_sddp_ub_evaluation_time_limit_is_a_row(hdr_toy, monkeypatch):
     # the incumbent's exact evaluation runs out of time
     evaluate = cli.evaluate_policy
     monkeypatch.setattr(cli, "evaluate_policy", lambda m, agg, z, cfg:
-                        evaluate(m, agg, z, replace(cfg, time_limit=1e-9)))
+                        evaluate(m, agg, z, replace(cfg, deadline=CueDeadline(expired=True))))
     rec = run_solve(hdr_toy, "sddp-ub", PM, eps=None, k=None, seed=0,
                     time_limit=None, rounds=3)
     assert rec["status"] == "time_limit" and rec["objective"] is None
     assert np.isfinite(rec["bound"]) and rec["z"]
 
 
-def test_sddp_ub_evaluation_gets_only_the_time_left(hdr_toy, monkeypatch):
-    # a lower-bound run that takes 0.5 s leaves at most 59.5 s of a 60 s limit
-    lower = cli.solve_lower_bound
+def test_sddp_ub_evaluation_shares_the_bound_runs_deadline(hdr_toy, monkeypatch):
+    # the bound run's engine and the evaluation's read the one Deadline
+    # run_solve made, so the evaluation gets only the time left
+    made, seen = [], []
+    monkeypatch.setattr(cli, "Deadline", lambda limit: made.append(Deadline(limit)) or made[-1])
+    init = sddp.SddpEngine.__init__
 
-    def slow_lower(m, agg, cfg):
-        out = lower(m, agg, cfg)
-        time.sleep(0.5)
-        return out
+    def recording_init(self, m, agg, cfg, *rest):
+        seen.append(cfg.deadline)
+        init(self, m, agg, cfg, *rest)
 
-    limits = []
-    monkeypatch.setattr(cli, "solve_lower_bound", slow_lower)
-    monkeypatch.setattr(cli, "evaluate_policy", lambda m, agg, z, cfg:
-                        limits.append(cfg.time_limit) or 1.0)
+    monkeypatch.setattr(sddp.SddpEngine, "__init__", recording_init)
     rec = run_solve(hdr_toy, "sddp-ub", PM, eps=None, k=None, seed=0,
                     time_limit=60.0, rounds=3)
-    assert rec["objective"] == 1.0
-    assert len(limits) == 1 and 0.0 < limits[0] <= 59.5
+    assert rec["status"] == "optimal" and np.isfinite(rec["objective"])
+    assert len(made) == 1 and made[0].end is not None
+    assert len(seen) == 2 and all(d is made[0] for d in seen)
+
+
+def test_deadline_in_the_root_cut_loop_leaves_branch_and_cut_no_node(hdr_toy, monkeypatch):
+    # the deadline passes inside the root cut loop's second oracle call:
+    # no subproblem LP follows, branch and cut starts after it and solves
+    # no node LP, and the record carries the loop's last relaxation
+    # objective as its bound
+    opt = run_solve(hdr_toy, "ex", PM, eps=None, k=None, seed=0, time_limit=None,
+                    rounds=3)["objective"]
+    deadline = CueDeadline()
+    monkeypatch.setattr(cli, "Deadline", lambda limit: deadline)
+    separate, calls = sddp._MasterOracle.separate, []
+
+    def expiring_separate(self, x):
+        calls.append(x)
+        deadline.expired = len(calls) >= 2
+        return separate(self, x)
+
+    monkeypatch.setattr(sddp._MasterOracle, "separate", expiring_separate)
+    bnc, started = sddp.branch_and_cut, []
+    monkeypatch.setattr(sddp, "branch_and_cut", lambda *a, **kw:
+                        started.append(deadline.expired) or bnc(*a, **kw))
+    late_lps = []
+    for module in (lp_engine, sddp):  # node LPs, and subproblem and root-loop LPs
+        monkeypatch.setattr(module, "solve_lp", lambda p, solve=module.solve_lp, **kw:
+                            late_lps.append(deadline.expired) or solve(p, **kw))
+    rec = run_solve(hdr_toy, "sddp", PM, eps=None, k=None, seed=0, time_limit=60.0,
+                    rounds=3)
+    assert started == [True] and not any(late_lps) and len(calls) == 2
+    assert rec["status"] == "time_limit" and rec["objective"] is None
+    assert np.isfinite(rec["bound"]) and rec["bound"] <= opt + 1e-6 * abs(opt)
+
+
+def test_ex_whose_assembly_outlasts_the_limit_solves_no_lp(hdr_toy, monkeypatch):
+    deadline = CueDeadline()
+    monkeypatch.setattr(cli, "Deadline", lambda limit: deadline)
+    build = cli.build_aggregated_extensive_form
+
+    def slow_build(m, agg):
+        prob = build(m, agg)
+        deadline.expired = True
+        return prob
+
+    monkeypatch.setattr(cli, "build_aggregated_extensive_form", slow_build)
+    solve, lps = lp_engine.solve_lp, []
+    monkeypatch.setattr(lp_engine, "solve_lp", lambda p, **kw: lps.append(p) or solve(p, **kw))
+    rec = run_solve(hdr_toy, "ex", PM, eps=None, k=None, seed=0, time_limit=60.0, rounds=3)
+    assert rec["status"] == "time_limit" and rec["bound"] is None and lps == []

@@ -100,6 +100,37 @@ def test_no_unreferenced_definitions():
     assert {d.split(".")[1] for d in found} >= set(UNREFERENCED_OK)
 
 
+# the modules that may read time.monotonic, and what for; every other stop
+# decision reads the Deadline
+CLOCK_READERS = {"lp_engine": "the Deadline", "cli": "a record's wall_time"}
+
+
+def clock_reads(source: str) -> list[int]:
+    """Lines that read time.monotonic, as an attribute of time or imported
+    from it."""
+    lines = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Attribute) and node.attr == "monotonic" and \
+                isinstance(node.value, ast.Name) and node.value.id == "time":
+            lines.append(node.lineno)
+        if isinstance(node, ast.ImportFrom) and node.module == "time" and \
+                any(alias.name == "monotonic" for alias in node.names):
+            lines.append(node.lineno)
+    return sorted(lines)
+
+
+def test_clock_read_scan_sees_both_forms():
+    src = "import time\nfrom time import monotonic, sleep\nt = time.monotonic()\n" \
+          "u = time.perf_counter()\n"
+    assert clock_reads(src) == [2, 3]
+
+
+@pytest.mark.parametrize("path", [p for p in sorted(SRC.glob("*.py"))
+                                  if p.stem not in CLOCK_READERS], ids=lambda p: p.name)
+def test_only_the_deadline_and_wall_time_read_the_clock(path):
+    assert clock_reads(path.read_text()) == []
+
+
 HIGHS = "scipy.optimize._highspy._core"
 STARTUP_CHECKS = {
     "mcsip first": f"""

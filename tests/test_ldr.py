@@ -15,7 +15,7 @@ from mcsip.model import LpProblem, Msilp, NodeData, \
 from mcsip.sddp import SddpConfig, solve_exact
 from mcsip.tree import build_tree
 
-from conftest import make_random_msilp, scipy_csr
+from conftest import CueDeadline, make_random_msilp, scipy_csr
 
 PM = Transformation("pm", partial_attrs=(2,))
 
@@ -221,6 +221,26 @@ def test_accepted_points_solve_no_node_lp_twice(hdr_pair, monkeypatch):
     assert oracle.true_cost(sol.x) >= sol.objective - 1e-9 * abs(sol.objective)
     assert oracle.separate(x) == first
     assert calls == []
+
+
+def test_oracle_solves_no_node_lp_after_the_deadline(hdr_pair, monkeypatch):
+    # the deadline passes after the third node LP, inside the root's scan:
+    # no node LP follows, and the root LP's objective is the bound
+    ma, agg = hdr_pair
+    opt = benders_solve(build_ldr_model(ma, agg, LdrVariant("m"))).objective
+    deadline = CueDeadline()
+    real, expired_at_call = ldr.solve_lp, []
+
+    def counting(*args, **kw):
+        expired_at_call.append(deadline.expired)
+        deadline.expired = len(expired_at_call) >= 3
+        return real(*args, **kw)
+
+    monkeypatch.setattr(ldr, "solve_lp", counting)
+    sol = benders_solve(build_ldr_model(ma, agg, LdrVariant("m")), deadline=deadline)
+    assert expired_at_call == [False] * 3
+    assert sol.status == "time_limit" and sol.x is None and sol.nodes == 1
+    assert np.isfinite(sol.bound) and sol.bound <= opt + 1e-6 * abs(opt)
 
 
 def test_feasibility_cuts_drive_master_to_feasible_rules():

@@ -8,7 +8,7 @@ from scipy.optimize._highspy import _core as highs
 
 from mcsip import lp_engine
 from mcsip.errors import NumericalFailure
-from mcsip.lp_engine import CutOracle, RhsMap, _check_highs_version, add_rows, \
+from mcsip.lp_engine import CutOracle, Deadline, RhsMap, _check_highs_version, add_rows, \
     branch_and_cut, infeasibility_lp, solve_lp, solve_mip, verify_farkas
 from mcsip.model import Csr, LpProblem, MipProblem, as_csr
 
@@ -231,7 +231,7 @@ def test_time_limit_returns_bound():
     w = rng.uniform(1, 10, n)
     m = mip(-v, [w], "L", [0.5 * w.sum()], lo=np.zeros(n), up=np.ones(n),
             integer=[True] * n)
-    sol = branch_and_cut(m, time_limit=0.0)
+    sol = branch_and_cut(m, deadline=Deadline(0.0))
     assert sol.status == "time_limit"
 
 
@@ -242,7 +242,7 @@ def test_time_limit_stops_a_cut_loop_that_never_closes():
 
     m = mip([1.0], [[1.0]], "G", [1.0], lo=[0.0], up=[3.0], integer=[True])
     t0 = time.monotonic()
-    sol = branch_and_cut(m, oracle=Endless(), time_limit=0.5)
+    sol = branch_and_cut(m, oracle=Endless(), deadline=Deadline(0.5))
     assert time.monotonic() - t0 < 2.0
     assert sol.status == "time_limit" and sol.x is None
     # the root LP optimum is 1; no cut can raise it, so it is the bound
