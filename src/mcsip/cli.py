@@ -24,9 +24,9 @@ from .errors import ConfigError
 from .hdr import HdrConfig, generate_instance, load_instance, save_instance, \
     build_hdr_aggregated, build_hdr_msilp
 from .ldr import LdrVariant, benders_solve, build_ldr_model, extract_policy
-from .lp_engine import TIME_LIMIT, Deadline, DeadlineReached, branch_and_cut, relative_gap
+from .lp_engine import Deadline, branch_and_cut
 from .model import build_aggregated_extensive_form, z_values
-from .sddp import SddpConfig, evaluate_policy, solve_exact, solve_lower_bound
+from .sddp import SddpConfig, evaluate_policy, solve as solve_sddp
 from .tree import build_tree
 
 METHODS = ("ex", "sddp", "sddp-lb", "sddp-ub", "ldr-th", "ldr-t", "ldr-m")
@@ -36,12 +36,16 @@ REPORT_COLUMNS = ["instance", "method", "transform", "seed", "status",
                   "objective", "bound", "gap", "cuts", "error"]
 
 
-def gap_closed(obj_hn: float, obj_i: float, obj_fh: float) -> float | None:
+def gap_closed(obj_hn: float, obj_i: float, obj_fh: float,
+               instance: str = "instance") -> float | None:
     """Percentage of the stage-only-to-full-history gap closed by a policy.
 
-    None flags a degenerate denominator (stage-only already optimal)."""
+    None flags a degenerate denominator (stage-only already optimal).  A
+    stage-only objective below the full-history one, which no pair of
+    optima gives, is a ConfigError naming the instance."""
     if obj_hn < obj_fh - 1e-6:
-        raise ValueError("stage-only objective below the full-history optimum")
+        raise ConfigError(f"{instance}: stage-only objective {obj_hn:g} is below "
+                          f"the full-history optimum {obj_fh:g}")
     den = obj_hn - obj_fh
     if abs(den) <= 1e-9:
         return None
@@ -107,31 +111,13 @@ def run_solve(inst, method: str, tr: Transformation, *, eps: float | None,
             z = z_values(prob.layout.z_off, m.l, sol.x) if sol.x is not None else None
             out.update(status=sol.status, objective=sol.objective, bound=sol.bound,
                        gap=sol.gap, cuts=0)
-        else:
+        else:  # S-LB is the relaxed run alone; S and S-UB cost their policy
             cfg = SddpConfig(eps=eps, k=k, exact=(method == "sddp"), seed=seed,
                              deadline=deadline, max_rounds=rounds)
-            if method == "sddp":
-                res = solve_exact(m, agg, cfg)
-                z = res.z_by_group
-                out.update(status=res.status, objective=res.objective,
-                           bound=res.bound, gap=res.gap,
-                           cuts=sum(res.cut_counts.values()))
-            else:
-                bound, res = solve_lower_bound(m, agg, cfg)
-                z = res.z_by_group
-                out.update(status=res.status, bound=bound,
-                           cuts=sum(res.cut_counts.values()))
-                if method == "sddp-lb":
-                    out.update(objective=res.objective, gap=res.gap)
-                elif z is None:  # sddp-ub with no incumbent policy to evaluate
-                    out.update(objective=None, gap=None)
-                else:  # sddp-ub: exact evaluation of the incumbent policy
-                    try:
-                        val = evaluate_policy(m, agg, z, cfg)
-                    except DeadlineReached:
-                        out.update(status=TIME_LIMIT, objective=None, gap=None)
-                    else:
-                        out.update(objective=val, gap=relative_gap(val, bound))
+            res = solve_sddp(m, agg, cfg, certify=(method != "sddp-lb"))
+            z = res.z_by_group
+            out.update(status=res.status, objective=res.objective, bound=res.bound,
+                       gap=res.gap, cuts=sum(res.cut_counts.values()))
     elif method in ("ldr-th", "ldr-t", "ldr-m"):
         agg0 = build_aggregation(build_tree(inst.chain, inst.config.T), tr)
         ma = build_hdr_aggregated(inst, agg0)
@@ -255,6 +241,8 @@ def _bench_cell(spec: dict) -> dict:
 
 
 def cmd_bench(args) -> int:
+    if args.jobs < 1:
+        raise ConfigError(f"--jobs must be at least 1, got {args.jobs}")
     try:
         with open(args.config) as fp:
             conf = json.load(fp)
@@ -277,8 +265,9 @@ def cmd_bench(args) -> int:
                               "seed": conf.get("seed", 0),
                               "time_limit": conf.get("time_limit"),
                               "rounds": conf.get("rounds", 3)})
-    if args.jobs > 1 and cells:
-        with concurrent.futures.ProcessPoolExecutor(max_workers=args.jobs) as pool:
+    workers = min(args.jobs, len(cells))  # the pool starts every worker at once
+    if workers > 1:
+        with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_bench_cell, cells))
     else:
         results = [_bench_cell(c) for c in cells]
@@ -324,7 +313,7 @@ def cmd_report(args) -> int:
             obj = vals.get(("ex", tr))
             if obj is None:
                 continue
-            gc = gap_closed(hn, obj, fh)
+            gc = gap_closed(hn, obj, fh, inst)
             print(f"{inst:<15} {tr:<10} {'-' if gc is None else f'{gc:.1f}'}")
     return 0
 

@@ -54,11 +54,15 @@ every cut as a row of the problem that hosts it.
 
 Branch and bound: best-bound node selection, most-fractional branching with
 lowest-index tie break, relative gap termination; each child node starts
-from its parent's final basis.  When a cut oracle is supplied, every
+from its parent's final basis.  The reported bound is the least of the
+incumbent's value and the bound of every node dropped within the gap or
+left open, so it stays valid although the gap test prunes nodes that
+could hold a slightly better solution.  When a cut oracle is supplied, every
 integer-feasible relaxation solution is offered to the oracle and the node
 is re-solved until the oracle returns no cut, which is what makes lazy
 Benders-style decompositions exact.  The solve's one Deadline is checked
-between nodes and after every round of cuts.
+between nodes and after every round of cuts, and once it has passed the
+rounding heuristic solves no further LP.
 """
 
 from __future__ import annotations
@@ -472,6 +476,7 @@ def branch_and_cut(p: MipProblem, oracle: CutOracle | None = None,
     """Best-bound branch and bound to gap MIP_GAP with an optional cut oracle."""
     int_cols = np.flatnonzero(p.integer)
     incumbent, inc_obj = None, np.inf
+    pruned = np.inf  # the least bound of a node the gap test dropped
     heap: list[BnbNode] = []
     seq = 0
     n_cuts = 0
@@ -482,6 +487,7 @@ def branch_and_cut(p: MipProblem, oracle: CutOracle | None = None,
         while heap:
             node = heapq.heappop(heap)
             if node.bound >= inc_obj - MIP_GAP * max(abs(inc_obj), 1.0):
+                pruned = min(pruned, node.bound)
                 continue
             if deadline.passed():
                 heapq.heappush(heap, node)  # keep its bound visible in the summary
@@ -513,6 +519,7 @@ def branch_and_cut(p: MipProblem, oracle: CutOracle | None = None,
             if sol.status == INFEASIBLE:
                 continue
             if sol.objective >= inc_obj - MIP_GAP * max(abs(inc_obj), 1.0):
+                pruned = min(pruned, sol.objective)
                 continue
             col = _fractional(sol.x, int_cols)
             if col is None:
@@ -521,7 +528,8 @@ def branch_and_cut(p: MipProblem, oracle: CutOracle | None = None,
                 if sol.objective < inc_obj:
                     incumbent, inc_obj = x, sol.objective
                 continue
-            if round_heuristic and oracle is None and incumbent is None:
+            if round_heuristic and oracle is None and incumbent is None \
+                    and not deadline.passed():
                 cand = _round_and_fix(p, sub, sol.x, int_cols)
                 if cand is not None and cand[1] < inc_obj:
                     incumbent, inc_obj = cand
@@ -545,7 +553,8 @@ def branch_and_cut(p: MipProblem, oracle: CutOracle | None = None,
         status = TIME_LIMIT
 
     open_bound = min((nd.bound for nd in heap), default=np.inf)
-    bound = min(inc_obj, open_bound) if status != OPTIMAL else inc_obj
+    # nodes dropped within the gap may hide a slightly better solution
+    bound = min(inc_obj, pruned, open_bound)
     if incumbent is None:
         if status == TIME_LIMIT:
             # before the root LP solves, its -inf is no bound at all

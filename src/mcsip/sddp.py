@@ -53,8 +53,10 @@ identity, appended row) when it hosts a cut, so two subproblems share one
 exactly when their LPs are equal row for row.  An entry keeps the LP's row
 duals pi; the asking subproblem takes its cut slope R' pi through its own
 map, over the rows the duals were solved on.
-solve_exact, solve_lower_bound and evaluate_policy share one driver:
-master, optional policy fixing, root cut loop, branch and cut.
+solve runs S and its relaxed run (S-LB) on one engine: master, root cut
+loop, branch and cut.  S and S-UB then cost their incumbent policy on
+that same engine, its pools and memo kept, by running the same loop on a
+master with z fixed (_policy_cost), and report that cost as the objective.
 """
 
 from __future__ import annotations
@@ -68,7 +70,8 @@ from .aggregate import AggregationMap, GroupKey, PolicyGraph, SubKey, build_poli
 from .errors import ConfigError, InfeasiblePolicy, MissingDuals, NumericalFailure
 from .lp_engine import (INFEASIBLE, OPTIMAL, THETA_LB, TIME_LIMIT, VIOL_GUARD, CutOracle,
                         Deadline, DeadlineReached, MipSolution, RhsMap, add_rows,
-                        branch_and_cut, cut_row, solve_lp, violation_certificate)
+                        branch_and_cut, cut_row, relative_gap, solve_lp,
+                        violation_certificate)
 from .model import LpProblem, MipProblem, Msilp, RowBlock, assemble, \
     first_stage_columns, first_stage_offsets, node_rows, z_values
 from .tree import path as tree_path
@@ -539,39 +542,69 @@ def _root_precut(master: MipProblem, oracle: "_MasterOracle") -> float | None:
     return bound
 
 
-def _as_result(sol: MipSolution, m: Msilp, lay: MasterLayout,
-               engine: SddpEngine | None) -> SddpResult:
-    res = SddpResult(**vars(sol))
-    if sol.x is not None:
-        res.z_by_group = z_values(lay.z_off, m.l, sol.x)
-    if engine is not None:
-        res.cut_counts = engine.cut_counts()
+def _cut_and_branch(engine: SddpEngine, master: MipProblem, lay: MasterLayout) -> MipSolution:
+    """The root cut loop, then branch and cut on master with engine's oracle."""
+    oracle = _MasterOracle(engine, lay)
+    root_bound = _root_precut(master, oracle)
+    sol = branch_and_cut(master, oracle, deadline=engine.cfg.deadline, round_heuristic=False)
+    if sol.status == TIME_LIMIT and sol.bound is None:  # branch and cut solved no node
+        sol.bound = root_bound
+    return sol
+
+
+def _policy_cost(engine: SddpEngine, z: dict[GroupKey, np.ndarray]) -> float:
+    """Exact objective of the fixed aggregated integer policy z (an upper
+    bound), on engine's cut pools and memo and under its deadline.
+
+    The engine stays in exact mode from here on, with eps vanishing, so
+    convergence is driven by the absolute violation guard: a meaningful
+    relative tolerance would let every cost-to-go variable settle a
+    relative notch below its true value, compounding across stages.
+    Raises DeadlineReached when the deadline ends the evaluation before it
+    certifies a value."""
+    m = engine.msilp
+    engine.cfg = replace(engine.cfg, eps=1e-15, exact=True)
+    master, lay = build_master(m, engine.agg, engine.cfg.theta_lb)
+    for g, off in lay.z_off.items():
+        master.lo[off:off + m.l] = master.up[off:off + m.l] = z[g]
+    sol = _cut_and_branch(engine, master, lay)
+    if sol.status == INFEASIBLE:
+        raise InfeasiblePolicy("no feasible continuous completion for the fixed policy")
+    if sol.status == TIME_LIMIT:
+        raise DeadlineReached("policy evaluation hit the time limit")
+    if sol.objective is None:
+        raise NumericalFailure(f"policy evaluation ended {sol.status}")
+    return float(sol.objective)
+
+
+def solve(m: Msilp, agg: AggregationMap, cfg: SddpConfig, certify: bool) -> SddpResult:
+    """S (cfg.exact) or its relaxed run: master, root cut loop, then the
+    SDDP-driven branch and cut, all on one SddpEngine.
+
+    With certify, the incumbent's objective is its exact policy cost
+    (_policy_cost on the same engine), never the master value whose
+    cost-to-go may lag, and gap is taken against the bound again.  When
+    the deadline ends that evaluation, the result is time_limit without an
+    objective; its bound and z stay."""
+    engine = SddpEngine(m, agg, cfg)
+    master, lay = build_master(m, agg, cfg.theta_lb)
+    res = SddpResult(**vars(_cut_and_branch(engine, master, lay)))
+    if res.x is not None:
+        res.z_by_group = z_values(lay.z_off, m.l, res.x)
+        if certify:
+            try:
+                res.objective = _policy_cost(engine, res.z_by_group)
+                res.gap = relative_gap(res.objective, res.bound)
+            except DeadlineReached:
+                res.status, res.objective, res.gap = TIME_LIMIT, None, None
+    res.cut_counts = engine.cut_counts()
     return res
 
 
-def _solve(m: Msilp, agg: AggregationMap, cfg: SddpConfig,
-           z_fixed: dict[GroupKey, np.ndarray] | None = None) -> SddpResult:
-    """Master, optional policy fixing, then the SDDP-driven branch and cut
-    (a plain MIP when there is a single stage)."""
-    master, lay = build_master(m, agg, cfg.theta_lb)
-    if z_fixed is not None:
-        for g, off in lay.z_off.items():
-            master.lo[off:off + m.l] = master.up[off:off + m.l] = z_fixed[g]
-    if m.tree.stages == 1:
-        sol = branch_and_cut(master, deadline=cfg.deadline)
-        return _as_result(sol, m, lay, None)
-    engine = SddpEngine(m, agg, cfg)
-    oracle = _MasterOracle(engine, lay)
-    root_bound = _root_precut(master, oracle)
-    sol = branch_and_cut(master, oracle, deadline=cfg.deadline, round_heuristic=False)
-    if sol.status == TIME_LIMIT and sol.bound is None:  # branch and cut solved no node
-        sol.bound = root_bound
-    return _as_result(sol, m, lay, engine)
-
-
 def solve_exact(m: Msilp, agg: AggregationMap, cfg: SddpConfig | None = None) -> SddpResult:
-    """Exact optimum of the aggregated problem via branch-and-cut + SDDP."""
-    return _solve(m, agg, cfg or SddpConfig())
+    """Exact optimum of the aggregated problem via branch-and-cut + SDDP,
+    reported as the certified cost of the optimal policy."""
+    return solve(m, agg, cfg or SddpConfig(), certify=True)
 
 
 def solve_lower_bound(m: Msilp, agg: AggregationMap,
@@ -584,24 +617,12 @@ def solve_lower_bound(m: Msilp, agg: AggregationMap,
     LP solved).
     """
     cfg = replace(cfg, exact=False) if cfg else SddpConfig(exact=False)
-    res = _solve(m, agg, cfg)
+    res = solve(m, agg, cfg, certify=False)
     return (None if res.bound is None else float(res.bound)), res
 
 
 def evaluate_policy(m: Msilp, agg: AggregationMap, z_hat: dict[GroupKey, np.ndarray],
                     cfg: SddpConfig | None = None) -> float:
-    """Exact objective of a fixed aggregated integer policy (upper bound).
-
-    Convergence is driven by the absolute violation guard (eps vanishing):
-    a meaningful relative tolerance would let every cost-to-go variable
-    settle a relative notch below its true value, compounding across
-    stages.  Raises DeadlineReached when cfg's deadline ends the
-    evaluation before it certifies a value."""
-    res = _solve(m, agg, replace(cfg or SddpConfig(), eps=1e-15, exact=True), z_hat)
-    if res.status == INFEASIBLE:
-        raise InfeasiblePolicy("no feasible continuous completion for the fixed policy")
-    if res.status == TIME_LIMIT:
-        raise DeadlineReached("policy evaluation hit the time limit")
-    if res.objective is None:
-        raise NumericalFailure(f"policy evaluation ended {res.status}")
-    return float(res.objective)
+    """Exact objective of a fixed aggregated integer policy (upper bound),
+    on a fresh engine; see _policy_cost."""
+    return _policy_cost(SddpEngine(m, agg, cfg or SddpConfig()), z_hat)

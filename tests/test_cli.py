@@ -260,6 +260,44 @@ def test_bench_partial_failure_exit_code(tmp_path):
     assert rows[0]["status"] == "error" and rows[0]["error"]
 
 
+@pytest.mark.parametrize("jobs", ["0", "-2"])
+def test_bench_jobs_below_one_exits_3(tmp_path, capsys, jobs):
+    conf = bench_config(tmp_path, ["ex"], ["hn"])
+    rc = main(["bench", "--config", str(conf), "--out", str(tmp_path / "r.csv"), "--jobs", jobs])
+    err = capsys.readouterr().err
+    assert rc == 3 and err.count("\n") == 1 and "--jobs" in err
+    assert not (tmp_path / "r.csv").exists()
+
+
+def test_bench_starts_no_more_workers_than_cells(tmp_path, monkeypatch):
+    # the pool forks all its workers up front, so --jobs is capped at the
+    # cell count; a stand-in pool records the size and runs the cells here
+    sizes = []
+
+    class RecordingPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(cli.concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(cli, "_bench_cell", lambda spec: {
+        "instance": "t", "method": spec["method"], "transform": spec["transform"],
+        "status": "optimal", "wall_time": 0.0})
+    for transforms, jobs in ((["hn", "fh"], "1000000"), (["hn"], "64"), (["hn", "fh"], "1")):
+        conf = bench_config(tmp_path, ["ex"], transforms)
+        assert main(["bench", "--config", str(conf), "--out", str(tmp_path / "r.csv"),
+                     "--jobs", jobs]) == 0
+    assert sizes == [2]  # one cell, or --jobs 1, runs without a pool
+
+
 @pytest.mark.parametrize("key,value,word", [("time_limit", -1, "time limit"),
                                              ("seed", -1, "seed"), ("rounds", 0, "rounds")])
 def test_bench_bad_run_setting_exits_3_before_any_cell(tmp_path, capsys, key, value, word):
@@ -301,6 +339,16 @@ def test_report_summarizes_gap_closed(tmp_path, capsys):
     assert "50.0" in out
 
 
+def test_report_of_a_stage_only_objective_below_full_history_exits_3(tmp_path, capsys):
+    p = tmp_path / "r.csv"
+    p.write_text("instance,method,transform,status,objective\n"
+                 "inst7,ex,hn,optimal,80\ninst7,ex,pm,optimal,90\ninst7,ex,fh,optimal,100\n")
+    rc = main(["report", "--input", str(p)])
+    err = capsys.readouterr().err
+    assert rc == 3 and err.count("\n") == 1 and err.startswith("config error:")
+    assert "inst7" in err
+
+
 def test_out_dir_env_var(tmp_path, monkeypatch):
     monkeypatch.setenv("MCSIP_OUT_DIR", str(tmp_path / "outs"))
     rc = main(["generate", "--grid", "2x4", "--seed", "1"])
@@ -330,21 +378,26 @@ def test_time_limit_before_the_root_lp_gives_a_json_record(hdr_toy, method):
 
 
 def test_sddp_ub_evaluation_time_limit_is_a_row(hdr_toy, monkeypatch):
-    from dataclasses import replace
+    # the deadline passes once the bound run is over, as the incumbent's
+    # exact evaluation starts: the bound and z stay, the objective does not
+    deadline = CueDeadline()
+    monkeypatch.setattr(cli, "Deadline", lambda limit: deadline)
+    cost = sddp._policy_cost
 
-    # the incumbent's exact evaluation runs out of time
-    evaluate = cli.evaluate_policy
-    monkeypatch.setattr(cli, "evaluate_policy", lambda m, agg, z, cfg:
-                        evaluate(m, agg, z, replace(cfg, deadline=CueDeadline(expired=True))))
+    def expiring_cost(engine, z):
+        deadline.expired = True
+        return cost(engine, z)
+
+    monkeypatch.setattr(sddp, "_policy_cost", expiring_cost)
     rec = run_solve(hdr_toy, "sddp-ub", PM, eps=None, k=None, seed=0,
                     time_limit=None, rounds=3)
     assert rec["status"] == "time_limit" and rec["objective"] is None
-    assert np.isfinite(rec["bound"]) and rec["z"]
+    assert rec["gap"] is None and np.isfinite(rec["bound"]) and rec["z"]
 
 
 def test_sddp_ub_evaluation_shares_the_bound_runs_deadline(hdr_toy, monkeypatch):
-    # the bound run's engine and the evaluation's read the one Deadline
-    # run_solve made, so the evaluation gets only the time left
+    # the bound run and the evaluation of its policy run on one SddpEngine,
+    # which reads the one Deadline run_solve made
     made, seen = [], []
     monkeypatch.setattr(cli, "Deadline", lambda limit: made.append(Deadline(limit)) or made[-1])
     init = sddp.SddpEngine.__init__
@@ -358,7 +411,7 @@ def test_sddp_ub_evaluation_shares_the_bound_runs_deadline(hdr_toy, monkeypatch)
                     time_limit=60.0, rounds=3)
     assert rec["status"] == "optimal" and np.isfinite(rec["objective"])
     assert len(made) == 1 and made[0].end is not None
-    assert len(seen) == 2 and all(d is made[0] for d in seen)
+    assert len(seen) == 1 and seen[0] is made[0]
 
 
 def test_deadline_in_the_root_cut_loop_leaves_branch_and_cut_no_node(hdr_toy, monkeypatch):

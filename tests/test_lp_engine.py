@@ -716,3 +716,39 @@ def test_bound_multipliers_give_the_dual_objective_of_the_basis_status_rule():
         assert sol.dual_objective == pytest.approx(sol.objective, rel=1e-9, abs=1e-9)
         fixed_duals += int((col_dual[kind == "fixed"] != 0).sum())
     assert fixed_duals > 0
+
+
+def gap_pruned_mip():
+    """min 1e6 w + y with w = 1 and y >= max(0.5 - x, 0.4 x - 0.2, 0), x in
+    {0, 1}: the root LP sits at x = 0.5 with 1e6, the child x <= 0 costs
+    1e6 + 0.5 and the child x >= 1 the optimum 1e6 + 0.2, both within
+    MIP_GAP of the root."""
+    return mip([0.0, 1.0, 1e6], [[1.0, 1.0, 0.0], [-0.4, 1.0, 0.0]], "GG", [0.5, -0.2],
+               lo=[0.0, 0.0, 1.0], up=[1.0, np.inf, 1.0], integer=[True, False, False])
+
+
+@pytest.mark.parametrize("round_heuristic", [True, False])
+def test_bound_covers_the_nodes_the_gap_test_drops(round_heuristic):
+    # the first incumbent (x = 0) ends the search within the gap, so the
+    # x >= 1 node is dropped unsolved; its bound, the root's 1e6, is below
+    # both the incumbent and the optimum it hides
+    sol = branch_and_cut(gap_pruned_mip(), round_heuristic=round_heuristic)
+    assert sol.status == "optimal" and sol.objective == pytest.approx(1e6 + 0.5)
+    assert sol.bound == pytest.approx(1e6) and sol.bound <= 1e6 + 0.2
+    assert sol.gap == pytest.approx(0.5 / (1e6 + 0.5))
+
+
+def test_no_heuristic_lp_once_the_deadline_has_passed(monkeypatch):
+    from conftest import CueDeadline
+
+    deadline, lps = CueDeadline(), []
+
+    def expiring_solve(p, solve=lp_engine.solve_lp, **kw):
+        lps.append(p)
+        deadline.expired = True  # the root LP outlasts the limit
+        return solve(p, **kw)
+
+    monkeypatch.setattr(lp_engine, "solve_lp", expiring_solve)
+    sol = branch_and_cut(gap_pruned_mip(), deadline=deadline)
+    assert len(lps) == 1
+    assert sol.status == "time_limit" and sol.x is None and sol.bound == pytest.approx(1e6)

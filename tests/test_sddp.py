@@ -649,3 +649,36 @@ def test_interrupted_solve_keeps_a_valid_bound(monkeypatch, solve):
         calls["stop"] = stop
         bound = run()
         assert bound is not None and bound <= opt + 1e-6, stop
+
+
+@pytest.fixture(scope="module")
+def hdr_cells():
+    """Ex's bound and S's result on instance seeds 5 and 11 (2x4, the
+    acceptance instances) for hn, pm and fh."""
+    from mcsip.hdr import HdrConfig, build_hdr_msilp, generate_instance
+
+    cells = {}
+    for seed in (5, 11):
+        m = build_hdr_msilp(generate_instance(HdrConfig(cols=2, rows=4, capacity_pct=0.2,
+                                                        seed=seed)))
+        for kind in ("hn", "pm", "fh"):
+            agg = build_aggregation(m.tree, Transformation(kind, partial_attrs=(2,)
+                                                           if kind == "pm" else ()))
+            ex = branch_and_cut(build_aggregated_extensive_form(m, agg))
+            cells[seed, kind] = (m, agg, ex.bound, solve_exact(m, agg, SddpConfig(seed=0)))
+    return cells
+
+
+def test_s_objective_is_never_below_the_ex_bound(hdr_cells):
+    # S reports what its policy costs, so it cannot undercut a valid bound
+    # on the optimum; a master value with lagging cost-to-go could
+    for (seed, kind), (_, _, ex_bound, res) in hdr_cells.items():
+        assert res.status == "optimal"
+        assert res.objective >= ex_bound - 1e-9 * abs(ex_bound), (seed, kind)
+        assert res.bound <= res.objective
+
+
+def test_s_objective_is_the_cost_of_its_own_policy(hdr_cells):
+    for (seed, kind), (m, agg, _, res) in hdr_cells.items():
+        val = evaluate_policy(m, agg, res.z_by_group, SddpConfig(seed=0))
+        assert res.objective == pytest.approx(val, rel=1e-9), (seed, kind)
