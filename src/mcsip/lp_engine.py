@@ -60,9 +60,13 @@ left open, so it stays valid although the gap test prunes nodes that
 could hold a slightly better solution.  When a cut oracle is supplied, every
 integer-feasible relaxation solution is offered to the oracle and the node
 is re-solved until the oracle returns no cut, which is what makes lazy
-Benders-style decompositions exact.  The solve's one Deadline is checked
-between nodes and after every round of cuts, and once it has passed the
-rounding heuristic solves no further LP.
+Benders-style decompositions exact.  Cuts are separated only at nodes that
+survive the bound test: each LP of a node's cut loop is checked against the
+incumbent before its point goes to the oracle, and a node whose LP value
+is within the gap is dropped at once (cuts only raise that value), its LP
+value counting among the dropped nodes' bounds.  The solve's one Deadline
+is checked between nodes and after every round of cuts, and once it has
+passed the rounding heuristic solves no further LP.
 """
 
 from __future__ import annotations
@@ -470,6 +474,12 @@ def _fractional(x, int_cols):
     return int_cols[worst] if frac[worst] > INT_TOL else None
 
 
+def _within_gap(value: float, inc_obj: float) -> bool:
+    """value, a node's bound, leaves no room within MIP_GAP below the
+    incumbent's inc_obj; never true before an incumbent exists."""
+    return inc_obj < np.inf and value >= inc_obj - MIP_GAP * max(abs(inc_obj), 1.0)
+
+
 def branch_and_cut(p: MipProblem, oracle: CutOracle | None = None,
                    deadline: Deadline = Deadline(),
                    round_heuristic: bool = True) -> MipSolution:
@@ -486,7 +496,7 @@ def branch_and_cut(p: MipProblem, oracle: CutOracle | None = None,
     try:
         while heap:
             node = heapq.heappop(heap)
-            if node.bound >= inc_obj - MIP_GAP * max(abs(inc_obj), 1.0):
+            if _within_gap(node.bound, inc_obj):
                 pruned = min(pruned, node.bound)
                 continue
             if deadline.passed():
@@ -503,6 +513,9 @@ def branch_and_cut(p: MipProblem, oracle: CutOracle | None = None,
                     break
                 if sol.status == UNBOUNDED:
                     return MipSolution(status=UNBOUNDED, nodes=n_nodes, cuts=n_cuts)
+                # cuts only raise the LP value, so a dominated node is not separated
+                if _within_gap(sol.objective, inc_obj):
+                    break
                 col = _fractional(sol.x, int_cols)
                 if col is not None or oracle is None:
                     break
@@ -518,7 +531,7 @@ def branch_and_cut(p: MipProblem, oracle: CutOracle | None = None,
                     raise NumericalFailure("cut loop did not terminate")
             if sol.status == INFEASIBLE:
                 continue
-            if sol.objective >= inc_obj - MIP_GAP * max(abs(inc_obj), 1.0):
+            if _within_gap(sol.objective, inc_obj):
                 pruned = min(pruned, sol.objective)
                 continue
             col = _fractional(sol.x, int_cols)

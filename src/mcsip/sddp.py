@@ -235,6 +235,17 @@ class _SubOptimum(NamedTuple):
     duals: np.ndarray | None = None
 
 
+class _Step(NamedTuple):
+    """One node of a forward pass: its subproblem and where its incoming
+    state comes from (stage-2 nodes take theirs from the candidate)."""
+
+    nid: int
+    sub: _Sub
+    stage2: bool
+    parent: int
+    parent_group: GroupKey
+
+
 @dataclass
 class _SubSolution:
     value: float
@@ -267,17 +278,24 @@ class SddpEngine:
         self._pool_sigs: dict[SubKey, set] = {k: set() for k in self.pgraph.subproblems}
         self.master_pool: dict[int, list[Cut]] = {}
         tree = m.tree
+        self._steps = {nd.id: _Step(nd.id, self.subs[self.pgraph.node_to_sub[nd.id]],
+                                    nd.stage == 2, nd.parent, agg.node_to_group[nd.parent])
+                       for nd in tree.nodes if nd.parent is not None}
+        # each leaf's forward pass, grouped by the stage-2 node it starts at
+        self._plans: dict[int, list[_Step]] = {}
+        under: dict[int, list[int]] = {}
+        for leaf in tree.leaves():
+            plan = self._plans[leaf] = self.plan(tree_path(tree, leaf)[1:])
+            if plan:
+                under.setdefault(plan[0].nid, []).append(leaf)
         self._leaves_under: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-        for n2 in tree.node(tree.root).children:
-            ids = [leaf for leaf in tree.leaves() if self._stage2_ancestor(leaf) == n2]
+        for n2, ids in under.items():
             w = np.array([tree.node(i).p for i in ids])
             self._leaves_under[n2] = (np.array(ids), w / w.sum())
 
-    def _stage2_ancestor(self, nid: int) -> int:
-        node = self.msilp.tree.node(nid)
-        while node.stage > 2:
-            node = self.msilp.tree.node(node.parent)
-        return node.id
+    def plan(self, node_path) -> list[_Step]:
+        """The forward-pass steps of a root-to-leaf run of non-root nodes."""
+        return [self._steps[nid] for nid in node_path]
 
     def intern(self, key: tuple) -> int:
         """The identity of the LP key describes, one per distinct key."""
@@ -367,15 +385,15 @@ class SddpEngine:
             order = self.rng.choice(ids.size, size=take, replace=False, p=weights)
             cut_added = False
             for leaf in ids[order]:
-                node_path = tree_path(self.msilp.tree, int(leaf))[1:]
+                plan = self._plans[int(leaf)]
                 sols: dict[int, _SubSolution] = {}
-                feas_cut = self._forward(node_path, candidate, sols)
+                feas_cut = self._forward(plan, candidate, sols)
                 if feas_cut is not None:
                     if feas_cut.owner[0] == 2:
                         return feas_cut
                     cut_added = True
                     continue
-                outcome = self._backward(node_path, candidate, sols)
+                outcome = self._backward(plan, candidate, sols)
                 if isinstance(outcome, Cut):
                     return outcome
                 cut_added = cut_added or outcome
@@ -388,17 +406,13 @@ class SddpEngine:
                 if not cut_added or rounds >= cfg.max_rounds:
                     return None
 
-    def _forward(self, node_path, candidate: MasterPoint, sols) -> Cut | None:
-        tree = self.msilp.tree
+    def _forward(self, plan: list[_Step], candidate: MasterPoint, sols) -> Cut | None:
         zvals = candidate.z
-        for nid in node_path:
-            node = tree.node(nid)
-            sub = self.subs[self.pgraph.node_to_sub[nid]]
-            if node.stage == 2:
+        for nid, sub, stage2, parent, pg in plan:
+            if stage2:
                 x_par, pg = candidate.x_root, candidate.root_group
             else:
-                prev = sols[node.parent]
-                x_par, pg = prev.x, self.agg.node_to_group[node.parent]
+                x_par = sols[parent].x
             sol = self.solve_sub(sub, x_par, zvals, pg)
             if sol.status == INFEASIBLE:
                 cut = self.make_feasibility_cut(sub, x_par, zvals, pg)
@@ -411,22 +425,19 @@ class SddpEngine:
                                      np.asarray(x_par, dtype=float), zvals, pg)
         return None
 
-    def _backward(self, node_path, candidate: MasterPoint, sols):
+    def _backward(self, plan: list[_Step], candidate: MasterPoint, sols):
         """Quick pass; returns a violated master Cut, else whether any cut landed."""
-        tree = self.msilp.tree
         added = False
-        for nid in reversed(node_path):
-            node = tree.node(nid)
-            sub_key = self.pgraph.node_to_sub[nid]
+        for nid, sub, stage2, parent, _ in reversed(plan):
             ss = sols[nid]
-            if node.stage == 2:
+            if stage2:
                 theta_hat = candidate.theta[nid]
             else:
-                theta_hat = sols[node.parent].thetas[sub_key]
+                theta_hat = sols[parent].thetas[sub.key]
             if abs(theta_hat - ss.value) < self.cfg.eps * abs(ss.value) + VIOL_GUARD:
                 continue
-            cut = self.make_optimality_cut(self.subs[sub_key], ss)
-            if node.stage == 2:
+            cut = self.make_optimality_cut(sub, ss)
+            if stage2:
                 cut_val = cut.value_at(candidate.x_root, candidate.z,
                                        candidate.root_group)
                 if candidate.theta[nid] < cut_val - VIOL_GUARD:

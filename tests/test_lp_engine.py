@@ -752,3 +752,24 @@ def test_no_heuristic_lp_once_the_deadline_has_passed(monkeypatch):
     sol = branch_and_cut(gap_pruned_mip(), deadline=deadline)
     assert len(lps) == 1
     assert sol.status == "time_limit" and sol.x is None and sol.bound == pytest.approx(1e6)
+
+
+def test_oracle_never_sees_a_node_the_incumbent_dominates():
+    # min theta, theta >= 1 - 2x, theta >= 3x - 1.5, x in {0, 1}: the root
+    # LP sits at x = 0.5 with 0; the child x <= 0 (popped first) costs 1
+    # and the oracle accepts it, so its 1 is the incumbent; the child
+    # x >= 1 has bound 0 at the pop but its first LP costs 1.5
+    calls = []
+
+    class Recourse(CutOracle):
+        def separate(self, x):  # theta >= 1 + 3x, Q(0) = 1, Q(1) = 4
+            calls.append(x.copy())
+            return [({0: -3.0, 1: 1.0}, "G", 1.0)] if x[1] < 1.0 + 3.0 * x[0] - 1e-9 else []
+
+    m = mip([0.0, 1.0], [[2.0, 1.0], [-3.0, 1.0]], "GG", [1.0, -1.5],
+            lo=[0.0, 0.0], up=[1.0, np.inf], integer=[True, False])
+    sol = branch_and_cut(m, oracle=Recourse())
+    assert sol.status == "optimal" and sol.objective == pytest.approx(1.0)
+    assert sol.nodes == 3
+    assert [x[0] for x in calls] == [0.0]  # the x >= 1 node is never separated
+    assert sol.bound <= 1.5

@@ -89,7 +89,7 @@ def test_constant_cut_when_child_has_no_parent_coupling():
     sub = engine.subs[engine.pgraph.subproblems[0]]
     cand = candidate_for(engine, m, agg, x_root=[0.7])
     sols = {}
-    assert engine._forward([m.tree.stage_nodes(2)[0]], cand, sols) is None
+    assert engine._forward(engine.plan([m.tree.stage_nodes(2)[0]]), cand, sols) is None
     cut = engine.make_optimality_cut(sub, sols[m.tree.stage_nodes(2)[0]])
     assert np.allclose(cut.alpha, 0.0)
     assert np.allclose(cut.beta_parent, 0.0)
@@ -104,7 +104,7 @@ def test_unit_coupling_cut_has_unit_slope():
     nid = m.tree.stage_nodes(2)[0]
     cand = candidate_for(engine, m, agg, x_root=[0.7])
     sols = {}
-    engine._forward([nid], cand, sols)
+    engine._forward(engine.plan([nid]), cand, sols)
     cut = engine.make_optimality_cut(engine.subs[engine.pgraph.node_to_sub[nid]],
                                      sols[nid])
     assert cut.alpha[0] == pytest.approx(1.0)
@@ -196,7 +196,7 @@ def test_forward_pass_visits_state_keyed_subproblems():
     assert target is not None
     cand = candidate_for(engine, m, agg)
     sols = {}
-    assert engine._forward(tpath(m.tree, target)[1:], cand, sols) is None
+    assert engine._forward(engine.plan(tpath(m.tree, target)[1:]), cand, sols) is None
     visited = [engine.pgraph.node_to_sub[nid] for nid in sols]
     assert [key[:2] for key in visited] == [(2, (1,)), (3, (1,)), (4, (1,))]
     for key in visited:
@@ -265,7 +265,7 @@ def test_add_cut_gives_new_identities_to_its_hosts_only(hdr_toy_msilp, monkeypat
     sols = {}
     cand = candidate_for(engine, m, agg, x_root=np.full(m.k, 10.0))
     for leaf in m.tree.leaves():
-        assert engine._forward(tpath(m.tree, leaf)[1:], cand, sols) is None
+        assert engine._forward(engine.plan(tpath(m.tree, leaf)[1:]), cand, sols) is None
     cuts = (engine.make_optimality_cut(engine.subs[engine.pgraph.node_to_sub[n]], ss)
             for n, ss in sols.items() if m.tree.node(n).stage > 2)
     cut = next(c for c in cuts if engine._cut_signature(c) not in engine._pool_sigs[c.owner])
@@ -387,7 +387,7 @@ def test_sub_lps_see_z_only_through_the_rhs_map():
     cand = candidate_for(engine, m, agg, x_root=np.full(m.k, 10.0))
     cand.z = zvals
     sols = {}
-    assert engine._forward(tpath(m.tree, leaves[0])[1:], cand, sols) is None
+    assert engine._forward(engine.plan(tpath(m.tree, leaves[0])[1:]), cand, sols) is None
     cut = engine.make_optimality_cut(engine.subs[engine.pgraph.node_to_sub[leaves[0]]],
                                      sols[leaves[0]])
     assert np.any(cut.beta_parent) and cut.rho
@@ -539,7 +539,8 @@ def test_feasibility_cut_in_a_subproblem_hosting_cuts():
     engine = SddpEngine(m, agg, SddpConfig(seed=0))
     n2, n3 = m.tree.stage_nodes(2)[0], m.tree.stage_nodes(3)[0]
     sols = {}
-    assert engine._forward([n2, n3], candidate_for(engine, m, agg, x_root=[0.5]), sols) is None
+    cand = candidate_for(engine, m, agg, x_root=[0.5])
+    assert engine._forward(engine.plan([n2, n3]), cand, sols) is None
     sub3 = engine.subs[engine.pgraph.node_to_sub[n3]]
     cut3 = engine.make_optimality_cut(sub3, sols[n3])
     assert engine.add_cut(cut3)
