@@ -43,11 +43,11 @@ import numpy as np
 
 from .aggregate import AggregationMap, GroupKey
 from .errors import ConfigError, InfeasibleModel, NumericalFailure, Overflow
-from .lp_engine import (INFEASIBLE, OPTIMAL, THETA_LB, VIOL_GUARD, CutOracle, Deadline,
-                        MipSolution, RhsMap, branch_and_cut, cut_row, relative_gap, solve_lp,
-                        violation_certificate)
+from .lp_engine import (INFEASIBLE, OPTIMAL, CutOracle, Deadline, MipSolution, RhsMap,
+                        branch_and_cut, cut_row, relative_gap, solve_lp, violation_certificate)
 from .model import GE, LE, Csr, LpProblem, MipProblem, Msilp, RowBlock, assemble, \
     first_stage_columns, first_stage_offsets, node_rows, z_values
+from .tolerances import THETA_LB, VIOL_GUARD
 from .tree import path as tree_path
 
 VARIANTS = ("th", "t", "m")

@@ -54,10 +54,19 @@ every cut as a row of the problem that hosts it.
 
 Branch and bound: best-bound node selection, most-fractional branching with
 lowest-index tie break, relative gap termination; each child node starts
-from its parent's final basis.  The reported bound is the least of the
-incumbent's value and the bound of every node dropped within the gap or
-left open, so it stays valid although the gap test prunes nodes that
-could hold a slightly better solution.  When a cut oracle is supplied, every
+from its parent's final basis.  A node LP's solve also returns the
+Driebeek penalties of its two children (Driebeek 1966), read off the final
+tableau before HiGHS clears the model: what the first dual simplex pivot
+after the branching bound costs at least.  Each child carries a floor, its
+parent's LP value plus its penalty, beside that LP value, which stays its
+heap key, so nodes are popped in the order they would be without floors.
+The gap test at the pop reads the greater of the two, so a child whose
+floor already meets the incumbent is dropped and its LP is never solved;
+every other LP is the same one, solved from the same basis.  The reported
+bound is the least of the incumbent's value and the bound (the greater of
+LP value and floor) of every node dropped within the gap or left open, so
+it stays valid although the gap test prunes nodes that could hold a
+slightly better solution.  When a cut oracle is supplied, every
 integer-feasible relaxation solution is offered to the oracle and the node
 is re-solved until the oracle returns no cut, which is what makes lazy
 Benders-style decompositions exact.  Cuts are separated only at nodes that
@@ -85,12 +94,8 @@ import scipy
 
 from .errors import ConfigError, DimensionMismatch, NumericalFailure
 from .model import EQ, GE, LE, Csr, LpProblem, MipProblem, as_csr
+from .tolerances import FEAS_TOL, INT_TOL, MIP_GAP, VIOL_GUARD
 
-FEAS_TOL = 1e-7
-INT_TOL = 1e-6
-MIP_GAP = 1e-6
-VIOL_GUARD = 1e-9          # absolute slack below which a cut does not separate
-THETA_LB = 0.0             # cost-to-go lower bound, valid for nonnegative costs
 MAX_CUT_PASSES = 100_000   # oracle re-solves per branch-and-bound node
 
 OPTIMAL = "optimal"
@@ -163,6 +168,8 @@ class LpSolution:
     duals: np.ndarray | None = None
     objective: float | None = None
     farkas: np.ndarray | None = None
+    # (col, down, up) of a solve given int_cols: see _branching
+    branch: tuple | None = None
     # (row_lo, row_up, lb, ub, HighsSolution) of an optimal solve
     _dual_data: tuple | None = field(default=None, repr=False, compare=False)
 
@@ -235,10 +242,12 @@ def _rowwise(p: LpProblem):
     return a.indptr, a.indices, a.data
 
 
-def solve_lp(p: LpProblem, want_farkas: bool = True) -> LpSolution:
+def solve_lp(p: LpProblem, want_farkas: bool = True,
+             int_cols: np.ndarray | None = None) -> LpSolution:
     """Solve min c'x s.t. rows, bounds, warm from p's last optimal basis when
     it has one (deterministically either way); an optimum stores its basis
-    on p."""
+    on p.  Given the integer columns of a B&B node LP, an optimum also
+    carries its branching column and penalties (LpSolution.branch)."""
     c = np.asarray(p.c, dtype=float)
     rhs = np.asarray(p.rhs, dtype=float)
     if not (np.isfinite(c).all() and np.isfinite(rhs).all()):
@@ -251,9 +260,9 @@ def solve_lp(p: LpProblem, want_farkas: bool = True) -> LpSolution:
     basis = p.basis
     if basis is not None and (basis[0] != p.n or basis[1] > p.m):
         basis = None  # columns changed or rows dropped: a cold start
-    status, res = _run_highs(*model, basis)
+    status, res = _run_highs(*model, basis, int_cols=int_cols)
     if status is None and basis is not None:  # one cold retry
-        status, res = _run_highs(*model, None)
+        status, res = _run_highs(*model, None, int_cols=int_cols)
     if status == INFEASIBLE:
         sol = LpSolution(status=INFEASIBLE)
         if want_farkas:
@@ -265,16 +274,18 @@ def solve_lp(p: LpProblem, want_farkas: bool = True) -> LpSolution:
         raise NumericalFailure(f"HiGHS ended with {res['status']}")
     p.basis = res["basis"]
     return LpSolution(status=OPTIMAL, x=res["x"], duals=res["row_dual"],
-                      objective=float(res["fun"]),
+                      objective=float(res["fun"]), branch=res.get("branch"),
                       _dual_data=(row_lo, row_up, lb, ub, res["solution"]))
 
 
 def _run_highs(c, indptr, indices, data, row_lo, row_up, lb, ub,
-               basis) -> tuple[str | None, dict]:
+               basis, int_cols=None) -> tuple[str | None, dict]:
     """One HiGHS LP solve of min c'x, row_lo <= A x <= row_up, lb <= x <= ub
     (A row-wise, int32 indices), without presolve from basis = (columns,
     rows m0, HighsBasis) when one is given: the first m0 rows go in with
-    the basis, the rest are appended after it.
+    the basis, the rest are appended after it.  Given int_cols, an optimum
+    also gets its "branch", read off the final tableau before the model is
+    cleared.
 
     Returns (status, result); status is None for an outcome solve_lp cannot
     use: a HiGHS status it does not map, a rejected basis or appended rows,
@@ -311,9 +322,67 @@ def _run_highs(c, indptr, indices, data, row_lo, row_up, lb, ub,
             return None, res
         res.update(x=x, row_dual=np.array(sol.row_dual), solution=sol, fun=fun,
                    basis=(c.size, row_lo.size, h.getBasis()))
+        if int_cols is not None:
+            res["branch"] = _branching(h, res, ax, lb, ub, row_lo, row_up, int_cols)
         return OPTIMAL, res
     finally:
         h.clearModel()
+
+
+def _branching(h, res, ax, lb, ub, row_lo, row_up, int_cols) -> tuple:
+    """(col, down, up) of the optimum h holds: col is the most-fractional
+    integer column (None when x is integral); down and up are Driebeek's
+    penalties of its children x[col] <= s and x[col] >= s + 1, s the floor
+    of x[col]: what the first dual simplex pivot of each child costs at
+    least, so each child's LP value is at least the node's plus its
+    penalty.
+
+    Row r of the tableau reads x[col] = ... - alpha'x_N + beta'(A x)_N,
+    alpha = (B^-1 A)_r and beta = (B^-1)_r.  A nonbasic column at its lower
+    bound moves up (effect -alpha, cost max(d, 0) per unit), one at its upper
+    bound moves down (+alpha, max(-d, 0)); a nonbasic inequality row at its
+    lower activity moves up (+beta, max(y, 0)), at its upper down (-beta,
+    max(-y, 0)).  A nonbasic column or row at neither bound (a free column)
+    moves either way at cost 0; fixed columns and '==' rows do not move.
+    With f the fractional part, down = f min g/|e| over moves with e < 0 and
+    up = (1 - f) min g/e over e > 0, each 0 when no move qualifies."""
+    x = res["x"]
+    col = _fractional(x, int_cols)
+    if col is None:
+        return None, 0.0, 0.0
+    basic = h.getBasicVariables()[1]
+    pos = np.flatnonzero(basic == col)
+    if pos.size == 0:
+        return col, 0.0, 0.0
+    ok_a, alpha = h.getReducedRow(int(pos[0]))
+    ok_b, beta = h.getBasisInverseRow(int(pos[0]))
+    if ok_a == _ERROR or ok_b == _ERROR:
+        return col, 0.0, 0.0
+    nb_col = np.ones(x.size, dtype=bool)
+    nb_col[basic[basic >= 0]] = False
+    nb_row = np.ones(ax.size, dtype=bool)
+    nb_row[-1 - basic[basic < 0]] = False
+    effect, cost = [], []
+    for nb, val, lo, up, e, dual in (
+            (nb_col & (lb < ub), x, lb, ub, -alpha, np.array(res["solution"].col_dual)),
+            (nb_row & (row_lo < row_up), ax, row_lo, row_up, beta, res["row_dual"])):
+        at_lo, at_up = val - lo <= FEAS_TOL, up - val <= FEAS_TOL
+        inside = ~(at_lo | at_up)
+        # (moves up, moves down): effect e or -e, cost 0 for a free move
+        for moves, sign in ((nb & (at_lo | inside), 1.0), (nb & (at_up | inside), -1.0)):
+            effect.append(sign * e[moves])
+            cost.append(np.where(inside[moves], 0.0, np.maximum(sign * dual[moves], 0.0)))
+    effect, cost = np.concatenate(effect), np.concatenate(cost)
+    f = float(x[col] - np.floor(x[col] + INT_TOL))
+    return col, f * _least_ratio(cost, -effect), (1.0 - f) * _least_ratio(cost, effect)
+
+
+def _least_ratio(cost, effect) -> float:
+    """min cost/effect over effect > 0; 0 when there is none or the ratio
+    overflows, as a child no pivot reaches is left to its own LP."""
+    pos = effect > 0
+    least = float(np.min(cost[pos] / effect[pos])) if pos.any() else 0.0
+    return least if least < np.inf else 0.0
 
 
 def infeasibility_lp(p: LpProblem) -> LpProblem:
@@ -459,11 +528,17 @@ class CutOracle:
 
 @dataclass(order=True)
 class BnbNode:
-    bound: float
+    bound: float  # the parent's LP value: the heap order
     seq: int
     lo: np.ndarray = field(compare=False)
     up: np.ndarray = field(compare=False)
     basis: tuple | None = field(default=None, compare=False)  # parent's final basis
+    floor: float = field(default=-np.inf, compare=False)  # bound plus its penalty
+
+    @property
+    def value_floor(self) -> float:
+        """The best lower bound known on the node's LP value."""
+        return max(self.bound, self.floor)
 
 
 def _fractional(x, int_cols):
@@ -496,8 +571,8 @@ def branch_and_cut(p: MipProblem, oracle: CutOracle | None = None,
     try:
         while heap:
             node = heapq.heappop(heap)
-            if _within_gap(node.bound, inc_obj):
-                pruned = min(pruned, node.bound)
+            if _within_gap(node.value_floor, inc_obj):
+                pruned = min(pruned, node.value_floor)  # a floor prunes its LP unsolved
                 continue
             if deadline.passed():
                 heapq.heappush(heap, node)  # keep its bound visible in the summary
@@ -508,7 +583,7 @@ def branch_and_cut(p: MipProblem, oracle: CutOracle | None = None,
                             lo=node.lo, up=node.up, basis=node.basis)
             passes = 0
             while True:
-                sol = solve_lp(sub, want_farkas=False)
+                sol = solve_lp(sub, want_farkas=False, int_cols=int_cols)
                 if sol.status == INFEASIBLE:
                     break
                 if sol.status == UNBOUNDED:
@@ -516,8 +591,7 @@ def branch_and_cut(p: MipProblem, oracle: CutOracle | None = None,
                 # cuts only raise the LP value, so a dominated node is not separated
                 if _within_gap(sol.objective, inc_obj):
                     break
-                col = _fractional(sol.x, int_cols)
-                if col is not None or oracle is None:
+                if sol.branch[0] is not None or oracle is None:
                     break
                 cuts = oracle.separate(sol.x)
                 if not cuts:
@@ -534,7 +608,7 @@ def branch_and_cut(p: MipProblem, oracle: CutOracle | None = None,
             if _within_gap(sol.objective, inc_obj):
                 pruned = min(pruned, sol.objective)
                 continue
-            col = _fractional(sol.x, int_cols)
+            col, down, up = sol.branch
             if col is None:
                 x = sol.x.copy()
                 x[int_cols] = np.round(x[int_cols])
@@ -546,8 +620,8 @@ def branch_and_cut(p: MipProblem, oracle: CutOracle | None = None,
                 cand = _round_and_fix(p, sub, sol.x, int_cols)
                 if cand is not None and cand[1] < inc_obj:
                     incumbent, inc_obj = cand
-            floor = np.floor(sol.x[col] + INT_TOL)
-            for lo_v, up_v in ((None, floor), (floor + 1.0, None)):
+            split = np.floor(sol.x[col] + INT_TOL)
+            for lo_v, up_v, penalty in ((None, split, down), (split + 1.0, None, up)):
                 lo2, up2 = node.lo.copy(), node.up.copy()
                 if lo_v is not None:
                     lo2[col] = max(lo2[col], lo_v)
@@ -556,16 +630,17 @@ def branch_and_cut(p: MipProblem, oracle: CutOracle | None = None,
                 if lo2[col] > up2[col]:
                     continue
                 seq += 1
-                heapq.heappush(heap, BnbNode(sol.objective, seq, lo2, up2, sub.basis))
+                heapq.heappush(heap, BnbNode(sol.objective, seq, lo2, up2, sub.basis,
+                                             sol.objective + max(penalty, 0.0)))
     except DeadlineReached:
         # the oracle was separating this node's LP optimum, or the clock ran
         # out after its cuts were added: the node stays open with that
         # bound, valid because cuts only raise it
         heapq.heappush(heap, BnbNode(sol.objective, node.seq, node.lo, node.up,
-                                     sub.basis))
+                                     sub.basis, node.floor))
         status = TIME_LIMIT
 
-    open_bound = min((nd.bound for nd in heap), default=np.inf)
+    open_bound = min((nd.value_floor for nd in heap), default=np.inf)
     # nodes dropped within the gap may hide a slightly better solution
     bound = min(inc_obj, pruned, open_bound)
     if incumbent is None:

@@ -11,8 +11,7 @@ from dataclasses import dataclass, field
 from typing import Iterable
 
 from .errors import InvalidChain, InvalidStage, UnknownState
-
-PROB_TOL = 1e-9
+from .tolerances import PROB_TOL
 
 
 @dataclass(frozen=True, order=True)

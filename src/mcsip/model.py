@@ -46,9 +46,9 @@ import numpy as np
 
 from .aggregate import AggregationMap
 from .errors import DimensionMismatch, Overflow
+from .tolerances import DROP_TOL
 from .tree import ScenarioTree, path
 
-DROP_TOL = 1e-12
 VAR_CAP = 5_000_000
 
 GE, EQ, LE = "G", "E", "L"

@@ -68,12 +68,12 @@ import numpy as np
 
 from .aggregate import AggregationMap, GroupKey, PolicyGraph, SubKey, build_policy_graph
 from .errors import ConfigError, InfeasiblePolicy, MissingDuals, NumericalFailure
-from .lp_engine import (INFEASIBLE, OPTIMAL, THETA_LB, TIME_LIMIT, VIOL_GUARD, CutOracle,
-                        Deadline, DeadlineReached, MipSolution, RhsMap, add_rows,
-                        branch_and_cut, cut_row, relative_gap, solve_lp,
-                        violation_certificate)
+from .lp_engine import (INFEASIBLE, OPTIMAL, TIME_LIMIT, CutOracle, Deadline, DeadlineReached,
+                        MipSolution, RhsMap, add_rows, branch_and_cut, cut_row, relative_gap,
+                        solve_lp, violation_certificate)
 from .model import LpProblem, MipProblem, Msilp, RowBlock, assemble, \
     first_stage_columns, first_stage_offsets, node_rows, z_values
+from .tolerances import THETA_LB, VIOL_GUARD
 from .tree import path as tree_path
 
 PRECUT_ROUNDS = 500  # LP-relaxation cut rounds before branching

@@ -10,8 +10,8 @@ from dataclasses import dataclass, field
 
 from .errors import Overflow, UnknownNode
 from .markov import MarkovChain, McState
+from .tolerances import PRUNE_TOL
 
-PRUNE_TOL = 1e-15
 NODE_CAP = 10**7
 
 

@@ -11,6 +11,7 @@ from mcsip.errors import NumericalFailure
 from mcsip.lp_engine import CutOracle, Deadline, RhsMap, _check_highs_version, add_rows, \
     branch_and_cut, infeasibility_lp, solve_lp, solve_mip, verify_farkas
 from mcsip.model import Csr, LpProblem, MipProblem, as_csr
+from mcsip.tolerances import INT_TOL, MIP_GAP
 
 from conftest import scipy_csr
 
@@ -292,9 +293,9 @@ def warm_starts(monkeypatch):
     starts = []
     run = lp_engine._run_highs
 
-    def recording(*args):
+    def recording(*args, **kw):
         starts.append(args[-1] is not None)
-        return run(*args)
+        return run(*args, **kw)
 
     monkeypatch.setattr(lp_engine, "_run_highs", recording)
     return starts
@@ -595,8 +596,8 @@ def test_shared_highs_object_holds_no_model_after_any_outcome(monkeypatch):
     statuses = []
     run = lp_engine._run_highs
 
-    def recording(*args):
-        out = run(*args)
+    def recording(*args, **kw):
+        out = run(*args, **kw)
         statuses.append((args[-1] is not None, out[0]))
         return out
 
@@ -621,7 +622,7 @@ def test_sibling_nodes_keep_their_parents_basis_while_rows_are_appended(monkeypa
     grown_shared = 0
     solve = lp_engine.solve_lp
 
-    def checked(p, want_farkas=True):
+    def checked(p, want_farkas=True, **kw):
         nonlocal grown_shared
         start = p.basis
         if start is not None:
@@ -629,7 +630,7 @@ def test_sibling_nodes_keep_their_parents_basis_while_rows_are_appended(monkeypa
                                                    list(start[2].col_status), set()])
             entry[3].add(id(p))
             grown_shared += len(entry[3]) > 1 and start[1] < p.m
-        sol = solve(p, want_farkas)
+        sol = solve(p, want_farkas, **kw)
         for basis, rows, cols, _ in seen.values():
             assert basis[1] == rows == len(basis[2].row_status)
             assert list(basis[2].col_status) == cols
@@ -773,3 +774,142 @@ def test_oracle_never_sees_a_node_the_incumbent_dominates():
     assert sol.nodes == 3
     assert [x[0] for x in calls] == [0.0]  # the x >= 1 node is never separated
     assert sol.bound <= 1.5
+
+
+def random_branching_mip(rng):
+    """A small MIP with '>=', '<=' and '==' rows and boxed, one-sided, free
+    and fixed columns.  Its cost is A'y + r for a y and r of the signs an
+    optimum's duals take, so every LP of its branch and bound is bounded."""
+    n, m = int(rng.integers(4, 10)), int(rng.integers(2, 7))
+    kind = rng.choice(["fixed", "free", "lower", "upper", "boxed"], size=n,
+                      p=[0.1, 0.1, 0.15, 0.15, 0.5])
+    x0 = rng.uniform(-3, 3, size=n)
+    lo = np.where(np.isin(kind, ["lower", "boxed"]), x0 - rng.uniform(0, 2, size=n), -np.inf)
+    up = np.where(np.isin(kind, ["upper", "boxed"]), x0 + rng.uniform(0, 2, size=n), np.inf)
+    lo[kind == "fixed"] = up[kind == "fixed"] = np.round(x0[kind == "fixed"])
+    x0[kind == "fixed"] = lo[kind == "fixed"]
+    a = rng.uniform(-2, 2, size=(m, n)) * (rng.random((m, n)) < 0.7)
+    senses = rng.choice(["G", "L", "E"], size=m, p=[0.4, 0.4, 0.2])
+    rhs = a @ x0 + np.where(senses == "G", -1, np.where(senses == "L", 1, 0)) \
+        * rng.uniform(0, 1, size=m)
+    y = rng.uniform(0, 1, size=m) * np.where(senses == "G", 1, np.where(senses == "L", -1, 0))
+    y[senses == "E"] = rng.uniform(-1, 1, size=(senses == "E").sum())
+    r = rng.uniform(-1, 1, size=n)
+    r[kind == "free"] = 0.0
+    r[kind == "lower"] = np.abs(r[kind == "lower"])
+    r[kind == "upper"] = -np.abs(r[kind == "upper"])
+    integer = (kind == "boxed") & (rng.random(n) < 0.8)  # a finite search
+    return mip(a.T @ y + r, a, senses, rhs, lo, up, integer), x0
+
+
+def test_every_child_lp_costs_at_least_its_parent_plus_its_penalty(monkeypatch):
+    """Each fractional node LP's children, solved cold, end at or above the
+    node's value plus their penalty: on rows given up front, rows appended
+    before the root solve and rows an oracle appends during the search."""
+    rng = np.random.default_rng(21)
+    solve = lp_engine.solve_lp
+    children, raised = 0, 0
+
+    def checked(p, want_farkas=True, **kw):
+        nonlocal children, raised
+        sol = solve(p, want_farkas, **kw)
+        if kw.get("int_cols") is None or sol.status != "optimal" or sol.branch[0] is None:
+            return sol
+        col, down, up = sol.branch
+        assert np.isfinite(down) and np.isfinite(up) and down >= 0.0 and up >= 0.0
+        split = np.floor(sol.x[col] + INT_TOL)
+        for penalty, side in ((down, "up"), (up, "lo")):
+            child = cold_copy(p)
+            if side == "up":
+                child.up[col] = min(child.up[col], split)
+            else:
+                child.lo[col] = max(child.lo[col], split + 1.0)
+            if child.lo[col] > child.up[col]:
+                continue
+            cold = solve(child, want_farkas=False)
+            assert cold.status in ("optimal", "infeasible")
+            if cold.status == "optimal":
+                tol = 1e-9 * max(1.0, abs(cold.objective))
+                assert cold.objective >= sol.objective + penalty - tol
+                children += 1
+                raised += penalty > 1e-6
+        return sol
+
+    class Appending(CutOracle):
+        """Appends its rows, one per call, while it has any left."""
+
+        def __init__(self, rows):
+            self.rows = rows
+
+        def separate(self, x):
+            return [self.rows.pop()] if self.rows else []
+
+    monkeypatch.setattr(lp_engine, "solve_lp", checked)
+    for trial in range(60):
+        m, x0 = random_branching_mip(rng)
+        if trial % 2:
+            assert solve_lp(m).status == "optimal"  # a basis the root extends
+            add_rows(m, random_rows(rng, x0, int(rng.integers(1, 4))))
+        oracle = Appending(random_rows(rng, x0, 3)) if trial % 3 == 0 else None
+        branch_and_cut(m, oracle=oracle, round_heuristic=False)
+    assert children > 100 and raised > 20
+
+
+def test_a_branch_with_no_eligible_move_has_zero_penalties():
+    # 2 x0 == 1 holds x0 at 0.5; the '==' row cannot move and x1 is not in
+    # x0's tableau row, so no pivot moves x0: both children are infeasible,
+    # yet each penalty is 0, not inf
+    sol = solve_lp(lp([1.0, 1.0], [[2.0, 0.0]], "E", [1.0], lo=[0.0, 0.0], up=[5.0, 5.0]),
+                   int_cols=np.array([0]))
+    assert sol.status == "optimal" and sol.x[0] == 0.5
+    assert sol.branch == (0, 0.0, 0.0)
+
+
+def test_a_free_nonbasic_column_moves_either_way_at_no_cost():
+    # g, solved fixed at 0 and then freed, stays nonbasic at 0 in the warm
+    # optimum x0 = 0.5; g shifts x0 at no cost, so both children cost 0 too
+    p = lp([0.0, 1.0, 0.0], [[-1.0, 1.0, 1.0], [1.0, 1.0, -1.0]], "GG", [-0.5, 0.5],
+           lo=[0.0, -np.inf, 0.0], up=[2.0, np.inf, 0.0])
+    assert solve_lp(p).x[0] == 0.5
+    p.lo[2], p.up[2] = -np.inf, np.inf
+    sol = solve_lp(p, int_cols=np.array([0]))
+    assert sol.objective == 0.0 and sol.x[0] == 0.5 and sol.x[2] == 0.0
+    assert sol.branch == (0, 0.0, 0.0)
+
+
+def node_lps(monkeypatch, m, penalties):
+    """(lo, up) of each node LP branch_and_cut solves on m, in order, and its
+    result; without penalties every floor is its parent's LP value, the
+    search as it was before floors."""
+    solve, seen = lp_engine.solve_lp, []
+
+    def recording(p, want_farkas=True, **kw):
+        sol = solve(p, want_farkas, **kw)
+        if kw.get("int_cols") is not None:
+            seen.append((tuple(p.lo), tuple(p.up)))
+            if not penalties and sol.status == "optimal":
+                sol.branch = (sol.branch[0], 0.0, 0.0)
+        return sol
+
+    with monkeypatch.context() as patch:
+        patch.setattr(lp_engine, "solve_lp", recording)
+        return seen, branch_and_cut(m)
+
+
+def test_floors_skip_child_lps_and_keep_the_order_of_the_rest(monkeypatch):
+    rng = np.random.default_rng(22)
+    skipped = 0
+    for _ in range(40):
+        m, _ = random_branching_mip(rng)
+        before, old = node_lps(monkeypatch, m, penalties=False)
+        after, new = node_lps(monkeypatch, m, penalties=True)
+        pruned = [node for node in before if node not in after]
+        assert after == [node for node in before if node not in pruned]
+        assert (new.status, new.objective) == (old.status, old.objective)
+        if new.bound != old.bound:
+            # a floor within the gap became the least bound the gap test dropped
+            window = MIP_GAP * max(abs(new.objective), 1.0)
+            assert new.objective - window <= min(new.bound, old.bound)
+            assert max(new.bound, old.bound) <= new.objective
+        skipped += len(pruned)
+    assert skipped > 0
