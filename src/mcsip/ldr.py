@@ -21,10 +21,10 @@ Louveaux's multi-cut L-shaped method: one scan of the groups returns a cut
 for every group whose theta lags, and stops at the first infeasible node
 LP with its feasibility cut.  Feasibility cuts come from the phase-1 duals
 of that LP (lp_engine.violation_certificate), and both kinds become master
-rows through lp_engine.cut_row, the writer S uses too.  Node LP optima are
-memoised for the whole solve by (stage, state, rhs): node data depend on
-the stage and the Markov state only, so a memoised optimum is that of
-every member node at the same rhs.
+rows through lp_engine.cut_row, the writer S uses too.  The node LPs are
+lp_engine.StateLps and share one memo (see lp_engine's Benders layer), so
+equal node LPs, within a (stage, state) group or across groups, are solved
+once per rhs.
 
 Rows come from the shared assembler (model.assemble), with x_n mapped onto
 the Lambda columns by a sparse basis-expansion P and x_root by its column
@@ -43,8 +43,8 @@ import numpy as np
 
 from .aggregate import AggregationMap, GroupKey
 from .errors import ConfigError, InfeasibleModel, NumericalFailure, Overflow
-from .lp_engine import (INFEASIBLE, OPTIMAL, CutOracle, Deadline, MipSolution, RhsMap,
-                        branch_and_cut, cut_row, relative_gap, solve_lp, violation_certificate)
+from .lp_engine import (INFEASIBLE, OPTIMAL, CutOracle, Deadline, MipSolution, RhsMap, StateLp,
+                        StateLpTable, branch_and_cut, cut_row, relative_gap, solve_lp)
 from .model import GE, LE, Csr, LpProblem, MipProblem, Msilp, RowBlock, assemble, \
     first_stage_columns, first_stage_offsets, node_rows, z_values
 from .tolerances import THETA_LB, VIOL_GUARD
@@ -71,11 +71,13 @@ def node_basis(m: Msilp, nid: int) -> np.ndarray:
     return np.concatenate([nd.b, nd.f, nd.g, nd.c, nd.d, nd.h]).astype(float)
 
 
-@dataclass
-class _NodeLp:
-    lp: LpProblem               # over the node's locals
-    rhs_map: RhsMap             # over the first stage
-    p: float
+class _NodeLp(StateLp):
+    """A node's LP over its locals, its rhs map over the first stage, and
+    its path probability p."""
+
+    def __init__(self, lp: LpProblem, rhs_map: RhsMap, table: StateLpTable, p: float):
+        super().__init__(lp, rhs_map, table)
+        self.p = p
 
 
 @dataclass
@@ -180,6 +182,7 @@ def build_ldr_model(m: Msilp, agg: AggregationMap, variant: LdrVariant) -> LdrMo
         lo[theta_off[key]] = THETA_LB
 
     node_lps: dict[int, _NodeLp] = {}
+    table = StateLpTable()
     pick_bound = Csr(np.arange(2 * k + 1), np.repeat(np.arange(k), 2), np.ones(2 * k),
                      (2 * k, k))  # rows lo_q, up_q
     blocks = []
@@ -213,7 +216,7 @@ def build_ldr_model(m: Msilp, agg: AggregationMap, variant: LdrVariant) -> LdrMo
                                      nd.sen_l, nd.b, keep)], n, canonical=False)
         lp = LpProblem(c=nd.h.copy(), A=lp_a, senses=senses, rhs=const.copy(),
                        lo=nd.y_lo.copy(), up=nd.y_up.copy())
-        node_lps[nid] = _NodeLp(lp=lp, rhs_map=RhsMap(R, const), p=node.p)
+        node_lps[nid] = _NodeLp(lp, RhsMap(R, const), table, node.p)
 
     A, senses, rhs = assemble(blocks, n, canonical=True)
     master = MipProblem(c=obj, A=A, senses=senses, rhs=rhs, lo=lo, up=up, integer=integer)
@@ -229,9 +232,9 @@ class _BendersOracle(CutOracle):
     cutting every lagging group found on the way re-solves the master less
     often and leaves the optimum unchanged, since every cut is valid.
 
-    memo holds (status, objective, duals) of every node LP solved so far,
-    by (stage, state, rhs); a point is accepted only after each group was
-    evaluated at it, so true_cost of the incumbent solves no LP and cannot hit the deadline."""
+    Node LPs are solved through their memo (lp_engine's Benders layer); a
+    point is accepted only after each group was evaluated at it, so
+    true_cost of the incumbent solves no LP and cannot hit the deadline."""
 
     def __init__(self, model: LdrModel, eps: float, deadline: Deadline = Deadline()):
         self.model = model
@@ -242,37 +245,23 @@ class _BendersOracle(CutOracle):
         for nid in model.node_lps:
             node = tree.node(nid)
             self.nodes_by_theta[(node.stage, node.mc_state.attrs)].append(nid)
-        self.memo: dict[tuple, tuple] = {}
-
-    def _solve_node(self, nid: int, w: np.ndarray) -> tuple:
-        """(status, objective, duals) of node nid's LP at first stage w."""
-        nl = self.model.node_lps[nid]
-        rhs = nl.rhs_map.rhs(w)
-        node = self.model.msilp.tree.node(nid)
-        key = (node.stage, node.mc_state.attrs, rhs.tobytes())
-        hit = self.memo.get(key)
-        if hit is None:
-            self.deadline.check()
-            nl.lp.rhs = rhs
-            sol = solve_lp(nl.lp, want_farkas=False)
-            hit = self.memo[key] = (sol.status, sol.objective, sol.duals)
-        return hit
 
     def group_value(self, key: tuple, x: np.ndarray):
         """(value, member duals) of a (stage, state) group at x: the
         path-probability weighted sum of its node LP optima and a list of
-        (node id, duals); value is None, and the list holds the first
-        infeasible node id, when one has no feasible point."""
+        (node LP, duals); value is None, and the list holds the first
+        infeasible node LP, when one has no feasible point."""
         total = 0.0
-        solved: list[tuple[int, np.ndarray]] = []
+        solved: list[tuple[_NodeLp, np.ndarray]] = []
         for nid in self.nodes_by_theta[key]:
-            status, objective, duals = self._solve_node(nid, x)
-            if status == INFEASIBLE:
-                return None, [nid]
-            if status != OPTIMAL:
-                raise NumericalFailure(f"node {nid} LP: {status}")
-            total += self.model.node_lps[nid].p * objective
-            solved.append((nid, duals))
+            nl = self.model.node_lps[nid]
+            sol = nl.solve(x, self.deadline)
+            if sol.status == INFEASIBLE:
+                return None, [nl]
+            if sol.status != OPTIMAL:
+                raise NumericalFailure(f"node {nid} LP: {sol.status}")
+            total += nl.p * sol.objective
+            solved.append((nl, sol.duals))
         return total, solved
 
     def separate(self, x: np.ndarray):
@@ -283,14 +272,15 @@ class _BendersOracle(CutOracle):
                 continue
             total, solved = self.group_value(key, x)
             if total is None:
-                rows.append(self._feasibility_row(solved[0], x))
+                violation, grad = solved[0].violation(x)
+                # violation(w) >= violation(x) + grad.(w - x), forced to zero
+                rows.append(cut_row(None, [(0, grad)], violation - float(grad @ x)))
                 return rows
             theta_hat = float(x[model.layout.theta_off[key]])
             if total - theta_hat <= self.eps * abs(total) + VIOL_GUARD:
                 continue  # an accepted lag, or one too small to separate
             grad = np.zeros(model.layout.n_cols)
-            for nid, duals in solved:
-                nl = model.node_lps[nid]
+            for nl, duals in solved:
                 grad += nl.p * nl.rhs_map.slope(duals)
             rows.append(cut_row(model.layout.theta_off[key], [(0, grad)],
                                 total - float(grad @ x)))
@@ -309,14 +299,6 @@ class _BendersOracle(CutOracle):
                 raise NumericalFailure("an LDR node LP is infeasible at the incumbent")
             cost += value - float(x[model.layout.theta_off[key]])
         return cost
-
-    def _feasibility_row(self, nid: int, x: np.ndarray):
-        nl = self.model.node_lps[nid]
-        nl.lp.rhs = nl.rhs_map.rhs(x)
-        violation, duals = violation_certificate(nl.lp)
-        grad = nl.rhs_map.slope(duals)
-        # violation(w) >= violation(x) + grad.(w - x), forced to zero
-        return cut_row(None, [(0, grad)], violation - float(grad @ x))
 
 
 @dataclass

@@ -50,7 +50,15 @@ storage order, the order of Csr's own products, so a rhs or slope equals
 R @ w or R.rmatvec(pi) bit for bit and no matrix object is built per
 solve.  Cuts are read off LP duals, or off the phase-1 duals of
 violation_certificate (also the Farkas ray's source), and cut_row writes
-every cut as a row of the problem that hosts it.
+every cut as a row of the problem that hosts it.  A StateLp is such an LP
+with its map.  Its identity is interned in its model's StateLpTable from
+the LP's costs, bounds, rows and senses, and from (previous identity,
+appended row) when it hosts a cut, so two state LPs share one exactly
+when their LPs are equal row for row.  The table memoises every outcome,
+infeasible ones too, by (identity, rhs), so an LP that several state LPs
+share is solved once per rhs; the deadline is checked only before a solve
+the memo cannot answer.  An entry keeps the LP's row duals pi, and the
+asking state LP takes its slope R' pi through its own map.
 
 Branch and bound: best-bound node selection, most-fractional branching with
 lowest-index tie break, relative gap termination; each child node starts
@@ -513,6 +521,57 @@ class RhsMap:
         self.data = np.concatenate([self.data, row[j]])
         self.rows = np.concatenate([self.rows, np.full(j.size, self.const.size)])
         self.const = np.append(self.const, gamma)
+
+
+@dataclass
+class StateLpTable:
+    """One model's state-LP identities (by LP key) and answers (by identity and rhs)."""
+
+    ids: dict[tuple, int] = field(default_factory=dict)
+    answers: dict[tuple[int, bytes], LpSolution] = field(default_factory=dict)
+
+
+class StateLp:
+    """An LP whose rhs is rhs_map's const + R w at an incoming state w; see
+    the Benders layer above for its identity and memo."""
+
+    def __init__(self, lp: LpProblem, rhs_map: RhsMap, table: StateLpTable):
+        self.lp, self.rhs_map, self.table = lp, rhs_map, table
+        self.lp_id = self._intern(tuple(a.tobytes() for a in (
+            lp.c, lp.lo, lp.up, lp.A.indptr, lp.A.indices, lp.A.data, lp.senses)))
+
+    def _intern(self, key: tuple) -> int:
+        return self.table.ids.setdefault(key, len(self.table.ids))
+
+    def solve(self, w: np.ndarray, deadline: Deadline) -> LpSolution:
+        """The LP's outcome at state w, from the memo when it holds one."""
+        rhs = self.rhs_map.rhs(w)
+        key = (self.lp_id, rhs.tobytes())
+        hit = self.table.answers.get(key)
+        if hit is None:
+            deadline.check()
+            self.lp.rhs = rhs
+            sol = solve_lp(self.lp, want_farkas=False)
+            # without _dual_data: an entry must not keep HiGHS's solution alive
+            hit = self.table.answers[key] = LpSolution(sol.status, sol.x, sol.duals,
+                                                       sol.objective)
+        return hit
+
+    def violation(self, w: np.ndarray) -> tuple[float, np.ndarray]:
+        """The least total row violation at state w and its slope in w."""
+        self.lp.rhs = self.rhs_map.rhs(w)
+        violation, duals = violation_certificate(self.lp)
+        return violation, self.rhs_map.slope(duals)
+
+    def host(self, row: Row, map_row: np.ndarray) -> None:
+        """Append row to the LP and (map_row, row's rhs) to the map; the new
+        identity is (old identity, the LP row)."""
+        add_rows(self.lp, [row])
+        a = self.lp.A
+        start = a.indptr[-2]
+        self.lp_id = self._intern((self.lp_id, a.indices[start:].tobytes(),
+                                   a.data[start:].tobytes(), self.lp.senses[-1]))
+        self.rhs_map.append(map_row, row[2])
 
 
 class CutOracle:

@@ -40,19 +40,13 @@ Rows come from the shared assembler (model.assemble), every variable
 block mapped by its column offset.  The master is canonical (tiny
 coefficients dropped, rounded, duplicate rows removed) and writes cuts
 with lp_engine.cut_row over its z columns.  Each subproblem LP is
-positional, and every row takes its rhs from an lp_engine.RhsMap, the map
-LDR's node LPs use: rhs = const + R w at the incoming state
-w = (x_parent, z), cut slope R' pi, with R built by the same assembler; a
-hosted cut adds one row to the LP and one (its z part and gamma) to the
-map.  The engine memoises subproblem optima in one memo keyed by (LP
-identity, rhs), so an LP that several subproblems share (copies of the
-same stage and Markov state that the transform tells apart) is solved
-once per rhs.  An LP identity is interned exactly from the LP's costs,
-bounds, rows and senses when the subproblem is built, and from (previous
-identity, appended row) when it hosts a cut, so two subproblems share one
-exactly when their LPs are equal row for row.  An entry keeps the LP's row
-duals pi; the asking subproblem takes its cut slope R' pi through its own
-map, over the rows the duals were solved on.
+positional, an lp_engine.StateLp as LDR's node LPs are: rhs = const + R w
+at the incoming state w = (x_parent, z), cut slope R' pi, with R built by
+the same assembler; a hosted cut adds one row to the LP and one (its z
+part and gamma) to the map.  The engine's subproblems share one memo (see
+lp_engine's Benders layer), so the copies of a stage and Markov state that
+the transform tells apart are solved once per rhs.
+
 solve runs S and its relaxed run (S-LB) on one engine: master, root cut
 loop, branch and cut.  S and S-UB then cost their incumbent policy on
 that same engine, its pools and memo kept, by running the same loop on a
@@ -69,8 +63,8 @@ import numpy as np
 from .aggregate import AggregationMap, GroupKey, PolicyGraph, SubKey, build_policy_graph
 from .errors import ConfigError, InfeasiblePolicy, MissingDuals, NumericalFailure
 from .lp_engine import (INFEASIBLE, OPTIMAL, TIME_LIMIT, CutOracle, Deadline, DeadlineReached,
-                        MipSolution, RhsMap, add_rows, branch_and_cut, cut_row, relative_gap,
-                        solve_lp, violation_certificate)
+                        LpSolution, MipSolution, RhsMap, StateLp, StateLpTable, add_rows,
+                        branch_and_cut, cut_row, relative_gap, solve_lp)
 from .model import LpProblem, MipProblem, Msilp, RowBlock, assemble, \
     first_stage_columns, first_stage_offsets, node_rows, z_values
 from .tolerances import THETA_LB, VIOL_GUARD
@@ -155,18 +149,15 @@ class SddpResult(MipSolution):
     cut_counts: dict[str, int] = field(default_factory=dict)
 
 
-class _Sub:
+class _Sub(StateLp):
     """One policy-graph subproblem and its growing LP over x, y and theta.
 
     z reaches the LP only through its rhs map, rhs = const + R w at the
     incoming state w = [x_parent | z of the parent group | z of each
     reachable group (z_groups, PolicyGraph.reach)].  The state and
-    linking rows come first, hosted cut rows follow.  lp_id is the LP's
-    interned identity (SddpEngine.intern), equal for two subproblems
-    exactly when their LPs are equal row for row; it keys the engine's
-    memo together with the rhs."""
+    linking rows come first, hosted cut rows follow."""
 
-    def __init__(self, key: SubKey, engine: "SddpEngine"):
+    def __init__(self, key: SubKey, engine: "SddpEngine", table: StateLpTable):
         self.key = key
         m = engine.msilp
         node0 = engine.pgraph.sub_members[key][0]
@@ -189,50 +180,29 @@ class _Sub:
              RowBlock([(nd.A, 0, 1.0), (nd.B, k, 1.0), (nd.D, self.w_off[self.group], -1.0)],
                       nd.sen_l, nd.b)],
             k + l + l * len(self.z_groups), canonical=False)
-        self.rhs_map = RhsMap(R, const)
 
         nt = len(self.children)
         theta_lb = engine.cfg.theta_lb
-        self.lp = LpProblem(c=np.concatenate([nd.d, nd.h, [p for _, p in self.children]]),
-                            A=A, senses=senses, rhs=np.zeros(senses.size),
-                            lo=np.concatenate([nd.x_lo, nd.y_lo, np.full(nt, theta_lb)]),
-                            up=np.concatenate([nd.x_up, nd.y_up, np.full(nt, np.inf)]))
-        lp = self.lp
-        self.lp_id = engine.intern(tuple(a.tobytes() for a in (
-            lp.c, lp.lo, lp.up, A.indptr, A.indices, A.data, lp.senses)))
+        lp = LpProblem(c=np.concatenate([nd.d, nd.h, [p for _, p in self.children]]),
+                       A=A, senses=senses, rhs=np.zeros(senses.size),
+                       lo=np.concatenate([nd.x_lo, nd.y_lo, np.full(nt, theta_lb)]),
+                       up=np.concatenate([nd.x_up, nd.y_up, np.full(nt, np.inf)]))
+        super().__init__(lp, RhsMap(R, const), table)
 
     def state(self, x_par: np.ndarray, zvals: dict[GroupKey, np.ndarray],
               parent_group: GroupKey) -> np.ndarray:
         return np.concatenate([x_par, zvals[parent_group]]
                               + [zvals[g] for g in self.z_groups])
 
-    def host_cut(self, cut: "Cut", intern) -> None:
-        """Append cut as the row theta - alpha'x >= gamma + beta'z_own +
-        sum rho_g'z_g: its x part to the LP, its z part and gamma to the
-        rhs map; the new identity is (old identity, the LP row)."""
+    def host_cut(self, cut: "Cut") -> None:
+        """Host cut as the row theta - alpha'x >= gamma + beta'z_own +
+        sum rho_g'z_g: its x part in the LP, its z part and gamma in the
+        rhs map."""
         theta = self.theta_col[cut.owner] if cut.kind == "optimality" else None
-        add_rows(self.lp, [cut_row(theta, [(0, cut.alpha)], cut.gamma)])
-        a = self.lp.A
-        start = a.indptr[-2]
-        self.lp_id = intern((self.lp_id, a.indices[start:].tobytes(),
-                             a.data[start:].tobytes(), self.lp.senses[-1]))
         row = np.zeros(self.rhs_map.n)
         for g, coef in [(self.group, cut.beta_parent), *cut.rho.items()]:
             row[self.w_off[g]:self.w_off[g] + coef.size] += coef
-        self.rhs_map.append(row, cut.gamma)
-
-
-class _SubOptimum(NamedTuple):
-    """What forward passes and cuts read of a subproblem LP's optimum: the
-    state x[:k], the child thetas and the row duals; all but status are
-    None when it is not optimal.  It depends on the LP and rhs only, so
-    every subproblem with that LP identity may read it."""
-
-    status: str
-    objective: float | None = None
-    x: np.ndarray | None = None
-    thetas: np.ndarray | None = None
-    duals: np.ndarray | None = None
+        self.host(cut_row(theta, [(0, cut.alpha)], cut.gamma), row)
 
 
 class _Step(NamedTuple):
@@ -251,7 +221,7 @@ class _SubSolution:
     value: float
     x: np.ndarray
     thetas: dict[SubKey, float]
-    opt: _SubOptimum
+    opt: LpSolution
     x_par: np.ndarray
     zvals: dict[GroupKey, np.ndarray]
     parent_group: GroupKey
@@ -270,10 +240,8 @@ class SddpEngine:
         self.cfg = cfg
         self.pgraph = pgraph or build_policy_graph(m.tree, agg)
         self.rng = np.random.default_rng(cfg.seed)
-        self._lp_ids: dict[tuple, int] = {}
-        # (LP identity, rhs bytes) -> optimum; infeasible outcomes stay out
-        self.memo: dict[tuple[int, bytes], _SubOptimum] = {}
-        self.subs = {key: _Sub(key, self) for key in self.pgraph.subproblems}
+        table = StateLpTable()
+        self.subs = {key: _Sub(key, self, table) for key in self.pgraph.subproblems}
         self.pools: dict[SubKey, list[Cut]] = {k: [] for k in self.pgraph.subproblems}
         self._pool_sigs: dict[SubKey, set] = {k: set() for k in self.pgraph.subproblems}
         self.master_pool: dict[int, list[Cut]] = {}
@@ -296,10 +264,6 @@ class SddpEngine:
     def plan(self, node_path) -> list[_Step]:
         """The forward-pass steps of a root-to-leaf run of non-root nodes."""
         return [self._steps[nid] for nid in node_path]
-
-    def intern(self, key: tuple) -> int:
-        """The identity of the LP key describes, one per distinct key."""
-        return self._lp_ids.setdefault(key, len(self._lp_ids))
 
     # -- cut construction --------------------------------------------------
 
@@ -326,10 +290,8 @@ class SddpEngine:
     def make_feasibility_cut(self, sub: _Sub, x_par, zvals, parent_group) -> Cut:
         """Affine minorant of the subproblem's violation, forced to zero."""
         x_par = np.asarray(x_par, dtype=float)
-        sub.lp.rhs = sub.rhs_map.rhs(sub.state(x_par, zvals, parent_group))
-        violation, duals = violation_certificate(sub.lp)
-        return self._cut(sub, "feasibility", sub.rhs_map.slope(duals), violation, x_par,
-                         zvals, parent_group)
+        violation, slope = sub.violation(sub.state(x_par, zvals, parent_group))
+        return self._cut(sub, "feasibility", slope, violation, x_par, zvals, parent_group)
 
     def _cut_signature(self, cut: Cut):
         parts = [cut.kind, round(cut.gamma, 9), tuple(np.round(cut.alpha, 9)),
@@ -346,29 +308,14 @@ class SddpEngine:
         self._pool_sigs[cut.owner].add(sig)
         self.pools[cut.owner].append(cut)
         for pk in self.pgraph.parents[cut.owner]:
-            self.subs[pk].host_cut(cut, self.intern)
+            self.subs[pk].host_cut(cut)
         return True
 
     # -- forward / backward ------------------------------------------------
 
-    def solve_sub(self, sub: _Sub, x_par, zvals, parent_group) -> _SubOptimum:
-        """The subproblem LP at this state, solved only when no LP with the
-        same identity was solved at the same rhs before."""
-        self.cfg.deadline.check()
-        rhs = sub.rhs_map.rhs(sub.state(x_par, zvals, parent_group))
-        key = (sub.lp_id, rhs.tobytes())
-        hit = self.memo.get(key)
-        if hit is not None:
-            return hit
-        sub.lp.rhs = rhs
-        sol = solve_lp(sub.lp, want_farkas=False)
-        if sol.status != OPTIMAL:
-            return _SubOptimum(sol.status)
-        # copies, not views: an entry must not keep the full solution alive
-        opt = self.memo[key] = _SubOptimum(
-            OPTIMAL, float(sol.objective), sol.x[:self.msilp.k].copy(),
-            sol.x[sub.theta0:].copy(), sol.duals)
-        return opt
+    def solve_sub(self, sub: _Sub, x_par, zvals, parent_group) -> LpSolution:
+        """The subproblem LP's outcome at this state (StateLp.solve)."""
+        return sub.solve(sub.state(x_par, zvals, parent_group), self.cfg.deadline)
 
     def sddp_subroutine(self, candidate: MasterPoint, n_child: int) -> Cut | None:
         cfg = self.cfg
@@ -420,8 +367,8 @@ class SddpEngine:
                 return cut
             if sol.status != OPTIMAL:
                 raise NumericalFailure(f"subproblem {sub.key}: {sol.status}")
-            thetas = {ck: float(t) for (ck, _), t in zip(sub.children, sol.thetas)}
-            sols[nid] = _SubSolution(sol.objective, sol.x, thetas, sol,
+            thetas = {ck: float(t) for (ck, _), t in zip(sub.children, sol.x[sub.theta0:])}
+            sols[nid] = _SubSolution(sol.objective, sol.x[:self.msilp.k], thetas, sol,
                                      np.asarray(x_par, dtype=float), zvals, pg)
         return None
 

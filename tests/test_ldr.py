@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from mcsip import ldr
+from mcsip import ldr, lp_engine
 from mcsip.aggregate import Transformation, build_aggregation
 from mcsip.errors import ConfigError
 from mcsip.hdr import build_hdr_aggregated
@@ -210,13 +210,13 @@ def test_accepted_points_solve_no_node_lp_twice(hdr_pair, monkeypatch):
     assert len(first) >= 2
 
     calls = []
-    real = ldr.solve_lp
+    real = lp_engine.solve_lp
 
     def counting(*args, **kw):
         calls.append(args)
         return real(*args, **kw)
 
-    monkeypatch.setattr(ldr, "solve_lp", counting)
+    monkeypatch.setattr(lp_engine, "solve_lp", counting)
     # the incumbent was separated when the B&B accepted it
     assert oracle.true_cost(sol.x) >= sol.objective - 1e-9 * abs(sol.objective)
     assert oracle.separate(x) == first
@@ -228,16 +228,19 @@ def test_oracle_solves_no_node_lp_after_the_deadline(hdr_pair, monkeypatch):
     # no node LP follows, and the root LP's objective is the bound
     ma, agg = hdr_pair
     opt = benders_solve(build_ldr_model(ma, agg, LdrVariant("m"))).objective
+    model = build_ldr_model(ma, agg, LdrVariant("m"))
+    node_lps = {id(nl.lp) for nl in model.node_lps.values()}
     deadline = CueDeadline()
-    real, expired_at_call = ldr.solve_lp, []
+    real, expired_at_call = lp_engine.solve_lp, []
 
-    def counting(*args, **kw):
-        expired_at_call.append(deadline.expired)
-        deadline.expired = len(expired_at_call) >= 3
-        return real(*args, **kw)
+    def counting(p, *args, **kw):
+        if id(p) in node_lps:
+            expired_at_call.append(deadline.expired)
+            deadline.expired = len(expired_at_call) >= 3
+        return real(p, *args, **kw)
 
-    monkeypatch.setattr(ldr, "solve_lp", counting)
-    sol = benders_solve(build_ldr_model(ma, agg, LdrVariant("m")), deadline=deadline)
+    monkeypatch.setattr(lp_engine, "solve_lp", counting)
+    sol = benders_solve(model, deadline=deadline)
     assert expired_at_call == [False] * 3
     assert sol.status == "time_limit" and sol.x is None and sol.nodes == 1
     assert np.isfinite(sol.bound) and sol.bound <= opt + 1e-6 * abs(opt)

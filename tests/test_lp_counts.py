@@ -9,10 +9,10 @@ import pytest
 from mcsip import lp_engine
 from mcsip.cli import _transformation, run_solve
 
-# HiGHS solves measured with branch and cut skipping the oracle at nodes
-# whose LP value already meets the incumbent
-MEASURED = {("sddp", "hn"): 532, ("sddp", "fh"): 217,
-            ("ldr-m", "hn"): 366, ("ldr-m", "fh"): 245}
+# HiGHS solves measured with S's subproblems and LDR's node LPs memoised
+# by LP identity and rhs (lp_engine.StateLp), infeasible outcomes included
+MEASURED = {("sddp", "hn"): 527, ("sddp", "fh"): 214,
+            ("ldr-m", "hn"): 359, ("ldr-m", "fh"): 243}
 
 # Ex's HiGHS solves with branch and cut skipping the children whose penalty
 # floor already meets the incumbent; solving every child LP takes 18, 6 and 6

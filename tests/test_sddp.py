@@ -5,14 +5,15 @@ import scipy.sparse as sp
 from mcsip.aggregate import Transformation, build_aggregation
 from mcsip.errors import InfeasiblePolicy
 from mcsip.hdr import build_hdr_aggregated
-from mcsip.lp_engine import branch_and_cut, solve_lp
+from mcsip.ldr import LdrVariant, build_ldr_model
+from mcsip.lp_engine import Deadline, DeadlineReached, branch_and_cut, solve_lp
 from mcsip.markov import MarkovChain, McState
 from mcsip.model import LpProblem, Msilp, NodeData, build_aggregated_extensive_form, smat
 from mcsip.sddp import MasterPoint, SddpConfig, SddpEngine, build_master, \
     decode_master, evaluate_policy, solve_exact, solve_lower_bound
 from mcsip.tree import build_tree
 
-from conftest import make_random_msilp, scipy_csr
+from conftest import CueDeadline, make_random_msilp, scipy_csr
 
 
 def chain_msilp(child_rows, k=1, l=1, r=1, T=2, root_d=(0.0,), h=(1.0,),
@@ -215,11 +216,13 @@ def incoming_group(engine, key):
 
 
 def count_sub_lps(monkeypatch) -> list:
-    """A list that grows by one entry per subproblem LP solve."""
-    from mcsip import sddp
+    """A list that grows by one entry per lp_engine.solve_lp call, where
+    every subproblem LP is solved."""
+    from mcsip import lp_engine
 
-    calls, real = [], sddp.solve_lp
-    monkeypatch.setattr(sddp, "solve_lp", lambda *args, **kw: calls.append(1) or real(*args, **kw))
+    calls, real = [], lp_engine.solve_lp
+    monkeypatch.setattr(lp_engine, "solve_lp",
+                        lambda *args, **kw: calls.append(1) or real(*args, **kw))
     return calls
 
 
@@ -229,27 +232,73 @@ def same_lp(a, b):
         a.A.shape == b.A.shape and np.array_equal(a.A.toarray(), b.A.toarray())
 
 
-def test_equal_lps_share_one_identity_and_one_solve(hdr_toy_msilp, monkeypatch):
-    """Subproblems share an LP identity exactly when their LPs are equal,
-    and at equal rhs the second one is served without a solve."""
+def test_equal_lps_share_one_identity_and_one_solve(hdr_toy, hdr_toy_msilp, monkeypatch):
+    """State LPs share an LP identity exactly when their LPs are equal, and
+    at equal rhs the second one is served without a solve: S's subproblems,
+    and LDR-M's node LPs, whose equal LPs span (stage, state) groups."""
     m, agg, engine = fh_engine(hdr_toy_msilp)
-    subs = list(engine.subs.values())
-    for i, a in enumerate(subs):
-        for b in subs[i + 1:]:
-            assert (a.lp_id == b.lp_id) == same_lp(a.lp, b.lp), (a.key, b.key)
-    a, b = next((a, b) for i, a in enumerate(subs) for b in subs[i + 1:]
-                if a.lp_id == b.lp_id)
+    z = {g: np.zeros(m.l) for g in agg.group_index}
+    # (state LP, its incoming state, its group)
+    subs = [(sub, sub.state(np.zeros(m.k), z, incoming_group(engine, key)), key)
+            for key, sub in engine.subs.items()]
+    pm = Transformation("pm", partial_attrs=(2,))
+    ma = build_hdr_aggregated(hdr_toy, build_aggregation(hdr_toy_msilp.tree, pm))
+    model = build_ldr_model(ma, build_aggregation(ma.tree, pm), LdrVariant("m"))
+    w = np.zeros(model.layout.n_cols)
+    node_lps = [(nl, w, (ma.tree.node(nid).stage, ma.tree.node(nid).mc_state.attrs))
+                for nid, nl in model.node_lps.items()]
 
     calls = count_sub_lps(monkeypatch)
-    z = {g: np.zeros(m.l) for g in agg.group_index}
-    x_par = np.zeros(m.k)
-    ga, gb = incoming_group(engine, a.key), incoming_group(engine, b.key)
-    assert np.array_equal(a.rhs_map.rhs(a.state(x_par, z, ga)),
-                          b.rhs_map.rhs(b.state(x_par, z, gb)))
-    first = engine.solve_sub(a, x_par, z, ga)
-    assert first.status == "optimal" and len(calls) == 1
-    assert engine.solve_sub(b, x_par, z, gb) is first
-    assert len(calls) == 1
+    for lps in (subs, node_lps):
+        for i, (a, _, ga) in enumerate(lps):
+            for b, _, gb in lps[i + 1:]:
+                assert (a.lp_id == b.lp_id) == same_lp(a.lp, b.lp), (ga, gb)
+        (a, wa, _), (b, wb, _) = next(
+            (a, b) for i, a in enumerate(lps) for b in lps[i + 1:]
+            if a[0].lp_id == b[0].lp_id and a[2] != b[2]
+            and np.array_equal(a[0].rhs_map.rhs(a[1]), b[0].rhs_map.rhs(b[1])))
+        calls.clear()
+        first = a.solve(wa, Deadline())
+        assert first.status == "optimal" and len(calls) == 1
+        assert b.solve(wb, Deadline()) is first
+        assert len(calls) == 1
+
+
+@pytest.mark.parametrize("method", ["s", "ldr"])
+def test_state_lps_serve_every_memoised_outcome_and_check_the_deadline_on_misses(
+        monkeypatch, method):
+    """S's subproblems and LDR's node LPs answer by one rule: an infeasible
+    outcome is served again without a second HiGHS run, a memoised outcome
+    is served after the deadline, and a miss after it raises."""
+    # the child is feasible exactly when x_parent <= 1.5
+    m = chain_msilp(child_rows=(None, [[-1.0], [1.0]], [[1.0], [0.0]], [-2.0, 0.5], "GG"))
+    agg = build_aggregation(m.tree, Transformation("fh"))
+    deadline = CueDeadline()
+    if method == "s":
+        engine = SddpEngine(m, agg, SddpConfig(seed=0, deadline=deadline))
+        sub = engine.subs[engine.pgraph.subproblems[0]]
+        zv = {g: np.zeros(m.l) for g in agg.group_index}
+
+        def solve(x_par):
+            return engine.solve_sub(sub, np.array([x_par]), zv, agg.node_to_group[m.tree.root])
+    else:
+        model = build_ldr_model(m, agg, LdrVariant("t"))
+        (nl,) = model.node_lps.values()
+
+        def solve(x_par):
+            w = np.zeros(model.layout.n_cols)
+            w[model.layout.x_off] = x_par
+            return nl.solve(w, deadline)
+
+    calls = count_sub_lps(monkeypatch)
+    assert solve(3.0).status == "infeasible" and len(calls) == 1
+    assert solve(3.0).status == "infeasible" and len(calls) == 1
+    assert solve(1.0).status == "optimal" and len(calls) == 2
+    deadline.expired = True
+    assert solve(1.0).status == "optimal" and solve(3.0).status == "infeasible"
+    with pytest.raises(DeadlineReached):
+        solve(0.5)
+    assert len(calls) == 2
 
 
 def test_add_cut_gives_new_identities_to_its_hosts_only(hdr_toy_msilp, monkeypatch):
@@ -331,8 +380,8 @@ def test_memo_served_answers_are_optima_of_the_asking_lp(hdr_toy_msilp, monkeypa
             assert dual_value(lp, rhs, opt.duals) == \
                 pytest.approx(cold.objective, rel=1e-9, abs=1e-9)
             lo, up = lp.lo.copy(), lp.up.copy()
-            lo[:k] = up[:k] = opt.x
-            lo[sub.theta0:] = up[sub.theta0:] = opt.thetas
+            lo[:k] = up[:k] = opt.x[:k]
+            lo[sub.theta0:] = up[sub.theta0:] = opt.x[sub.theta0:]
             pinned = solve_lp(LpProblem(c=lp.c, A=lp.A, senses=lp.senses, rhs=rhs,
                                         lo=lo, up=up), want_farkas=False)
             assert pinned.objective == pytest.approx(cold.objective, rel=1e-9, abs=1e-9)
@@ -410,8 +459,8 @@ def test_sub_lps_see_z_only_through_the_rhs_map():
         # solved at a state, the host's theta is at least the cut there
         pg = agg.node_to_group[m.tree.node(engine.pgraph.sub_members[pk][0]).parent]
         sol = engine.solve_sub(host, rng.uniform(0.0, 10.0, size=k), zvals, pg)
-        theta = sol.thetas[[ck for ck, _ in host.children].index(cut.owner)]
-        assert theta >= cut.value_at(sol.x, zvals, host.group) - 1e-7
+        theta = sol.x[host.theta_col[cut.owner]]
+        assert theta >= cut.value_at(sol.x[:k], zvals, host.group) - 1e-7
 
 
 def every_group_rhs_map(engine, sub):
