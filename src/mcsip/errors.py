@@ -33,10 +33,6 @@ class NumericalFailure(McsipError):
     """The LP/MIP kernel could not produce a trustworthy answer."""
 
 
-class MissingDuals(McsipError):
-    """Dual values requested from a solve that did not end Optimal."""
-
-
 class InfeasiblePolicy(McsipError):
     """A fixed integer policy admits no feasible continuous completion."""
 

@@ -20,8 +20,9 @@ path-probability weights.  The oracle is multi-cut, as in Birge and
 Louveaux's multi-cut L-shaped method: one scan of the groups returns a cut
 for every group whose theta lags, and stops at the first infeasible node
 LP with its feasibility cut.  Feasibility cuts come from the phase-1 duals
-of that LP (lp_engine.violation_certificate), and both kinds become master
-rows through lp_engine.cut_row, the writer S uses too.  The node LPs are
+of that LP (lp_engine.violation_certificate).  A node LP's slope is already
+over the master's columns, so both kinds become master rows by passing it
+to lp_engine.cut_row, the writer S uses too.  The node LPs are
 lp_engine.StateLps and share one memo (see lp_engine's Benders layer), so
 equal node LPs, within a (stage, state) group or across groups, are solved
 once per rhs.
@@ -274,7 +275,7 @@ class _BendersOracle(CutOracle):
             if total is None:
                 violation, grad = solved[0].violation(x)
                 # violation(w) >= violation(x) + grad.(w - x), forced to zero
-                rows.append(cut_row(None, [(0, grad)], violation - float(grad @ x)))
+                rows.append(cut_row(None, grad, violation - float(grad @ x)))
                 return rows
             theta_hat = float(x[model.layout.theta_off[key]])
             if total - theta_hat <= self.eps * abs(total) + VIOL_GUARD:
@@ -282,8 +283,7 @@ class _BendersOracle(CutOracle):
             grad = np.zeros(model.layout.n_cols)
             for nl, duals in solved:
                 grad += nl.p * nl.rhs_map.slope(duals)
-            rows.append(cut_row(model.layout.theta_off[key], [(0, grad)],
-                                total - float(grad @ x)))
+            rows.append(cut_row(model.layout.theta_off[key], grad, total - float(grad @ x)))
         return rows
 
     def true_cost(self, x: np.ndarray) -> float:

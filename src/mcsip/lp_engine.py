@@ -50,15 +50,17 @@ storage order, the order of Csr's own products, so a rhs or slope equals
 R @ w or R.rmatvec(pi) bit for bit and no matrix object is built per
 solve.  Cuts are read off LP duals, or off the phase-1 duals of
 violation_certificate (also the Farkas ray's source), and cut_row writes
-every cut as a row of the problem that hosts it.  A StateLp is such an LP
-with its map.  Its identity is interned in its model's StateLpTable from
-the LP's costs, bounds, rows and senses, and from (previous identity,
-appended row) when it hosts a cut, so two state LPs share one exactly
-when their LPs are equal row for row.  The table memoises every outcome,
-infeasible ones too, by (identity, rhs), so an LP that several state LPs
-share is solved once per rhs; the deadline is checked only before a solve
-the memo cannot answer.  An entry keeps the LP's row duals pi, and the
-asking state LP takes its slope R' pi through its own map.
+every cut as a row of its host from one vector over the host's columns
+(LDR's slopes already are; S places its slopes with index maps).  A
+StateLp is such an LP with its map.  Its identity is interned in its
+model's StateLpTable from the LP's costs, bounds, rows and senses, and
+from (previous identity, appended row) when it hosts a cut, so two state
+LPs share one exactly when their LPs are equal row for row.  The table
+memoises every outcome, infeasible ones too, by (identity, rhs), so an LP
+that several state LPs share is solved once per rhs; the deadline is
+checked only before a solve the memo cannot answer.  An entry keeps the
+LP's row duals pi, and the asking state LP takes its slope R' pi through
+its own map.
 
 Branch and bound: best-bound node selection, most-fractional branching with
 lowest-index tie break, relative gap termination; each child node starts
@@ -475,14 +477,13 @@ def add_rows(p: LpProblem, rows: Sequence[Row]) -> LpProblem:
     return p
 
 
-def cut_row(theta_col: int | None, terms, rhs: float) -> Row:
-    """The cut theta - sum coef'w >= rhs as a row of its host: terms are
-    (column offset, coefficient vector) pairs, summed left to right where
-    they overlap; theta_col None (a feasibility cut) leaves theta out."""
-    cols: dict[int, float] = {} if theta_col is None else {theta_col: 1.0}
-    for off, coefs in terms:
-        for j in np.flatnonzero(coefs):
-            cols[off + j] = cols.get(off + j, 0.0) - coefs[j]
+def cut_row(theta_col: int | None, coefs: np.ndarray, rhs: float) -> Row:
+    """The cut theta - coefs'x >= rhs as a row of its host, coefs indexed by
+    the host's columns; theta_col None (a feasibility cut) leaves theta out."""
+    j = np.flatnonzero(coefs)
+    cols: dict[int, float] = dict(zip(j.tolist(), (-coefs[j]).tolist()))
+    if theta_col is not None:
+        cols[theta_col] = cols.get(theta_col, 0.0) + 1.0
     return cols, GE, rhs
 
 
@@ -617,8 +618,14 @@ def _within_gap(value: float, inc_obj: float) -> bool:
 def branch_and_cut(p: MipProblem, oracle: CutOracle | None = None,
                    deadline: Deadline = Deadline(),
                    round_heuristic: bool = True) -> MipSolution:
-    """Best-bound branch and bound to gap MIP_GAP with an optional cut oracle."""
+    """Best-bound branch and bound to gap MIP_GAP with an optional cut oracle;
+    an integer column with an infinite bound, where it need never end, is a
+    ValueError."""
     int_cols = np.flatnonzero(p.integer)
+    unboxed = int_cols[~(np.isfinite(p.lo[int_cols]) & np.isfinite(p.up[int_cols]))]
+    if unboxed.size:
+        raise ValueError(f"integer column {unboxed[0]} has an infinite bound; "
+                         f"branch and bound needs every integer column boxed")
     incumbent, inc_obj = None, np.inf
     pruned = np.inf  # the least bound of a node the gap test dropped
     heap: list[BnbNode] = []

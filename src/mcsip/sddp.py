@@ -28,6 +28,10 @@ constructor: an optimality cut supports the subproblem value, a
 feasibility cut the phase-1 violation (lp_engine's
 violation_certificate).
 
+A cut is stored as that slope R' pi over its owner's w, unsplit (alpha,
+beta and rho are its blocks), plus gamma; index maps built once place it
+in each host's w and in the master's columns.
+
 Forward passes sample leaf paths without replacement; backward passes are
 quick passes over the forward solutions.  The subroutine returns the first
 master-level cut violated by the current candidate, or nothing once the
@@ -39,13 +43,13 @@ a valid relaxation of the aggregated problem.
 Rows come from the shared assembler (model.assemble), every variable
 block mapped by its column offset.  The master is canonical (tiny
 coefficients dropped, rounded, duplicate rows removed) and writes cuts
-with lp_engine.cut_row over its z columns.  Each subproblem LP is
+with lp_engine.cut_row as master-width rows.  Each subproblem LP is
 positional, an lp_engine.StateLp as LDR's node LPs are: rhs = const + R w
-at the incoming state w = (x_parent, z), cut slope R' pi, with R built by
-the same assembler; a hosted cut adds one row to the LP and one (its z
-part and gamma) to the map.  The engine's subproblems share one memo (see
-lp_engine's Benders layer), so the copies of a stage and Markov state that
-the transform tells apart are solved once per rhs.
+at the incoming state w = (x_parent, z), with R built by the same
+assembler; a hosted cut adds its x_parent part as a row of the LP and its
+z part and gamma as a row of the map.  The engine's subproblems share one
+memo (see lp_engine's Benders layer), so the copies of a stage and Markov
+state that the transform tells apart are solved once per rhs.
 
 solve runs S and its relaxed run (S-LB) on one engine: master, root cut
 loop, branch and cut.  S and S-UB then cost their incumbent policy on
@@ -61,7 +65,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .aggregate import AggregationMap, GroupKey, PolicyGraph, SubKey, build_policy_graph
-from .errors import ConfigError, InfeasiblePolicy, MissingDuals, NumericalFailure
+from .errors import ConfigError, InfeasiblePolicy, NumericalFailure
 from .lp_engine import (INFEASIBLE, OPTIMAL, TIME_LIMIT, CutOracle, Deadline, DeadlineReached,
                         LpSolution, MipSolution, RhsMap, StateLp, StateLpTable, add_rows,
                         branch_and_cut, cut_row, relative_gap, solve_lp)
@@ -80,8 +84,8 @@ class SddpConfig:
     exact: bool = True
     max_rounds: int = 3           # relaxed mode only
     seed: int = 0
-    theta_lb: float = THETA_LB
     deadline: Deadline = Deadline()
+    theta_lb = THETA_LB           # a constant, not a setting: no annotation, no field
 
     def __post_init__(self):
         if self.eps is None:
@@ -96,14 +100,22 @@ class SddpConfig:
             raise ConfigError(f"seed must be nonnegative, got {self.seed}")
 
 
+def _state(x_par, zvals, parent_group, z_groups) -> np.ndarray:
+    """w = [x_parent | z of the parent group | z of each group in z_groups]."""
+    return np.concatenate([x_par, zvals[parent_group]] + [zvals[g] for g in z_groups])
+
+
 @dataclass
 class Cut:
+    """theta >= gamma + slope'w (0 >= ... for a feasibility cut), w its
+    owner's incoming state; value_at reads the host's own group as w's
+    parent group, so the cut holds in every same-stage host."""
+
     owner: SubKey
     kind: str                     # 'optimality' | 'feasibility'
-    alpha: np.ndarray             # on the parent's continuous state
-    beta_parent: np.ndarray       # on the host's own aggregated block
-    rho: dict[GroupKey, np.ndarray]  # slope on z_g, nonzero groups the owner reaches
+    slope: np.ndarray             # R' pi over the owner's w
     gamma: float
+    z_groups: list[GroupKey]      # the owner's reachable groups, w's z blocks
     gen_x: np.ndarray | None = None
     gen_z: dict[GroupKey, np.ndarray] | None = None  # the candidate's own dict
     gen_parent_group: GroupKey | None = None
@@ -111,17 +123,7 @@ class Cut:
 
     def value_at(self, x_par: np.ndarray, zvals: dict[GroupKey, np.ndarray],
                  host_group: GroupKey) -> float:
-        v = self.gamma + float(self.alpha @ x_par)
-        v += float(self.beta_parent @ zvals[host_group])
-        for g, coef in self.rho.items():
-            v += float(coef @ zvals[g])
-        return v
-
-    def terms(self, x_off: int, own_off: int, z_off: dict[GroupKey, int]) -> list:
-        """cut_row terms of alpha, beta and every rho in the master, whose x,
-        own group and z blocks start at these columns."""
-        return [(x_off, self.alpha), (own_off, self.beta_parent)] + \
-            [(z_off[g], coef) for g, coef in self.rho.items()]
+        return self.gamma + float(self.slope @ _state(x_par, zvals, host_group, self.z_groups))
 
 
 @dataclass
@@ -166,9 +168,14 @@ class _Sub(StateLp):
         self.children = engine.pgraph.children[key]
         self.z_groups = engine.pgraph.reach[key]
         k, l, r = m.k, m.l, m.r
+        self.k = k
         self.w_off = {g: k + l + i * l for i, g in enumerate(self.z_groups)}
         self.theta0 = k + r
         self.theta_col = {ck: self.theta0 + i for i, (ck, _) in enumerate(self.children)}
+        # each child's w past x_parent (its parent group, then its reach) in this w
+        self.place = {ck: np.concatenate([self.w_off[g] + np.arange(l) for g in
+                                          (self.group, *engine.pgraph.reach[ck])])
+                      for ck, _ in self.children}
 
         # state and linking rows over x, y; every parent and z term lives in
         # the rhs map
@@ -182,27 +189,24 @@ class _Sub(StateLp):
             k + l + l * len(self.z_groups), canonical=False)
 
         nt = len(self.children)
-        theta_lb = engine.cfg.theta_lb
         lp = LpProblem(c=np.concatenate([nd.d, nd.h, [p for _, p in self.children]]),
                        A=A, senses=senses, rhs=np.zeros(senses.size),
-                       lo=np.concatenate([nd.x_lo, nd.y_lo, np.full(nt, theta_lb)]),
+                       lo=np.concatenate([nd.x_lo, nd.y_lo, np.full(nt, THETA_LB)]),
                        up=np.concatenate([nd.x_up, nd.y_up, np.full(nt, np.inf)]))
         super().__init__(lp, RhsMap(R, const), table)
 
     def state(self, x_par: np.ndarray, zvals: dict[GroupKey, np.ndarray],
               parent_group: GroupKey) -> np.ndarray:
-        return np.concatenate([x_par, zvals[parent_group]]
-                              + [zvals[g] for g in self.z_groups])
+        return _state(x_par, zvals, parent_group, self.z_groups)
 
-    def host_cut(self, cut: "Cut") -> None:
-        """Host cut as the row theta - alpha'x >= gamma + beta'z_own +
-        sum rho_g'z_g: its x part in the LP, its z part and gamma in the
+    def host_cut(self, cut: Cut) -> None:
+        """Host a child's cut as the row theta - slope_x'x >= gamma +
+        slope_z'z: slope_x, its x_parent block, on this LP's x, and gamma
+        and slope_z, placed into this w by the child's index map, in the
         rhs map."""
         theta = self.theta_col[cut.owner] if cut.kind == "optimality" else None
-        row = np.zeros(self.rhs_map.n)
-        for g, coef in [(self.group, cut.beta_parent), *cut.rho.items()]:
-            row[self.w_off[g]:self.w_off[g] + coef.size] += coef
-        self.host(cut_row(theta, [(0, cut.alpha)], cut.gamma), row)
+        self.host(cut_row(theta, cut.slope[:self.k], cut.gamma),
+                  np.bincount(self.place[cut.owner], cut.slope[self.k:], minlength=self.rhs_map.n))
 
 
 class _Step(NamedTuple):
@@ -213,17 +217,6 @@ class _Step(NamedTuple):
     sub: _Sub
     stage2: bool
     parent: int
-    parent_group: GroupKey
-
-
-@dataclass
-class _SubSolution:
-    value: float
-    x: np.ndarray
-    thetas: dict[SubKey, float]
-    opt: LpSolution
-    x_par: np.ndarray
-    zvals: dict[GroupKey, np.ndarray]
     parent_group: GroupKey
 
 
@@ -267,38 +260,29 @@ class SddpEngine:
 
     # -- cut construction --------------------------------------------------
 
-    def _cut(self, sub: _Sub, kind: str, grad: np.ndarray, value: float,
+    def _cut(self, sub: _Sub, kind: str, slope: np.ndarray, value: float,
              x_par: np.ndarray, zvals, parent_group) -> Cut:
-        """The affine support with slope grad = R' pi in the state w, tight at
-        value in the state (x_par, zvals) it was generated at."""
-        k, l = self.msilp.k, self.msilp.l
-        nonzero = grad[k + l:].reshape(len(sub.z_groups), l).any(axis=1)
-        rho = {g: grad[off:off + l] for (g, off), nz in zip(sub.w_off.items(), nonzero) if nz}
-        gamma = value - float(grad @ sub.state(x_par, zvals, parent_group))
-        return Cut(sub.key, kind, grad[:k], grad[k:k + l], rho, gamma, gen_x=x_par.copy(),
+        """The affine support with this slope in the state w, tight at value
+        in the state (x_par, zvals) it was generated at."""
+        gamma = value - float(slope @ sub.state(x_par, zvals, parent_group))
+        return Cut(sub.key, kind, slope, gamma, sub.z_groups, gen_x=x_par.copy(),
                    gen_z=zvals, gen_parent_group=parent_group, gen_value=value)
 
-    def make_optimality_cut(self, sub: _Sub, ss: _SubSolution) -> Cut:
-        """The cut of sub's value at the solution ss of its LP; its slope is
-        R' pi through sub's own map, over the rows pi was solved on."""
-        sol = ss.opt
-        if sol.status != OPTIMAL or sol.duals is None:
-            raise MissingDuals(f"subproblem {sub.key} not solved to optimality")
-        return self._cut(sub, "optimality", sub.rhs_map.slope(sol.duals), ss.value,
-                         ss.x_par, ss.zvals, ss.parent_group)
+    def make_optimality_cut(self, sub: _Sub, sol: LpSolution, x_par: np.ndarray, zvals,
+                            parent_group) -> Cut:
+        """The cut of sub's value at sol, its optimum at this state; its
+        slope is R' pi through sub's own map, over the rows pi was solved on."""
+        return self._cut(sub, "optimality", sub.rhs_map.slope(sol.duals), sol.objective,
+                         x_par, zvals, parent_group)
 
     def make_feasibility_cut(self, sub: _Sub, x_par, zvals, parent_group) -> Cut:
         """Affine minorant of the subproblem's violation, forced to zero."""
-        x_par = np.asarray(x_par, dtype=float)
         violation, slope = sub.violation(sub.state(x_par, zvals, parent_group))
         return self._cut(sub, "feasibility", slope, violation, x_par, zvals, parent_group)
 
     def _cut_signature(self, cut: Cut):
-        parts = [cut.kind, round(cut.gamma, 9), tuple(np.round(cut.alpha, 9)),
-                 tuple(np.round(cut.beta_parent, 9))]
-        for g in sorted(cut.rho):
-            parts.append((g, tuple(np.round(cut.rho[g], 9))))
-        return tuple(parts)
+        # + 0.0 turns -0.0 into 0.0, so equal rounded slopes give equal bytes
+        return cut.kind, round(cut.gamma, 9), (np.round(cut.slope, 9) + 0.0).tobytes()
 
     def add_cut(self, cut: Cut) -> bool:
         """Store and share a cut with every host; False for an exact duplicate."""
@@ -333,7 +317,7 @@ class SddpEngine:
             cut_added = False
             for leaf in ids[order]:
                 plan = self._plans[int(leaf)]
-                sols: dict[int, _SubSolution] = {}
+                sols: dict[int, tuple] = {}
                 feas_cut = self._forward(plan, candidate, sols)
                 if feas_cut is not None:
                     if feas_cut.owner[0] == 2:
@@ -354,12 +338,15 @@ class SddpEngine:
                     return None
 
     def _forward(self, plan: list[_Step], candidate: MasterPoint, sols) -> Cut | None:
+        """Solve plan's nodes at candidate; sols[nid] gets the node's optimum
+        and its state, (LpSolution, x_parent, z, parent group).  Returns an
+        infeasible node's feasibility cut, else None."""
         zvals = candidate.z
         for nid, sub, stage2, parent, pg in plan:
             if stage2:
                 x_par, pg = candidate.x_root, candidate.root_group
             else:
-                x_par = sols[parent].x
+                x_par = sols[parent][0].x[:self.msilp.k]
             sol = self.solve_sub(sub, x_par, zvals, pg)
             if sol.status == INFEASIBLE:
                 cut = self.make_feasibility_cut(sub, x_par, zvals, pg)
@@ -367,27 +354,25 @@ class SddpEngine:
                 return cut
             if sol.status != OPTIMAL:
                 raise NumericalFailure(f"subproblem {sub.key}: {sol.status}")
-            thetas = {ck: float(t) for (ck, _), t in zip(sub.children, sol.x[sub.theta0:])}
-            sols[nid] = _SubSolution(sol.objective, sol.x[:self.msilp.k], thetas, sol,
-                                     np.asarray(x_par, dtype=float), zvals, pg)
+            sols[nid] = (sol, x_par, zvals, pg)
         return None
 
     def _backward(self, plan: list[_Step], candidate: MasterPoint, sols):
         """Quick pass; returns a violated master Cut, else whether any cut landed."""
         added = False
         for nid, sub, stage2, parent, _ in reversed(plan):
-            ss = sols[nid]
+            value = sols[nid][0].objective
             if stage2:
                 theta_hat = candidate.theta[nid]
-            else:
-                theta_hat = sols[parent].thetas[sub.key]
-            if abs(theta_hat - ss.value) < self.cfg.eps * abs(ss.value) + VIOL_GUARD:
+            else:  # the child's theta in its parent's optimum
+                theta_hat = sols[parent][0].x[self._steps[parent].sub.theta_col[sub.key]]
+            if abs(theta_hat - value) < self.cfg.eps * abs(value) + VIOL_GUARD:
                 continue
-            cut = self.make_optimality_cut(sub, ss)
+            cut = self.make_optimality_cut(sub, *sols[nid])
             if stage2:
-                cut_val = cut.value_at(candidate.x_root, candidate.z,
-                                       candidate.root_group)
-                if candidate.theta[nid] < cut_val - VIOL_GUARD:
+                # made at the candidate, the cut equals value there, so past
+                # the test above it separates exactly when theta_hat < value
+                if theta_hat < value:
                     self.master_pool.setdefault(nid, []).append(cut)
                     return cut
                 # gap seen but the cut does not separate yet: keep iterating so
@@ -454,23 +439,30 @@ def decode_master(m: Msilp, agg: AggregationMap, lay: MasterLayout,
 
 class _MasterOracle(CutOracle):
     """Algorithm wiring: one SDDP call per stage-2 node, all violated cuts
-    returned together, caller re-solves and calls again until clean."""
+    returned together, caller re-solves and calls again until clean.  Each
+    stage-2 node's w has an index map onto master columns, built once."""
 
     def __init__(self, engine: SddpEngine, lay: MasterLayout):
         self.engine = engine
         self.lay = lay
+        m = engine.msilp
+        root_group = engine.agg.node_to_group[m.tree.root]
+        self.place = {}
+        for nid in m.tree.node(m.tree.root).children:
+            groups = (root_group, *engine.subs[engine.pgraph.node_to_sub[nid]].z_groups)
+            self.place[nid] = np.concatenate([lay.x_off + np.arange(m.k)]
+                                             + [lay.z_off[g] + np.arange(m.l) for g in groups])
 
     def separate(self, x: np.ndarray):
-        eng = self.engine
-        cand = decode_master(eng.msilp, eng.agg, self.lay, x)
+        eng, lay = self.engine, self.lay
+        cand = decode_master(eng.msilp, eng.agg, lay, x)
         rows = []
-        for nid in eng.msilp.tree.node(eng.msilp.tree.root).children:
+        for nid, place in self.place.items():
             cut = eng.sddp_subroutine(cand, nid)
             if cut is not None:
-                lay = self.lay
                 theta = lay.theta[nid] if cut.kind == "optimality" else None
-                rows.append(cut_row(theta, cut.terms(lay.x_off, lay.z_off[cand.root_group],
-                                                     lay.z_off), cut.gamma))
+                coefs = np.bincount(place, cut.slope, minlength=lay.n_cols)
+                rows.append(cut_row(theta, coefs, cut.gamma))
         return rows
 
 
@@ -522,7 +514,7 @@ def _policy_cost(engine: SddpEngine, z: dict[GroupKey, np.ndarray]) -> float:
     certifies a value."""
     m = engine.msilp
     engine.cfg = replace(engine.cfg, eps=1e-15, exact=True)
-    master, lay = build_master(m, engine.agg, engine.cfg.theta_lb)
+    master, lay = build_master(m, engine.agg)
     for g, off in lay.z_off.items():
         master.lo[off:off + m.l] = master.up[off:off + m.l] = z[g]
     sol = _cut_and_branch(engine, master, lay)
@@ -545,7 +537,7 @@ def solve(m: Msilp, agg: AggregationMap, cfg: SddpConfig, certify: bool) -> Sddp
     the deadline ends that evaluation, the result is time_limit without an
     objective; its bound and z stay."""
     engine = SddpEngine(m, agg, cfg)
-    master, lay = build_master(m, agg, cfg.theta_lb)
+    master, lay = build_master(m, agg)
     res = SddpResult(**vars(_cut_and_branch(engine, master, lay)))
     if res.x is not None:
         res.z_by_group = z_values(lay.z_off, m.l, res.x)

@@ -10,9 +10,12 @@ from mcsip import lp_engine
 from mcsip.cli import _transformation, run_solve
 
 # HiGHS solves measured with S's subproblems and LDR's node LPs memoised
-# by LP identity and rhs (lp_engine.StateLp), infeasible outcomes included
-MEASURED = {("sddp", "hn"): 527, ("sddp", "fh"): 214,
-            ("ldr-m", "hn"): 359, ("ldr-m", "fh"): 243}
+# by LP identity and rhs (lp_engine.StateLp), infeasible outcomes included.
+# sddp-ub is the one cell that costs its policy on a second master, whose
+# cut rows S writes like the first master's
+MEASURED = {("sddp", "hn"): 527, ("sddp", "pm"): 132, ("sddp", "fh"): 214,
+            ("sddp-ub", "pm"): 150,
+            ("ldr-m", "hn"): 359, ("ldr-m", "pm"): 230, ("ldr-m", "fh"): 243}
 
 # Ex's HiGHS solves with branch and cut skipping the children whose penalty
 # floor already meets the incumbent; solving every child LP takes 18, 6 and 6

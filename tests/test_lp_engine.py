@@ -225,6 +225,27 @@ def test_mip_infeasible_status():
     assert solve_mip(m).status == "infeasible"
 
 
+@pytest.mark.parametrize("lo,up", [(-np.inf, np.inf), (0.0, np.inf), (-np.inf, 0.0)])
+def test_an_integer_column_with_an_infinite_bound_is_refused(monkeypatch, lo, up):
+    """Branching on an integer column with an infinite bound need never
+    end, so branch_and_cut refuses it, naming the column, before its first
+    LP; the same MIP with that column boxed solves."""
+    runs = []
+    real = lp_engine._run_highs
+    monkeypatch.setattr(lp_engine, "_run_highs", lambda *a, **kw: runs.append(1) or real(*a, **kw))
+    # min x0 + x1 s.t. x0 + x1 >= 1.5, x0 integer, x1 continuous in [0, 1]
+    free = mip([1.0, 1.0], [[1.0, 1.0]], "G", [1.5], lo=[lo, 0.0], up=[up, 1.0],
+               integer=[True, False])
+    with pytest.raises(ValueError, match="integer column 0 has an infinite bound"):
+        branch_and_cut(free)
+    assert not runs
+    boxed = mip([1.0, 1.0], [[1.0, 1.0]], "G", [1.5], lo=[-5.0, 0.0], up=[5.0, 1.0],
+                integer=[True, False])
+    sol = branch_and_cut(boxed)
+    assert sol.status == "optimal" and sol.objective == pytest.approx(1.5)
+    assert sol.x[0] == pytest.approx(1.0)
+
+
 def test_time_limit_returns_bound():
     rng = np.random.default_rng(4)
     n = 18

@@ -90,10 +90,10 @@ def test_constant_cut_when_child_has_no_parent_coupling():
     sub = engine.subs[engine.pgraph.subproblems[0]]
     cand = candidate_for(engine, m, agg, x_root=[0.7])
     sols = {}
-    assert engine._forward(engine.plan([m.tree.stage_nodes(2)[0]]), cand, sols) is None
-    cut = engine.make_optimality_cut(sub, sols[m.tree.stage_nodes(2)[0]])
-    assert np.allclose(cut.alpha, 0.0)
-    assert np.allclose(cut.beta_parent, 0.0)
+    nid = m.tree.stage_nodes(2)[0]
+    assert engine._forward(engine.plan([nid]), cand, sols) is None
+    cut = engine.make_optimality_cut(sub, *sols[nid])
+    assert np.allclose(cut.slope[:m.k + m.l], 0.0)  # on x_parent and the parent group
     assert cut.gamma == pytest.approx(1.0)  # min{y : y >= 1}
 
 
@@ -106,11 +106,10 @@ def test_unit_coupling_cut_has_unit_slope():
     cand = candidate_for(engine, m, agg, x_root=[0.7])
     sols = {}
     engine._forward(engine.plan([nid]), cand, sols)
-    cut = engine.make_optimality_cut(engine.subs[engine.pgraph.node_to_sub[nid]],
-                                     sols[nid])
-    assert cut.alpha[0] == pytest.approx(1.0)
+    cut = engine.make_optimality_cut(engine.subs[engine.pgraph.node_to_sub[nid]], *sols[nid])
+    assert cut.slope[0] == pytest.approx(1.0)
     assert cut.gamma == pytest.approx(0.0, abs=1e-9)
-    assert sols[nid].value == pytest.approx(0.7)
+    assert sols[nid][0].objective == pytest.approx(0.7)
 
 
 def test_cut_underestimates_resolved_value_at_random_points():
@@ -120,7 +119,8 @@ def test_cut_underestimates_resolved_value_at_random_points():
 
 
 def s_solve(m, agg, seed=0):
-    """An S solve as solve_exact runs it; returns its engine."""
+    """An S solve as solve_exact runs it; returns its engine, its master
+    with every cut row added and the master's layout."""
     from mcsip.sddp import _MasterOracle, _root_precut
 
     cfg = SddpConfig(seed=seed)
@@ -129,13 +129,13 @@ def s_solve(m, agg, seed=0):
     oracle = _MasterOracle(engine, lay)
     _root_precut(master, oracle)
     assert branch_and_cut(master, oracle, round_heuristic=False).status == "optimal"
-    return engine
+    return engine, master, lay
 
 
 def audit_cut_validity(m, agg, seed, n_points, tol=1e-6):
     """Re-solve children at sampled feasible points; stored cuts must stay
     below the re-solved value and be tight where they were generated."""
-    engine = s_solve(m, agg, seed)
+    engine, _, _ = s_solve(m, agg, seed)
     rng = np.random.default_rng(seed + 99)
     checked = 0
     for owner, cuts in engine.pools.items():
@@ -315,8 +315,8 @@ def test_add_cut_gives_new_identities_to_its_hosts_only(hdr_toy_msilp, monkeypat
     cand = candidate_for(engine, m, agg, x_root=np.full(m.k, 10.0))
     for leaf in m.tree.leaves():
         assert engine._forward(engine.plan(tpath(m.tree, leaf)[1:]), cand, sols) is None
-    cuts = (engine.make_optimality_cut(engine.subs[engine.pgraph.node_to_sub[n]], ss)
-            for n, ss in sols.items() if m.tree.node(n).stage > 2)
+    cuts = (engine.make_optimality_cut(engine.subs[engine.pgraph.node_to_sub[n]], *solved)
+            for n, solved in sols.items() if m.tree.node(n).stage > 2)
     cut = next(c for c in cuts if engine._cut_signature(c) not in engine._pool_sigs[c.owner])
     hosts = set(engine.pgraph.parents[cut.owner])
     before = {key: sub.lp_id for key, sub in engine.subs.items()}
@@ -333,10 +333,8 @@ def test_add_cut_gives_new_identities_to_its_hosts_only(hdr_toy_msilp, monkeypat
                 assert engine.subs[a].lp_id == engine.subs[b].lp_id
 
     calls = count_sub_lps(monkeypatch)
-    nid, ss = next((n, ss) for n, ss in sols.items()
-                   if engine.pgraph.node_to_sub[n] in hosts)
-    engine.solve_sub(engine.subs[engine.pgraph.node_to_sub[nid]], ss.x_par, ss.zvals,
-                     ss.parent_group)
+    nid, solved = next((n, v) for n, v in sols.items() if engine.pgraph.node_to_sub[n] in hosts)
+    engine.solve_sub(engine.subs[engine.pgraph.node_to_sub[nid]], *solved[1:])
     assert calls
 
 
@@ -431,29 +429,31 @@ def test_sub_lps_see_z_only_through_the_rhs_map():
         assert got.status == ref.status == "optimal"
         assert got.objective == pytest.approx(ref.objective, rel=1e-9, abs=1e-9)
 
-    # a cut made there lands in each host as the LP row theta - alpha'x
-    # and the rhs row gamma + beta'z_own + sum rho_g'z_g
+    # a cut made there, slope over w = [x_parent | z_parent | z of each
+    # reachable group], lands in each host as the LP row theta - (x_parent
+    # block)'x and the rhs row gamma + (z_parent block)'z_own + the
+    # reachable groups' blocks on their own z
     cand = candidate_for(engine, m, agg, x_root=np.full(m.k, 10.0))
     cand.z = zvals
     sols = {}
     assert engine._forward(engine.plan(tpath(m.tree, leaves[0])[1:]), cand, sols) is None
     cut = engine.make_optimality_cut(engine.subs[engine.pgraph.node_to_sub[leaves[0]]],
-                                     sols[leaves[0]])
-    assert np.any(cut.beta_parent) and cut.rho
+                                     *sols[leaves[0]])
+    assert np.any(cut.slope[k:k + l]) and np.any(cut.slope[k + l:])
     assert engine.add_cut(cut)
     for pk in engine.pgraph.parents[cut.owner]:
         host = engine.subs[pk]
         want = np.zeros(host.rhs_map.n)
-        want[host.w_off[host.group]:host.w_off[host.group] + l] = cut.beta_parent
-        for g, coef in cut.rho.items():
-            want[host.w_off[g]:host.w_off[g] + l] = coef
+        want[host.w_off[host.group]:host.w_off[host.group] + l] = cut.slope[k:k + l]
+        for i, g in enumerate(engine.pgraph.reach[cut.owner]):
+            want[host.w_off[g]:host.w_off[g] + l] += cut.slope[k + l + i * l:k + 2 * l + i * l]
         rm = host.rhs_map
         last = np.zeros(rm.n)
         last[rm.indices[rm.indptr[-2]:]] = rm.data[rm.indptr[-2]:]
         np.testing.assert_array_equal(last, want)
         assert rm.const[-1] == cut.gamma
         want = np.zeros(host.lp.n)
-        want[:k] = -cut.alpha
+        want[:k] = -cut.slope[:k]
         want[host.theta_col[cut.owner]] = 1.0
         np.testing.assert_array_equal(scipy_csr(host.lp.A)[-1].toarray().ravel(), want)
         # solved at a state, the host's theta is at least the cut there
@@ -482,13 +482,36 @@ def every_group_rhs_map(engine, sub):
 
 
 @pytest.mark.parametrize("case", ["2x4-pm", "2x4-fh", "random-fh"])
-def test_reachable_groups_drop_no_term_of_the_state(request, case):
+def test_reachable_groups_drop_no_term_of_the_state(request, monkeypatch, case):
     """A subproblem's w carries its reachable groups: its own group and
     its children's reachable groups.  Before any cut its rhs equals, bit
     for bit, that of a map over every group of its stage onward, and
-    after an S solve every pooled cut's slope lies inside its owner's
-    reachable groups.  The relief instance has no D z_own term, so its
-    cuts slope in beta only; the random one's also slope in rho."""
+    after an S solve every pooled cut's slope spans exactly its owner's
+    w.  The relief instance has no D z_own term, so its cuts slope in the
+    parent group only; the random one's also slope in reachable groups.
+
+    Every cut is placed where it belongs: each hosted row, read at a
+    random host state as its rhs-map entry minus its LP x terms, and each
+    master cut row, read at a random master point as its rhs minus its
+    non-theta terms, equals the cut's value_at there."""
+    from mcsip.model import z_values
+    from mcsip.sddp import _Sub
+
+    hosted, to_master = [], []  # (host, cut, the row it got); master cuts in row order
+
+    def hosting(host, cut, real=_Sub.host_cut):
+        hosted.append((host, cut, host.lp.m))
+        real(host, cut)
+
+    def subroutine(engine, cand, nid, real=SddpEngine.sddp_subroutine):
+        cut = real(engine, cand, nid)
+        if cut is not None:
+            to_master.append(cut)
+        return cut
+
+    monkeypatch.setattr(_Sub, "host_cut", hosting)
+    monkeypatch.setattr(SddpEngine, "sddp_subroutine", subroutine)
+
     if case == "random-fh":
         m, tr = make_random_msilp(seed=4, T=4), Transformation("fh")
     else:
@@ -513,11 +536,34 @@ def test_reachable_groups_drop_no_term_of_the_state(request, case):
                                       full.rhs(w))
     assert narrower
 
-    engine = s_solve(m, agg)
+    engine, master, lay = s_solve(m, agg)
+    k, l = m.k, m.l
     cuts = [c for pool in engine.pools.values() for c in pool]
-    assert cuts and (case != "random-fh" or any(len(c.rho) > 1 for c in cuts))
+    groups_sloped = [np.count_nonzero(c.slope[k + l:].reshape(-1, l).any(axis=1)) for c in cuts]
+    assert cuts and (case != "random-fh" or max(groups_sloped) > 1)
     for cut in cuts:
-        assert set(cut.rho) <= set(reach[cut.owner]), cut.owner
+        assert cut.slope.size == k + l * (1 + len(reach[cut.owner])), cut.owner
+
+    assert len(hosted) == sum(len(engine.pgraph.parents[c.owner]) for c in cuts)
+    for host, cut, i in hosted:
+        x_par, x = rng.uniform(0.0, 10.0, size=(2, k))
+        rhs = host.rhs_map.rhs(host.state(x_par, zvals, incoming_group(engine, host.key)))[i]
+        row = scipy_csr(host.lp.A)[i].toarray().ravel()
+        assert not row[k:host.theta0].any()
+        assert rhs - row[:k] @ x == pytest.approx(cut.value_at(x, zvals, host.group),
+                                                  rel=1e-9, abs=1e-9)
+
+    m0 = build_master(m, agg)[0].m
+    assert master.m - m0 == len(to_master)
+    root_group = agg.node_to_group[m.tree.root]
+    thetas = list(lay.theta.values())
+    dense = scipy_csr(master.A).toarray()
+    for i, cut in enumerate(to_master, start=m0):
+        x = rng.uniform(0.0, 10.0, size=lay.n_cols)
+        row = dense[i].copy()
+        row[thetas] = 0.0
+        want = cut.value_at(x[lay.x_off:lay.x_off + k], z_values(lay.z_off, l, x), root_group)
+        assert master.rhs[i] - row @ x == pytest.approx(want, rel=1e-9, abs=1e-9)
 
 
 def test_cuts_keep_the_read_only_candidate_z(hdr_toy_msilp):
@@ -526,7 +572,7 @@ def test_cuts_keep_the_read_only_candidate_z(hdr_toy_msilp):
     each cut stays tight where it was made."""
     m = hdr_toy_msilp
     agg = build_aggregation(m.tree, Transformation("pm", partial_attrs=(2,)))
-    engine = s_solve(m, agg)
+    engine, _, _ = s_solve(m, agg)
     cuts = [c for pool in engine.pools.values() for c in pool] + \
         [c for pool in engine.master_pool.values() for c in pool]
     assert cuts
@@ -591,7 +637,7 @@ def test_feasibility_cut_in_a_subproblem_hosting_cuts():
     cand = candidate_for(engine, m, agg, x_root=[0.5])
     assert engine._forward(engine.plan([n2, n3]), cand, sols) is None
     sub3 = engine.subs[engine.pgraph.node_to_sub[n3]]
-    cut3 = engine.make_optimality_cut(sub3, sols[n3])
+    cut3 = engine.make_optimality_cut(sub3, *sols[n3])
     assert engine.add_cut(cut3)
     sub2 = engine.subs[engine.pgraph.node_to_sub[n2]]
     assert sub2.lp.m == sub2.rhs_map.indptr.size - 1 == sub2.rhs_map.const.size
