@@ -21,8 +21,8 @@ Louveaux's multi-cut L-shaped method: one scan of the groups returns a cut
 for every group whose theta lags, and stops at the first infeasible node
 LP with its feasibility cut.  Feasibility cuts come from the phase-1 duals
 of that LP (lp_engine.violation_certificate).  A node LP's slope is already
-over the master's columns, so both kinds become master rows by passing it
-to lp_engine.cut_row, the writer S uses too.  The node LPs are
+a dense vector over the master's columns, so lp_engine.cut_row, the writer
+S uses too, turns it into a master '>=' row as it is.  The node LPs are
 lp_engine.StateLps and share one memo (see lp_engine's Benders layer), so
 equal node LPs, within a (stage, state) group or across groups, are solved
 once per rhs.

@@ -44,23 +44,24 @@ verify_farkas for the exact certificate the ray satisfies.
 
 Benders layer of S and LDR: each subproblem LP takes its rhs from an
 RhsMap, const + R w at the incoming state w, and a cut's slope in w is
-R' pi of its duals pi.  The map keeps R as the Csr arrays model.assemble
-made and does both products with one np.bincount over the entries in
-storage order, the order of Csr's own products, so a rhs or slope equals
-R @ w or R.rmatvec(pi) bit for bit and no matrix object is built per
-solve.  Cuts are read off LP duals, or off the phase-1 duals of
-violation_certificate (also the Farkas ray's source), and cut_row writes
-every cut as a row of its host from one vector over the host's columns
-(LDR's slopes already are; S places its slopes with index maps).  A
-StateLp is such an LP with its map.  Its identity is interned in its
-model's StateLpTable from the LP's costs, bounds, rows and senses, and
-from (previous identity, appended row) when it hosts a cut, so two state
-LPs share one exactly when their LPs are equal row for row.  The table
-memoises every outcome, infeasible ones too, by (identity, rhs), so an LP
-that several state LPs share is solved once per rhs; the deadline is
-checked only before a solve the memo cannot answer.  An entry keeps the
-LP's row duals pi, and the asking state LP takes its slope R' pi through
-its own map.
+R' pi of its duals pi.  R is the Csr model.assemble made, and both
+products are one np.bincount over its entries in storage order, so a rhs
+or slope equals R @ w or R.rmatvec(pi) bit for bit and no matrix object
+is built per solve.  Cuts are read off LP duals, or off the phase-1 duals
+of violation_certificate (also the Farkas ray's source).  Every cut is
+one row theta - g'x >= gamma of its host, and cut_row writes it as a
+dense '>=' row from g over the host's columns (LDR's slopes already are;
+S places its slopes with index maps).  add_rows appends such rows to an
+LP, and RhsMap.append a row to a map, both through Csr.with_rows, the one
+row append.  A StateLp is such an LP with its map.  Its identity is
+interned in its model's StateLpTable from the LP's costs, bounds, rows
+and senses, and from (previous identity, the appended row's entries) when
+it hosts a cut, so two state LPs share one exactly when their LPs are
+equal row for row.  The table memoises every outcome, infeasible ones
+too, by (identity, rhs), so an LP that several state LPs share is solved
+once per rhs; the deadline is checked only before a solve the memo cannot
+answer.  An entry keeps the LP's row duals pi, and the asking state LP
+takes its slope R' pi through its own map.
 
 Branch and bound: best-bound node selection, most-fractional branching with
 lowest-index tie break, relative gap termination; each child node starts
@@ -102,7 +103,7 @@ from typing import Sequence
 import numpy as np
 import scipy
 
-from .errors import ConfigError, DimensionMismatch, NumericalFailure
+from .errors import ConfigError, NumericalFailure
 from .model import EQ, GE, LE, Csr, LpProblem, MipProblem, as_csr
 from .tolerances import FEAS_TOL, INT_TOL, MIP_GAP, VIOL_GUARD
 
@@ -451,76 +452,53 @@ def verify_farkas(p: LpProblem, ray: np.ndarray) -> float:
     return float(ray @ p.rhs - d[up] @ p.up[up] - d[lo] @ p.lo[lo])
 
 
-Row = tuple[dict[int, float], str, float]  # (column -> coef, sense, rhs)
+Row = tuple[np.ndarray, float]  # (coefs, rhs): coefs'x >= rhs, coefs dense over the columns
 
 
 def add_rows(p: LpProblem, rows: Sequence[Row]) -> LpProblem:
-    """Append rows in place; the problem object keeps its identity.  The new
-    CSR arrays are the old ones with the rows' entries (column-sorted within
-    a row, explicit zeros kept) appended."""
+    """Append the rows coefs'x >= rhs to p in place, through Csr.with_rows,
+    which drops their zeros; the problem object keeps its identity."""
     if not rows:
         return p
-    sizes = np.array([len(cols) for cols, _, _ in rows])
-    idx = np.fromiter((j for cols, _, _ in rows for j in cols), dtype=np.int64,
-                      count=sizes.sum())
-    vals = np.array([v for cols, _, _ in rows for v in cols.values()])
-    bad = np.flatnonzero((idx < 0) | (idx >= p.n))
-    if bad.size:
-        raise DimensionMismatch(f"column {idx[bad[0]]} outside 0..{p.n - 1}")
-    order = np.lexsort((idx, np.repeat(np.arange(len(rows)), sizes)))
-    a = p.A
-    p.A = Csr(np.concatenate([a.indptr, a.indptr[-1] + np.cumsum(sizes)]),
-              np.concatenate([a.indices, idx[order].astype(np.int32)]),
-              np.concatenate([a.data, vals[order]]), (a.shape[0] + len(rows), p.n))
-    p.rhs = np.concatenate([p.rhs, [rhs for _, _, rhs in rows]])
-    p.senses = np.concatenate([p.senses, np.array([s for _, s, _ in rows], dtype="<U1")])
+    p.A = as_csr(p.A).with_rows([coefs for coefs, _ in rows])
+    p.rhs = np.concatenate([p.rhs, [rhs for _, rhs in rows]])
+    p.senses = np.concatenate([p.senses, np.full(len(rows), GE)])
     return p
 
 
 def cut_row(theta_col: int | None, coefs: np.ndarray, rhs: float) -> Row:
-    """The cut theta - coefs'x >= rhs as a row of its host, coefs indexed by
+    """The cut theta - coefs'x >= rhs as a row of its host, coefs dense over
     the host's columns; theta_col None (a feasibility cut) leaves theta out."""
-    j = np.flatnonzero(coefs)
-    cols: dict[int, float] = dict(zip(j.tolist(), (-coefs[j]).tolist()))
+    row = -coefs
     if theta_col is not None:
-        cols[theta_col] = cols.get(theta_col, 0.0) + 1.0
-    return cols, GE, rhs
+        row[theta_col] += 1.0
+    return row, rhs
 
 
 class RhsMap:
     """rhs = const + R w of a subproblem LP at an incoming state w, and the
-    slope R' pi of its value in w from row duals pi.
-
-    R is kept as the Csr arrays it was built with (indptr, indices, data)
-    plus each entry's row; both products are one np.bincount that adds the
-    entries in storage order, as Csr's own @ (rhs) and rmatvec (slope) do,
-    so they equal R @ w and R.rmatvec(pi) bit for bit."""
+    slope R' pi of its value in w from row duals pi.  Both products are
+    bincounts over R's entries in storage order, as Csr's own @ and
+    rmatvec, so they equal R @ w and R.rmatvec(pi) bit for bit."""
 
     def __init__(self, R: Csr, const: np.ndarray):
-        self.indptr, self.indices, self.data = R.indptr, R.indices, R.data
-        self.rows = R.entry_rows()
+        self.R = R
         self.const = np.asarray(const, dtype=float)
-        self.n = R.shape[1]
 
     def rhs(self, w: np.ndarray) -> np.ndarray:
-        return self.const + np.bincount(self.rows, self.data * w[self.indices],
-                                        minlength=self.const.size)
+        return self.const + self.R @ w
 
     def slope(self, duals: np.ndarray) -> np.ndarray:
         """R' duals over R's first duals.size rows: a solve's duals keep
         pairing with the rows it was solved on after append."""
-        nz = self.indptr[duals.size]
-        return np.bincount(self.indices[:nz], self.data[:nz] * duals[self.rows[:nz]],
-                           minlength=self.n)
+        R = self.R
+        nz = R.indptr[duals.size]
+        return np.bincount(R.indices[:nz], R.data[:nz] * duals[R.entry_rows()[:nz]],
+                           minlength=R.shape[1])
 
     def append(self, row: np.ndarray, gamma: float) -> None:
-        """Add the row const_i = gamma, R_i = row (a dense n-vector; its
-        nonzeros are kept) in place."""
-        j = np.flatnonzero(row)
-        self.indptr = np.append(self.indptr, self.indptr[-1] + j.size)
-        self.indices = np.concatenate([self.indices, j.astype(self.indices.dtype)])
-        self.data = np.concatenate([self.data, row[j]])
-        self.rows = np.concatenate([self.rows, np.full(j.size, self.const.size)])
+        """Add the row const_i = gamma, R_i = row (a dense vector over w) in place."""
+        self.R = self.R.with_rows([row])
         self.const = np.append(self.const, gamma)
 
 
@@ -566,20 +544,21 @@ class StateLp:
 
     def host(self, row: Row, map_row: np.ndarray) -> None:
         """Append row to the LP and (map_row, row's rhs) to the map; the new
-        identity is (old identity, the LP row)."""
+        identity is (old identity, the LP row's entries)."""
         add_rows(self.lp, [row])
         a = self.lp.A
         start = a.indptr[-2]
         self.lp_id = self._intern((self.lp_id, a.indices[start:].tobytes(),
-                                   a.data[start:].tobytes(), self.lp.senses[-1]))
-        self.rhs_map.append(map_row, row[2])
+                                   a.data[start:].tobytes()))
+        self.rhs_map.append(map_row, row[1])
 
 
 class CutOracle:
     """Callback interface for lazy cuts at integer-feasible points.
 
-    separate() must only return rows valid for every integer-feasible point
-    of the true problem; returning [] accepts the candidate.
+    separate() returns Rows (dense '>=' rows over the problem's columns, as
+    cut_row writes them) valid for every integer-feasible point of the true
+    problem; returning [] accepts the candidate.
     """
 
     def separate(self, x: np.ndarray) -> list[Row]:  # pragma: no cover

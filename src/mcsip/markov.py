@@ -69,10 +69,6 @@ class MarkovChain:
                 outs.sort(key=lambda e: e[0])
         object.__setattr__(self, "_succ", succ)
 
-    @property
-    def n_attrs(self) -> int:
-        return len(self.initial)
-
     def successors(self, s: McState) -> list[tuple[McState, float]]:
         if s not in self._succ:
             raise UnknownState(repr(s))

@@ -15,8 +15,9 @@ when the integer variables are first-stage (extensive or two-stage use).
 Every matrix here is a Csr: numpy arrays in compressed sparse row form
 (int32 indptr and indices, float data) with the two products the solvers
 need, A x and A' y, each one np.bincount that adds a row's (or a
-column's) terms in storage order.  The LP kernel also reads a caller's
-scipy CSR matrix through the same attribute names (as_csr).
+column's) terms in storage order, and one append, with_rows, which the
+LP kernel's cut rows and rhs maps grow by.  The LP kernel also reads a
+caller's scipy CSR matrix through the same attribute names (as_csr).
 
 Every solver model turns these blocks into constraint rows by one rule: a
 row block is sum(sign * M @ P) over its terms, where M is one of a node's
@@ -69,6 +70,7 @@ class Csr:
         self.indices = np.asarray(indices).astype(np.int32, copy=False)
         self.data = np.asarray(data, dtype=float)
         self.shape = (int(shape[0]), int(shape[1]))
+        self._entry_rows = None
 
     @classmethod
     def from_triplets(cls, rows, cols, vals, shape) -> Csr:
@@ -84,8 +86,23 @@ class Csr:
         return self.data.size
 
     def entry_rows(self) -> np.ndarray:
-        """The row of every stored entry."""
-        return np.repeat(np.arange(self.shape[0]), np.diff(self.indptr))
+        """The row of every stored entry, computed at the first call and kept."""
+        if self._entry_rows is None:
+            self._entry_rows = np.repeat(np.arange(self.shape[0]), np.diff(self.indptr))
+        return self._entry_rows
+
+    def with_rows(self, dense) -> Csr:
+        """A new matrix: this one with the rows of dense, a k x n array,
+        appended and their zeros dropped."""
+        dense = np.asarray(dense, dtype=float)
+        if dense.ndim != 2 or dense.shape[1] != self.shape[1]:
+            raise DimensionMismatch(f"rows of shape {dense.shape} appended to "
+                                    f"{self.shape[1]} columns")
+        r, j = np.nonzero(dense)
+        ends = self.indptr[-1] + np.cumsum(np.count_nonzero(dense, axis=1))
+        return Csr(np.concatenate([self.indptr, ends]), np.concatenate([self.indices, j]),
+                   np.concatenate([self.data, dense[r, j]]),
+                   (self.shape[0] + len(dense), self.shape[1]))
 
     def toarray(self) -> np.ndarray:
         out = np.zeros(self.shape)
@@ -262,8 +279,7 @@ def node_rows(nd: NodeData, z, x, y, z_par, x_par, z_anc) -> list[RowBlock]:
 def _term_entries(mat: Csr, P, sign: float, rows):
     """(row, column, value) of sign * mat[rows] @ P, row by row in the order
     of mat's entries and, within one entry, of P's row."""
-    r = np.repeat(np.arange(mat.shape[0]), np.diff(mat.indptr))
-    k, v = mat.indices, sign * mat.data
+    r, k, v = mat.entry_rows(), mat.indices, sign * mat.data
     if rows is not None:
         pos = np.full(mat.shape[0], -1)
         pos[rows] = np.arange(len(rows))
@@ -392,7 +408,7 @@ def first_stage_columns(m: Msilp, z_col, x_off: int, y_off: int, n: int):
     return obj, lo, up, integer
 
 
-def _make_layout(m: Msilp, agg: AggregationMap | None, cap: int) -> Layout:
+def _make_layout(m: Msilp, agg: AggregationMap | None) -> Layout:
     z_off, col, _ = first_stage_offsets(m, agg)
     lay = Layout(z_off=z_off)
     for node in m.tree.nodes:
@@ -401,15 +417,15 @@ def _make_layout(m: Msilp, agg: AggregationMap | None, cap: int) -> Layout:
     for node in m.tree.nodes:
         lay.y_off[node.id] = col
         col += m.r
-    if col > cap:
-        raise Overflow(f"extensive form needs {col} columns, cap is {cap}")
+    if col > VAR_CAP:
+        raise Overflow(f"extensive form needs {col} columns, cap is {VAR_CAP}")
     lay.n_cols = col
     return lay
 
 
-def _extensive_form(m: Msilp, agg: AggregationMap | None, cap: int) -> MipProblem:
+def _extensive_form(m: Msilp, agg: AggregationMap | None) -> MipProblem:
     tree = m.tree
-    lay = _make_layout(m, agg, cap)
+    lay = _make_layout(m, agg)
 
     def zcol(nid):
         return lay.z_off[nid if agg is None else agg.node_to_group[nid]]
@@ -438,15 +454,14 @@ def _extensive_form(m: Msilp, agg: AggregationMap | None, cap: int) -> MipProble
     return prob
 
 
-def build_extensive_form(m: Msilp, cap: int = VAR_CAP) -> MipProblem:
+def build_extensive_form(m: Msilp) -> MipProblem:
     """One (x, y, z) block per node; optimal value is the true optimum."""
-    return _extensive_form(m, None, cap)
+    return _extensive_form(m, None)
 
 
-def build_aggregated_extensive_form(m: Msilp, agg: AggregationMap,
-                                    cap: int = VAR_CAP) -> MipProblem:
+def build_aggregated_extensive_form(m: Msilp, agg: AggregationMap) -> MipProblem:
     """Integer blocks shared per aggregation group; duplicate rows coalesced."""
-    return _extensive_form(m, agg, cap)
+    return _extensive_form(m, agg)
 
 
 def expand_aggregated_solution(m: Msilp, agg: AggregationMap, prob_agg: MipProblem,

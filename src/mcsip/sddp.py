@@ -42,12 +42,14 @@ a valid relaxation of the aggregated problem.
 
 Rows come from the shared assembler (model.assemble), every variable
 block mapped by its column offset.  The master is canonical (tiny
-coefficients dropped, rounded, duplicate rows removed) and writes cuts
-with lp_engine.cut_row as master-width rows.  Each subproblem LP is
+coefficients dropped, rounded, duplicate rows removed) and takes each
+cut as one dense '>=' row: its slope placed over the master's columns by
+an index map, written by lp_engine.cut_row.  Each subproblem LP is
 positional, an lp_engine.StateLp as LDR's node LPs are: rhs = const + R w
 at the incoming state w = (x_parent, z), with R built by the same
-assembler; a hosted cut adds its x_parent part as a row of the LP and its
-z part and gamma as a row of the map.  The engine's subproblems share one
+assembler; a hosted cut adds its x_parent part, a dense vector of the
+LP's width, through cut_row as a row of the LP and its z part and gamma
+as a row of the map.  The engine's subproblems share one
 memo (see lp_engine's Benders layer), so the copies of a stage and Markov
 state that the transform tells apart are solved once per rhs.
 
@@ -205,8 +207,11 @@ class _Sub(StateLp):
         and slope_z, placed into this w by the child's index map, in the
         rhs map."""
         theta = self.theta_col[cut.owner] if cut.kind == "optimality" else None
-        self.host(cut_row(theta, cut.slope[:self.k], cut.gamma),
-                  np.bincount(self.place[cut.owner], cut.slope[self.k:], minlength=self.rhs_map.n))
+        coefs = np.zeros(self.lp.n)
+        coefs[:self.k] = cut.slope[:self.k]
+        self.host(cut_row(theta, coefs, cut.gamma),
+                  np.bincount(self.place[cut.owner], cut.slope[self.k:],
+                              minlength=self.rhs_map.R.shape[1]))
 
 
 class _Step(NamedTuple):

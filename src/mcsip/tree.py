@@ -48,7 +48,7 @@ class ScenarioTree:
         return len(self.nodes)
 
 
-def build_tree(mc: MarkovChain, T: int, cap: int = NODE_CAP) -> ScenarioTree:
+def build_tree(mc: MarkovChain, T: int) -> ScenarioTree:
     """Enumerate all positive-probability state sequences of length <= T.
 
     Paths whose probability falls below PRUNE_TOL are dropped as
@@ -68,8 +68,8 @@ def build_tree(mc: MarkovChain, T: int, cap: int = NODE_CAP) -> ScenarioTree:
                 if p < PRUNE_TOL:
                     continue
                 cid = len(nodes)
-                if cid >= cap:
-                    raise Overflow(f"scenario tree exceeds {cap} nodes")
+                if cid >= NODE_CAP:
+                    raise Overflow(f"scenario tree exceeds {NODE_CAP} nodes")
                 nodes.append(TreeNode(cid, t, state, nid, p=p, p_cond=prob))
                 node.children.append(cid)
                 layer.append(cid)

@@ -7,7 +7,8 @@ import sys
 
 import pytest
 
-SRC = pathlib.Path(__file__).resolve().parents[1] / "src" / "mcsip"
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "mcsip"
 
 
 def unused_imports(source: str) -> list[str]:
@@ -98,6 +99,57 @@ def test_no_unreferenced_definitions():
     assert [d for d in found if d.split(".")[1] not in UNREFERENCED_OK] == []
     # an exception that is referenced again leaves the list
     assert {d.split(".")[1] for d in found} >= set(UNREFERENCED_OK)
+
+
+def unread_members(sources: dict[str, str], readers: list[str]) -> list[str]:
+    """Methods, properties and annotated fields of the classes in sources
+    that no Attribute node (other than an assignment target) reads, in
+    sources or readers.  Dunders are skipped, and so are NamedTuple
+    classes, whose fields are read by unpacking."""
+    read = set()
+    for source in [*sources.values(), *readers]:
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.Attribute) and not isinstance(node.ctx, ast.Store):
+                read.add(node.attr)
+    found = []
+    for mod, source in sources.items():
+        for cls in ast.walk(ast.parse(source)):
+            if not isinstance(cls, ast.ClassDef) or any(
+                    getattr(base, "id", getattr(base, "attr", None)) == "NamedTuple"
+                    for base in cls.bases):
+                continue
+            for stmt in cls.body:
+                if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    name = stmt.name
+                elif isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name):
+                    name = stmt.target.id
+                else:
+                    continue
+                if not (name.startswith("__") and name.endswith("__")) and name not in read:
+                    found.append(f"{mod}.{cls.name}.{name}")
+    return sorted(found)
+
+
+def test_unread_member_scan_sees_dead_members():
+    sources = {
+        "a": "from typing import NamedTuple\n\n"
+             "class Box:\n    size: int\n    spare: int\n    label = 'box'\n\n"
+             "    def __len__(self):\n        return self.size\n\n"
+             "    @property\n    def area(self):\n        return 0\n\n"
+             "    def unused(self):\n        self.spare = 1\n\n"
+             "class Pair(NamedTuple):\n    left: int\n    right: int\n",
+    }
+    readers = ["from a import Box\nprint(Box().area)\n"]
+    # a store is no read; a dunder, an unannotated attribute and a
+    # NamedTuple field are not scanned
+    assert unread_members(sources, readers) == ["a.Box.spare", "a.Box.unused"]
+
+
+def test_every_class_member_is_read():
+    sources = {p.stem: p.read_text() for p in sorted(SRC.glob("*.py"))}
+    readers = [p.read_text() for d in ("tests", "perfbench")
+               for p in sorted((ROOT / d).glob("*.py"))]
+    assert unread_members(sources, readers) == []
 
 
 # the modules that may read time.monotonic, and what for; every other stop

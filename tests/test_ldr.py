@@ -55,6 +55,15 @@ def test_lambda_copies_variant_m(hdr_pair):
         assert len(keys) == len(states)
 
 
+def test_first_stage_cap_overflow(hdr_pair, monkeypatch):
+    from mcsip.errors import Overflow
+
+    ma, agg = hdr_pair
+    monkeypatch.setattr(ldr, "FIRST_STAGE_CAP", 10)
+    with pytest.raises(Overflow, match="cap is 10"):
+        build_ldr_model(ma, agg, LdrVariant("m"))
+
+
 def test_deterministic_chain_ldr_is_exact():
     # a single-scenario instance is representable by an affine rule with
     # intercept, so the approximation is tight
@@ -168,9 +177,10 @@ def test_hybrid_cuts_underestimate_group_value(hdr_pair):
     rows = oracle.separate(x)
     assert len(lagging) >= 2 and len(rows) == len(lagging)
     row_cuts = []
-    for key, (cols, sense, rhs) in zip(lagging, rows):
-        cut = _optimality_cut(lay, cols, rhs)
-        assert sense == "G" and cut["theta_key"] == key
+    for key, (coefs, rhs) in zip(lagging, rows):
+        j = np.flatnonzero(coefs)
+        cut = _optimality_cut(lay, dict(zip(j.tolist(), coefs[j].tolist())), rhs)
+        assert coefs.shape == (lay.n_cols,) and cut["theta_key"] == key
         cut.update(gen_w=x, gen_value=oracle.group_value(key, x)[0])
         row_cuts.append(cut)
 
@@ -219,7 +229,10 @@ def test_accepted_points_solve_no_node_lp_twice(hdr_pair, monkeypatch):
     monkeypatch.setattr(lp_engine, "solve_lp", counting)
     # the incumbent was separated when the B&B accepted it
     assert oracle.true_cost(sol.x) >= sol.objective - 1e-9 * abs(sol.objective)
-    assert oracle.separate(x) == first
+    again = oracle.separate(x)
+    assert len(again) == len(first)
+    for (coefs, rhs), (coefs0, rhs0) in zip(again, first):
+        assert np.array_equal(coefs, coefs0) and rhs == rhs0
     assert calls == []
 
 

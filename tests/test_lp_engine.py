@@ -122,13 +122,13 @@ def test_unbounded_detected():
 def test_add_rows_non_binding_keeps_objective():
     p = lp([1.0], [[1.0]], "G", [3.0])
     before = solve_lp(p).objective
-    add_rows(p, [({0: 1.0}, "G", 1.0)])
+    add_rows(p, [(np.array([1.0]), 1.0)])
     assert solve_lp(p).objective == pytest.approx(before)
 
 
 def test_add_rows_binding_moves_objective():
     p = lp([1.0], [[1.0]], "G", [3.0])
-    add_rows(p, [({0: 1.0}, "G", 4.0)])
+    add_rows(p, [(np.array([1.0]), 4.0)])
     assert solve_lp(p).objective == pytest.approx(4.0)
 
 
@@ -141,7 +141,7 @@ def test_add_rows_monotone_and_matches_cold_solve():
     for _ in range(5):
         coefs = rng.uniform(-1, 1, size=p.n)
         rhs = float(coefs @ x_feas) - rng.uniform(0.0, 0.5)
-        rows.append(({j: float(coefs[j]) for j in range(p.n)}, "G", rhs))
+        rows.append((coefs, rhs))
     add_rows(p, rows)
     warm = solve_lp(p)
     cold = solve_lp(LpProblem(c=p.c, A=scipy_csr(p.A).copy(), senses=p.senses.copy(),
@@ -151,11 +151,15 @@ def test_add_rows_monotone_and_matches_cold_solve():
 
 
 def test_add_rows_rejects_bad_columns():
+    """A row of the wrong width raises and leaves p as it was."""
     from mcsip.errors import DimensionMismatch
 
     p = lp([1.0], [[1.0]], "G", [3.0])
-    with pytest.raises(DimensionMismatch):
-        add_rows(p, [({3: 1.0}, "G", 0.0)])
+    before = (p.A, p.senses, p.rhs)
+    for width in (0, 2, 4):
+        with pytest.raises(DimensionMismatch):
+            add_rows(p, [(np.ones(width), 0.0)])
+        assert all(now is then for now, then in zip((p.A, p.senses, p.rhs), before))
 
 
 def mip(c, rows, senses, rhs, lo, up, integer):
@@ -190,10 +194,10 @@ def test_toy_benders_oracle_matches_extensive():
     class Oracle(CutOracle):
         def separate(self, x):
             z, theta = x[0], x[1]
-            for coefs, rhs in (({0: 4.0, 1: 1.0}, 3.0), ({1: 1.0}, 1.0)):
-                val = rhs - 4.0 * z if 0 in coefs else rhs
+            for coefs, rhs in ((np.array([4.0, 1.0]), 3.0), (np.array([0.0, 1.0]), 1.0)):
+                val = rhs - coefs[0] * z
                 if theta < val - 1e-9:
-                    return [(coefs, "G", rhs)]
+                    return [(coefs, rhs)]
             return []
 
     m = mip([2.0, 1.0], [[0.0, 0.0]], "G", [0.0],
@@ -260,7 +264,7 @@ def test_time_limit_returns_bound():
 def test_time_limit_stops_a_cut_loop_that_never_closes():
     class Endless(CutOracle):
         def separate(self, x):
-            return [({0: 1.0}, "G", -1.0)]  # valid everywhere, never binding
+            return [(np.array([1.0]), -1.0)]  # valid everywhere, never binding
 
     m = mip([1.0], [[1.0]], "G", [1.0], lo=[0.0], up=[3.0], integer=[True])
     t0 = time.monotonic()
@@ -328,18 +332,19 @@ def cold_copy(p):
 
 
 def random_rows(rng, z, count):
-    """count rows over z's columns, of mixed senses with explicit zero
-    coefficients, that hold at z: '>=' and '<=' rows with up to 0.3 slack,
-    '==' rows exactly."""
+    """count dense '>=' rows over z's columns, with zero coefficients, that
+    hold at z, each picked at random: a row with up to 0.3 slack, the
+    negation of a '<=' row with up to 0.3 slack, or a row tight at z."""
     rows = []
     for _ in range(count):
         cols = rng.choice(z.size, size=int(rng.integers(1, z.size + 1)), replace=False)
         vals = rng.uniform(-1, 1, size=cols.size)
         vals[rng.random(cols.size) < 0.3] = 0.0
-        sense = str(rng.choice(["G", "L", "E"]))
-        slack = {"G": -1.0, "L": 1.0, "E": 0.0}[sense] * rng.uniform(0.0, 0.3)
-        rows.append(({int(j): float(v) for j, v in zip(cols, vals)}, sense,
-                     float(vals @ z[cols]) + slack))
+        sign, slack = {"G": (1.0, -1.0), "L": (-1.0, -1.0), "E": (1.0, 0.0)}[
+            str(rng.choice(["G", "L", "E"]))]
+        coefs = np.zeros(z.size)
+        coefs[cols] = sign * vals
+        rows.append((coefs, float(coefs @ z) + slack * rng.uniform(0.0, 0.3)))
     return rows
 
 
@@ -375,7 +380,7 @@ def test_warm_resolve_after_appended_rows_matches_cold(warm_starts):
             coefs = rng.uniform(-1, 1, size=p.n)
             # cut off the current optimum but keep a feasible point
             rhs = float(coefs @ x) + rng.uniform(0.0, 0.3)
-            add_rows(p, [({j: float(coefs[j]) for j in range(p.n)}, "G", rhs)])
+            add_rows(p, [(coefs, rhs)])
             del warm_starts[:]
             warm = solve_lp(p)
             cold = solve_lp(cold_copy(p))
@@ -449,10 +454,10 @@ def test_warm_solve_hands_highs_the_stored_basis_then_only_the_appended_rows(mon
         added = [args for name, args in h.calls if name == "addRows"]
         assert set_basis[0][0] is stored[2] and not stored[2].alien
         k, lower, upper, nnz, starts, indices, values = added[0]
-        cols = [sorted(r[0]) for r in rows]
+        cols = [np.flatnonzero(coefs).tolist() for coefs, _ in rows]
         assert k == len(rows) == p.m - m0 and nnz == sum(map(len, cols))
-        assert lower.tolist() == [-np.inf if s == "L" else b for _, s, b in rows]
-        assert upper.tolist() == [np.inf if s == "G" else b for _, s, b in rows]
+        assert lower.tolist() == [b for _, b in rows]
+        assert upper.tolist() == [np.inf] * len(rows)
         assert starts.tolist() == np.cumsum([0] + [len(c) for c in cols[:-1]]).tolist()
         assert indices.tolist() == [j for c in cols for j in c]
         assert values.tolist() == [r[0][j] for r, c in zip(rows, cols) for j in c]
@@ -470,9 +475,10 @@ def test_warm_start_that_turns_infeasible_gives_a_certified_ray(warm_starts):
     for _ in range(40):
         p = random_feasible_lp(rng)
         j = int(rng.integers(0, p.n))
-        add_rows(p, [({j: 1.0}, "G", 0.0), ({j: 1.0}, "L", 5.0)])  # slack at first
+        e = np.eye(p.n)[j]
+        add_rows(p, [(e, 0.0), (-e, -5.0)])  # 0 <= x_j <= 5: slack at first
         assert solve_lp(p).status == "optimal"
-        p.rhs[-2:] = [4.5, 0.5]
+        p.rhs[-2:] = [4.5, -0.5]
         del warm_starts[:]
         sol = solve_lp(p)
         assert warm_starts[0]
@@ -502,31 +508,28 @@ def test_branch_and_cut_warm_starts_children_and_matches_enumeration(warm_starts
 
 
 def test_add_rows_appends_exactly_the_arrays_vstack_builds():
+    """add_rows and Csr.with_rows append dense rows as scipy's vstack of
+    them does, zeros dropped."""
     rng = np.random.default_rng(11)
     zeros = 0
     for _ in range(40):
         p = random_feasible_lp(rng)
         for _ in range(3):
-            rows = []
-            for _ in range(int(rng.integers(1, 5))):
-                cols = rng.choice(p.n, size=int(rng.integers(0, p.n + 1)), replace=False)
-                vals = rng.uniform(-1, 1, size=cols.size)
-                vals[rng.random(cols.size) < 0.3] = 0.0  # explicit zero coefficients
-                zeros += int((vals == 0.0).sum())
-                rows.append(({int(j): float(v) for j, v in zip(cols, vals)},
-                             str(rng.choice(["G", "L", "E"])), float(rng.uniform(-1, 1))))
-            ri = [i for i, (cols, _, _) in enumerate(rows) for _ in cols]
-            ci = [j for cols, _, _ in rows for j in cols]
-            vv = [v for cols, _, _ in rows for v in cols.values()]
-            want = sp.vstack([scipy_csr(p.A),
-                              sp.csr_matrix((vv, (ri, ci)), shape=(len(rows), p.n))]).tocsr()
-            add_rows(p, rows)
-            assert isinstance(p.A, Csr) and p.A.shape == want.shape
-            for name in ("indptr", "indices", "data"):
-                got, ref = getattr(p.A, name), getattr(want, name)
-                assert got.dtype == ref.dtype and got.tobytes() == ref.tobytes(), name
-            assert p.senses[-len(rows):].tolist() == [r[1] for r in rows]
-            assert p.rhs[-len(rows):].tolist() == [r[2] for r in rows]
+            dense = rng.uniform(-1, 1, size=(int(rng.integers(1, 5)), p.n))
+            dense[rng.random(dense.shape) < 0.5] = 0.0
+            dense[rng.integers(dense.shape[0])] = 0.0  # an empty row
+            zeros += int((dense == 0.0).sum())
+            rhs = rng.uniform(-1, 1, size=dense.shape[0])
+            want = sp.vstack([scipy_csr(p.A), sp.csr_matrix(dense)]).tocsr()
+            direct = as_csr(p.A).with_rows(dense)
+            add_rows(p, [(coefs, b) for coefs, b in zip(dense, rhs)])
+            for got in (direct, p.A):
+                assert isinstance(got, Csr) and got.shape == want.shape
+                for name in ("indptr", "indices", "data"):
+                    a, b = getattr(got, name), getattr(want, name)
+                    assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
+            assert p.senses[-len(rhs):].tolist() == ["G"] * len(rhs)
+            assert p.rhs[-len(rhs):].tolist() == rhs.tolist()
     assert zeros > 0
 
 
@@ -545,21 +548,28 @@ def scipy_phase1_matrix(p):
 
 
 def test_infeasibility_lp_builds_exactly_the_arrays_scipy_builds():
-    """Also from a Csr with explicit zeros (add_rows keeps them), which
-    scipy's sum drops."""
+    """Also from a Csr that stores explicit zeros (positional assemble
+    output can hold cancelled ones), which scipy's sum drops."""
     rng = np.random.default_rng(14)
     zeros = 0
     for _ in range(40):
         p = random_feasible_lp(rng)
-        for _ in range(3):
+        for explicit_zeros in (False, True):
+            if explicit_zeros:
+                # store some empty positions and zero some stored entries
+                dense = scipy_csr(p.A).toarray()
+                stored = (dense != 0.0) | (rng.random(dense.shape) < 0.2)
+                dense[stored & (rng.random(dense.shape) < 0.2)] = 0.0
+                r, j = np.nonzero(stored)
+                p.A = Csr(np.concatenate([[0], np.cumsum(stored.sum(axis=1))]), j,
+                          dense[r, j], dense.shape)
+                zeros += int((p.A.data == 0.0).sum())
             want = scipy_phase1_matrix(p)
             got = infeasibility_lp(p).A
             assert isinstance(got, Csr) and got.shape == want.shape
             for name in ("indptr", "indices", "data"):
                 a, b = getattr(got, name), getattr(want, name)
                 assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
-            add_rows(p, random_rows(rng, np.zeros(p.n), int(rng.integers(1, 4))))
-            zeros += int((p.A.data == 0.0).sum())
     assert zeros > 0
 
 
@@ -625,7 +635,7 @@ def test_shared_highs_object_holds_no_model_after_any_outcome(monkeypatch):
     monkeypatch.setattr(lp_engine, "_run_highs", recording)
     p = lp([1.0], [[1.0]], "G", [3.0])
     solve_lp(p)
-    add_rows(p, [({0: 1.0}, "G", 4.0)])
+    add_rows(p, [(np.array([1.0]), 4.0)])
     monkeypatch.setattr(lp_engine, "_WARM_OPTIONS", limited)
     del statuses[:]
     assert solve_lp(p).objective == pytest.approx(4.0) and empty()
@@ -674,8 +684,8 @@ def test_sibling_nodes_keep_their_parents_basis_while_rows_are_appended(monkeypa
         class Lazy(CutOracle):
             def separate(self, x):
                 bad = np.flatnonzero(hidden @ x > hidden_cap + 1e-9)
-                return [({j: float(hidden[i, j]) for j in range(n)}, "L", float(hidden_cap[i]))
-                        for i in bad[:1]]
+                # hidden[i] @ x <= hidden_cap[i], negated
+                return [(-hidden[i], -float(hidden_cap[i])) for i in bad[:1]]
 
         sol = branch_and_cut(mip(c, visible, "L", [cap], lo=np.zeros(n), up=np.ones(n),
                                  integer=[True] * n), oracle=Lazy())
@@ -786,7 +796,7 @@ def test_oracle_never_sees_a_node_the_incumbent_dominates():
     class Recourse(CutOracle):
         def separate(self, x):  # theta >= 1 + 3x, Q(0) = 1, Q(1) = 4
             calls.append(x.copy())
-            return [({0: -3.0, 1: 1.0}, "G", 1.0)] if x[1] < 1.0 + 3.0 * x[0] - 1e-9 else []
+            return [(np.array([-3.0, 1.0]), 1.0)] if x[1] < 1.0 + 3.0 * x[0] - 1e-9 else []
 
     m = mip([0.0, 1.0], [[2.0, 1.0], [-3.0, 1.0]], "GG", [1.0, -1.5],
             lo=[0.0, 0.0], up=[1.0, np.inf], integer=[True, False])

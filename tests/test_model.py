@@ -150,12 +150,17 @@ def test_validate_flags_root_coupling():
     assert any("root carries" in d for d in validate(m))
 
 
-def test_variable_cap_overflow():
+def test_variable_cap_overflow(monkeypatch):
+    from mcsip import model
     from mcsip.errors import Overflow
 
     m = make_random_msilp(seed=14, T=3)
+    agg = build_aggregation(m.tree, Transformation("ma"))
+    monkeypatch.setattr(model, "VAR_CAP", 10)
     with pytest.raises(Overflow):
-        build_extensive_form(m, cap=10)
+        build_extensive_form(m)
+    with pytest.raises(Overflow):
+        build_aggregated_extensive_form(m, agg)
 
 
 

@@ -406,7 +406,7 @@ def test_sub_lps_see_z_only_through_the_rhs_map():
     k, l, r = m.k, m.l, m.r
     for sub in engine.subs.values():
         assert sub.lp.n == k + r + len(sub.children)
-        assert sub.lp.m == sub.rhs_map.const.size == sub.rhs_map.indptr.size - 1
+        assert sub.lp.m == sub.rhs_map.const.size == sub.rhs_map.R.shape[0]
 
     # z differs between groups; a leaf subproblem's value is that of its
     # node rows over columns x | y | x_parent | z_parent | z_own, pinned
@@ -443,15 +443,15 @@ def test_sub_lps_see_z_only_through_the_rhs_map():
     assert engine.add_cut(cut)
     for pk in engine.pgraph.parents[cut.owner]:
         host = engine.subs[pk]
-        want = np.zeros(host.rhs_map.n)
+        want = np.zeros(host.rhs_map.R.shape[1])
         want[host.w_off[host.group]:host.w_off[host.group] + l] = cut.slope[k:k + l]
         for i, g in enumerate(engine.pgraph.reach[cut.owner]):
             want[host.w_off[g]:host.w_off[g] + l] += cut.slope[k + l + i * l:k + 2 * l + i * l]
-        rm = host.rhs_map
-        last = np.zeros(rm.n)
-        last[rm.indices[rm.indptr[-2]:]] = rm.data[rm.indptr[-2]:]
+        R = host.rhs_map.R
+        last = np.zeros(R.shape[1])
+        last[R.indices[R.indptr[-2]:]] = R.data[R.indptr[-2]:]
         np.testing.assert_array_equal(last, want)
-        assert rm.const[-1] == cut.gamma
+        assert host.rhs_map.const[-1] == cut.gamma
         want = np.zeros(host.lp.n)
         want[:k] = -cut.slope[:k]
         want[host.theta_col[cut.owner]] = 1.0
@@ -640,7 +640,7 @@ def test_feasibility_cut_in_a_subproblem_hosting_cuts():
     cut3 = engine.make_optimality_cut(sub3, *sols[n3])
     assert engine.add_cut(cut3)
     sub2 = engine.subs[engine.pgraph.node_to_sub[n2]]
-    assert sub2.lp.m == sub2.rhs_map.indptr.size - 1 == sub2.rhs_map.const.size
+    assert sub2.lp.m == sub2.rhs_map.R.shape[0] == sub2.rhs_map.const.size
     assert sub2.rhs_map.const[-1] == cut3.gamma
     pg = agg.node_to_group[m.tree.root]
     zv = {g: np.zeros(m.l) for g in agg.group_index}

@@ -108,7 +108,10 @@ def test_unknown_node(two_state_tree):
         path(two_state_tree, 999)
 
 
-def test_node_cap_overflow(two_state_chain):
+def test_node_cap_overflow(two_state_chain, monkeypatch):
+    from mcsip import tree
+
+    monkeypatch.setattr(tree, "NODE_CAP", 10)
     with pytest.raises(Overflow):
-        build_tree(two_state_chain, 6, cap=10)
+        build_tree(two_state_chain, 6)
 
