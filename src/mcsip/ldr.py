@@ -19,8 +19,9 @@ Markov state, and optimality cuts aggregate the member-node duals with
 path-probability weights.  The oracle is multi-cut, as in Birge and
 Louveaux's multi-cut L-shaped method: one scan of the groups returns a cut
 for every group whose theta lags, and stops at the first infeasible node
-LP with its feasibility cut.  Feasibility cuts come from the phase-1 duals
-of that LP (lp_engine.violation_certificate).  A node LP's slope is already
+LP with its feasibility cut, read off that LP's solution as optimality
+cuts are: its certificate, the phase-1 violation and duals
+(lp_engine.violation_certificate).  A node LP's slope is already
 a dense vector over the master's columns, so lp_engine.cut_row, the writer
 S uses too, turns it into a master '>=' row as it is.  The node LPs are
 lp_engine.StateLps and share one memo (see lp_engine's Benders layer), so
@@ -44,8 +45,8 @@ import numpy as np
 
 from .aggregate import AggregationMap, GroupKey
 from .errors import ConfigError, InfeasibleModel, NumericalFailure, Overflow
-from .lp_engine import (INFEASIBLE, OPTIMAL, CutOracle, Deadline, MipSolution, RhsMap, StateLp,
-                        StateLpTable, branch_and_cut, cut_row, relative_gap, solve_lp)
+from .lp_engine import (INFEASIBLE, OPTIMAL, CutOracle, Deadline, LpSolution, MipSolution, RhsMap,
+                        StateLp, StateLpTable, branch_and_cut, cut_row, relative_gap, solve_lp)
 from .model import GE, LE, Csr, LpProblem, MipProblem, Msilp, RowBlock, assemble, \
     first_stage_columns, first_stage_offsets, node_rows, z_values
 from .tolerances import THETA_LB, VIOL_GUARD
@@ -248,21 +249,21 @@ class _BendersOracle(CutOracle):
             self.nodes_by_theta[(node.stage, node.mc_state.attrs)].append(nid)
 
     def group_value(self, key: tuple, x: np.ndarray):
-        """(value, member duals) of a (stage, state) group at x: the
+        """(value, members) of a (stage, state) group at x: the
         path-probability weighted sum of its node LP optima and a list of
-        (node LP, duals); value is None, and the list holds the first
-        infeasible node LP, when one has no feasible point."""
+        (node LP, solution); value is None, and the list holds the first
+        infeasible node LP and its solution, when one has no feasible point."""
         total = 0.0
-        solved: list[tuple[_NodeLp, np.ndarray]] = []
+        solved: list[tuple[_NodeLp, LpSolution]] = []
         for nid in self.nodes_by_theta[key]:
             nl = self.model.node_lps[nid]
             sol = nl.solve(x, self.deadline)
             if sol.status == INFEASIBLE:
-                return None, [nl]
+                return None, [(nl, sol)]
             if sol.status != OPTIMAL:
                 raise NumericalFailure(f"node {nid} LP: {sol.status}")
             total += nl.p * sol.objective
-            solved.append((nl, sol.duals))
+            solved.append((nl, sol))
         return total, solved
 
     def separate(self, x: np.ndarray):
@@ -273,7 +274,9 @@ class _BendersOracle(CutOracle):
                 continue
             total, solved = self.group_value(key, x)
             if total is None:
-                violation, grad = solved[0].violation(x)
+                nl, sol = solved[0]
+                violation, duals = sol.certificate
+                grad = nl.rhs_map.slope(duals)
                 # violation(w) >= violation(x) + grad.(w - x), forced to zero
                 rows.append(cut_row(None, grad, violation - float(grad @ x)))
                 return rows
@@ -281,8 +284,8 @@ class _BendersOracle(CutOracle):
             if total - theta_hat <= self.eps * abs(total) + VIOL_GUARD:
                 continue  # an accepted lag, or one too small to separate
             grad = np.zeros(model.layout.n_cols)
-            for nl, duals in solved:
-                grad += nl.p * nl.rhs_map.slope(duals)
+            for nl, sol in solved:
+                grad += nl.p * nl.rhs_map.slope(sol.duals)
             rows.append(cut_row(model.layout.theta_off[key], grad, total - float(grad @ x)))
         return rows
 
@@ -322,7 +325,7 @@ def benders_solve(model: LdrModel, eps: float | None = None,
     if not 0 <= eps < np.inf:
         raise ConfigError(f"eps must be nonnegative and finite, got {eps}")
     oracle = _BendersOracle(model, eps, deadline)
-    sol = branch_and_cut(model.master, oracle, deadline=deadline, round_heuristic=False)
+    sol = branch_and_cut(model.master, oracle, deadline=deadline)
     if sol.status == INFEASIBLE:
         raise InfeasibleModel("LDR first stage is infeasible")
     out = LdrSolution(**vars(sol))
@@ -372,8 +375,7 @@ def evaluate_policy_extensive(m: Msilp, agg: AggregationMap,
         prob.lo[off:off + m.k] = x_by_node[node.id]
         prob.up[off:off + m.k] = x_by_node[node.id]
     sol = solve_lp(LpProblem(c=prob.c, A=prob.A, senses=prob.senses,
-                             rhs=prob.rhs, lo=prob.lo, up=prob.up),
-                   want_farkas=False)
+                             rhs=prob.rhs, lo=prob.lo, up=prob.up))
     if sol.status != OPTIMAL:
         raise NumericalFailure(f"fixed-policy evaluation: {sol.status}")
     return float(sol.objective)

@@ -39,29 +39,32 @@ always make a Csr.
 
 Dual convention (minimization): duals[i] = d obj / d rhs[i], so '>=' rows
 carry nonnegative duals and '<=' rows nonpositive ones; this is HiGHS's own
-row dual.  Infeasible solves return a ray in the same convention; see
-verify_farkas for the exact certificate the ray satisfies.
+row dual.  A solution keeps the LP as solved, and reads its certificates
+off it when first asked: an infeasible LP's (violation, ray) is one
+phase-1 solve, the ray in the same convention; see verify_farkas for the
+exact certificate the ray satisfies.
 
 Benders layer of S and LDR: each subproblem LP takes its rhs from an
 RhsMap, const + R w at the incoming state w, and a cut's slope in w is
 R' pi of its duals pi.  R is the Csr model.assemble made, and both
 products are one np.bincount over its entries in storage order, so a rhs
 or slope equals R @ w or R.rmatvec(pi) bit for bit and no matrix object
-is built per solve.  Cuts are read off LP duals, or off the phase-1 duals
-of violation_certificate (also the Farkas ray's source).  Every cut is
-one row theta - g'x >= gamma of its host, and cut_row writes it as a
-dense '>=' row from g over the host's columns (LDR's slopes already are;
-S places its slopes with index maps).  add_rows appends such rows to an
-LP, and RhsMap.append a row to a map, both through Csr.with_rows, the one
-row append.  A StateLp is such an LP with its map.  Its identity is
+is built per solve.  Every cut is read off its LP's solution: an
+optimum's duals or an infeasible LP's certificate.  A cut is one row
+theta - g'x >= gamma of its host, and cut_row writes it as a dense '>='
+row from g over the host's columns (LDR's slopes already are; S places
+its slopes with index maps).  add_rows appends such rows to an LP, and
+RhsMap.append a row to a map, both through Csr.with_rows, the one row
+append.  A StateLp is such an LP with its map.  Its identity is
 interned in its model's StateLpTable from the LP's costs, bounds, rows
 and senses, and from (previous identity, the appended row's entries) when
 it hosts a cut, so two state LPs share one exactly when their LPs are
 equal row for row.  The table memoises every outcome, infeasible ones
 too, by (identity, rhs), so an LP that several state LPs share is solved
 once per rhs; the deadline is checked only before a solve the memo cannot
-answer.  An entry keeps the LP's row duals pi, and the asking state LP
-takes its slope R' pi through its own map.
+answer (a certificate's phase-1 solve never checks it).  An entry keeps
+the LP's row duals pi, or its certificate, and the asking state LP takes
+its slope R' pi through its own map.
 
 Branch and bound: best-bound node selection, most-fractional branching with
 lowest-index tie break, relative gap termination; each child node starts
@@ -91,6 +94,7 @@ passed the rounding heuristic solves no further LP.
 
 from __future__ import annotations
 
+import functools
 import heapq
 import importlib.util
 import os
@@ -174,35 +178,45 @@ _passed_options = None   # the options object _HIGHS was last given
 
 @dataclass
 class LpSolution:
+    """A solve's outcome and the LP as solved (_lp: its own rhs and bounds,
+    p's A and senses, which callers replace but never edit in place)."""
+
     status: str
     x: np.ndarray | None = None
     duals: np.ndarray | None = None
     objective: float | None = None
-    farkas: np.ndarray | None = None
     # (col, down, up) of a solve given int_cols: see _branching
     branch: tuple | None = None
-    # (row_lo, row_up, lb, ub, HighsSolution) of an optimal solve
-    _dual_data: tuple | None = field(default=None, repr=False, compare=False)
+    _lp: LpProblem | None = field(default=None, repr=False, compare=False)
+    _highs: object = field(default=None, repr=False, compare=False)  # an optimum's HighsSolution
 
     @property
     def dual_objective(self) -> float | None:
-        """rhs'duals plus every finite bound times its multiplier, computed
-        when read; None unless optimal.  A bound's multiplier is the column
-        dual where the column sits at it; a fixed column's goes by its sign
-        (>= 0 lower), as HiGHS's basis status does.  It reads only arrays
-        the solve made, as callers edit p's rhs and bounds in place."""
-        if self._dual_data is None:
+        """rhs'duals plus every finite bound times its multiplier; None
+        unless optimal.  A bound's multiplier is the column dual where the
+        column sits at it; a fixed column's goes by its sign (>= 0 lower),
+        as HiGHS's basis status does."""
+        if self._highs is None:
             return None
-        row_lo, row_up, lb, ub, highs_sol = self._dual_data
-        x = self.x
-        col_dual = np.array(highs_sol.col_dual)
+        lb, ub, x = self._lp.lo, self._lp.up, self.x
+        col_dual = np.array(self._highs.col_dual)
         at_lb = (x == lb) & ((col_dual >= 0.0) | (lb != ub))
-        val = float(self.duals @ np.where(row_lo == -np.inf, row_up, row_lo))
+        val = float(self.duals @ self._lp.rhs)
         # a multiplier is nonzero only where x sits at its (finite) bound
         for at_bound in (at_lb, (x == ub) & ~at_lb):
             mask = at_bound & (col_dual != 0.0)
             val += float(col_dual[mask] @ x[mask])
         return val
+
+    @functools.cached_property
+    def certificate(self) -> tuple[float, np.ndarray] | None:
+        """violation_certificate of the LP as solved when it is infeasible,
+        else None: one phase-1 solve, at the first read."""
+        return violation_certificate(self._lp) if self.status == INFEASIBLE else None
+
+    @property
+    def farkas(self) -> np.ndarray | None:  # the certificate's ray: see verify_farkas
+        return None if self.certificate is None else self.certificate[1]
 
 
 @dataclass
@@ -253,20 +267,20 @@ def _rowwise(p: LpProblem):
     return a.indptr, a.indices, a.data
 
 
-def solve_lp(p: LpProblem, want_farkas: bool = True,
-             int_cols: np.ndarray | None = None) -> LpSolution:
+def solve_lp(p: LpProblem, int_cols: np.ndarray | None = None) -> LpSolution:
     """Solve min c'x s.t. rows, bounds, warm from p's last optimal basis when
     it has one (deterministically either way); an optimum stores its basis
     on p.  Given the integer columns of a B&B node LP, an optimum also
-    carries its branching column and penalties (LpSolution.branch)."""
+    carries its branching column and penalties (LpSolution.branch).  An
+    infeasible outcome solves no phase-1 LP until its certificate is read."""
     c = np.asarray(p.c, dtype=float)
-    rhs = np.asarray(p.rhs, dtype=float)
+    # copies: the certificates read the LP as solved after callers edit p's
+    rhs, lb, ub = (np.array(a, dtype=float) for a in (p.rhs, p.lo, p.up))
     if not (np.isfinite(c).all() and np.isfinite(rhs).all()):
         raise ValueError("objective or rhs holds inf or nan")
+    lp = LpProblem(c=c, A=p.A, senses=p.senses, rhs=rhs, lo=lb, up=ub)
     row_lo = np.where(p.senses == LE, -np.inf, rhs)
     row_up = np.where(p.senses == GE, np.inf, rhs)
-    # copies: dual_objective reads the bounds after callers edit p's
-    lb, ub = np.array(p.lo, dtype=float), np.array(p.up, dtype=float)
     model = (c, *_rowwise(p), row_lo, row_up, lb, ub)
     basis = p.basis
     if basis is not None and (basis[0] != p.n or basis[1] > p.m):
@@ -275,10 +289,7 @@ def solve_lp(p: LpProblem, want_farkas: bool = True,
     if status is None and basis is not None:  # one cold retry
         status, res = _run_highs(*model, None, int_cols=int_cols)
     if status == INFEASIBLE:
-        sol = LpSolution(status=INFEASIBLE)
-        if want_farkas:
-            sol.farkas = violation_certificate(p)[1]
-        return sol
+        return LpSolution(status=INFEASIBLE, _lp=lp)
     if status == UNBOUNDED:
         return LpSolution(status=UNBOUNDED)
     if status is None:
@@ -286,7 +297,7 @@ def solve_lp(p: LpProblem, want_farkas: bool = True,
     p.basis = res["basis"]
     return LpSolution(status=OPTIMAL, x=res["x"], duals=res["row_dual"],
                       objective=float(res["fun"]), branch=res.get("branch"),
-                      _dual_data=(row_lo, row_up, lb, ub, res["solution"]))
+                      _lp=lp, _highs=res["solution"])
 
 
 def _run_highs(c, indptr, indices, data, row_lo, row_up, lb, ub,
@@ -427,9 +438,10 @@ def infeasibility_lp(p: LpProblem) -> LpProblem:
 def violation_certificate(p: LpProblem) -> tuple[float, np.ndarray]:
     """(violation, duals) of p's phase-1 companion: the least total row
     violation over p's box and its row duals, whose support in the rhs
-    certifies that violation.  Raises NumericalFailure when the phase-1 LP
-    does not solve or finds no violation above VIOL_GUARD."""
-    sol = solve_lp(infeasibility_lp(p), want_farkas=False)
+    certifies that violation; an infeasible LpSolution's certificate.
+    Raises NumericalFailure when the phase-1 LP does not solve or finds no
+    violation above VIOL_GUARD."""
+    sol = solve_lp(infeasibility_lp(p))
     if sol.status != OPTIMAL:
         raise NumericalFailure("phase-1 LP did not solve")
     if sol.objective <= VIOL_GUARD:
@@ -523,24 +535,19 @@ class StateLp:
         return self.table.ids.setdefault(key, len(self.table.ids))
 
     def solve(self, w: np.ndarray, deadline: Deadline) -> LpSolution:
-        """The LP's outcome at state w, from the memo when it holds one."""
+        """The LP's outcome at state w, from the memo when it holds one.  An
+        infeasible entry is the solution, so its sharers share its certificate."""
         rhs = self.rhs_map.rhs(w)
         key = (self.lp_id, rhs.tobytes())
         hit = self.table.answers.get(key)
         if hit is None:
             deadline.check()
             self.lp.rhs = rhs
-            sol = solve_lp(self.lp, want_farkas=False)
-            # without _dual_data: an entry must not keep HiGHS's solution alive
-            hit = self.table.answers[key] = LpSolution(sol.status, sol.x, sol.duals,
-                                                       sol.objective)
+            hit = solve_lp(self.lp)
+            if hit.status != INFEASIBLE:
+                hit = LpSolution(hit.status, hit.x, hit.duals, hit.objective)
+            self.table.answers[key] = hit
         return hit
-
-    def violation(self, w: np.ndarray) -> tuple[float, np.ndarray]:
-        """The least total row violation at state w and its slope in w."""
-        self.lp.rhs = self.rhs_map.rhs(w)
-        violation, duals = violation_certificate(self.lp)
-        return violation, self.rhs_map.slope(duals)
 
     def host(self, row: Row, map_row: np.ndarray) -> None:
         """Append row to the LP and (map_row, row's rhs) to the map; the new
@@ -628,7 +635,7 @@ def branch_and_cut(p: MipProblem, oracle: CutOracle | None = None,
                             lo=node.lo, up=node.up, basis=node.basis)
             passes = 0
             while True:
-                sol = solve_lp(sub, want_farkas=False, int_cols=int_cols)
+                sol = solve_lp(sub, int_cols=int_cols)
                 if sol.status == INFEASIBLE:
                     break
                 if sol.status == UNBOUNDED:
@@ -708,7 +715,7 @@ def _round_and_fix(p: MipProblem, sub: LpProblem, x, int_cols):
     up2[int_cols] = vals
     fixed = LpProblem(c=p.c, A=p.A, senses=p.senses, rhs=p.rhs, lo=lo2, up=up2,
                       basis=sub.basis)
-    sol = solve_lp(fixed, want_farkas=False)
+    sol = solve_lp(fixed)
     if sol.status != OPTIMAL:
         return None
     xx = sol.x.copy()

@@ -92,12 +92,13 @@ class Csr:
         return self._entry_rows
 
     def with_rows(self, dense) -> Csr:
-        """A new matrix: this one with the rows of dense, a k x n array,
-        appended and their zeros dropped."""
-        dense = np.asarray(dense, dtype=float)
-        if dense.ndim != 2 or dense.shape[1] != self.shape[1]:
-            raise DimensionMismatch(f"rows of shape {dense.shape} appended to "
+        """A new matrix: this one with dense's k >= 1 rows of its width appended,
+        zeros dropped; any other batch, a ragged one too, is a DimensionMismatch."""
+        shapes = {np.shape(row) for row in dense}
+        if shapes != {(self.shape[1],)}:
+            raise DimensionMismatch(f"rows of shapes {sorted(shapes)} appended to "
                                     f"{self.shape[1]} columns")
+        dense = np.asarray(dense, dtype=float)
         r, j = np.nonzero(dense)
         ends = self.indptr[-1] + np.cumsum(np.count_nonzero(dense, axis=1))
         return Csr(np.concatenate([self.indptr, ends]), np.concatenate([self.indices, j]),

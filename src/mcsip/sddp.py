@@ -24,9 +24,9 @@ those of every subproblem below it: the value depends on no other z, so
 by induction over hosted cuts rho is zero elsewhere and the state w
 carries only these groups.  Cuts are shared with every subproblem
 carrying the theta variable.  Both kinds of cut come from one
-constructor: an optimality cut supports the subproblem value, a
-feasibility cut the phase-1 violation (lp_engine's
-violation_certificate).
+constructor, make_cut, reading the subproblem's solution at the state: an
+optimality cut supports the value of an optimum, a feasibility cut the
+phase-1 violation of an infeasible LP (its certificate).
 
 A cut is stored as that slope R' pi over its owner's w, unsplit (alpha,
 beta and rho are its blocks), plus gamma; index maps built once place it
@@ -55,8 +55,8 @@ state that the transform tells apart are solved once per rhs.
 
 solve runs S and its relaxed run (S-LB) on one engine: master, root cut
 loop, branch and cut.  S and S-UB then cost their incumbent policy on
-that same engine, its pools and memo kept, by running the same loop on a
-master with z fixed (_policy_cost), and report that cost as the objective.
+that same engine, its pools and memo kept, by branch and cut on a master
+with z fixed (_policy_cost), and report that cost as the objective.
 """
 
 from __future__ import annotations
@@ -66,7 +66,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .aggregate import AggregationMap, GroupKey, PolicyGraph, SubKey, build_policy_graph
+from .aggregate import AggregationMap, GroupKey, SubKey, build_policy_graph
 from .errors import ConfigError, InfeasiblePolicy, NumericalFailure
 from .lp_engine import (INFEASIBLE, OPTIMAL, TIME_LIMIT, CutOracle, Deadline, DeadlineReached,
                         LpSolution, MipSolution, RhsMap, StateLp, StateLpTable, add_rows,
@@ -228,15 +228,14 @@ class _Step(NamedTuple):
 class SddpEngine:
     """Shared cut pools and subproblem LPs for one solve."""
 
-    def __init__(self, m: Msilp, agg: AggregationMap, cfg: SddpConfig,
-                 pgraph: PolicyGraph | None = None):
+    def __init__(self, m: Msilp, agg: AggregationMap, cfg: SddpConfig):
         if any(nd.W is not None for nd in m.data):
             raise ValueError("ancestor-coupled rows are not decomposable stagewise; "
                              "use the state-carrying formulation")
         self.msilp = m
         self.agg = agg
         self.cfg = cfg
-        self.pgraph = pgraph or build_policy_graph(m.tree, agg)
+        self.pgraph = build_policy_graph(m.tree, agg)
         self.rng = np.random.default_rng(cfg.seed)
         table = StateLpTable()
         self.subs = {key: _Sub(key, self, table) for key in self.pgraph.subproblems}
@@ -265,25 +264,19 @@ class SddpEngine:
 
     # -- cut construction --------------------------------------------------
 
-    def _cut(self, sub: _Sub, kind: str, slope: np.ndarray, value: float,
-             x_par: np.ndarray, zvals, parent_group) -> Cut:
-        """The affine support with this slope in the state w, tight at value
-        in the state (x_par, zvals) it was generated at."""
+    def make_cut(self, sub: _Sub, sol: LpSolution, x_par: np.ndarray, zvals,
+                 parent_group) -> Cut:
+        """The cut of sub's solution sol at this state, tight there: of its
+        value, or of its violation (sol.certificate) when infeasible; its slope
+        is R' pi through sub's own map, over the rows pi was solved on."""
+        if sol.status == INFEASIBLE:
+            kind, (value, duals) = "feasibility", sol.certificate
+        else:
+            kind, value, duals = "optimality", sol.objective, sol.duals
+        slope = sub.rhs_map.slope(duals)
         gamma = value - float(slope @ sub.state(x_par, zvals, parent_group))
         return Cut(sub.key, kind, slope, gamma, sub.z_groups, gen_x=x_par.copy(),
                    gen_z=zvals, gen_parent_group=parent_group, gen_value=value)
-
-    def make_optimality_cut(self, sub: _Sub, sol: LpSolution, x_par: np.ndarray, zvals,
-                            parent_group) -> Cut:
-        """The cut of sub's value at sol, its optimum at this state; its
-        slope is R' pi through sub's own map, over the rows pi was solved on."""
-        return self._cut(sub, "optimality", sub.rhs_map.slope(sol.duals), sol.objective,
-                         x_par, zvals, parent_group)
-
-    def make_feasibility_cut(self, sub: _Sub, x_par, zvals, parent_group) -> Cut:
-        """Affine minorant of the subproblem's violation, forced to zero."""
-        violation, slope = sub.violation(sub.state(x_par, zvals, parent_group))
-        return self._cut(sub, "feasibility", slope, violation, x_par, zvals, parent_group)
 
     def _cut_signature(self, cut: Cut):
         # + 0.0 turns -0.0 into 0.0, so equal rounded slopes give equal bytes
@@ -354,7 +347,7 @@ class SddpEngine:
                 x_par = sols[parent][0].x[:self.msilp.k]
             sol = self.solve_sub(sub, x_par, zvals, pg)
             if sol.status == INFEASIBLE:
-                cut = self.make_feasibility_cut(sub, x_par, zvals, pg)
+                cut = self.make_cut(sub, sol, x_par, zvals, pg)
                 self.add_cut(cut)
                 return cut
             if sol.status != OPTIMAL:
@@ -373,7 +366,7 @@ class SddpEngine:
                 theta_hat = sols[parent][0].x[self._steps[parent].sub.theta_col[sub.key]]
             if abs(theta_hat - value) < self.cfg.eps * abs(value) + VIOL_GUARD:
                 continue
-            cut = self.make_optimality_cut(sub, *sols[nid])
+            cut = self.make_cut(sub, *sols[nid])
             if stage2:
                 # made at the candidate, the cut equals value there, so past
                 # the test above it separates exactly when theta_hat < value
@@ -484,7 +477,7 @@ def _root_precut(master: MipProblem, oracle: "_MasterOracle") -> float | None:
     try:
         for _ in range(PRECUT_ROUNDS):
             oracle.engine.cfg.deadline.check()
-            sol = solve_lp(master, want_farkas=False)
+            sol = solve_lp(master)
             if sol.status != OPTIMAL:
                 break
             bound = sol.objective
@@ -497,19 +490,10 @@ def _root_precut(master: MipProblem, oracle: "_MasterOracle") -> float | None:
     return bound
 
 
-def _cut_and_branch(engine: SddpEngine, master: MipProblem, lay: MasterLayout) -> MipSolution:
-    """The root cut loop, then branch and cut on master with engine's oracle."""
-    oracle = _MasterOracle(engine, lay)
-    root_bound = _root_precut(master, oracle)
-    sol = branch_and_cut(master, oracle, deadline=engine.cfg.deadline, round_heuristic=False)
-    if sol.status == TIME_LIMIT and sol.bound is None:  # branch and cut solved no node
-        sol.bound = root_bound
-    return sol
-
-
 def _policy_cost(engine: SddpEngine, z: dict[GroupKey, np.ndarray]) -> float:
     """Exact objective of the fixed aggregated integer policy z (an upper
-    bound), on engine's cut pools and memo and under its deadline.
+    bound), on engine's cut pools and memo and under its deadline: branch
+    and cut on a master with z fixed, whose root cut loop is the whole run.
 
     The engine stays in exact mode from here on, with eps vanishing, so
     convergence is driven by the absolute violation guard: a meaningful
@@ -522,7 +506,7 @@ def _policy_cost(engine: SddpEngine, z: dict[GroupKey, np.ndarray]) -> float:
     master, lay = build_master(m, engine.agg)
     for g, off in lay.z_off.items():
         master.lo[off:off + m.l] = master.up[off:off + m.l] = z[g]
-    sol = _cut_and_branch(engine, master, lay)
+    sol = branch_and_cut(master, _MasterOracle(engine, lay), deadline=engine.cfg.deadline)
     if sol.status == INFEASIBLE:
         raise InfeasiblePolicy("no feasible continuous completion for the fixed policy")
     if sol.status == TIME_LIMIT:
@@ -543,7 +527,11 @@ def solve(m: Msilp, agg: AggregationMap, cfg: SddpConfig, certify: bool) -> Sddp
     objective; its bound and z stay."""
     engine = SddpEngine(m, agg, cfg)
     master, lay = build_master(m, agg)
-    res = SddpResult(**vars(_cut_and_branch(engine, master, lay)))
+    oracle = _MasterOracle(engine, lay)
+    root_bound = _root_precut(master, oracle)
+    res = SddpResult(**vars(branch_and_cut(master, oracle, deadline=cfg.deadline)))
+    if res.status == TIME_LIMIT and res.bound is None:  # branch and cut solved no node
+        res.bound = root_bound
     if res.x is not None:
         res.z_by_group = z_values(lay.z_off, m.l, res.x)
         if certify:

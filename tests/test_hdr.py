@@ -23,7 +23,7 @@ def fix_z_and_solve(prob, lay, m, agg, pattern):
         lo[off:off + m.l] = vals
         up[off:off + m.l] = vals
     sol = solve_lp(LpProblem(c=prob.c, A=prob.A, senses=prob.senses,
-                             rhs=prob.rhs, lo=lo, up=up), want_farkas=False)
+                             rhs=prob.rhs, lo=lo, up=up))
     return sol
 
 

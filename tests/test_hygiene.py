@@ -214,3 +214,70 @@ def test_mcsip_loads_highs_without_scipy_optimize(order):
     res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          timeout=120)
     assert res.returncode == 0, res.stderr
+
+
+def unset_defaults(sources: dict[str, str], callers: list[str]) -> list[str]:
+    """Defaulted parameters of the functions and methods in sources that no
+    call in sources or callers sets, by keyword or by position.  Calls are
+    matched by name, an __init__ by its class's name; a call with *args or
+    **kw sets every parameter."""
+    positional: dict[str, int] = {}  # name -> most positional arguments of a call
+    keywords: dict[str, set[str]] = {}
+    starred: set[str] = set()
+    for source in [*sources.values(), *callers]:
+        for node in ast.walk(ast.parse(source)):
+            if not isinstance(node, ast.Call):
+                continue
+            name = getattr(node.func, "id", getattr(node.func, "attr", None))
+            if any(isinstance(a, ast.Starred) for a in node.args) or \
+                    any(k.arg is None for k in node.keywords):
+                starred.add(name)
+            positional[name] = max(positional.get(name, 0), len(node.args))
+            keywords.setdefault(name, set()).update(k.arg for k in node.keywords)
+    found = []
+    for mod, source in sources.items():
+        tree = ast.parse(source)
+        owner = {id(fn): cls for cls in ast.walk(tree) if isinstance(cls, ast.ClassDef)
+                 for fn in cls.body if isinstance(fn, ast.FunctionDef)}
+        for fn in ast.walk(tree):
+            if not isinstance(fn, ast.FunctionDef):
+                continue
+            cls = owner.get(id(fn))
+            params = [*fn.args.posonlyargs, *fn.args.args]
+            if cls is not None and not any(getattr(d, "id", None) == "staticmethod"
+                                           for d in fn.decorator_list):
+                params = params[1:]  # self or cls
+            call = cls.name if cls is not None and fn.name == "__init__" else fn.name
+            defaulted = [(i, a.arg) for i, a in enumerate(params)
+                         if i >= len(params) - len(fn.args.defaults)]
+            # a keyword-only parameter, at position inf, is set by keyword only
+            defaulted += [(float("inf"), a.arg) for a, d in zip(fn.args.kwonlyargs,
+                                                                fn.args.kw_defaults)
+                          if d is not None]
+            label = f"{mod}.{cls.name}.{fn.name}" if cls is not None else f"{mod}.{fn.name}"
+            found += [f"{label} {arg}" for i, arg in defaulted if call not in starred
+                      and positional.get(call, 0) <= i and arg not in keywords.get(call, ())]
+    return sorted(found)
+
+
+def test_unset_default_scan_sees_knobs_no_caller_turns():
+    sources = {
+        "a": "class Box:\n    def __init__(self, size, label='box', *, spare=0):\n"
+             "        self.size = size\n\n"
+             "    def grow(self, by=1, again=False):\n        return self\n\n"
+             "    @staticmethod\n    def make(n=0):\n        return Box(n)\n\n"
+             "def pack(box, tight=True, *, loose=False):\n    return box\n\n"
+             "def wrap(box, paper=None):\n    return box\n",
+    }
+    callers = ["from a import Box, pack, wrap\nBox(1, 'crate').grow(2)\nBox.make(3)\n"
+               "pack(*[Box(2)])\nwrap(Box(3), **{})\n"]
+    # a keyword-only parameter is set by keyword only; a star call sets all
+    assert unset_defaults(sources, callers) == ["a.Box.__init__ spare", "a.Box.grow again"]
+
+
+def test_every_default_is_set_by_some_caller():
+    sources = {p.stem: p.read_text() for p in sorted(SRC.glob("*.py"))}
+    callers = [(ROOT / "tests" / "test_acceptance.py").read_text()]
+    callers += [p.read_text() for p in sorted((ROOT / "perfbench").glob("*.py"))
+                if not p.name.startswith("test_")]
+    assert unset_defaults(sources, callers) == []

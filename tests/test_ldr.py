@@ -196,7 +196,7 @@ def test_hybrid_cuts_underestimate_group_value(hdr_pair):
             for nid in nids:
                 nl = model.node_lps[nid]
                 nl.lp.rhs = nl.rhs_map.rhs(w)
-                s = solve_lp(nl.lp, want_farkas=False)
+                s = solve_lp(nl.lp)
                 if s.status != "optimal":
                     ok = False
                     break
@@ -214,7 +214,7 @@ def test_accepted_points_solve_no_node_lp_twice(hdr_pair, monkeypatch):
     ma, agg = hdr_pair
     model = build_ldr_model(ma, agg, LdrVariant("m"))
     oracle = _BendersOracle(model, 1e-6)
-    sol = branch_and_cut(model.master, oracle, round_heuristic=False)
+    sol = branch_and_cut(model.master, oracle)
     x = _lagging_point(model, sol.x)
     first = oracle.separate(x)
     assert len(first) >= 2

@@ -12,9 +12,10 @@ from mcsip.cli import _transformation, run_solve
 # HiGHS solves measured with S's subproblems and LDR's node LPs memoised
 # by LP identity and rhs (lp_engine.StateLp), infeasible outcomes included.
 # sddp-ub is the one cell that costs its policy on a second master, whose
-# cut rows S writes like the first master's
-MEASURED = {("sddp", "hn"): 527, ("sddp", "pm"): 132, ("sddp", "fh"): 214,
-            ("sddp-ub", "pm"): 150,
+# cut rows S writes like the first master's; S and S-UB cost their policy by
+# branch and cut alone, with no LP-relaxation cut loop before it
+MEASURED = {("sddp", "hn"): 508, ("sddp", "pm"): 131, ("sddp", "fh"): 213,
+            ("sddp-ub", "pm"): 149,
             ("ldr-m", "hn"): 359, ("ldr-m", "pm"): 230, ("ldr-m", "fh"): 243}
 
 # Ex's HiGHS solves with branch and cut skipping the children whose penalty

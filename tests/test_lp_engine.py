@@ -106,6 +106,71 @@ def test_farkas_random_infeasible_lps():
         found += 1
 
 
+def count_phase1_lps(monkeypatch) -> list:
+    """A list that gets one entry per phase-1 LP built from here on."""
+    calls, build = [], lp_engine.infeasibility_lp
+
+    def counting(p):
+        calls.append(p)
+        return build(p)
+
+    monkeypatch.setattr(lp_engine, "infeasibility_lp", counting)
+    return calls
+
+
+def test_infeasible_solve_runs_its_phase1_lp_once_at_the_first_read(monkeypatch):
+    calls = count_phase1_lps(monkeypatch)
+    p = lp([0.0], [[1.0], [1.0]], "GL", [1.0, 0.0])
+    sol = solve_lp(p)
+    assert sol.status == "infeasible" and calls == []
+    violation, ray = sol.certificate
+    for _ in range(3):
+        assert sol.certificate[1] is ray and sol.farkas is ray
+    assert len(calls) == 1
+    assert violation == pytest.approx(1.0) and verify_farkas(p, ray) > 1e-7
+    opt = solve_lp(lp([1.0], [[1.0]], "G", [3.0]))
+    assert opt.certificate is None and opt.farkas is None and len(calls) == 1
+
+
+def test_certificate_is_of_the_lp_as_solved():
+    """Edits of p's rhs and bounds in place after the solve leave the
+    certificate read later with the LP that was solved."""
+    p = lp([0.0, 0.0], [[1.0, 1.0], [1.0, 0.0]], "GL", [3.0, 0.5], lo=[0, 0], up=[1, 1])
+    solved = LpProblem(c=p.c, A=p.A, senses=p.senses, rhs=p.rhs.copy(), lo=p.lo.copy(),
+                       up=p.up)
+    sol = solve_lp(p)
+    assert sol.status == "infeasible"
+    p.rhs[:] = [0.0, 5.0]
+    p.lo[:] = -10.0
+    violation, ray = sol.certificate
+    assert violation == pytest.approx(1.5)  # x = (1, 1) or (0.5, 1)
+    assert verify_farkas(solved, ray) > 1e-7
+    assert verify_farkas(p, ray) <= 0.0  # p as edited is feasible
+
+
+def test_state_lps_sharing_an_infeasible_outcome_share_its_phase1_lp(monkeypatch):
+    """Two state LPs over equal LPs with different maps, infeasible at one
+    rhs, get the same solution and one phase-1 solve between them; each
+    takes the slope R' ray through its own map."""
+    from mcsip.lp_engine import StateLp, StateLpTable
+
+    calls = count_phase1_lps(monkeypatch)
+    table = StateLpTable()
+    maps = [(np.array([[1.0, 0.0], [0.0, 1.0]]), np.zeros(2), np.array([2.0, 0.5])),
+            (np.array([[2.0, 0.0], [0.0, 1.0]]), np.array([0.0, 0.25]), np.array([1.0, 0.25]))]
+    sols = []
+    for R, const, w in maps:  # rhs (2, 0.5): x >= 2 and x <= 0.5 over 0 <= x <= 1
+        state_lp = StateLp(lp([1.0], [[1.0], [1.0]], "GL", [0.0, 0.0], lo=[0.0], up=[1.0]),
+                           RhsMap(as_csr(sp.csr_matrix(R)), const), table)
+        sol = state_lp.solve(w, Deadline())
+        assert sol.status == "infeasible"
+        ray = sol.certificate[1]
+        np.testing.assert_array_equal(state_lp.rhs_map.slope(ray), R.T @ ray)
+        sols.append((sol, state_lp.rhs_map.slope(ray)))
+    assert sols[0][0] is sols[1][0] and len(calls) == 1
+    assert not np.array_equal(sols[0][1], sols[1][1])
+
+
 def test_determinism():
     rng = np.random.default_rng(5)
     p = random_feasible_lp(rng)
@@ -151,14 +216,16 @@ def test_add_rows_monotone_and_matches_cold_solve():
 
 
 def test_add_rows_rejects_bad_columns():
-    """A row of the wrong width raises and leaves p as it was."""
+    """A row of the wrong width, in a batch of rows all that wide or not,
+    raises and leaves p as it was."""
     from mcsip.errors import DimensionMismatch
 
     p = lp([1.0], [[1.0]], "G", [3.0])
     before = (p.A, p.senses, p.rhs)
-    for width in (0, 2, 4):
+    ragged = [(np.ones(1), 0.0), (np.ones(2), 0.0)]
+    for rows in [[(np.ones(width), 0.0)] for width in (0, 2, 4)] + [ragged]:
         with pytest.raises(DimensionMismatch):
-            add_rows(p, [(np.ones(width), 0.0)])
+            add_rows(p, rows)
         assert all(now is then for now, then in zip((p.A, p.senses, p.rhs), before))
 
 
@@ -612,7 +679,7 @@ def test_shared_highs_object_holds_no_model_after_any_outcome(monkeypatch):
         return h.getNumCol() == 0 and h.getNumRow() == 0
 
     assert solve_lp(lp([1.0], [[1.0]], "G", [3.0])).status == "optimal" and empty()
-    sol = solve_lp(lp([0.0], [[1.0], [1.0]], "GL", [1.0, 0.0]))  # nested phase-1 solve
+    sol = solve_lp(lp([0.0], [[1.0], [1.0]], "GL", [1.0, 0.0]))  # reading farkas solves phase 1
     assert sol.status == "infeasible" and sol.farkas is not None and empty()
     assert solve_lp(lp([-1.0], [[1.0]], "G", [0.0])).status == "unbounded" and empty()
     with pytest.raises(ValueError):
@@ -653,7 +720,7 @@ def test_sibling_nodes_keep_their_parents_basis_while_rows_are_appended(monkeypa
     grown_shared = 0
     solve = lp_engine.solve_lp
 
-    def checked(p, want_farkas=True, **kw):
+    def checked(p, **kw):
         nonlocal grown_shared
         start = p.basis
         if start is not None:
@@ -661,12 +728,12 @@ def test_sibling_nodes_keep_their_parents_basis_while_rows_are_appended(monkeypa
                                                    list(start[2].col_status), set()])
             entry[3].add(id(p))
             grown_shared += len(entry[3]) > 1 and start[1] < p.m
-        sol = solve(p, want_farkas, **kw)
+        sol = solve(p, **kw)
         for basis, rows, cols, _ in seen.values():
             assert basis[1] == rows == len(basis[2].row_status)
             assert list(basis[2].col_status) == cols
         if start is not None:
-            cold = solve(cold_copy(p), want_farkas)
+            cold = solve(cold_copy(p))
             assert sol.status == cold.status
             if sol.status == "optimal":
                 assert sol.objective == pytest.approx(cold.objective, rel=1e-9, abs=1e-9)
@@ -841,9 +908,9 @@ def test_every_child_lp_costs_at_least_its_parent_plus_its_penalty(monkeypatch):
     solve = lp_engine.solve_lp
     children, raised = 0, 0
 
-    def checked(p, want_farkas=True, **kw):
+    def checked(p, **kw):
         nonlocal children, raised
-        sol = solve(p, want_farkas, **kw)
+        sol = solve(p, **kw)
         if kw.get("int_cols") is None or sol.status != "optimal" or sol.branch[0] is None:
             return sol
         col, down, up = sol.branch
@@ -857,7 +924,7 @@ def test_every_child_lp_costs_at_least_its_parent_plus_its_penalty(monkeypatch):
                 child.lo[col] = max(child.lo[col], split + 1.0)
             if child.lo[col] > child.up[col]:
                 continue
-            cold = solve(child, want_farkas=False)
+            cold = solve(child)
             assert cold.status in ("optimal", "infeasible")
             if cold.status == "optimal":
                 tol = 1e-9 * max(1.0, abs(cold.objective))
@@ -914,8 +981,8 @@ def node_lps(monkeypatch, m, penalties):
     search as it was before floors."""
     solve, seen = lp_engine.solve_lp, []
 
-    def recording(p, want_farkas=True, **kw):
-        sol = solve(p, want_farkas, **kw)
+    def recording(p, **kw):
+        sol = solve(p, **kw)
         if kw.get("int_cols") is not None:
             seen.append((tuple(p.lo), tuple(p.up)))
             if not penalties and sol.status == "optimal":

@@ -22,7 +22,7 @@ def enumerate_optimum(prob):
         lo[int_cols] = combo
         up[int_cols] = combo
         sol = solve_lp(LpProblem(c=prob.c, A=prob.A, senses=prob.senses,
-                                 rhs=prob.rhs, lo=lo, up=up), want_farkas=False)
+                                 rhs=prob.rhs, lo=lo, up=up))
         if sol.status == "optimal":
             best = min(best, sol.objective)
     return best

@@ -92,7 +92,7 @@ def test_constant_cut_when_child_has_no_parent_coupling():
     sols = {}
     nid = m.tree.stage_nodes(2)[0]
     assert engine._forward(engine.plan([nid]), cand, sols) is None
-    cut = engine.make_optimality_cut(sub, *sols[nid])
+    cut = engine.make_cut(sub, *sols[nid])
     assert np.allclose(cut.slope[:m.k + m.l], 0.0)  # on x_parent and the parent group
     assert cut.gamma == pytest.approx(1.0)  # min{y : y >= 1}
 
@@ -106,7 +106,7 @@ def test_unit_coupling_cut_has_unit_slope():
     cand = candidate_for(engine, m, agg, x_root=[0.7])
     sols = {}
     engine._forward(engine.plan([nid]), cand, sols)
-    cut = engine.make_optimality_cut(engine.subs[engine.pgraph.node_to_sub[nid]], *sols[nid])
+    cut = engine.make_cut(engine.subs[engine.pgraph.node_to_sub[nid]], *sols[nid])
     assert cut.slope[0] == pytest.approx(1.0)
     assert cut.gamma == pytest.approx(0.0, abs=1e-9)
     assert sols[nid][0].objective == pytest.approx(0.7)
@@ -128,7 +128,7 @@ def s_solve(m, agg, seed=0):
     engine = SddpEngine(m, agg, cfg)
     oracle = _MasterOracle(engine, lay)
     _root_precut(master, oracle)
-    assert branch_and_cut(master, oracle, round_heuristic=False).status == "optimal"
+    assert branch_and_cut(master, oracle).status == "optimal"
     return engine, master, lay
 
 
@@ -315,7 +315,7 @@ def test_add_cut_gives_new_identities_to_its_hosts_only(hdr_toy_msilp, monkeypat
     cand = candidate_for(engine, m, agg, x_root=np.full(m.k, 10.0))
     for leaf in m.tree.leaves():
         assert engine._forward(engine.plan(tpath(m.tree, leaf)[1:]), cand, sols) is None
-    cuts = (engine.make_optimality_cut(engine.subs[engine.pgraph.node_to_sub[n]], *solved)
+    cuts = (engine.make_cut(engine.subs[engine.pgraph.node_to_sub[n]], *solved)
             for n, solved in sols.items() if m.tree.node(n).stage > 2)
     cut = next(c for c in cuts if engine._cut_signature(c) not in engine._pool_sigs[c.owner])
     hosts = set(engine.pgraph.parents[cut.owner])
@@ -372,7 +372,7 @@ def test_memo_served_answers_are_optima_of_the_asking_lp(hdr_toy_msilp, monkeypa
             solved_by.setdefault((sub.lp_id, rhs.tobytes()), sub.key)
         elif opt.status == "optimal":  # served from the memo
             cold = solve_lp(LpProblem(c=lp.c, A=lp.A, senses=lp.senses, rhs=rhs,
-                                      lo=lp.lo, up=lp.up), want_farkas=False)
+                                      lo=lp.lo, up=lp.up))
             assert opt.objective == pytest.approx(cold.objective, rel=1e-9, abs=1e-9)
             assert opt.duals.size == lp.m
             assert dual_value(lp, rhs, opt.duals) == \
@@ -381,7 +381,7 @@ def test_memo_served_answers_are_optima_of_the_asking_lp(hdr_toy_msilp, monkeypa
             lo[:k] = up[:k] = opt.x[:k]
             lo[sub.theta0:] = up[sub.theta0:] = opt.x[sub.theta0:]
             pinned = solve_lp(LpProblem(c=lp.c, A=lp.A, senses=lp.senses, rhs=rhs,
-                                        lo=lo, up=up), want_farkas=False)
+                                        lo=lo, up=up))
             assert pinned.objective == pytest.approx(cold.objective, rel=1e-9, abs=1e-9)
             if solved_by[sub.lp_id, rhs.tobytes()] != sub.key:
                 served_to_others.append(sub.key)
@@ -424,8 +424,7 @@ def test_sub_lps_see_z_only_through_the_rhs_map():
         ref = solve_lp(LpProblem(c=np.concatenate([nd.d, nd.h, np.zeros(pin.size)]), A=A,
                                  senses=senses, rhs=rhs,
                                  lo=np.concatenate([nd.x_lo, nd.y_lo, pin]),
-                                 up=np.concatenate([nd.x_up, nd.y_up, pin])),
-                       want_farkas=False)
+                                 up=np.concatenate([nd.x_up, nd.y_up, pin])))
         assert got.status == ref.status == "optimal"
         assert got.objective == pytest.approx(ref.objective, rel=1e-9, abs=1e-9)
 
@@ -437,8 +436,7 @@ def test_sub_lps_see_z_only_through_the_rhs_map():
     cand.z = zvals
     sols = {}
     assert engine._forward(engine.plan(tpath(m.tree, leaves[0])[1:]), cand, sols) is None
-    cut = engine.make_optimality_cut(engine.subs[engine.pgraph.node_to_sub[leaves[0]]],
-                                     *sols[leaves[0]])
+    cut = engine.make_cut(engine.subs[engine.pgraph.node_to_sub[leaves[0]]], *sols[leaves[0]])
     assert np.any(cut.slope[k:k + l]) and np.any(cut.slope[k + l:])
     assert engine.add_cut(cut)
     for pk in engine.pgraph.parents[cut.owner]:
@@ -608,8 +606,9 @@ def test_feasibility_cuts_satisfied_at_feasible_points():
     pg = agg.node_to_group[m.tree.root]
     zv = {g: np.zeros(m.l) for g in agg.group_index}
     x_bad = np.array([3.0])
-    assert engine.solve_sub(sub, x_bad, zv, pg).status == "infeasible"
-    cut = engine.make_feasibility_cut(sub, x_bad, zv, pg)
+    sol = engine.solve_sub(sub, x_bad, zv, pg)
+    assert sol.status == "infeasible"
+    cut = engine.make_cut(sub, sol, x_bad, zv, pg)
     assert cut.value_at(cut.gen_x, cut.gen_z, cut.gen_parent_group) > 0
     rng = np.random.default_rng(2)
     feas = infeas = 0
@@ -637,14 +636,17 @@ def test_feasibility_cut_in_a_subproblem_hosting_cuts():
     cand = candidate_for(engine, m, agg, x_root=[0.5])
     assert engine._forward(engine.plan([n2, n3]), cand, sols) is None
     sub3 = engine.subs[engine.pgraph.node_to_sub[n3]]
-    cut3 = engine.make_optimality_cut(sub3, *sols[n3])
+    cut3 = engine.make_cut(sub3, *sols[n3])
     assert engine.add_cut(cut3)
     sub2 = engine.subs[engine.pgraph.node_to_sub[n2]]
     assert sub2.lp.m == sub2.rhs_map.R.shape[0] == sub2.rhs_map.const.size
     assert sub2.rhs_map.const[-1] == cut3.gamma
     pg = agg.node_to_group[m.tree.root]
     zv = {g: np.zeros(m.l) for g in agg.group_index}
-    cut = engine.make_feasibility_cut(sub2, np.array([3.0]), zv, pg)
+    x_bad = np.array([3.0])
+    sol = engine.solve_sub(sub2, x_bad, zv, pg)
+    assert sol.status == "infeasible"
+    cut = engine.make_cut(sub2, sol, x_bad, zv, pg)
     assert cut.value_at(cut.gen_x, cut.gen_z, cut.gen_parent_group) > 0
     assert cut.value_at(np.array([1.0]), zv, pg) <= 1e-7
 
@@ -674,7 +676,7 @@ def test_policy_evaluation_brackets_optimum(hdr_toy_msilp):
         lo[off:off + m.l] = 0.0
         up[off:off + m.l] = 0.0
     fixed = solve_lp(LpProblem(c=prob.c, A=prob.A, senses=prob.senses,
-                               rhs=prob.rhs, lo=lo, up=up), want_farkas=False)
+                               rhs=prob.rhs, lo=lo, up=up))
     assert val0 == pytest.approx(fixed.objective, rel=1e-6)
     assert val0 >= exact.objective - 1e-6
 
