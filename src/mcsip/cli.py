@@ -27,6 +27,7 @@ from .ldr import LdrVariant, benders_solve, build_ldr_model, extract_policy
 from .lp_engine import Deadline, branch_and_cut
 from .model import build_aggregated_extensive_form, z_values
 from .sddp import SddpConfig, evaluate_policy, solve as solve_sddp
+from .tolerances import DENOM_FLOOR, ORDER_TOL
 from .tree import build_tree
 
 METHODS = ("ex", "sddp", "sddp-lb", "sddp-ub", "ldr-th", "ldr-t", "ldr-m")
@@ -43,11 +44,11 @@ def gap_closed(obj_hn: float, obj_i: float, obj_fh: float,
     None flags a degenerate denominator (stage-only already optimal).  A
     stage-only objective below the full-history one, which no pair of
     optima gives, is a ConfigError naming the instance."""
-    if obj_hn < obj_fh - 1e-6:
+    if obj_hn < obj_fh - ORDER_TOL:
         raise ConfigError(f"{instance}: stage-only objective {obj_hn:g} is below "
                           f"the full-history optimum {obj_fh:g}")
     den = obj_hn - obj_fh
-    if abs(den) <= 1e-9:
+    if abs(den) <= DENOM_FLOOR:
         return None
     return 100.0 * (obj_hn - obj_i) / den
 

@@ -19,22 +19,20 @@ Markov state, and optimality cuts aggregate the member-node duals with
 path-probability weights.  The oracle is multi-cut, as in Birge and
 Louveaux's multi-cut L-shaped method: one scan of the groups returns a cut
 for every group whose theta lags, and stops at the first infeasible node
-LP with its feasibility cut, read off that LP's solution as optimality
-cuts are: its certificate, the phase-1 violation and duals
-(lp_engine.violation_certificate).  A node LP's slope is already
-a dense vector over the master's columns, so lp_engine.cut_row, the writer
-S uses too, turns it into a master '>=' row as it is.  The node LPs are
-lp_engine.StateLps and share one memo (see lp_engine's Benders layer), so
-equal node LPs, within a (stage, state) group or across groups, are solved
-once per rhs.
+LP with its feasibility cut.  The node LPs are lp_engine.StateLps, so
+StateLp.cut, the reader S uses too, reads every slope off a node LP's
+solution: its duals, or its certificate when infeasible.  A slope is
+already a dense vector over the master's columns, so lp_engine.cut_row
+turns it into a master '>=' row as it is.  The node LPs share one memo
+(see lp_engine's Benders layer), so equal node LPs, within a (stage,
+state) group or across groups, are solved once per rhs.
 
 Rows come from the shared assembler (model.assemble), with x_n mapped onto
 the Lambda columns by a sparse basis-expansion P and x_root by its column
 offset.  The master is canonical (tiny coefficients dropped, rounded,
-duplicate rows removed); each node LP's E block and its rhs map (an
-lp_engine.RhsMap, rhs = const + R w at the first stage w, the map S's
-subproblems use) are positional, one row per kept linking row, because the
-Benders oracle reads them row by row.
+duplicate rows removed); each node LP's E block and its rhs, const + R w
+at the first stage w, are positional, one row per kept linking row, because
+the Benders oracle reads them row by row.
 """
 
 from __future__ import annotations
@@ -45,11 +43,11 @@ import numpy as np
 
 from .aggregate import AggregationMap, GroupKey
 from .errors import ConfigError, InfeasibleModel, NumericalFailure, Overflow
-from .lp_engine import (INFEASIBLE, OPTIMAL, CutOracle, Deadline, LpSolution, MipSolution, RhsMap,
+from .lp_engine import (INFEASIBLE, OPTIMAL, CutOracle, Deadline, LpSolution, MipSolution,
                         StateLp, StateLpTable, branch_and_cut, cut_row, relative_gap, solve_lp)
 from .model import GE, LE, Csr, LpProblem, MipProblem, Msilp, RowBlock, assemble, \
     first_stage_columns, first_stage_offsets, node_rows, z_values
-from .tolerances import THETA_LB, VIOL_GUARD
+from .tolerances import EPS_EXACT, THETA_LB, VIOL_GUARD
 from .tree import path as tree_path
 
 VARIANTS = ("th", "t", "m")
@@ -73,15 +71,6 @@ def node_basis(m: Msilp, nid: int) -> np.ndarray:
     return np.concatenate([nd.b, nd.f, nd.g, nd.c, nd.d, nd.h]).astype(float)
 
 
-class _NodeLp(StateLp):
-    """A node's LP over its locals, its rhs map over the first stage, and
-    its path probability p."""
-
-    def __init__(self, lp: LpProblem, rhs_map: RhsMap, table: StateLpTable, p: float):
-        super().__init__(lp, rhs_map, table)
-        self.p = p
-
-
 @dataclass
 class LdrLayout:
     z_off: dict[GroupKey, int]
@@ -100,7 +89,7 @@ class LdrModel:
     variant: LdrVariant
     master: MipProblem
     layout: LdrLayout
-    node_lps: dict[int, _NodeLp]
+    node_lps: dict[int, StateLp]     # a node's LP over its locals, rhs over the first stage
     theta_keys: list[tuple]          # (stage, state attrs), scan order
 
 
@@ -183,7 +172,7 @@ def build_ldr_model(m: Msilp, agg: AggregationMap, variant: LdrVariant) -> LdrMo
         obj[theta_off[key]] = 1.0
         lo[theta_off[key]] = THETA_LB
 
-    node_lps: dict[int, _NodeLp] = {}
+    node_lps: dict[int, StateLp] = {}
     table = StateLpTable()
     pick_bound = Csr(np.arange(2 * k + 1), np.repeat(np.arange(k), 2), np.ones(2 * k),
                      (2 * k, k))  # rows lo_q, up_q
@@ -218,7 +207,7 @@ def build_ldr_model(m: Msilp, agg: AggregationMap, variant: LdrVariant) -> LdrMo
                                      nd.sen_l, nd.b, keep)], n, canonical=False)
         lp = LpProblem(c=nd.h.copy(), A=lp_a, senses=senses, rhs=const.copy(),
                        lo=nd.y_lo.copy(), up=nd.y_up.copy())
-        node_lps[nid] = _NodeLp(lp, RhsMap(R, const), table, node.p)
+        node_lps[nid] = StateLp(lp, R, const, table)
 
     A, senses, rhs = assemble(blocks, n, canonical=True)
     master = MipProblem(c=obj, A=A, senses=senses, rhs=rhs, lo=lo, up=up, integer=integer)
@@ -242,28 +231,30 @@ class _BendersOracle(CutOracle):
         self.model = model
         self.eps = eps
         self.deadline = deadline
-        self.nodes_by_theta: dict[tuple, list[int]] = {key: [] for key in model.theta_keys}
+        # each group's member nodes, (id, path probability)
+        self.nodes_by_theta: dict[tuple, list[tuple[int, float]]] = {
+            key: [] for key in model.theta_keys}
         tree = model.msilp.tree
         for nid in model.node_lps:
             node = tree.node(nid)
-            self.nodes_by_theta[(node.stage, node.mc_state.attrs)].append(nid)
+            self.nodes_by_theta[(node.stage, node.mc_state.attrs)].append((nid, node.p))
 
     def group_value(self, key: tuple, x: np.ndarray):
         """(value, members) of a (stage, state) group at x: the
         path-probability weighted sum of its node LP optima and a list of
-        (node LP, solution); value is None, and the list holds the first
-        infeasible node LP and its solution, when one has no feasible point."""
+        (node LP, path probability, solution); value is None, and the list
+        holds the first infeasible node LP, when one has no feasible point."""
         total = 0.0
-        solved: list[tuple[_NodeLp, LpSolution]] = []
-        for nid in self.nodes_by_theta[key]:
+        solved: list[tuple[StateLp, float, LpSolution]] = []
+        for nid, p in self.nodes_by_theta[key]:
             nl = self.model.node_lps[nid]
             sol = nl.solve(x, self.deadline)
             if sol.status == INFEASIBLE:
-                return None, [(nl, sol)]
+                return None, [(nl, p, sol)]
             if sol.status != OPTIMAL:
                 raise NumericalFailure(f"node {nid} LP: {sol.status}")
-            total += nl.p * sol.objective
-            solved.append((nl, sol))
+            total += p * sol.objective
+            solved.append((nl, p, sol))
         return total, solved
 
     def separate(self, x: np.ndarray):
@@ -274,18 +265,17 @@ class _BendersOracle(CutOracle):
                 continue
             total, solved = self.group_value(key, x)
             if total is None:
-                nl, sol = solved[0]
-                violation, duals = sol.certificate
-                grad = nl.rhs_map.slope(duals)
+                nl, _, sol = solved[0]
                 # violation(w) >= violation(x) + grad.(w - x), forced to zero
-                rows.append(cut_row(None, grad, violation - float(grad @ x)))
+                _, grad, gamma = nl.cut(sol, x)
+                rows.append(cut_row(None, grad, gamma))
                 return rows
             theta_hat = float(x[model.layout.theta_off[key]])
             if total - theta_hat <= self.eps * abs(total) + VIOL_GUARD:
                 continue  # an accepted lag, or one too small to separate
             grad = np.zeros(model.layout.n_cols)
-            for nl, sol in solved:
-                grad += nl.p * nl.rhs_map.slope(sol.duals)
+            for nl, p, sol in solved:
+                grad += p * nl.cut(sol, x)[1]
             rows.append(cut_row(model.layout.theta_off[key], grad, total - float(grad @ x)))
         return rows
 
@@ -313,7 +303,7 @@ class LdrSolution(MipSolution):
 def benders_solve(model: LdrModel, eps: float | None = None,
                   deadline: Deadline = Deadline()) -> LdrSolution:
     """Branch and cut on the LDR master; a (stage, state) cost-to-go within
-    relative eps (default 1e-6) of its group's value is accepted.
+    relative eps (default EPS_EXACT) of its group's value is accepted.
 
     The objective is the true cost of the incumbent: each accepted
     cost-to-go is replaced by its group's value at the incumbent, so an
@@ -321,7 +311,7 @@ def benders_solve(model: LdrModel, eps: float | None = None,
     is the branch and cut's.  A negative eps would ask each cost-to-go to
     exceed its group's value, which no cut makes it do, and an infinite one
     makes the test nan on a zero value: both are a ConfigError."""
-    eps = 1e-6 if eps is None else eps
+    eps = EPS_EXACT if eps is None else eps
     if not 0 <= eps < np.inf:
         raise ConfigError(f"eps must be nonnegative and finite, got {eps}")
     oracle = _BendersOracle(model, eps, deadline)

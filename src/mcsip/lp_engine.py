@@ -44,27 +44,29 @@ off it when first asked: an infeasible LP's (violation, ray) is one
 phase-1 solve, the ray in the same convention; see verify_farkas for the
 exact certificate the ray satisfies.
 
-Benders layer of S and LDR: each subproblem LP takes its rhs from an
-RhsMap, const + R w at the incoming state w, and a cut's slope in w is
-R' pi of its duals pi.  R is the Csr model.assemble made, and both
-products are one np.bincount over its entries in storage order, so a rhs
-or slope equals R @ w or R.rmatvec(pi) bit for bit and no matrix object
-is built per solve.  Every cut is read off its LP's solution: an
-optimum's duals or an infeasible LP's certificate.  A cut is one row
+Benders layer of S and LDR: a StateLp is an LP whose rhs is const + R w
+at an incoming state w, R the Csr model.assemble made.  Every cut is read
+off one of its solutions by StateLp.cut, the one cut reader: an optimum's
+objective and duals pi, or an infeasible LP's certificate, its phase-1
+violation and duals (Benders 1962).  The value is convex in w with slope
+R' pi there, so value + R' pi (w' - w) supports it at every w' and is
+tight at w.  Both products are one np.bincount over R's entries in
+storage order, so a rhs or slope equals R @ w or R.rmatvec(pi) bit for
+bit and no matrix object is built per solve.  A cut is one row
 theta - g'x >= gamma of its host, and cut_row writes it as a dense '>='
 row from g over the host's columns (LDR's slopes already are; S places
 its slopes with index maps).  add_rows appends such rows to an LP, and
-RhsMap.append a row to a map, both through Csr.with_rows, the one row
-append.  A StateLp is such an LP with its map.  Its identity is
-interned in its model's StateLpTable from the LP's costs, bounds, rows
-and senses, and from (previous identity, the appended row's entries) when
-it hosts a cut, so two state LPs share one exactly when their LPs are
-equal row for row.  The table memoises every outcome, infeasible ones
-too, by (identity, rhs), so an LP that several state LPs share is solved
-once per rhs; the deadline is checked only before a solve the memo cannot
-answer (a certificate's phase-1 solve never checks it).  An entry keeps
-the LP's row duals pi, or its certificate, and the asking state LP takes
-its slope R' pi through its own map.
+StateLp.host a row to its LP and one to its map, both through
+Csr.with_rows, the one row append.  A state LP's identity is interned in
+its model's StateLpTable from the LP's costs, bounds, rows and senses, and
+from (previous identity, the appended row's entries) when it hosts a cut,
+so two state LPs share one exactly when their LPs are equal row for row.
+The table memoises every outcome, infeasible ones too, by (identity,
+rhs), so an LP that several state LPs share is solved once per rhs; the
+deadline is checked only before a solve the memo cannot answer (a
+certificate's phase-1 solve never checks it).  An entry keeps the LP's
+row duals pi, or its certificate, and the asking state LP takes its slope
+R' pi through its own map.
 
 Branch and bound: best-bound node selection, most-fractional branching with
 lowest-index tie break, relative gap termination; each child node starts
@@ -109,7 +111,7 @@ import scipy
 
 from .errors import ConfigError, NumericalFailure
 from .model import EQ, GE, LE, Csr, LpProblem, MipProblem, as_csr
-from .tolerances import FEAS_TOL, INT_TOL, MIP_GAP, VIOL_GUARD
+from .tolerances import ACCEPT_TOL, DENOM_FLOOR, FEAS_TOL, INT_TOL, MIP_GAP, VIOL_GUARD
 
 MAX_CUT_PASSES = 100_000   # oracle re-solves per branch-and-bound node
 
@@ -171,7 +173,6 @@ _HIGHS_STATUS = {
 _ROWWISE = int(highs.MatrixFormat.kRowwise)
 _ERROR = highs.HighsStatus.kError
 _MINIMIZE = int(highs.ObjSense.kMinimize)
-_ACCEPT_TOL = np.sqrt(1e-9) * 10  # linprog's tolerance for accepting an optimum
 _HIGHS = highs._Highs()  # the process's one HiGHS object, model-free between solves
 _passed_options = None   # the options object _HIGHS was last given
 
@@ -232,7 +233,7 @@ class MipSolution:
 
 def relative_gap(objective: float, bound: float) -> float:
     """The reported gap of an objective over its bound."""
-    return (objective - bound) / max(abs(objective), 1e-9)
+    return (objective - bound) / max(abs(objective), DENOM_FLOOR)
 
 
 class DeadlineReached(Exception):
@@ -339,8 +340,8 @@ def _run_highs(c, indptr, indices, data, row_lo, row_up, lb, ub,
         x, ax = np.array(sol.col_value), np.array(sol.row_value)
         # linprog's check of an optimum: no nan, bounds and rows hold to its tolerance
         if (np.isnan(x).any() or np.isnan(ax).any() or np.isnan(fun)
-                or (x < lb - _ACCEPT_TOL).any() or (x > ub + _ACCEPT_TOL).any()
-                or (ax < row_lo - _ACCEPT_TOL).any() or (ax > row_up + _ACCEPT_TOL).any()):
+                or (x < lb - ACCEPT_TOL).any() or (x > ub + ACCEPT_TOL).any()
+                or (ax < row_lo - ACCEPT_TOL).any() or (ax > row_up + ACCEPT_TOL).any()):
             return None, res
         res.update(x=x, row_dual=np.array(sol.row_dual), solution=sol, fun=fun,
                    basis=(c.size, row_lo.size, h.getBasis()))
@@ -487,33 +488,6 @@ def cut_row(theta_col: int | None, coefs: np.ndarray, rhs: float) -> Row:
     return row, rhs
 
 
-class RhsMap:
-    """rhs = const + R w of a subproblem LP at an incoming state w, and the
-    slope R' pi of its value in w from row duals pi.  Both products are
-    bincounts over R's entries in storage order, as Csr's own @ and
-    rmatvec, so they equal R @ w and R.rmatvec(pi) bit for bit."""
-
-    def __init__(self, R: Csr, const: np.ndarray):
-        self.R = R
-        self.const = np.asarray(const, dtype=float)
-
-    def rhs(self, w: np.ndarray) -> np.ndarray:
-        return self.const + self.R @ w
-
-    def slope(self, duals: np.ndarray) -> np.ndarray:
-        """R' duals over R's first duals.size rows: a solve's duals keep
-        pairing with the rows it was solved on after append."""
-        R = self.R
-        nz = R.indptr[duals.size]
-        return np.bincount(R.indices[:nz], R.data[:nz] * duals[R.entry_rows()[:nz]],
-                           minlength=R.shape[1])
-
-    def append(self, row: np.ndarray, gamma: float) -> None:
-        """Add the row const_i = gamma, R_i = row (a dense vector over w) in place."""
-        self.R = self.R.with_rows([row])
-        self.const = np.append(self.const, gamma)
-
-
 @dataclass
 class StateLpTable:
     """One model's state-LP identities (by LP key) and answers (by identity and rhs)."""
@@ -523,11 +497,13 @@ class StateLpTable:
 
 
 class StateLp:
-    """An LP whose rhs is rhs_map's const + R w at an incoming state w; see
-    the Benders layer above for its identity and memo."""
+    """An LP whose rhs is const + R w at an incoming state w, and the cuts
+    in w read off its solutions; see the Benders layer above for its
+    identity and memo."""
 
-    def __init__(self, lp: LpProblem, rhs_map: RhsMap, table: StateLpTable):
-        self.lp, self.rhs_map, self.table = lp, rhs_map, table
+    def __init__(self, lp: LpProblem, R: Csr, const: np.ndarray, table: StateLpTable):
+        self.lp, self.R, self.table = lp, R, table
+        self.const = np.asarray(const, dtype=float)
         self.lp_id = self._intern(tuple(a.tobytes() for a in (
             lp.c, lp.lo, lp.up, lp.A.indptr, lp.A.indices, lp.A.data, lp.senses)))
 
@@ -537,7 +513,7 @@ class StateLp:
     def solve(self, w: np.ndarray, deadline: Deadline) -> LpSolution:
         """The LP's outcome at state w, from the memo when it holds one.  An
         infeasible entry is the solution, so its sharers share its certificate."""
-        rhs = self.rhs_map.rhs(w)
+        rhs = self.const + self.R @ w
         key = (self.lp_id, rhs.tobytes())
         hit = self.table.answers.get(key)
         if hit is None:
@@ -549,15 +525,30 @@ class StateLp:
             self.table.answers[key] = hit
         return hit
 
+    def cut(self, sol: LpSolution, w: np.ndarray) -> tuple[float, np.ndarray, float]:
+        """(value, slope, gamma) of the cut value + slope'(w' - w) = gamma +
+        slope'w' read off sol, this LP's solution at state w: of its
+        optimum's objective and duals, or of its certificate when
+        infeasible.  The slope is R' pi over the rows pi was solved on, so a
+        solution read after host keeps pairing with its own rows."""
+        value, duals = sol.certificate if sol.status == INFEASIBLE else (sol.objective, sol.duals)
+        R = self.R
+        nz = R.indptr[duals.size]
+        slope = np.bincount(R.indices[:nz], R.data[:nz] * duals[R.entry_rows()[:nz]],
+                            minlength=R.shape[1])
+        return value, slope, value - float(slope @ w)
+
     def host(self, row: Row, map_row: np.ndarray) -> None:
-        """Append row to the LP and (map_row, row's rhs) to the map; the new
-        identity is (old identity, the LP row's entries)."""
+        """Append row to the LP and (map_row, row's rhs) to the map, const_i
+        = rhs and R_i = map_row, a dense vector over w; the new identity is
+        (old identity, the LP row's entries)."""
         add_rows(self.lp, [row])
         a = self.lp.A
         start = a.indptr[-2]
         self.lp_id = self._intern((self.lp_id, a.indices[start:].tobytes(),
                                    a.data[start:].tobytes()))
-        self.rhs_map.append(map_row, row[1])
+        self.R = self.R.with_rows([map_row])
+        self.const = np.append(self.const, row[1])
 
 
 class CutOracle:

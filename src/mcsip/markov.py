@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 from typing import Iterable
 
 from .errors import InvalidChain, InvalidStage, UnknownState
-from .tolerances import PROB_TOL
+from .tolerances import CHAIN_TOL, PROB_TOL
 
 
 @dataclass(frozen=True, order=True)
@@ -133,6 +133,6 @@ def product_chain(
     for (a, _), p in transition.items():
         by_src[a] = by_src.get(a, 0.0) + p
     transition = {
-        (a, b): p for (a, b), p in transition.items() if abs(by_src[a] - 1.0) <= 1e-7
+        (a, b): p for (a, b), p in transition.items() if abs(by_src[a] - 1.0) <= CHAIN_TOL
     }
     return MarkovChain(tuple(all_states), transition, McState(initial_attrs))

@@ -23,10 +23,10 @@ The reachable groups (PolicyGraph.reach) are the owner's own group and
 those of every subproblem below it: the value depends on no other z, so
 by induction over hosted cuts rho is zero elsewhere and the state w
 carries only these groups.  Cuts are shared with every subproblem
-carrying the theta variable.  Both kinds of cut come from one
-constructor, make_cut, reading the subproblem's solution at the state: an
-optimality cut supports the value of an optimum, a feasibility cut the
-phase-1 violation of an infeasible LP (its certificate).
+carrying the theta variable.  Both kinds of cut are read off the
+subproblem's solution at the state by StateLp.cut, lp_engine's one cut
+reader: an optimality cut supports the value of an optimum, a feasibility
+cut the phase-1 violation of an infeasible LP (its certificate).
 
 A cut is stored as that slope R' pi over its owner's w, unsplit (alpha,
 beta and rho are its blocks), plus gamma; index maps built once place it
@@ -49,7 +49,7 @@ positional, an lp_engine.StateLp as LDR's node LPs are: rhs = const + R w
 at the incoming state w = (x_parent, z), with R built by the same
 assembler; a hosted cut adds its x_parent part, a dense vector of the
 LP's width, through cut_row as a row of the LP and its z part and gamma
-as a row of the map.  The engine's subproblems share one
+as a row of (R, const).  The engine's subproblems share one
 memo (see lp_engine's Benders layer), so the copies of a stage and Markov
 state that the transform tells apart are solved once per rhs.
 
@@ -69,11 +69,11 @@ import numpy as np
 from .aggregate import AggregationMap, GroupKey, SubKey, build_policy_graph
 from .errors import ConfigError, InfeasiblePolicy, NumericalFailure
 from .lp_engine import (INFEASIBLE, OPTIMAL, TIME_LIMIT, CutOracle, Deadline, DeadlineReached,
-                        LpSolution, MipSolution, RhsMap, StateLp, StateLpTable, add_rows,
+                        LpSolution, MipSolution, StateLp, StateLpTable, add_rows,
                         branch_and_cut, cut_row, relative_gap, solve_lp)
 from .model import LpProblem, MipProblem, Msilp, RowBlock, assemble, \
     first_stage_columns, first_stage_offsets, node_rows, z_values
-from .tolerances import THETA_LB, VIOL_GUARD
+from .tolerances import EPS_EXACT, EPS_POLICY, THETA_LB, VIOL_GUARD
 from .tree import path as tree_path
 
 PRECUT_ROUNDS = 500  # LP-relaxation cut rounds before branching
@@ -81,7 +81,7 @@ PRECUT_ROUNDS = 500  # LP-relaxation cut rounds before branching
 
 @dataclass
 class SddpConfig:
-    eps: float | None = None      # default 1e-6 in exact mode, 0.1 relaxed
+    eps: float | None = None      # default EPS_EXACT in exact mode, 0.1 relaxed
     k: int | None = None          # sample paths per round; default min(20, leaves)
     exact: bool = True
     max_rounds: int = 3           # relaxed mode only
@@ -91,7 +91,7 @@ class SddpConfig:
 
     def __post_init__(self):
         if self.eps is None:
-            self.eps = 1e-6 if self.exact else 0.1
+            self.eps = EPS_EXACT if self.exact else 0.1
         if not 0 < self.eps < np.inf:
             raise ConfigError(f"eps must be positive and finite, got {self.eps}")
         if self.k is not None and self.k < 1:
@@ -119,7 +119,7 @@ class Cut:
     gamma: float
     z_groups: list[GroupKey]      # the owner's reachable groups, w's z blocks
     gen_x: np.ndarray | None = None
-    gen_z: dict[GroupKey, np.ndarray] | None = None  # the candidate's own dict
+    gen_z: dict[GroupKey, np.ndarray] | None = None  # the candidate's arrays w reads
     gen_parent_group: GroupKey | None = None
     gen_value: float = 0.0
 
@@ -156,10 +156,10 @@ class SddpResult(MipSolution):
 class _Sub(StateLp):
     """One policy-graph subproblem and its growing LP over x, y and theta.
 
-    z reaches the LP only through its rhs map, rhs = const + R w at the
-    incoming state w = [x_parent | z of the parent group | z of each
-    reachable group (z_groups, PolicyGraph.reach)].  The state and
-    linking rows come first, hosted cut rows follow."""
+    z reaches the LP only through its rhs, const + R w at the incoming
+    state w = [x_parent | z of the parent group | z of each reachable
+    group (z_groups, PolicyGraph.reach)].  The state and linking rows
+    come first, hosted cut rows follow."""
 
     def __init__(self, key: SubKey, engine: "SddpEngine", table: StateLpTable):
         self.key = key
@@ -179,8 +179,7 @@ class _Sub(StateLp):
                                           (self.group, *engine.pgraph.reach[ck])])
                       for ck, _ in self.children}
 
-        # state and linking rows over x, y; every parent and z term lives in
-        # the rhs map
+        # state and linking rows over x, y; every parent and z term lives in R
         _, state, link = node_rows(nd, None, 0, k, None, None, ())
         A, senses, _ = assemble([state, link], self.theta0 + len(self.children),
                                 canonical=False)
@@ -195,7 +194,7 @@ class _Sub(StateLp):
                        A=A, senses=senses, rhs=np.zeros(senses.size),
                        lo=np.concatenate([nd.x_lo, nd.y_lo, np.full(nt, THETA_LB)]),
                        up=np.concatenate([nd.x_up, nd.y_up, np.full(nt, np.inf)]))
-        super().__init__(lp, RhsMap(R, const), table)
+        super().__init__(lp, R, const, table)
 
     def state(self, x_par: np.ndarray, zvals: dict[GroupKey, np.ndarray],
               parent_group: GroupKey) -> np.ndarray:
@@ -204,14 +203,14 @@ class _Sub(StateLp):
     def host_cut(self, cut: Cut) -> None:
         """Host a child's cut as the row theta - slope_x'x >= gamma +
         slope_z'z: slope_x, its x_parent block, on this LP's x, and gamma
-        and slope_z, placed into this w by the child's index map, in the
-        rhs map."""
+        and slope_z, placed into this w by the child's index map, in
+        (R, const)."""
         theta = self.theta_col[cut.owner] if cut.kind == "optimality" else None
         coefs = np.zeros(self.lp.n)
         coefs[:self.k] = cut.slope[:self.k]
         self.host(cut_row(theta, coefs, cut.gamma),
                   np.bincount(self.place[cut.owner], cut.slope[self.k:],
-                              minlength=self.rhs_map.R.shape[1]))
+                              minlength=self.R.shape[1]))
 
 
 class _Step(NamedTuple):
@@ -266,17 +265,13 @@ class SddpEngine:
 
     def make_cut(self, sub: _Sub, sol: LpSolution, x_par: np.ndarray, zvals,
                  parent_group) -> Cut:
-        """The cut of sub's solution sol at this state, tight there: of its
-        value, or of its violation (sol.certificate) when infeasible; its slope
-        is R' pi through sub's own map, over the rows pi was solved on."""
-        if sol.status == INFEASIBLE:
-            kind, (value, duals) = "feasibility", sol.certificate
-        else:
-            kind, value, duals = "optimality", sol.objective, sol.duals
-        slope = sub.rhs_map.slope(duals)
-        gamma = value - float(slope @ sub.state(x_par, zvals, parent_group))
+        """The cut of sub's solution sol at this state (StateLp.cut), tight
+        there: of its value, or of its violation when infeasible."""
+        value, slope, gamma = sub.cut(sol, sub.state(x_par, zvals, parent_group))
+        kind = "feasibility" if sol.status == INFEASIBLE else "optimality"
         return Cut(sub.key, kind, slope, gamma, sub.z_groups, gen_x=x_par.copy(),
-                   gen_z=zvals, gen_parent_group=parent_group, gen_value=value)
+                   gen_z={g: zvals[g] for g in (parent_group, *sub.z_groups)},
+                   gen_parent_group=parent_group, gen_value=value)
 
     def _cut_signature(self, cut: Cut):
         # + 0.0 turns -0.0 into 0.0, so equal rounded slopes give equal bytes
@@ -502,7 +497,7 @@ def _policy_cost(engine: SddpEngine, z: dict[GroupKey, np.ndarray]) -> float:
     Raises DeadlineReached when the deadline ends the evaluation before it
     certifies a value."""
     m = engine.msilp
-    engine.cfg = replace(engine.cfg, eps=1e-15, exact=True)
+    engine.cfg = replace(engine.cfg, eps=EPS_POLICY, exact=True)
     master, lay = build_master(m, engine.agg)
     for g, off in lay.z_off.items():
         master.lo[off:off + m.l] = master.up[off:off + m.l] = z[g]

@@ -95,16 +95,15 @@ def model_digests(grid: str, transform: str, only_ex: bool = False) -> dict[str,
     engine = SddpEngine(m, agg, SddpConfig())
     out["subproblems"] = _digest(
         [a for sub in engine.subs.values() for a in
-         _arrays(sub.lp) + [sub.rhs_map.R.indptr, sub.rhs_map.R.indices, sub.rhs_map.R.data,
-                            sub.rhs_map.const]])
+         _arrays(sub.lp) + [sub.R.indptr, sub.R.indices, sub.R.data, sub.const]])
     ma = build_hdr_aggregated(inst, agg)
     model = build_ldr_model(ma, build_aggregation(ma.tree, tr), LdrVariant("m"))
     out["ldr_master"] = _digest(_arrays(model.master))
     out["ldr_node_lps"] = _digest(
         [a for nid in sorted(model.node_lps) for a in
          _arrays(model.node_lps[nid].lp)
-         + [model.node_lps[nid].rhs_map.R.indptr, model.node_lps[nid].rhs_map.R.indices,
-            model.node_lps[nid].rhs_map.R.data, model.node_lps[nid].rhs_map.const]])
+         + [model.node_lps[nid].R.indptr, model.node_lps[nid].R.indices,
+            model.node_lps[nid].R.data, model.node_lps[nid].const]])
     return out
 
 

@@ -152,6 +152,28 @@ def test_every_class_member_is_read():
     assert unread_members(sources, readers) == []
 
 
+def stray_tolerances(source: str) -> list[int]:
+    """Lines holding a float literal strictly between 0 and 1e-3: a
+    tolerance written in place instead of named in mcsip.tolerances.  A
+    negative literal is a minus applied to a positive one, so it counts."""
+    return sorted(node.lineno for node in ast.walk(ast.parse(source))
+                  if isinstance(node, ast.Constant) and type(node.value) is float
+                  and 0.0 < node.value < 1e-3)
+
+
+def test_stray_tolerance_scan_sees_small_floats():
+    src = "a = x < 1e-6\nb = y - -5e-4\nc = 1e-3 + 0.0 + 2 + 0.5\nd = 'ab' * 1\n" \
+          "e = abs(z) <= 1E-9 and True\nf = 1e-12j\n"
+    # 1e-3 itself, zero, ints, bools and complex literals are not flagged
+    assert stray_tolerances(src) == [1, 2, 5]
+
+
+@pytest.mark.parametrize("path", [p for p in sorted(SRC.glob("*.py"))
+                                  if p.name != "tolerances.py"], ids=lambda p: p.name)
+def test_every_tolerance_is_named_in_the_tolerances_module(path):
+    assert stray_tolerances(path.read_text()) == []
+
+
 # the modules that may read time.monotonic, and what for; every other stop
 # decision reads the Deadline
 CLOCK_READERS = {"lp_engine": "the Deadline", "cli": "a record's wall_time"}

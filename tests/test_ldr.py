@@ -195,12 +195,12 @@ def test_hybrid_cuts_underestimate_group_value(hdr_pair):
             ok = True
             for nid in nids:
                 nl = model.node_lps[nid]
-                nl.lp.rhs = nl.rhs_map.rhs(w)
+                nl.lp.rhs = nl.const + nl.R @ w
                 s = solve_lp(nl.lp)
                 if s.status != "optimal":
                     ok = False
                     break
-                total += nl.p * s.objective
+                total += ma.tree.node(nid).p * s.objective
             if not ok:
                 continue
             cut_val = float(cut["grad"] @ w) + cut["const"]
@@ -337,8 +337,8 @@ def test_loose_eps_reports_the_true_cost_of_its_incumbent(hdr_pair):
         node = ma.tree.node(nid)
         grouped.add((node.stage, node.mc_state.attrs))
         sol = solve_lp(LpProblem(c=nl.lp.c, A=nl.lp.A, senses=nl.lp.senses,
-                                 rhs=nl.rhs_map.rhs(x), lo=nl.lp.lo, up=nl.lp.up))
-        cost += nl.p * sol.objective
+                                 rhs=nl.const + nl.R @ x, lo=nl.lp.lo, up=nl.lp.up))
+        cost += node.p * sol.objective
     cost -= sum(float(x[model.layout.theta_off[key]]) for key in grouped)
     assert cost > master_cost + 1e-6  # the loose run accepted a lagging theta
     assert loose.objective == pytest.approx(cost, rel=1e-9)

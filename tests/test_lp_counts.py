@@ -1,6 +1,7 @@
-"""A guard on work done: the HiGHS solves of Ex, S and LDR-M on the 2x4
-relief instance (capacity 0.2, instance seed 5, sampling seed 0), counted at
-the one call every LP goes through.  The counts do not depend on the host's
+"""A guard on work done: the HiGHS solves of every method the command line
+offers (Ex, S, S-LB, S-UB and the three LDR variants) on the 2x4 relief
+instance (capacity 0.2, instance seed 5, sampling seed 0), counted at the
+one call every LP goes through.  The counts do not depend on the host's
 speed, so a change that makes these solves do more LP work fails here
 even where wall time cannot show it."""
 
@@ -15,8 +16,9 @@ from mcsip.cli import _transformation, run_solve
 # cut rows S writes like the first master's; S and S-UB cost their policy by
 # branch and cut alone, with no LP-relaxation cut loop before it
 MEASURED = {("sddp", "hn"): 508, ("sddp", "pm"): 131, ("sddp", "fh"): 213,
-            ("sddp-ub", "pm"): 149,
-            ("ldr-m", "hn"): 359, ("ldr-m", "pm"): 230, ("ldr-m", "fh"): 243}
+            ("sddp-ub", "pm"): 149, ("sddp-lb", "pm"): 104,
+            ("ldr-m", "hn"): 359, ("ldr-m", "pm"): 230, ("ldr-m", "fh"): 243,
+            ("ldr-t", "pm"): 446, ("ldr-th", "pm"): 398}
 
 # Ex's HiGHS solves with branch and cut skipping the children whose penalty
 # floor already meets the incumbent; solving every child LP takes 18, 6 and 6

@@ -8,8 +8,9 @@ from scipy.optimize._highspy import _core as highs
 
 from mcsip import lp_engine
 from mcsip.errors import NumericalFailure
-from mcsip.lp_engine import CutOracle, Deadline, RhsMap, _check_highs_version, add_rows, \
-    branch_and_cut, infeasibility_lp, solve_lp, solve_mip, verify_farkas
+from mcsip.lp_engine import CutOracle, Deadline, LpSolution, StateLp, StateLpTable, \
+    _check_highs_version, add_rows, branch_and_cut, cut_row, infeasibility_lp, solve_lp, \
+    solve_mip, verify_farkas
 from mcsip.model import Csr, LpProblem, MipProblem, as_csr
 from mcsip.tolerances import INT_TOL, MIP_GAP
 
@@ -152,8 +153,6 @@ def test_state_lps_sharing_an_infeasible_outcome_share_its_phase1_lp(monkeypatch
     """Two state LPs over equal LPs with different maps, infeasible at one
     rhs, get the same solution and one phase-1 solve between them; each
     takes the slope R' ray through its own map."""
-    from mcsip.lp_engine import StateLp, StateLpTable
-
     calls = count_phase1_lps(monkeypatch)
     table = StateLpTable()
     maps = [(np.array([[1.0, 0.0], [0.0, 1.0]]), np.zeros(2), np.array([2.0, 0.5])),
@@ -161,12 +160,12 @@ def test_state_lps_sharing_an_infeasible_outcome_share_its_phase1_lp(monkeypatch
     sols = []
     for R, const, w in maps:  # rhs (2, 0.5): x >= 2 and x <= 0.5 over 0 <= x <= 1
         state_lp = StateLp(lp([1.0], [[1.0], [1.0]], "GL", [0.0, 0.0], lo=[0.0], up=[1.0]),
-                           RhsMap(as_csr(sp.csr_matrix(R)), const), table)
+                           as_csr(sp.csr_matrix(R)), const, table)
         sol = state_lp.solve(w, Deadline())
         assert sol.status == "infeasible"
-        ray = sol.certificate[1]
-        np.testing.assert_array_equal(state_lp.rhs_map.slope(ray), R.T @ ray)
-        sols.append((sol, state_lp.rhs_map.slope(ray)))
+        slope = state_lp.cut(sol, w)[1]
+        np.testing.assert_array_equal(slope, R.T @ sol.certificate[1])
+        sols.append((sol, slope))
     assert sols[0][0] is sols[1][0] and len(calls) == 1
     assert not np.array_equal(sols[0][1], sols[1][1])
 
@@ -641,9 +640,9 @@ def test_infeasibility_lp_builds_exactly_the_arrays_scipy_builds():
 
 
 def test_rhs_map_matches_scipy_bit_for_bit():
-    """rhs and slope equal scipy's R @ w and R.T @ duals exactly, also after
-    appended rows, and duals sized to an earlier row count read only those
-    rows."""
+    """A state LP's rhs const + R w and a cut's slope R' duals equal
+    scipy's exactly, also after hosted rows, and duals sized to an earlier
+    row count read only those rows."""
     rng = np.random.default_rng(12)
     for _ in range(30):
         m, n = int(rng.integers(3, 30)), int(rng.integers(3, 40))
@@ -653,23 +652,67 @@ def test_rhs_map_matches_scipy_bit_for_bit():
         dense[:, rng.integers(n)] = 0.0                   # a column that never occurs
         R = sp.csr_matrix(dense)
         const = rng.normal(size=m)
-        rmap = RhsMap(as_csr(R), const)
+        # rows x >= rhs_i of one free column: optimal at every rhs
+        state_lp = StateLp(lp([0.0], np.ones((m, 1)), "G" * m, np.zeros(m)), as_csr(R), const,
+                           StateLpTable())
         w = rng.normal(size=n) * 10.0 ** rng.integers(-6, 7, size=n)
-        duals = rng.normal(size=m)
-        np.testing.assert_array_equal(rmap.rhs(w), const + R @ w)
-        np.testing.assert_array_equal(rmap.slope(duals), R.T @ duals)
 
-        old, old_duals = R, duals
+        def check(duals):
+            assert state_lp.solve(w, Deadline()).status == "optimal"
+            np.testing.assert_array_equal(state_lp.lp.rhs, const + R @ w)
+            _, slope, _ = state_lp.cut(LpSolution("optimal", duals=duals, objective=1.0), w)
+            np.testing.assert_array_equal(slope, R.T @ duals)
+
+        check(rng.normal(size=m))
+        old, old_duals = R, rng.normal(size=m)
         for zero in (False, True, False):
             row = np.zeros(n) if zero else rng.normal(size=n) * (rng.random(n) < 0.5)
             gamma = float(rng.normal())
-            rmap.append(row, gamma)
+            state_lp.host(cut_row(0, np.zeros(1), gamma), row)
             R = sp.vstack([R, sp.csr_matrix(row)], format="csr")
             const = np.append(const, gamma)
-        duals = rng.normal(size=m + 3)
-        np.testing.assert_array_equal(rmap.rhs(w), const + R @ w)
-        np.testing.assert_array_equal(rmap.slope(duals), R.T @ duals)
-        np.testing.assert_array_equal(rmap.slope(old_duals), old.T @ old_duals)
+        check(rng.normal(size=m + 3))
+        _, slope, _ = state_lp.cut(LpSolution("optimal", duals=old_duals, objective=1.0), w)
+        np.testing.assert_array_equal(slope, old.T @ old_duals)
+
+
+@pytest.mark.parametrize("owner", ["S subproblem", "LDR node LP"])
+def test_state_lp_cut_is_tight_at_its_state_for_both_outcomes(request, owner):
+    """StateLp.cut reads (value, slope, gamma) off an optimum and off an
+    infeasible solution: the slope is R' pi of the duals or of the
+    certificate's duals, bit for bit, and gamma + slope'w is the value
+    (objective or violation) at the state w it was read at."""
+    from mcsip.aggregate import Transformation, build_aggregation
+
+    m = request.getfixturevalue("hdr_toy_msilp")
+    if owner == "S subproblem":
+        from mcsip.sddp import SddpConfig, SddpEngine
+
+        engine = SddpEngine(m, build_aggregation(m.tree, Transformation("fh")), SddpConfig())
+        state_lp = engine.subs[engine.pgraph.subproblems[0]]
+        w_opt = np.zeros(state_lp.R.shape[1])
+        w_inf = w_opt.copy()
+        w_inf[:m.k] = -100.0  # x_parent
+    else:
+        from mcsip.hdr import build_hdr_aggregated
+        from mcsip.ldr import LdrVariant, build_ldr_model
+
+        pm = Transformation("pm", partial_attrs=(2,))
+        ma = build_hdr_aggregated(request.getfixturevalue("hdr_toy"),
+                                  build_aggregation(m.tree, pm))
+        model = build_ldr_model(ma, build_aggregation(ma.tree, pm), LdrVariant("m"))
+        w_opt, w_inf = np.zeros(model.layout.n_cols), np.ones(model.layout.n_cols)
+        state_lp = next(nl for nl in model.node_lps.values()
+                        if nl.solve(w_inf, Deadline()).status == "infeasible")
+    for w, status in ((w_opt, "optimal"), (w_inf, "infeasible")):
+        sol = state_lp.solve(w, Deadline())
+        assert sol.status == status
+        want, pi = (sol.objective, sol.duals) if status == "optimal" else sol.certificate
+        value, slope, gamma = state_lp.cut(sol, w)
+        assert value == want and np.any(slope)
+        np.testing.assert_array_equal(slope, state_lp.R.rmatvec(pi))
+        at_w = float(slope @ w)
+        assert abs(gamma + at_w - value) <= 4 * np.spacing(max(abs(value), abs(at_w)))
 
 
 def test_shared_highs_object_holds_no_model_after_any_outcome(monkeypatch):

@@ -256,7 +256,7 @@ def test_equal_lps_share_one_identity_and_one_solve(hdr_toy, hdr_toy_msilp, monk
         (a, wa, _), (b, wb, _) = next(
             (a, b) for i, a in enumerate(lps) for b in lps[i + 1:]
             if a[0].lp_id == b[0].lp_id and a[2] != b[2]
-            and np.array_equal(a[0].rhs_map.rhs(a[1]), b[0].rhs_map.rhs(b[1])))
+            and np.array_equal(a[0].const + a[0].R @ a[1], b[0].const + b[0].R @ b[1]))
         calls.clear()
         first = a.solve(wa, Deadline())
         assert first.status == "optimal" and len(calls) == 1
@@ -367,7 +367,7 @@ def test_memo_served_answers_are_optima_of_the_asking_lp(hdr_toy_msilp, monkeypa
         n = len(calls)
         opt = real_sub(self, sub, x_par, zvals, parent_group)
         lp = sub.lp
-        rhs = sub.rhs_map.rhs(sub.state(x_par, zvals, parent_group))
+        rhs = sub.const + sub.R @ sub.state(x_par, zvals, parent_group)
         if len(calls) > n:
             solved_by.setdefault((sub.lp_id, rhs.tobytes()), sub.key)
         elif opt.status == "optimal":  # served from the memo
@@ -406,7 +406,7 @@ def test_sub_lps_see_z_only_through_the_rhs_map():
     k, l, r = m.k, m.l, m.r
     for sub in engine.subs.values():
         assert sub.lp.n == k + r + len(sub.children)
-        assert sub.lp.m == sub.rhs_map.const.size == sub.rhs_map.R.shape[0]
+        assert sub.lp.m == sub.const.size == sub.R.shape[0]
 
     # z differs between groups; a leaf subproblem's value is that of its
     # node rows over columns x | y | x_parent | z_parent | z_own, pinned
@@ -441,15 +441,15 @@ def test_sub_lps_see_z_only_through_the_rhs_map():
     assert engine.add_cut(cut)
     for pk in engine.pgraph.parents[cut.owner]:
         host = engine.subs[pk]
-        want = np.zeros(host.rhs_map.R.shape[1])
+        want = np.zeros(host.R.shape[1])
         want[host.w_off[host.group]:host.w_off[host.group] + l] = cut.slope[k:k + l]
         for i, g in enumerate(engine.pgraph.reach[cut.owner]):
             want[host.w_off[g]:host.w_off[g] + l] += cut.slope[k + l + i * l:k + 2 * l + i * l]
-        R = host.rhs_map.R
+        R = host.R
         last = np.zeros(R.shape[1])
         last[R.indices[R.indptr[-2]:]] = R.data[R.indptr[-2]:]
         np.testing.assert_array_equal(last, want)
-        assert host.rhs_map.const[-1] == cut.gamma
+        assert host.const[-1] == cut.gamma
         want = np.zeros(host.lp.n)
         want[:k] = -cut.slope[:k]
         want[host.theta_col[cut.owner]] = 1.0
@@ -462,9 +462,8 @@ def test_sub_lps_see_z_only_through_the_rhs_map():
 
 
 def every_group_rhs_map(engine, sub):
-    """sub's rhs map before any cut, over w = [x_parent | z_parent | z of
-    every group of its stage onward]."""
-    from mcsip.lp_engine import RhsMap
+    """sub's rhs map (R, const) before any cut, over w = [x_parent |
+    z_parent | z of every group of its stage onward], and those groups."""
     from mcsip.model import RowBlock, assemble
 
     m = engine.msilp
@@ -476,7 +475,7 @@ def every_group_rhs_map(engine, sub):
         [RowBlock([(nd.F, 0, 1.0)], nd.sen_x, nd.f),
          RowBlock([(nd.A, 0, 1.0), (nd.B, k, 1.0), (nd.D, own, -1.0)], nd.sen_l, nd.b)],
         k + l + l * len(groups), canonical=False)
-    return RhsMap(R, const), groups
+    return R, const, groups
 
 
 @pytest.mark.parametrize("case", ["2x4-pm", "2x4-fh", "random-fh"])
@@ -525,13 +524,13 @@ def test_reachable_groups_drop_no_term_of_the_state(request, monkeypatch, case):
     for key, sub in engine.subs.items():
         want = {sub.group}.union(*(reach[ck] for ck, _ in sub.children))
         assert sub.z_groups == reach[key] == sorted(want, key=agg.group_index.__getitem__)
-        full, groups = every_group_rhs_map(engine, sub)
+        R, const, groups = every_group_rhs_map(engine, sub)
         narrower += len(groups) > len(sub.z_groups)
         x_par = rng.uniform(0.0, 10.0, size=m.k)
         pg = incoming_group(engine, key)
         w = np.concatenate([x_par, zvals[pg]] + [zvals[g] for g in groups])
-        np.testing.assert_array_equal(sub.rhs_map.rhs(sub.state(x_par, zvals, pg)),
-                                      full.rhs(w))
+        np.testing.assert_array_equal(sub.const + sub.R @ sub.state(x_par, zvals, pg),
+                                      const + R @ w)
     assert narrower
 
     engine, master, lay = s_solve(m, agg)
@@ -545,7 +544,8 @@ def test_reachable_groups_drop_no_term_of_the_state(request, monkeypatch, case):
     assert len(hosted) == sum(len(engine.pgraph.parents[c.owner]) for c in cuts)
     for host, cut, i in hosted:
         x_par, x = rng.uniform(0.0, 10.0, size=(2, k))
-        rhs = host.rhs_map.rhs(host.state(x_par, zvals, incoming_group(engine, host.key)))[i]
+        rhs = (host.const + host.R @ host.state(x_par, zvals,
+                                                incoming_group(engine, host.key)))[i]
         row = scipy_csr(host.lp.A)[i].toarray().ravel()
         assert not row[k:host.theta0].any()
         assert rhs - row[:k] @ x == pytest.approx(cut.value_at(x, zvals, host.group),
@@ -566,8 +566,9 @@ def test_reachable_groups_drop_no_term_of_the_state(request, monkeypatch, case):
 
 def test_cuts_keep_the_read_only_candidate_z(hdr_toy_msilp):
     """decode_master hands out read-only z arrays, which every cut made
-    at that candidate keeps by reference; an S solve runs on them and
-    each cut stays tight where it was made."""
+    at that candidate keeps by reference, only those of the groups its
+    value reads; an S solve runs on them and each cut stays tight where
+    it was made."""
     m = hdr_toy_msilp
     agg = build_aggregation(m.tree, Transformation("pm", partial_attrs=(2,)))
     engine, _, _ = s_solve(m, agg)
@@ -575,6 +576,7 @@ def test_cuts_keep_the_read_only_candidate_z(hdr_toy_msilp):
         [c for pool in engine.master_pool.values() for c in pool]
     assert cuts
     for cut in cuts:
+        assert cut.gen_z.keys() == {cut.gen_parent_group, *cut.z_groups}
         assert not any(v.flags.writeable for v in cut.gen_z.values())
         assert cut.value_at(cut.gen_x, cut.gen_z, cut.gen_parent_group) == \
             pytest.approx(cut.gen_value, rel=1e-9, abs=1e-6)
@@ -639,8 +641,8 @@ def test_feasibility_cut_in_a_subproblem_hosting_cuts():
     cut3 = engine.make_cut(sub3, *sols[n3])
     assert engine.add_cut(cut3)
     sub2 = engine.subs[engine.pgraph.node_to_sub[n2]]
-    assert sub2.lp.m == sub2.rhs_map.R.shape[0] == sub2.rhs_map.const.size
-    assert sub2.rhs_map.const[-1] == cut3.gamma
+    assert sub2.lp.m == sub2.R.shape[0] == sub2.const.size
+    assert sub2.const[-1] == cut3.gamma
     pg = agg.node_to_group[m.tree.root]
     zv = {g: np.zeros(m.l) for g in agg.group_index}
     x_bad = np.array([3.0])
