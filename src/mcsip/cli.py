@@ -177,9 +177,13 @@ def cmd_solve(args) -> int:
 
 
 def _policy(entries, path: str, agg, l: int) -> dict:
-    """The z policy of a solution record's entries, one l-vector for each
-    group of agg and no other group; the first mismatch is a ConfigError."""
-    z = {tuple(key): np.array(vals, dtype=float) for key, vals in entries}
+    """The z policy of a solution record's entries, [group, values] pairs,
+    one l-vector for each group of agg and no other group; entries of any
+    other form, or the first mismatch, are a ConfigError."""
+    try:
+        z = {tuple(key): np.array(vals, dtype=float) for key, vals in entries}
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"{path}: z is not a list of [group, values] pairs") from exc
     kind = agg.transformation.kind
     for g in agg.group_index:
         if g not in z:
@@ -196,6 +200,8 @@ def _policy(entries, path: str, agg, l: int) -> dict:
 def cmd_evaluate(args) -> int:
     inst = _load(args.instance, load_instance)
     sol = _load(args.solution, json.load)
+    if not isinstance(sol, dict):
+        raise ConfigError(f"{args.solution} holds no solution record")
     if "z" not in sol:
         raise ConfigError(f"{args.solution} holds no integer policy "
                           f"(status {sol.get('status')})")
@@ -221,11 +227,9 @@ def _bench_cell(spec: dict) -> dict:
                 inst = load_instance(fp)
         else:
             cols, rows = _parse_grid(spec["instance"]["grid"])
-            cfg = HdrConfig(cols=cols, rows=rows,
-                            capacity_pct=spec["instance"].get("capacity_pct", 0.25),
-                            modality_type=spec["instance"].get("modality_type", 1),
-                            seed=spec["instance"].get("seed", 0))
-            inst = generate_instance(cfg)
+            given = {key: spec["instance"][key] for key in ("capacity_pct", "modality_type",
+                                                            "seed") if key in spec["instance"]}
+            inst = generate_instance(HdrConfig(cols=cols, rows=rows, **given))
         tr = _transformation(spec["transform"], spec.get("pm_attrs"))
         rec = run_solve(inst, spec["method"], tr, eps=spec.get("eps"),
                         k=spec.get("k"), seed=spec.get("seed", 0),
@@ -250,6 +254,11 @@ def cmd_bench(args) -> int:
         instances = conf["instances"]
         methods = conf.get("methods", [])
         transforms = conf.get("transforms", ["hn"])
+        if not (isinstance(instances, list) and all(isinstance(i, dict) for i in instances)):
+            raise ConfigError("instances must be a list of objects")
+        for name, names in (("methods", methods), ("transforms", transforms)):
+            if not (isinstance(names, list) and all(isinstance(v, str) for v in names)):
+                raise ConfigError(f"{name} must be a list of names")
         # the run-wide settings, checked as mcsip solve checks them
         Deadline(conf.get("time_limit"))
         SddpConfig(seed=conf.get("seed", 0), max_rounds=conf.get("rounds", 3))
@@ -326,10 +335,10 @@ def main(argv=None) -> int:
     sub = ap.add_subparsers(dest="cmd", required=True)
 
     g = sub.add_parser("generate", help="draw a relief-planning instance")
-    g.add_argument("--grid", default="4x5")
-    g.add_argument("--capacity-pct", type=float, default=0.25)
-    g.add_argument("--modality-type", type=int, default=1)
-    g.add_argument("--seed", type=int, default=0)
+    g.add_argument("--grid", default=f"{HdrConfig.cols}x{HdrConfig.rows}")
+    g.add_argument("--capacity-pct", type=float, default=HdrConfig.capacity_pct)
+    g.add_argument("--modality-type", type=int, default=HdrConfig.modality_type)
+    g.add_argument("--seed", type=int, default=HdrConfig.seed)
     g.add_argument("--out")
     g.set_defaults(func=cmd_generate)
 

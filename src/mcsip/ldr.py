@@ -27,17 +27,20 @@ turns it into a master '>=' row as it is.  The node LPs share one memo
 (see lp_engine's Benders layer), so equal node LPs, within a (stage,
 state) group or across groups, are solved once per rhs.
 
-Rows come from the shared assembler (model.assemble), with x_n mapped onto
-the Lambda columns by a sparse basis-expansion P and x_root by its column
-offset.  The master is canonical (tiny coefficients dropped, rounded,
-duplicate rows removed); each node LP's E block and its rhs, const + R w
-at the first stage w, are positional, one row per kept linking row, because
-the Benders oracle reads them row by row.
+Rows come from the shared assembler, with x_n mapped onto the Lambda
+columns by a sparse basis-expansion P and x_root by its column offset.
+One node_rows call per node writes its rows over [master columns | y]:
+the master takes every row free of non-root locals in model.assemble's
+canonical form (tiny coefficients dropped, rounded, duplicate rows
+removed), and the node LP is the split of the remaining linking rows at
+the master's width (model.split_rows), E y {sense} const + R w at the
+first stage w, one row per kept linking row, because the Benders oracle
+reads them row by row.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -46,7 +49,7 @@ from .errors import ConfigError, InfeasibleModel, NumericalFailure, Overflow
 from .lp_engine import (INFEASIBLE, OPTIMAL, CutOracle, Deadline, LpSolution, MipSolution,
                         StateLp, StateLpTable, branch_and_cut, cut_row, relative_gap, solve_lp)
 from .model import GE, LE, Csr, LpProblem, MipProblem, Msilp, RowBlock, assemble, \
-    first_stage_columns, first_stage_offsets, node_rows, z_values
+    first_stage_columns, first_stage_offsets, node_rows, split_rows, z_values
 from .tolerances import EPS_EXACT, THETA_LB, VIOL_GUARD
 from .tree import path as tree_path
 
@@ -183,7 +186,8 @@ def build_ldr_model(m: Msilp, agg: AggregationMap, variant: LdrVariant) -> LdrMo
         zp = None if par is None else zcol(par)
         x_par = None if par is None else P[par]
         z_anc = [zcol(a) for a in tree_path(tree, nid)[:-1]] if nd.W is not None else []
-        z_rows, state, link = node_rows(nd, zcol(nid), P[nid], y_off if is_root else None,
+        # over [master columns | y]: the root's y is a master block, a node LP's follows them
+        z_rows, state, link = node_rows(nd, zcol(nid), P[nid], y_off if is_root else n,
                                         zp, x_par, z_anc)
         blocks += [z_rows, state]
         if not is_root:  # state bounds become rows once x is an expression
@@ -193,23 +197,17 @@ def build_ldr_model(m: Msilp, agg: AggregationMap, variant: LdrVariant) -> LdrMo
         # linking rows: master when free of locals (all of the root's), stage 2 otherwise
         local = np.zeros(nd.b.size, dtype=bool) if is_root or nd.E is None else \
             np.diff(nd.E.indptr) > 0
-        link.rows = np.flatnonzero(~local)
-        blocks.append(link)
+        blocks.append(replace(link, rows=np.flatnonzero(~local)))
         keep = np.flatnonzero(local)
         if keep.size == 0:
             continue
-        # stage-2 LP: E y {sense} const + R w
-        lp_a, senses, const = assemble([RowBlock([(nd.E, 0, 1.0)], nd.sen_l, nd.b, keep)],
-                                       r, canonical=False)
-        R, _, _ = assemble([RowBlock([(nd.A, x_par, 1.0), (nd.C, P[nid], -1.0),
-                                      (nd.D, zcol(nid), -1.0), (nd.B, zp, 1.0)]
-                                     + [(nd.W, za, 1.0) for za in z_anc],
-                                     nd.sen_l, nd.b, keep)], n, canonical=False)
+        # stage-2 LP: E y {sense} const + R w, w the master's columns
+        lp_a, senses, const, R = split_rows([replace(link, rows=keep)], n, r)
         lp = LpProblem(c=nd.h.copy(), A=lp_a, senses=senses, rhs=const.copy(),
                        lo=nd.y_lo.copy(), up=nd.y_up.copy())
         node_lps[nid] = StateLp(lp, R, const, table)
 
-    A, senses, rhs = assemble(blocks, n, canonical=True)
+    A, senses, rhs = assemble(blocks, n)
     master = MipProblem(c=obj, A=A, senses=senses, rhs=rhs, lo=lo, up=up, integer=integer)
     lay = LdrLayout(z_off, x_off, y_off, lam_off, lam_cols, theta_off, n)
     return LdrModel(m, agg, variant, master, lay, node_lps, theta_keys)
@@ -231,13 +229,14 @@ class _BendersOracle(CutOracle):
         self.model = model
         self.eps = eps
         self.deadline = deadline
-        # each group's member nodes, (id, path probability)
-        self.nodes_by_theta: dict[tuple, list[tuple[int, float]]] = {
-            key: [] for key in model.theta_keys}
+        # the member nodes, (id, path probability), of each group that has
+        # node LPs, in scan order
+        members: dict[tuple, list[tuple[int, float]]] = {}
         tree = model.msilp.tree
         for nid in model.node_lps:
             node = tree.node(nid)
-            self.nodes_by_theta[(node.stage, node.mc_state.attrs)].append((nid, node.p))
+            members.setdefault((node.stage, node.mc_state.attrs), []).append((nid, node.p))
+        self.nodes_by_theta = {key: members[key] for key in model.theta_keys if key in members}
 
     def group_value(self, key: tuple, x: np.ndarray):
         """(value, members) of a (stage, state) group at x: the
@@ -260,9 +259,7 @@ class _BendersOracle(CutOracle):
     def separate(self, x: np.ndarray):
         model = self.model
         rows = []
-        for key in model.theta_keys:
-            if not self.nodes_by_theta[key]:
-                continue
+        for key in self.nodes_by_theta:
             total, solved = self.group_value(key, x)
             if total is None:
                 nl, _, sol = solved[0]
@@ -284,9 +281,7 @@ class _BendersOracle(CutOracle):
         its group's value at x."""
         model = self.model
         cost = float(model.master.c @ x)
-        for key in model.theta_keys:
-            if not self.nodes_by_theta[key]:
-                continue
+        for key in self.nodes_by_theta:
             value, _ = self.group_value(key, x)
             if value is None:
                 raise NumericalFailure("an LDR node LP is infeasible at the incumbent")

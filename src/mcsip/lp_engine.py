@@ -44,29 +44,30 @@ off it when first asked: an infeasible LP's (violation, ray) is one
 phase-1 solve, the ray in the same convention; see verify_farkas for the
 exact certificate the ray satisfies.
 
-Benders layer of S and LDR: a StateLp is an LP whose rhs is const + R w
-at an incoming state w, R the Csr model.assemble made.  Every cut is read
-off one of its solutions by StateLp.cut, the one cut reader: an optimum's
-objective and duals pi, or an infeasible LP's certificate, its phase-1
-violation and duals (Benders 1962).  The value is convex in w with slope
-R' pi there, so value + R' pi (w' - w) supports it at every w' and is
-tight at w.  Both products are one np.bincount over R's entries in
-storage order, so a rhs or slope equals R @ w or R.rmatvec(pi) bit for
-bit and no matrix object is built per solve.  A cut is one row
-theta - g'x >= gamma of its host, and cut_row writes it as a dense '>='
-row from g over the host's columns (LDR's slopes already are; S places
-its slopes with index maps).  add_rows appends such rows to an LP, and
-StateLp.host a row to its LP and one to its map, both through
-Csr.with_rows, the one row append.  A state LP's identity is interned in
-its model's StateLpTable from the LP's costs, bounds, rows and senses, and
-from (previous identity, the appended row's entries) when it hosts a cut,
-so two state LPs share one exactly when their LPs are equal row for row.
-The table memoises every outcome, infeasible ones too, by (identity,
-rhs), so an LP that several state LPs share is solved once per rhs; the
-deadline is checked only before a solve the memo cannot answer (a
-certificate's phase-1 solve never checks it).  An entry keeps the LP's
-row duals pi, or its certificate, and the asking state LP takes its slope
-R' pi through its own map.
+Benders layer of S and LDR: a StateLp is an LP whose rhs is const + R w at
+an incoming state w, R a Csr.  Every cut is read off one of its solutions
+by StateLp.cut, the one cut reader: an optimum's objective and duals pi,
+or an infeasible LP's certificate, its phase-1 violation and duals
+(Benders 1962).  The value is convex in w with slope R' pi there, so
+value + R' pi (w' - w) supports it at every w' and is tight at w.  Both products
+are one np.bincount over R's entries in storage order, so a rhs or slope
+equals R @ w or R.rmatvec(pi) bit for bit and no matrix object is built
+per solve.  A cut is one row theta - g'x >= gamma of its host, and cut_row
+writes it as a dense '>=' row from g over the host's columns (LDR's slopes
+already are; S places its slopes with index maps).  add_rows appends such
+rows to an LP.  A state LP's rows are model.split_rows of its node rows
+over [w | the LP's columns], and StateLp.host takes a cut row over the
+same columns and splits it the same way: its LP part to the LP, its w part
+negated to R, both appended through Csr.with_rows, the one row append.  A
+state LP's identity is interned in its model's StateLpTable from the LP's
+costs, bounds, rows and senses, and from (previous identity, the appended
+row's entries) when it hosts a cut, so two state LPs share one exactly
+when their LPs are equal row for row.  The table memoises every outcome,
+infeasible ones too, by (identity, rhs), so an LP that several state LPs
+share is solved once per rhs; the deadline is checked only before a solve
+the memo cannot answer (a certificate's phase-1 solve never checks it).
+An entry keeps the LP's row duals pi, or its certificate, and the asking
+state LP takes its slope R' pi through its own map.
 
 Branch and bound: best-bound node selection, most-fractional branching with
 lowest-index tie break, relative gap termination; each child node starts
@@ -538,17 +539,20 @@ class StateLp:
                             minlength=R.shape[1])
         return value, slope, value - float(slope @ w)
 
-    def host(self, row: Row, map_row: np.ndarray) -> None:
-        """Append row to the LP and (map_row, row's rhs) to the map, const_i
-        = rhs and R_i = map_row, a dense vector over w; the new identity is
-        (old identity, the LP row's entries)."""
-        add_rows(self.lp, [row])
+    def host(self, row: Row) -> None:
+        """Append row, coefs'[w | u] >= rhs with coefs dense over w and the
+        LP's columns u, split at w's width: coefs' u part to the LP and its
+        w part, negated, to R with const_i = rhs.  The new identity is (old
+        identity, the LP row's entries)."""
+        coefs, rhs = row
+        n_w = self.R.shape[1]
+        add_rows(self.lp, [(coefs[n_w:], rhs)])
         a = self.lp.A
         start = a.indptr[-2]
         self.lp_id = self._intern((self.lp_id, a.indices[start:].tobytes(),
                                    a.data[start:].tobytes()))
-        self.R = self.R.with_rows([map_row])
-        self.const = np.append(self.const, row[1])
+        self.R = self.R.with_rows([-coefs[:n_w]])
+        self.const = np.append(self.const, rhs)
 
 
 class CutOracle:

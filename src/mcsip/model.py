@@ -23,16 +23,19 @@ Every solver model turns these blocks into constraint rows by one rule: a
 row block is sum(sign * M @ P) over its terms, where M is one of a node's
 blocks and P maps that variable block onto model columns.  For most
 blocks P is a plain column offset; for the decision-rule substitution
-x_n = Lambda' basis(n) it is a sparse basis-expansion Csr.  `assemble`
-produces two kinds of output:
+x_n = Lambda' basis(n) it is a sparse basis-expansion Csr.  Stacked rows
+come out in one of two forms:
 
-    canonical   models handed to branch and bound (the extensive forms,
+    assemble    models handed to branch and bound (the extensive forms,
                 the S master, the LDR master): coefficients with
                 |v| <= DROP_TOL are dropped, the rest rounded to 12
                 decimals, and whole duplicate rows removed (first kept)
-    positional  LPs whose rows are addressed by offset (the S
-                subproblems, the LDR node LPs): one row per listed row,
-                in order, coefficients summed but otherwise untouched
+    split_rows  state LPs, A u {senses} const + R w (the S subproblems,
+                the LDR node LPs): a node's rows written over the columns
+                [w | u], w the incoming state and u the LP's own columns,
+                split at w's width.  One row per listed row, in order,
+                coefficients summed but otherwise untouched; each term on
+                w moves to the right-hand side, negated, into R
 
 The extensive-form builders share one variable layout object so that
 solutions can be decoded and cross-checked between the plain and the
@@ -266,8 +269,10 @@ class RowBlock:
 
 def node_rows(nd: NodeData, z, x, y, z_par, x_par, z_anc) -> list[RowBlock]:
     """The z-, x- and linking-row blocks of one node, each variable block
-    given by its P; parent maps are None at the root or where the caller
-    moves the parent terms to the right-hand side."""
+    given by its P; a map is None where its block has no columns: the
+    parent's at the root, or a block the caller's rows leave out.  A
+    state LP maps its incoming state into w and splits the rows there
+    (split_rows)."""
     return [
         RowBlock([(nd.H, z, 1.0), (nd.G, z_par, -1.0)], nd.sen_z, nd.g),
         RowBlock([(nd.J, x, 1.0), (nd.F, x_par, -1.0)], nd.sen_x, nd.f),
@@ -336,10 +341,10 @@ def _first_of_each_row(r, c, v, senses, rhs) -> np.ndarray:
     return keep
 
 
-def assemble(blocks: list[RowBlock], n_cols: int, canonical: bool
-             ) -> tuple[Csr, np.ndarray, np.ndarray]:
-    """Stack row blocks into (A, senses, rhs); see the module docstring for
-    what canonical output drops, rounds and dedupes."""
+def _stack(blocks: list[RowBlock]):
+    """(row, column, value) of every block's terms, one row per listed row
+    in block order and duplicates summed (_coalesce), with the rows'
+    senses and rhs."""
     rs, cs, vs = [np.zeros(0, dtype=int)], [np.zeros(0, dtype=int)], [np.zeros(0)]
     senses, rhs = [np.empty(0, dtype="<U1")], [np.zeros(0)]
     base = 0
@@ -354,16 +359,35 @@ def assemble(blocks: list[RowBlock], n_cols: int, canonical: bool
         senses.append(np.asarray(blk.senses)[sel])
         rhs.append(np.asarray(blk.rhs, dtype=float)[sel])
         base += senses[-1].size
-    senses, rhs = np.concatenate(senses), np.concatenate(rhs)
     r, c, v = _coalesce(np.concatenate(rs), np.concatenate(cs), np.concatenate(vs))
-    if canonical:
-        big = np.abs(v) > DROP_TOL
-        r, c, v = r[big], c[big], np.round(v[big], 12)
-        keep = _first_of_each_row(r, c, v, senses, rhs)
-        big = keep[r]
-        r, c, v = (np.cumsum(keep) - 1)[r[big]], c[big], v[big]
-        senses, rhs = senses[keep], rhs[keep]
+    return r, c, v, np.concatenate(senses), np.concatenate(rhs)
+
+
+def assemble(blocks: list[RowBlock], n_cols: int) -> tuple[Csr, np.ndarray, np.ndarray]:
+    """Stack row blocks into the canonical (A, senses, rhs) of a model
+    handed to branch and bound; see the module docstring for what it
+    drops, rounds and dedupes."""
+    r, c, v, senses, rhs = _stack(blocks)
+    big = np.abs(v) > DROP_TOL
+    r, c, v = r[big], c[big], np.round(v[big], 12)
+    keep = _first_of_each_row(r, c, v, senses, rhs)
+    big = keep[r]
+    r, c, v = (np.cumsum(keep) - 1)[r[big]], c[big], v[big]
+    senses, rhs = senses[keep], rhs[keep]
     return Csr(_row_starts(r, rhs.size), c, v, (rhs.size, n_cols)), senses, rhs
+
+
+def split_rows(blocks: list[RowBlock], n_w: int, n: int
+               ) -> tuple[Csr, np.ndarray, np.ndarray, Csr]:
+    """The state LP A u {senses} const + R w of row blocks written over the
+    columns [w | u], w the first n_w and u the next n: one row per listed
+    row, in order, coefficients summed but otherwise untouched; A holds
+    the u terms as they are, R the w terms negated."""
+    r, c, v, senses, const = _stack(blocks)
+    on_u, on_w = c >= n_w, c < n_w
+    A = Csr(_row_starts(r[on_u], const.size), c[on_u] - n_w, v[on_u], (const.size, n))
+    R = Csr(_row_starts(r[on_w], const.size), c[on_w], -v[on_w], (const.size, n_w))
+    return A, senses, const, R
 
 
 def first_stage_offsets(m: Msilp, agg: AggregationMap | None) -> tuple[dict, int, int]:
@@ -449,7 +473,7 @@ def _extensive_form(m: Msilp, agg: AggregationMap | None) -> MipProblem:
                             None if par is None else lay.x_off[par],
                             [zcol(a) for a in ancestors])
 
-    A, senses, rhs = assemble(blocks, lay.n_cols, canonical=True)
+    A, senses, rhs = assemble(blocks, lay.n_cols)
     prob = MipProblem(c=obj, A=A, senses=senses, rhs=rhs, lo=lo, up=up, integer=integer)
     prob.layout = lay
     return prob

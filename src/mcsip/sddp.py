@@ -29,8 +29,9 @@ reader: an optimality cut supports the value of an optimum, a feasibility
 cut the phase-1 violation of an infeasible LP (its certificate).
 
 A cut is stored as that slope R' pi over its owner's w, unsplit (alpha,
-beta and rho are its blocks), plus gamma; index maps built once place it
-in each host's w and in the master's columns.
+beta and rho are its blocks), plus gamma; index maps built once (_place)
+place it over each host's columns [w | x, y, theta] and over the
+master's.
 
 Forward passes sample leaf paths without replacement; backward passes are
 quick passes over the forward solutions.  The subroutine returns the first
@@ -40,18 +41,19 @@ sample to full coverage and insists on a no-cut round, relaxed mode caps
 the rounds and never widens the sample, which keeps every returned bound
 a valid relaxation of the aggregated problem.
 
-Rows come from the shared assembler (model.assemble), every variable
-block mapped by its column offset.  The master is canonical (tiny
-coefficients dropped, rounded, duplicate rows removed) and takes each
-cut as one dense '>=' row: its slope placed over the master's columns by
-an index map, written by lp_engine.cut_row.  Each subproblem LP is
-positional, an lp_engine.StateLp as LDR's node LPs are: rhs = const + R w
-at the incoming state w = (x_parent, z), with R built by the same
-assembler; a hosted cut adds its x_parent part, a dense vector of the
-LP's width, through cut_row as a row of the LP and its z part and gamma
-as a row of (R, const).  The engine's subproblems share one
-memo (see lp_engine's Benders layer), so the copies of a stage and Markov
-state that the transform tells apart are solved once per rhs.
+Rows come from the shared assembler, every variable block mapped by its
+column offset.  The master is model.assemble's canonical form (tiny
+coefficients dropped, rounded, duplicate rows removed) and takes each cut
+as one dense '>=' row: its slope placed over the master's columns by an
+index map, written by lp_engine.cut_row.  Each subproblem LP is an
+lp_engine.StateLp, as LDR's node LPs are: its node's state and linking
+rows written over [w | x, y, theta] and split at w's width by
+model.split_rows, so rhs = const + R w at the incoming state w =
+(x_parent, z).  A hosted cut is one row over the same columns, its slope
+placed by an index map built as the master's are (_place) and written by
+cut_row; StateLp.host splits it the same way.  The engine's subproblems
+share one memo (see lp_engine's Benders layer), so the copies of a stage
+and Markov state that the transform tells apart are solved once per rhs.
 
 solve runs S and its relaxed run (S-LB) on one engine: master, root cut
 loop, branch and cut.  S and S-UB then cost their incumbent policy on
@@ -71,8 +73,8 @@ from .errors import ConfigError, InfeasiblePolicy, NumericalFailure
 from .lp_engine import (INFEASIBLE, OPTIMAL, TIME_LIMIT, CutOracle, Deadline, DeadlineReached,
                         LpSolution, MipSolution, StateLp, StateLpTable, add_rows,
                         branch_and_cut, cut_row, relative_gap, solve_lp)
-from .model import LpProblem, MipProblem, Msilp, RowBlock, assemble, \
-    first_stage_columns, first_stage_offsets, node_rows, z_values
+from .model import LpProblem, MipProblem, Msilp, assemble, first_stage_columns, \
+    first_stage_offsets, node_rows, split_rows, z_values
 from .tolerances import EPS_EXACT, EPS_POLICY, THETA_LB, VIOL_GUARD
 from .tree import path as tree_path
 
@@ -153,6 +155,13 @@ class SddpResult(MipSolution):
     cut_counts: dict[str, int] = field(default_factory=dict)
 
 
+def _place(x_at: int, z_at: dict, groups, k: int, l: int) -> np.ndarray:
+    """The index map of a cut's slope over its owner's w = [x_parent | z of
+    each of groups] onto a host's columns: x_parent at x_at, each group's
+    z at z_at[group]."""
+    return np.concatenate([x_at + np.arange(k)] + [z_at[g] + np.arange(l) for g in groups])
+
+
 class _Sub(StateLp):
     """One policy-graph subproblem and its growing LP over x, y and theta.
 
@@ -170,24 +179,18 @@ class _Sub(StateLp):
         self.children = engine.pgraph.children[key]
         self.z_groups = engine.pgraph.reach[key]
         k, l, r = m.k, m.l, m.r
-        self.k = k
+        n_w = k + l + l * len(self.z_groups)
         self.w_off = {g: k + l + i * l for i, g in enumerate(self.z_groups)}
         self.theta0 = k + r
         self.theta_col = {ck: self.theta0 + i for i, (ck, _) in enumerate(self.children)}
-        # each child's w past x_parent (its parent group, then its reach) in this w
-        self.place = {ck: np.concatenate([self.w_off[g] + np.arange(l) for g in
-                                          (self.group, *engine.pgraph.reach[ck])])
+        # each child's cut slope over [this w | x, y, theta]
+        self.place = {ck: _place(n_w, self.w_off, (self.group, *engine.pgraph.reach[ck]), k, l)
                       for ck, _ in self.children}
 
-        # state and linking rows over x, y; every parent and z term lives in R
-        _, state, link = node_rows(nd, None, 0, k, None, None, ())
-        A, senses, _ = assemble([state, link], self.theta0 + len(self.children),
-                                canonical=False)
-        R, _, const = assemble(
-            [RowBlock([(nd.F, 0, 1.0)], nd.sen_x, nd.f),
-             RowBlock([(nd.A, 0, 1.0), (nd.B, k, 1.0), (nd.D, self.w_off[self.group], -1.0)],
-                      nd.sen_l, nd.b)],
-            k + l + l * len(self.z_groups), canonical=False)
+        # the node's state and linking rows over [w | x, y, theta], split at w
+        A, senses, const, R = split_rows(
+            node_rows(nd, self.w_off[self.group], n_w, n_w + k, k, 0, ())[1:],
+            n_w, self.theta0 + len(self.children))
 
         nt = len(self.children)
         lp = LpProblem(c=np.concatenate([nd.d, nd.h, [p for _, p in self.children]]),
@@ -201,16 +204,13 @@ class _Sub(StateLp):
         return _state(x_par, zvals, parent_group, self.z_groups)
 
     def host_cut(self, cut: Cut) -> None:
-        """Host a child's cut as the row theta - slope_x'x >= gamma +
-        slope_z'z: slope_x, its x_parent block, on this LP's x, and gamma
-        and slope_z, placed into this w by the child's index map, in
-        (R, const)."""
-        theta = self.theta_col[cut.owner] if cut.kind == "optimality" else None
-        coefs = np.zeros(self.lp.n)
-        coefs[:self.k] = cut.slope[:self.k]
-        self.host(cut_row(theta, coefs, cut.gamma),
-                  np.bincount(self.place[cut.owner], cut.slope[self.k:],
-                              minlength=self.R.shape[1]))
+        """Host a child's cut theta >= gamma + slope'w_child as one row over
+        [w | x, y, theta], its slope placed by the child's index map:
+        x_parent onto this LP's x, the z blocks into this w."""
+        n_w = self.R.shape[1]
+        theta = n_w + self.theta_col[cut.owner] if cut.kind == "optimality" else None
+        coefs = np.bincount(self.place[cut.owner], cut.slope, minlength=n_w + self.lp.n)
+        self.host(cut_row(theta, coefs, cut.gamma))
 
 
 class _Step(NamedTuple):
@@ -297,16 +297,14 @@ class SddpEngine:
     def sddp_subroutine(self, candidate: MasterPoint, n_child: int) -> Cut | None:
         cfg = self.cfg
         ids, weights = self._leaves_under[n_child]
-        k_default = min(20, ids.size)
-        k_cur = min(cfg.k or k_default, ids.size)
+        k_cur = min(cfg.k or 20, ids.size)
         rounds = 0
-        self._stage2_seen: set = set()  # non-separating stage-2 cuts, per call
+        seen: set = set()  # the non-separating stage-2 cuts of this call
         while True:
             rounds += 1
             if rounds > 100_000:
                 raise NumericalFailure("SDDP rounds did not terminate")
-            take = min(k_cur, ids.size)
-            order = self.rng.choice(ids.size, size=take, replace=False, p=weights)
+            order = self.rng.choice(ids.size, size=k_cur, replace=False, p=weights)
             cut_added = False
             for leaf in ids[order]:
                 plan = self._plans[int(leaf)]
@@ -317,7 +315,7 @@ class SddpEngine:
                         return feas_cut
                     cut_added = True
                     continue
-                outcome = self._backward(plan, candidate, sols)
+                outcome = self._backward(plan, candidate, sols, seen)
                 if isinstance(outcome, Cut):
                     return outcome
                 cut_added = cut_added or outcome
@@ -350,8 +348,10 @@ class SddpEngine:
             sols[nid] = (sol, x_par, zvals, pg)
         return None
 
-    def _backward(self, plan: list[_Step], candidate: MasterPoint, sols):
-        """Quick pass; returns a violated master Cut, else whether any cut landed."""
+    def _backward(self, plan: list[_Step], candidate: MasterPoint, sols, seen: set):
+        """Quick pass; returns a violated master Cut, else whether any cut
+        landed.  seen holds the signatures of the stage-2 cuts that did not
+        separate, so far in this subroutine call."""
         added = False
         for nid, sub, stage2, parent, _ in reversed(plan):
             value = sols[nid][0].objective
@@ -372,8 +372,8 @@ class SddpEngine:
                 # deeper pools improve instead of accepting a stale candidate;
                 # an unchanged regenerated cut marks a fixed point, stop there
                 sig = (nid, self._cut_signature(cut))
-                if sig not in self._stage2_seen:
-                    self._stage2_seen.add(sig)
+                if sig not in seen:
+                    seen.add(sig)
                     added = True
             else:
                 added = self.add_cut(cut) or added
@@ -413,7 +413,7 @@ def build_master(m: Msilp, agg: AggregationMap,
                         None if node.parent is None else zcol(node.parent), None, ())[0]
               for node in tree.nodes]
     blocks += node_rows(m.data[tree.root], zcol(tree.root), x_off, y_off, None, None, ())[1:]
-    A, senses, rhs = assemble(blocks, n, canonical=True)
+    A, senses, rhs = assemble(blocks, n)
     prob = MipProblem(c=obj, A=A, senses=senses, rhs=rhs, lo=lo, up=up, integer=integer)
     return prob, MasterLayout(z_off, x_off, y_off, theta_cols, n)
 
@@ -443,8 +443,7 @@ class _MasterOracle(CutOracle):
         self.place = {}
         for nid in m.tree.node(m.tree.root).children:
             groups = (root_group, *engine.subs[engine.pgraph.node_to_sub[nid]].z_groups)
-            self.place[nid] = np.concatenate([lay.x_off + np.arange(m.k)]
-                                             + [lay.z_off[g] + np.arange(m.l) for g in groups])
+            self.place[nid] = _place(lay.x_off, lay.z_off, groups, m.k, m.l)
 
     def separate(self, x: np.ndarray):
         eng, lay = self.engine, self.lay

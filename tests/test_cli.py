@@ -132,6 +132,22 @@ def test_evaluate_of_a_record_without_a_transform_exits_3(workdir, tmp_path, cap
     assert "--transform" in err
 
 
+BAD_RECORDS = [([], "no solution record"), ("x", "no solution record"),
+               ({"status": "optimal", "transform": "pm", "z": 5}, "[group, values] pairs"),
+               ({"status": "optimal", "transform": "pm", "z": [[1]]}, "[group, values] pairs")]
+
+
+@pytest.mark.parametrize("rec,word", BAD_RECORDS,
+                         ids=["list", "string", "z-number", "z-entry-no-pair"])
+def test_evaluate_of_a_record_of_another_form_exits_3(workdir, tmp_path, capsys, rec, word):
+    path = tmp_path / "rec.json"
+    path.write_text(json.dumps(rec))
+    rc = main(["evaluate", "--instance", str(workdir / "inst.json"), "--solution", str(path)])
+    err = capsys.readouterr().err
+    assert rc == 3 and err.count("\n") == 1 and err.startswith("config error:")
+    assert str(path) in err and word in err
+
+
 BAD_SETTINGS = [("sddp", "--k", "0", "k"), ("sddp", "--eps", "-1", "eps"),
                 ("sddp", "--eps", "inf", "eps"), ("ldr-m", "--eps", "-1", "eps"),
                 ("ldr-m", "--eps", "inf", "eps"), ("sddp", "--seed", "-1", "seed"),
@@ -302,6 +318,24 @@ def test_bench_starts_no_more_workers_than_cells(tmp_path, monkeypatch):
                                              ("seed", -1, "seed"), ("rounds", 0, "rounds")])
 def test_bench_bad_run_setting_exits_3_before_any_cell(tmp_path, capsys, key, value, word):
     conf = json.loads(bench_config(tmp_path, ["ex", "sddp-lb"], ["pm"]).read_text())
+    conf[key] = value
+    (tmp_path / "bench.json").write_text(json.dumps(conf))
+    rc = main(["bench", "--config", str(tmp_path / "bench.json"), "--out", str(tmp_path / "r.csv")])
+    err = capsys.readouterr().err
+    assert rc == 3 and err.count("\n") == 1 and err.startswith("config error:")
+    assert word in err and not (tmp_path / "r.csv").exists()
+
+
+BAD_BENCH_FORMS = [("instances", ["x"], "instances"), ("instances", 3, "instances"),
+                   ("methods", "ex", "methods"), ("transforms", "pm", "transforms")]
+
+
+@pytest.mark.parametrize("key,value,word", BAD_BENCH_FORMS,
+                         ids=["instances-of-strings", "instances-number", "methods-string",
+                              "transforms-string"])
+def test_bench_config_of_another_form_exits_3_before_any_cell(tmp_path, capsys, key, value,
+                                                              word):
+    conf = json.loads(bench_config(tmp_path, ["ex"], ["pm"]).read_text())
     conf[key] = value
     (tmp_path / "bench.json").write_text(json.dumps(conf))
     rc = main(["bench", "--config", str(tmp_path / "bench.json"), "--out", str(tmp_path / "r.csv")])

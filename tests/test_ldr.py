@@ -172,8 +172,11 @@ def test_hybrid_cuts_underestimate_group_value(hdr_pair):
     # returns one row per lagging group, each read back as (grad, const)
     oracle = _BendersOracle(model, 1e-6)
     x = _lagging_point(model, base)
-    lagging = [key for key in model.theta_keys
-               if oracle.nodes_by_theta[key] and oracle.group_value(key, x)[0] > 1e-6]
+    # the groups that have node LPs, each once, in scan order
+    with_lps = {(ma.tree.node(nid).stage, ma.tree.node(nid).mc_state.attrs)
+                for nid in model.node_lps}
+    assert list(oracle.nodes_by_theta) == [key for key in model.theta_keys if key in with_lps]
+    lagging = [key for key in oracle.nodes_by_theta if oracle.group_value(key, x)[0] > 1e-6]
     rows = oracle.separate(x)
     assert len(lagging) >= 2 and len(rows) == len(lagging)
     row_cuts = []

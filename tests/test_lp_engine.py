@@ -7,7 +7,7 @@ import scipy.sparse as sp
 from scipy.optimize._highspy import _core as highs
 
 from mcsip import lp_engine
-from mcsip.errors import NumericalFailure
+from mcsip.errors import DimensionMismatch, NumericalFailure
 from mcsip.lp_engine import CutOracle, Deadline, LpSolution, StateLp, StateLpTable, \
     _check_highs_version, add_rows, branch_and_cut, cut_row, infeasibility_lp, solve_lp, \
     solve_mip, verify_farkas
@@ -668,12 +668,37 @@ def test_rhs_map_matches_scipy_bit_for_bit():
         for zero in (False, True, False):
             row = np.zeros(n) if zero else rng.normal(size=n) * (rng.random(n) < 0.5)
             gamma = float(rng.normal())
-            state_lp.host(cut_row(0, np.zeros(1), gamma), row)
+            state_lp.host((np.concatenate([-row, [1.0]]), gamma))
             R = sp.vstack([R, sp.csr_matrix(row)], format="csr")
             const = np.append(const, gamma)
         check(rng.normal(size=m + 3))
         _, slope, _ = state_lp.cut(LpSolution("optimal", duals=old_duals, objective=1.0), w)
         np.testing.assert_array_equal(slope, old.T @ old_duals)
+
+
+def test_state_lp_host_splits_one_row_at_the_state_width():
+    """host takes one cut row over [w | the LP's columns]: its LP part
+    becomes the LP's new row, its w part negated R's new row and its rhs
+    const's new entry; the identity follows the LP row alone, and a row
+    of any other width is a DimensionMismatch."""
+    rng = np.random.default_rng(26)
+    n_w = 4
+    R = sp.csr_matrix(rng.normal(size=(2, n_w)))
+    const = rng.normal(size=2)
+    table = StateLpTable()
+    twins = [StateLp(lp([1.0, 2.0], [[1.0, 0.0], [0.0, 1.0]], "GG", np.zeros(2)), as_csr(R),
+                     const, table) for _ in range(2)]
+    coefs, rhs = cut_row(n_w + 1, np.concatenate([rng.normal(size=n_w), [0.5, 0.0]]), 3.0)
+    twins[0].host((coefs, rhs))
+    twins[1].host((np.concatenate([rng.normal(size=n_w), coefs[n_w:]]), -1.0))
+    a = twins[0]
+    np.testing.assert_array_equal(scipy_csr(a.lp.A)[-1].toarray().ravel(), coefs[n_w:])
+    np.testing.assert_array_equal(scipy_csr(a.R)[-1].toarray().ravel(), -coefs[:n_w])
+    np.testing.assert_array_equal(scipy_csr(a.R)[:2].toarray(), R.toarray())
+    assert a.const.tolist() == const.tolist() + [3.0] and a.lp.senses.tolist() == ["G"] * 3
+    assert a.lp_id == twins[1].lp_id  # equal LP rows, whatever their maps
+    with pytest.raises(DimensionMismatch):
+        a.host((coefs[1:], rhs))
 
 
 @pytest.mark.parametrize("owner", ["S subproblem", "LDR node LP"])

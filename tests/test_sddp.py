@@ -397,7 +397,7 @@ def test_sub_lps_see_z_only_through_the_rhs_map():
     """A subproblem LP has the x, y and theta columns only: z reaches it
     through its rhs map (R, const), which carries the D z_own term of the
     linking rows and the z part of every hosted cut."""
-    from mcsip.model import assemble, node_rows
+    from mcsip.model import node_rows, split_rows
     from mcsip.tree import path as tpath
 
     m = make_random_msilp(seed=4, T=4)
@@ -418,8 +418,8 @@ def test_sub_lps_see_z_only_through_the_rhs_map():
         nd, pg = m.data[leaf], agg.node_to_group[m.tree.node(leaf).parent]
         x_par = rng.uniform(0.0, 10.0, size=k)
         got = engine.solve_sub(engine.subs[engine.pgraph.node_to_sub[leaf]], x_par, zvals, pg)
-        A, senses, rhs = assemble(node_rows(nd, 2 * k + r + l, 0, k, 2 * k + r, k + r, ())[1:],
-                                  2 * k + r + 2 * l, canonical=False)
+        A, senses, rhs, _ = split_rows(
+            node_rows(nd, 2 * k + r + l, 0, k, 2 * k + r, k + r, ())[1:], 0, 2 * k + r + 2 * l)
         pin = np.concatenate([x_par, zvals[pg], zvals[agg.node_to_group[leaf]]])
         ref = solve_lp(LpProblem(c=np.concatenate([nd.d, nd.h, np.zeros(pin.size)]), A=A,
                                  senses=senses, rhs=rhs,
@@ -463,18 +463,17 @@ def test_sub_lps_see_z_only_through_the_rhs_map():
 
 def every_group_rhs_map(engine, sub):
     """sub's rhs map (R, const) before any cut, over w = [x_parent |
-    z_parent | z of every group of its stage onward], and those groups."""
-    from mcsip.model import RowBlock, assemble
+    z_parent | z of every group of its stage onward], and those groups:
+    its node's state and linking rows over [w | x, y] split at w."""
+    from mcsip.model import node_rows, split_rows
 
     m = engine.msilp
     k, l = m.k, m.l
     nd = m.data[engine.pgraph.sub_members[sub.key][0]]
     groups = [g for g in engine.agg.group_index if g[0] >= sub.key[0]]
     own = k + l + groups.index(sub.group) * l
-    R, _, const = assemble(
-        [RowBlock([(nd.F, 0, 1.0)], nd.sen_x, nd.f),
-         RowBlock([(nd.A, 0, 1.0), (nd.B, k, 1.0), (nd.D, own, -1.0)], nd.sen_l, nd.b)],
-        k + l + l * len(groups), canonical=False)
+    n_w = k + l + l * len(groups)
+    _, _, const, R = split_rows(node_rows(nd, own, n_w, n_w + k, k, 0, ())[1:], n_w, k + m.r)
     return R, const, groups
 
 
