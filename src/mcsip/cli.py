@@ -20,14 +20,14 @@ import time
 import numpy as np
 
 from .aggregate import Transformation, build_aggregation
-from .errors import ConfigError
+from .errors import ConfigError, InfeasiblePolicy
 from .hdr import HdrConfig, generate_instance, load_instance, save_instance, \
     build_hdr_aggregated, build_hdr_msilp
 from .ldr import LdrVariant, benders_solve, build_ldr_model, extract_policy
 from .lp_engine import Deadline, branch_and_cut
 from .model import build_aggregated_extensive_form, z_values
 from .sddp import SddpConfig, evaluate_policy, solve as solve_sddp
-from .tolerances import DENOM_FLOOR, ORDER_TOL
+from .tolerances import DENOM_FLOOR, INT_TOL, ORDER_TOL
 from .tree import build_tree
 
 METHODS = ("ex", "sddp", "sddp-lb", "sddp-ub", "ldr-th", "ldr-t", "ldr-m")
@@ -176,10 +176,10 @@ def cmd_solve(args) -> int:
     return 0
 
 
-def _policy(entries, path: str, agg, l: int) -> dict:
-    """The z policy of a solution record's entries, [group, values] pairs,
-    one l-vector for each group of agg and no other group; entries of any
-    other form, or the first mismatch, are a ConfigError."""
+def _policy(entries, path: str, m, agg) -> dict:
+    """The z policy of a solution record's entries, [group, values] pairs: one
+    l-vector of integers within its member nodes' bounds for each group of agg
+    and no other group; any other entries, or the first mismatch, are a ConfigError."""
     try:
         z = {tuple(key): np.array(vals, dtype=float) for key, vals in entries}
     except (TypeError, ValueError) as exc:
@@ -188,12 +188,17 @@ def _policy(entries, path: str, agg, l: int) -> dict:
     for g in agg.group_index:
         if g not in z:
             raise ConfigError(f"{path} has no policy for group {g} of transform {kind}")
-        if z[g].shape != (l,):
-            raise ConfigError(f"{path}: group {g} holds {z[g].size} values, expected {l}")
+        if z[g].shape != (m.l,):
+            raise ConfigError(f"{path}: group {g} holds {z[g].size} values, expected {m.l}")
     for g in z:
         if g not in agg.group_index:
             raise ConfigError(f"{path} has a policy for group {g}, "
                               f"which transform {kind} does not have")
+    for node in m.tree.nodes:
+        g, nd = agg.node_to_group[node.id], m.data[node.id]
+        v = z[g]
+        if not np.all((np.abs(v - np.round(v)) <= INT_TOL) & (nd.z_lo <= v) & (v <= nd.z_up)):
+            raise ConfigError(f"{path}: group {g} holds {v.tolist()}, expected integers in bounds")
     return z
 
 
@@ -211,8 +216,11 @@ def cmd_evaluate(args) -> int:
     tr = _transformation(transform, args.pm_attrs)
     m = build_hdr_msilp(inst)
     agg = build_aggregation(m.tree, tr)
-    z = _policy(sol["z"], args.solution, agg, m.l)
-    val = evaluate_policy(m, agg, z, SddpConfig(seed=args.seed))
+    z = _policy(sol["z"], args.solution, m, agg)
+    try:
+        val = evaluate_policy(m, agg, z, SddpConfig(seed=args.seed))
+    except InfeasiblePolicy as exc:
+        raise ConfigError(f"{args.solution}: {exc}") from exc
     print(f"exact policy value: {_fmt(val)}")
     if args.out:
         with open(args.out, "w") as fp:
@@ -230,18 +238,16 @@ def _bench_cell(spec: dict) -> dict:
             given = {key: spec["instance"][key] for key in ("capacity_pct", "modality_type",
                                                             "seed") if key in spec["instance"]}
             inst = generate_instance(HdrConfig(cols=cols, rows=rows, **given))
-        tr = _transformation(spec["transform"], spec.get("pm_attrs"))
-        rec = run_solve(inst, spec["method"], tr, eps=spec.get("eps"),
-                        k=spec.get("k"), seed=spec.get("seed", 0),
-                        time_limit=spec.get("time_limit"),
-                        rounds=spec.get("rounds", 3))
+        tr = _transformation(spec["transform"], spec["pm_attrs"])
+        rec = run_solve(inst, spec["method"], tr, eps=spec["eps"], k=spec["k"],
+                        seed=spec["seed"], time_limit=spec["time_limit"], rounds=spec["rounds"])
         rec["instance"] = spec["instance"].get("id", "?")
         rec["error"] = ""
         return rec
     except Exception as exc:  # per-cell error, the run continues
         return {"instance": spec["instance"].get("id", "?"),
                 "method": spec["method"], "transform": spec["transform"],
-                "seed": spec.get("seed", 0), "status": "error",
+                "seed": spec["seed"], "status": "error",
                 "error": f"{type(exc).__name__}: {exc}", "wall_time": 0.0}
 
 
@@ -256,25 +262,25 @@ def cmd_bench(args) -> int:
         transforms = conf.get("transforms", ["hn"])
         if not (isinstance(instances, list) and all(isinstance(i, dict) for i in instances)):
             raise ConfigError("instances must be a list of objects")
+        for spec in instances:  # a file name, else a grid that parses
+            if "path" not in spec:
+                _parse_grid(spec.get("grid"))
+            elif not isinstance(spec["path"], str):
+                raise ConfigError(f"instance path {spec['path']!r} is not a file name")
         for name, names in (("methods", methods), ("transforms", transforms)):
             if not (isinstance(names, list) and all(isinstance(v, str) for v in names)):
                 raise ConfigError(f"{name} must be a list of names")
         # the run-wide settings, checked as mcsip solve checks them
         Deadline(conf.get("time_limit"))
-        SddpConfig(seed=conf.get("seed", 0), max_rounds=conf.get("rounds", 3))
+        run = SddpConfig(seed=conf.get("seed", SddpConfig.seed),
+                         max_rounds=conf.get("rounds", SddpConfig.max_rounds))
     except (OSError, KeyError, json.JSONDecodeError, TypeError, ConfigError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 3
-    cells = []
-    for inst_spec in instances:
-        for method in methods:
-            for tr in transforms:
-                cells.append({"instance": inst_spec, "method": method,
-                              "transform": tr, "pm_attrs": conf.get("pm_attrs"),
-                              "eps": conf.get("eps"), "k": conf.get("k"),
-                              "seed": conf.get("seed", 0),
-                              "time_limit": conf.get("time_limit"),
-                              "rounds": conf.get("rounds", 3)})
+    settings = {"pm_attrs": conf.get("pm_attrs"), "eps": conf.get("eps"), "k": conf.get("k"),
+                "seed": run.seed, "time_limit": conf.get("time_limit"), "rounds": run.max_rounds}
+    cells = [{"instance": spec, "method": method, "transform": tr, **settings}
+             for spec in instances for method in methods for tr in transforms]
     workers = min(args.jobs, len(cells))  # the pool starts every worker at once
     if workers > 1:
         with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
@@ -349,9 +355,9 @@ def main(argv=None) -> int:
     s.add_argument("--pm-attrs", type=int, nargs="*", default=None)
     s.add_argument("--eps", type=float, default=None)
     s.add_argument("--k", type=int, default=None)
-    s.add_argument("--seed", type=int, default=0)
+    s.add_argument("--seed", type=int, default=SddpConfig.seed)
     s.add_argument("--time-limit", type=float, default=None)
-    s.add_argument("--rounds", type=int, default=3)
+    s.add_argument("--rounds", type=int, default=SddpConfig.max_rounds)
     s.add_argument("--out")
     s.set_defaults(func=cmd_solve)
 
@@ -360,7 +366,7 @@ def main(argv=None) -> int:
     e.add_argument("--solution", required=True)
     e.add_argument("--transform", choices=TRANSFORMS, default=None)
     e.add_argument("--pm-attrs", type=int, nargs="*", default=None)
-    e.add_argument("--seed", type=int, default=0)
+    e.add_argument("--seed", type=int, default=SddpConfig.seed)
     e.add_argument("--out")
     e.set_defaults(func=cmd_evaluate)
 

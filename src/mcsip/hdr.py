@@ -362,7 +362,6 @@ def _node_data(inst: HdrInstance, state: McState, is_root: bool,
 
     return NodeData(
         H=H, G=G, g=np.array(g), sen_z=np.array(sen_z, dtype="<U1"),
-        J=None, F=None, f=np.zeros(0), sen_x=np.empty(0, dtype="<U1"),
         C=mk(rows_c, k), D=None, E=mk(rows_e, r),
         A=None if is_root else mk(rows_a, k),
         B=None if is_root else mk(rows_b, n_l),

@@ -71,14 +71,13 @@ def node_basis(m: Msilp, nid: int) -> np.ndarray:
     nd = m.data[nid]
     if m.basis_rows is not None:
         return np.asarray(nd.b[m.basis_rows], dtype=float)
-    return np.concatenate([nd.b, nd.f, nd.g, nd.c, nd.d, nd.h]).astype(float)
+    return np.concatenate([nd.b, nd.g, nd.c, nd.d, nd.h]).astype(float)
 
 
 @dataclass
 class LdrLayout:
     z_off: dict[GroupKey, int]
     x_off: int
-    y_off: int
     lam_off: dict[tuple, int]
     lam_cols: dict[tuple, int]  # basis length (incl. intercept) per block
     theta_off: dict[tuple, int]  # (stage, state attrs) -> column
@@ -88,7 +87,6 @@ class LdrLayout:
 @dataclass
 class LdrModel:
     msilp: Msilp
-    agg: AggregationMap
     variant: LdrVariant
     master: MipProblem
     layout: LdrLayout
@@ -103,14 +101,13 @@ def _lam_key(variant: LdrVariant, m: Msilp, nid: int) -> tuple:
     return (variant.kind, node.stage)
 
 
-def _stage_basis_len(m: Msilp) -> dict[int, int]:
+def _check_stage_basis_len(m: Msilp) -> None:
     out: dict[int, int] = {}
     for node in m.tree.nodes:
         n = node_basis(m, node.id).size
         if out.setdefault(node.stage, n) != n:
             raise ValueError(f"stage {node.stage} has nodes with different data "
                              f"lengths; no uniform decision-rule basis exists")
-    return out
 
 
 def _rule_basis(variant: LdrVariant, m: Msilp, nid: int) -> np.ndarray:
@@ -125,7 +122,7 @@ def _rule_basis(variant: LdrVariant, m: Msilp, nid: int) -> np.ndarray:
 def build_ldr_model(m: Msilp, agg: AggregationMap, variant: LdrVariant) -> LdrModel:
     tree = m.tree
     k, r = m.k, m.r
-    _stage_basis_len(m)  # one rule basis length per stage, else ValueError
+    _check_stage_basis_len(m)  # one rule basis length per stage, else ValueError
 
     # first-stage columns
     z_off, x_off, y_off = first_stage_offsets(m, agg)
@@ -187,9 +184,9 @@ def build_ldr_model(m: Msilp, agg: AggregationMap, variant: LdrVariant) -> LdrMo
         x_par = None if par is None else P[par]
         z_anc = [zcol(a) for a in tree_path(tree, nid)[:-1]] if nd.W is not None else []
         # over [master columns | y]: the root's y is a master block, a node LP's follows them
-        z_rows, state, link = node_rows(nd, zcol(nid), P[nid], y_off if is_root else n,
-                                        zp, x_par, z_anc)
-        blocks += [z_rows, state]
+        z_rows, link = node_rows(nd, zcol(nid), P[nid], y_off if is_root else n,
+                                 zp, x_par, z_anc)
+        blocks.append(z_rows)
         if not is_root:  # state bounds become rows once x is an expression
             bounds = np.column_stack([nd.x_lo, nd.x_up]).ravel()
             blocks.append(RowBlock([(pick_bound, P[nid], 1.0)], np.tile([GE, LE], k),
@@ -209,8 +206,8 @@ def build_ldr_model(m: Msilp, agg: AggregationMap, variant: LdrVariant) -> LdrMo
 
     A, senses, rhs = assemble(blocks, n)
     master = MipProblem(c=obj, A=A, senses=senses, rhs=rhs, lo=lo, up=up, integer=integer)
-    lay = LdrLayout(z_off, x_off, y_off, lam_off, lam_cols, theta_off, n)
-    return LdrModel(m, agg, variant, master, lay, node_lps, theta_keys)
+    lay = LdrLayout(z_off, x_off, lam_off, lam_cols, theta_off, n)
+    return LdrModel(m, variant, master, lay, node_lps, theta_keys)
 
 
 class _BendersOracle(CutOracle):

@@ -3,10 +3,12 @@
 Per-node constraint blocks, all rows normalized to sense '>= ' or '==':
 
     z-rows:    H z_n           {>=,==}  G z_parent + g
-    x-rows:    J x_n           {>=,==}  F x_parent + f
     linking:   C x_n + D z_n + E y_n
                                {>=,==}  A x_parent + B z_parent
                                         + W sum(z_ancestors incl. parent) + b
+
+A row on x alone, x_n >= F x_parent + f say, is a linking row with C = I,
+A = F, b = f and D, E, B, W zero: one row family couples a node to its parent.
 
 W is an optional ancestor-coupling block used by formulations that fold a
 telescoped state recursion into the integer variables; it is only legal
@@ -157,11 +159,6 @@ class NodeData:
     G: Csr | None = None
     g: np.ndarray = field(default_factory=lambda: np.zeros(0))
     sen_z: np.ndarray = field(default_factory=lambda: np.empty(0, dtype="<U1"))
-    # x-rows
-    J: Csr | None = None
-    F: Csr | None = None
-    f: np.ndarray = field(default_factory=lambda: np.zeros(0))
-    sen_x: np.ndarray = field(default_factory=lambda: np.empty(0, dtype="<U1"))
     # linking rows
     C: Csr | None = None
     D: Csr | None = None
@@ -188,18 +185,17 @@ class NodeData:
         import hashlib
 
         hsh = hashlib.sha256()
-        for m in (self.H, self.G, self.J, self.F, self.C, self.D, self.E,
-                  self.A, self.B, self.W):
+        for m in (self.H, self.G, self.C, self.D, self.E, self.A, self.B, self.W):
             if m is None:
                 hsh.update(b"-")
             else:
                 hsh.update(m.indptr.tobytes())
                 hsh.update(m.indices.tobytes())
                 hsh.update(np.round(m.data, 12).tobytes())
-        for v in (self.g, self.f, self.b, self.c, self.d, self.h,
+        for v in (self.g, self.b, self.c, self.d, self.h,
                   self.x_lo, self.x_up, self.y_lo, self.y_up, self.z_lo, self.z_up):
             hsh.update(np.round(np.asarray(v, dtype=float), 12).tobytes())
-        for s in (self.sen_z, self.sen_x, self.sen_l):
+        for s in (self.sen_z, self.sen_l):
             hsh.update("".join(s).encode())
         return hsh.digest()
 
@@ -268,14 +264,13 @@ class RowBlock:
 
 
 def node_rows(nd: NodeData, z, x, y, z_par, x_par, z_anc) -> list[RowBlock]:
-    """The z-, x- and linking-row blocks of one node, each variable block
+    """The z- and linking-row blocks of one node, each variable block
     given by its P; a map is None where its block has no columns: the
     parent's at the root, or a block the caller's rows leave out.  A
     state LP maps its incoming state into w and splits the rows there
     (split_rows)."""
     return [
         RowBlock([(nd.H, z, 1.0), (nd.G, z_par, -1.0)], nd.sen_z, nd.g),
-        RowBlock([(nd.J, x, 1.0), (nd.F, x_par, -1.0)], nd.sen_x, nd.f),
         RowBlock([(nd.C, x, 1.0), (nd.D, z, 1.0), (nd.E, y, 1.0), (nd.A, x_par, -1.0),
                   (nd.B, z_par, -1.0)] + [(nd.W, za, -1.0) for za in z_anc],
                  nd.sen_l, nd.b),
@@ -529,11 +524,9 @@ def validate(m: Msilp) -> list[str]:
 
     for node in m.tree.nodes:
         nd = m.data[node.id]
-        nz, nx, nl = nd.g.size, nd.f.size, nd.b.size
+        nz, nl = nd.g.size, nd.b.size
         _chk(node.id, nd.H, "H", (nz, m.l))
         _chk(node.id, nd.G, "G", (nz, m.l))
-        _chk(node.id, nd.J, "J", (nx, m.k))
-        _chk(node.id, nd.F, "F", (nx, m.k))
         _chk(node.id, nd.C, "C", (nl, m.k))
         _chk(node.id, nd.D, "D", (nl, m.l))
         _chk(node.id, nd.E, "E", (nl, m.r))
@@ -547,13 +540,11 @@ def validate(m: Msilp) -> list[str]:
             if np.asarray(vec).size != size:
                 diags.append(f"node {node.id}: {name} has length {np.asarray(vec).size},"
                              f" expected {size}")
-        for sen, size, name in ((nd.sen_z, nz, "sen_z"), (nd.sen_x, nx, "sen_x"),
-                                (nd.sen_l, nl, "sen_l")):
+        for sen, size, name in ((nd.sen_z, nz, "sen_z"), (nd.sen_l, nl, "sen_l")):
             if sen.size != size:
                 diags.append(f"node {node.id}: {name} has length {sen.size}, expected {size}")
         if node.parent is None:
-            for mat, name in ((nd.A, "A"), (nd.B, "B"), (nd.F, "F"), (nd.G, "G"),
-                              (nd.W, "W")):
+            for mat, name in ((nd.A, "A"), (nd.B, "B"), (nd.G, "G"), (nd.W, "W")):
                 if mat is not None:
                     diags.append(f"root carries parent-coupling block {name}")
         if not (np.all(np.isfinite(nd.z_lo)) and np.all(np.isfinite(nd.z_up))):

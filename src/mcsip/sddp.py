@@ -8,14 +8,13 @@ x, its local variables y and one theta per child subproblem, with z only
 on the right-hand side:
 
     min  d'x + h'y + sum_children p * theta_child
-    s.t. J x >= F x_parent + f                     (state rows)
-         C x + E y >= A x_parent + B z[parent group]
+    s.t. C x + E y >= A x_parent + B z[parent group]
               - D z[own group] + b                 (linking rows)
          theta_child - alpha'x >= gamma + beta'z[own group]
               + sum_g rho_g'z[g]                   (pooled cuts)
 
 A cut generated from a solved subproblem is the exact dual support of its
-value as a function of the incoming state: alpha collects the F/A duals,
+value as a function of the incoming state: alpha collects the A duals,
 beta the B duals, and rho_g the slope on the z of every reachable group g
 of the owner (its D duals and those of the cuts it hosts), so the cut
 stays valid in any same-stage host (beta binds to the host's own group).
@@ -46,8 +45,8 @@ column offset.  The master is model.assemble's canonical form (tiny
 coefficients dropped, rounded, duplicate rows removed) and takes each cut
 as one dense '>=' row: its slope placed over the master's columns by an
 index map, written by lp_engine.cut_row.  Each subproblem LP is an
-lp_engine.StateLp, as LDR's node LPs are: its node's state and linking
-rows written over [w | x, y, theta] and split at w's width by
+lp_engine.StateLp, as LDR's node LPs are: its node's linking rows
+written over [w | x, y, theta] and split at w's width by
 model.split_rows, so rhs = const + R w at the incoming state w =
 (x_parent, z).  A hosted cut is one row over the same columns, its slope
 placed by an index map built as the master's are (_place) and written by
@@ -92,9 +91,7 @@ class SddpConfig:
     theta_lb = THETA_LB           # a constant, not a setting: no annotation, no field
 
     def __post_init__(self):
-        if self.eps is None:
-            self.eps = EPS_EXACT if self.exact else 0.1
-        if not 0 < self.eps < np.inf:
+        if self.eps is not None and not 0 < self.eps < np.inf:
             raise ConfigError(f"eps must be positive and finite, got {self.eps}")
         if self.k is not None and self.k < 1:
             raise ConfigError(f"k must be at least 1, got {self.k}")
@@ -102,6 +99,11 @@ class SddpConfig:
             raise ConfigError(f"rounds must be at least 1, got {self.max_rounds}")
         if self.seed < 0:
             raise ConfigError(f"seed must be nonnegative, got {self.seed}")
+
+    @property
+    def accepted_lag(self) -> float:
+        """eps, or the default of the mode the config is in now."""
+        return self.eps if self.eps is not None else EPS_EXACT if self.exact else 0.1
 
 
 def _state(x_par, zvals, parent_group, z_groups) -> np.ndarray:
@@ -144,7 +146,6 @@ class MasterPoint:
 class MasterLayout:
     z_off: dict[GroupKey, int]
     x_off: int
-    y_off: int
     theta: dict[int, int]         # stage-2 node id -> column
     n_cols: int
 
@@ -167,8 +168,8 @@ class _Sub(StateLp):
 
     z reaches the LP only through its rhs, const + R w at the incoming
     state w = [x_parent | z of the parent group | z of each reachable
-    group (z_groups, PolicyGraph.reach)].  The state and linking rows
-    come first, hosted cut rows follow."""
+    group (z_groups, PolicyGraph.reach)].  The linking rows come first,
+    hosted cut rows follow."""
 
     def __init__(self, key: SubKey, engine: "SddpEngine", table: StateLpTable):
         self.key = key
@@ -176,24 +177,24 @@ class _Sub(StateLp):
         node0 = engine.pgraph.sub_members[key][0]
         nd = m.data[node0]
         self.group = engine.agg.node_to_group[node0]
-        self.children = engine.pgraph.children[key]
+        children = engine.pgraph.children[key]
         self.z_groups = engine.pgraph.reach[key]
         k, l, r = m.k, m.l, m.r
         n_w = k + l + l * len(self.z_groups)
-        self.w_off = {g: k + l + i * l for i, g in enumerate(self.z_groups)}
+        w_off = {g: k + l + i * l for i, g in enumerate(self.z_groups)}
         self.theta0 = k + r
-        self.theta_col = {ck: self.theta0 + i for i, (ck, _) in enumerate(self.children)}
+        self.theta_col = {ck: self.theta0 + i for i, (ck, _) in enumerate(children)}
         # each child's cut slope over [this w | x, y, theta]
-        self.place = {ck: _place(n_w, self.w_off, (self.group, *engine.pgraph.reach[ck]), k, l)
-                      for ck, _ in self.children}
+        self.place = {ck: _place(n_w, w_off, (self.group, *engine.pgraph.reach[ck]), k, l)
+                      for ck, _ in children}
 
-        # the node's state and linking rows over [w | x, y, theta], split at w
+        # the node's linking rows over [w | x, y, theta], split at w
         A, senses, const, R = split_rows(
-            node_rows(nd, self.w_off[self.group], n_w, n_w + k, k, 0, ())[1:],
-            n_w, self.theta0 + len(self.children))
+            node_rows(nd, w_off[self.group], n_w, n_w + k, k, 0, ())[1:],
+            n_w, self.theta0 + len(children))
 
-        nt = len(self.children)
-        lp = LpProblem(c=np.concatenate([nd.d, nd.h, [p for _, p in self.children]]),
+        nt = len(children)
+        lp = LpProblem(c=np.concatenate([nd.d, nd.h, [p for _, p in children]]),
                        A=A, senses=senses, rhs=np.zeros(senses.size),
                        lo=np.concatenate([nd.x_lo, nd.y_lo, np.full(nt, THETA_LB)]),
                        up=np.concatenate([nd.x_up, nd.y_up, np.full(nt, np.inf)]))
@@ -352,14 +353,14 @@ class SddpEngine:
         """Quick pass; returns a violated master Cut, else whether any cut
         landed.  seen holds the signatures of the stage-2 cuts that did not
         separate, so far in this subroutine call."""
-        added = False
+        added, eps = False, self.cfg.accepted_lag
         for nid, sub, stage2, parent, _ in reversed(plan):
             value = sols[nid][0].objective
             if stage2:
                 theta_hat = candidate.theta[nid]
             else:  # the child's theta in its parent's optimum
                 theta_hat = sols[parent][0].x[self._steps[parent].sub.theta_col[sub.key]]
-            if abs(theta_hat - value) < self.cfg.eps * abs(value) + VIOL_GUARD:
+            if abs(theta_hat - value) < eps * abs(value) + VIOL_GUARD:
                 continue
             cut = self.make_cut(sub, *sols[nid])
             if stage2:
@@ -408,14 +409,14 @@ def build_master(m: Msilp, agg: AggregationMap,
         obj[tc] = tree.node(nid).p_cond
         lo[tc] = theta_lb
 
-    # every node's z-rows, then the root's state and linking rows
+    # every node's z-rows, then the root's linking rows
     blocks = [node_rows(m.data[node.id], zcol(node.id), None, None,
                         None if node.parent is None else zcol(node.parent), None, ())[0]
               for node in tree.nodes]
     blocks += node_rows(m.data[tree.root], zcol(tree.root), x_off, y_off, None, None, ())[1:]
     A, senses, rhs = assemble(blocks, n)
     prob = MipProblem(c=obj, A=A, senses=senses, rhs=rhs, lo=lo, up=up, integer=integer)
-    return prob, MasterLayout(z_off, x_off, y_off, theta_cols, n)
+    return prob, MasterLayout(z_off, x_off, theta_cols, n)
 
 
 def decode_master(m: Msilp, agg: AggregationMap, lay: MasterLayout,

@@ -69,7 +69,9 @@ def make_random_msilp(seed=0, T=3, n_states=2, k=2, l=2, r=3,
                       complete_recourse=True, with_state_rows=True,
                       zero_frac=0.0):
     """Random instance with nonnegative costs, box-bounded states, binary
-    integers and (optionally) a high-cost slack local guaranteeing recourse."""
+    integers and (optionally) a high-cost slack local guaranteeing recourse.
+    With state rows, each node's linking rows start with k rows on x
+    alone, x >= 0.3 x_parent - 1 (x >= -1 at the root)."""
     rng = np.random.default_rng(seed)
     chain = random_chain(rng, n_states, zero_frac=zero_frac)
     tree = build_tree(chain, T)
@@ -92,23 +94,20 @@ def make_random_msilp(seed=0, T=3, n_states=2, k=2, l=2, r=3,
             A = None if is_root else rng.uniform(-1, 1, size=(nl, k)) * 0.6
             B = None if is_root else rng.uniform(-1, 1, size=(nl, l)) * 0.6
             b = rng.uniform(-0.5, 1.5, size=nl)
-            if with_state_rows:
-                J = np.eye(k)
-                F = None if is_root else 0.3 * np.eye(k)
-                f = np.full(k, -1.0)
-                sen_x = np.array(["G"] * k, dtype="<U1")
-            else:
-                J = F = None
-                f = np.zeros(0)
-                sen_x = np.empty(0, dtype="<U1")
+            if with_state_rows:  # x >= 0.3 x_parent - 1 as the first k linking rows
+                C = np.vstack([np.eye(k), C])
+                D = np.vstack([np.zeros((k, l)), D])
+                E = np.vstack([np.zeros((k, r_tot)), E])
+                if not is_root:
+                    A = np.vstack([0.3 * np.eye(k), A])
+                    B = np.vstack([np.zeros((k, l)), B])
+                b = np.concatenate([np.full(k, -1.0), b])
+                nl += k
             H = -np.ones((1, l))
             G = None if is_root else smat(sp.csr_matrix(0.0 * np.ones((1, l))), (1, l))
             cache[key] = NodeData(
                 H=smat(sp.csr_matrix(H), (1, l)), G=G,
                 g=np.array([-float(l)]), sen_z=np.array(["G"], dtype="<U1"),
-                J=smat(sp.csr_matrix(J), (k, k)) if J is not None else None,
-                F=smat(sp.csr_matrix(F), (k, k)) if F is not None else None,
-                f=f, sen_x=sen_x,
                 C=smat(sp.csr_matrix(C), (nl, k)),
                 D=smat(sp.csr_matrix(D), (nl, l)),
                 E=smat(sp.csr_matrix(E), (nl, r_tot)),

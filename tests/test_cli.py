@@ -181,25 +181,36 @@ def test_bad_generate_setting_exits_3(tmp_path, capsys, flag, value, word):
     assert word in err and not (tmp_path / "inst.json").exists()
 
 
-@pytest.mark.parametrize("case", ["other-transform", "short-vector"])
+POLICY_MISFITS = [("other-transform", "no policy for group"),
+                  ("short-vector", "values, expected"),
+                  ("above-bounds", "expected integers in bounds"),
+                  ("fractional", "expected integers in bounds"),
+                  ("infeasible-in-bounds", "no feasible")]
+
+
+@pytest.mark.parametrize("case,word", POLICY_MISFITS, ids=[c for c, _ in POLICY_MISFITS])
 def test_evaluate_of_a_policy_that_does_not_fit_the_aggregation_exits_3(
-        workdir, tmp_path, capsys, case):
+        workdir, tmp_path, capsys, case, word):
     d = workdir
     rc = main(["solve", "--instance", str(d / "inst.json"), "--method", "ex",
                "--transform", "hn", "--out", str(tmp_path / "hn.json")])
     assert rc == 0
     argv = ["evaluate", "--instance", str(d / "inst.json"), "--solution", str(tmp_path / "hn.json")]
+    rec = json.loads((tmp_path / "hn.json").read_text())
     if case == "other-transform":
         argv += ["--transform", "pm"]
-    else:
-        rec = json.loads((tmp_path / "hn.json").read_text())
+    elif case == "short-vector":
         rec["z"][1][1] = rec["z"][1][1][:-1]
-        (tmp_path / "hn.json").write_text(json.dumps(rec))
+    elif case == "infeasible-in-bounds":  # every modality chosen everywhere breaks the z-rows
+        rec["z"] = [[g, [1.0] * len(vals)] for g, vals in rec["z"]]
+    else:
+        rec["z"][0][1][0] = 2.0 if case == "above-bounds" else 0.5
+    (tmp_path / "hn.json").write_text(json.dumps(rec))
     capsys.readouterr()
     rc = main(argv)
     err = capsys.readouterr().err
     assert rc == 3 and err.count("\n") == 1 and err.startswith("config error:")
-    assert ("no policy for group" if case == "other-transform" else "values, expected") in err
+    assert word in err
 
 
 def test_solve_ldr_writes_rule_and_inventories(workdir):
@@ -327,12 +338,17 @@ def test_bench_bad_run_setting_exits_3_before_any_cell(tmp_path, capsys, key, va
 
 
 BAD_BENCH_FORMS = [("instances", ["x"], "instances"), ("instances", 3, "instances"),
-                   ("methods", "ex", "methods"), ("transforms", "pm", "transforms")]
+                   ("methods", "ex", "methods"), ("transforms", "pm", "transforms"),
+                   ("instances", [{"path": 999, "id": "t"}], "path"),
+                   ("instances", [{"grid": "9", "id": "t"}], "grid"),
+                   ("instances", [{"grid": 24, "id": "t"}], "grid"),
+                   ("instances", [{"seed": 5, "id": "t"}], "grid")]
 
 
 @pytest.mark.parametrize("key,value,word", BAD_BENCH_FORMS,
                          ids=["instances-of-strings", "instances-number", "methods-string",
-                              "transforms-string"])
+                              "transforms-string", "path-number", "grid-unparsed",
+                              "grid-number", "no-path-no-grid"])
 def test_bench_config_of_another_form_exits_3_before_any_cell(tmp_path, capsys, key, value,
                                                               word):
     conf = json.loads(bench_config(tmp_path, ["ex"], ["pm"]).read_text())

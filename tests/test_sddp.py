@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -29,7 +31,6 @@ def chain_msilp(child_rows, k=1, l=1, r=1, T=2, root_d=(0.0,), h=(1.0,),
     tree = build_tree(mc, T)
     root = NodeData(
         g=np.zeros(0), sen_z=np.empty(0, dtype="<U1"),
-        f=np.zeros(0), sen_x=np.empty(0, dtype="<U1"),
         b=np.zeros(0), sen_l=np.empty(0, dtype="<U1"),
         c=np.zeros(l), d=np.array(root_d), h=np.zeros(r),
         x_lo=np.zeros(k), x_up=np.full(k, x_up),
@@ -40,7 +41,6 @@ def chain_msilp(child_rows, k=1, l=1, r=1, T=2, root_d=(0.0,), h=(1.0,),
     nl = len(b_vec)
     child = NodeData(
         g=np.zeros(0), sen_z=np.empty(0, dtype="<U1"),
-        f=np.zeros(0), sen_x=np.empty(0, dtype="<U1"),
         C=smat(sp.csr_matrix(np.asarray(C, dtype=float).reshape(nl, k)), (nl, k)) if C is not None else None,
         E=smat(sp.csr_matrix(np.asarray(E, dtype=float).reshape(nl, r)), (nl, r)) if E is not None else None,
         A=smat(sp.csr_matrix(np.asarray(A, dtype=float).reshape(nl, k)), (nl, k)) if A is not None else None,
@@ -405,7 +405,7 @@ def test_sub_lps_see_z_only_through_the_rhs_map():
     engine = SddpEngine(m, agg, SddpConfig(seed=0))
     k, l, r = m.k, m.l, m.r
     for sub in engine.subs.values():
-        assert sub.lp.n == k + r + len(sub.children)
+        assert sub.lp.n == k + r + len(engine.pgraph.children[sub.key])
         assert sub.lp.m == sub.const.size == sub.R.shape[0]
 
     # z differs between groups; a leaf subproblem's value is that of its
@@ -441,10 +441,12 @@ def test_sub_lps_see_z_only_through_the_rhs_map():
     assert engine.add_cut(cut)
     for pk in engine.pgraph.parents[cut.owner]:
         host = engine.subs[pk]
+        # host w = [x_parent | z_parent | z of each reachable group, own group among them]
+        w_off = {g: k + l + i * l for i, g in enumerate(host.z_groups)}
         want = np.zeros(host.R.shape[1])
-        want[host.w_off[host.group]:host.w_off[host.group] + l] = cut.slope[k:k + l]
+        want[w_off[host.group]:w_off[host.group] + l] = cut.slope[k:k + l]
         for i, g in enumerate(engine.pgraph.reach[cut.owner]):
-            want[host.w_off[g]:host.w_off[g] + l] += cut.slope[k + l + i * l:k + 2 * l + i * l]
+            want[w_off[g]:w_off[g] + l] += cut.slope[k + l + i * l:k + 2 * l + i * l]
         R = host.R
         last = np.zeros(R.shape[1])
         last[R.indices[R.indptr[-2]:]] = R.data[R.indptr[-2]:]
@@ -521,7 +523,7 @@ def test_reachable_groups_drop_no_term_of_the_state(request, monkeypatch, case):
     zvals = {g: rng.integers(0, 3, size=m.l).astype(float) for g in agg.group_index}
     narrower = 0
     for key, sub in engine.subs.items():
-        want = {sub.group}.union(*(reach[ck] for ck, _ in sub.children))
+        want = {sub.group}.union(*(reach[ck] for ck, _ in engine.pgraph.children[key]))
         assert sub.z_groups == reach[key] == sorted(want, key=agg.group_index.__getitem__)
         R, const, groups = every_group_rhs_map(engine, sub)
         narrower += len(groups) > len(sub.z_groups)
@@ -650,6 +652,89 @@ def test_feasibility_cut_in_a_subproblem_hosting_cuts():
     cut = engine.make_cut(sub2, sol, x_bad, zv, pg)
     assert cut.value_at(cut.gen_x, cut.gen_z, cut.gen_parent_group) > 0
     assert cut.value_at(np.array([1.0]), zv, pg) <= 1e-7
+
+
+def test_infeasible_stage_3_node_cuts_its_parent_inside_the_subroutine(monkeypatch):
+    # x_n >= 2 x_parent within [0, 10], and y_n >= 10 - x_n at unit cost:
+    # stage 2 wants x = 10, which leaves stage 3 no x; the stage-3
+    # feasibility cut x_2 <= 5 lands in stage 2's LP and the optimum is 5
+    m = chain_msilp(child_rows=([[1.0], [1.0]], [[0.0], [1.0]], [[2.0], [0.0]],
+                                [0.0, 10.0], "GG"), T=3, root_d=(0.3,))
+    agg = build_aggregation(m.tree, Transformation("fh"))
+    stages = []
+    forward = SddpEngine._forward
+
+    def spy(self, plan, candidate, sols):
+        cut = forward(self, plan, candidate, sols)
+        if cut is not None:
+            stages.append(cut.owner[0])
+        return cut
+
+    monkeypatch.setattr(SddpEngine, "_forward", spy)
+    ex = branch_and_cut(build_aggregated_extensive_form(m, agg))
+    sd = solve_exact(m, agg, SddpConfig(seed=0))
+    assert 3 in stages
+    assert ex.objective == pytest.approx(5.0, abs=1e-9)
+    assert sd.objective == pytest.approx(ex.objective, rel=1e-5)
+
+
+class _Draws:
+    """An rng stand-in that records (population, size) of every sample."""
+
+    def __init__(self, rng):
+        self.rng, self.sizes = rng, []
+
+    def choice(self, n, size, **kw):
+        self.sizes.append((n, size))
+        return self.rng.choice(n, size=size, **kw)
+
+
+def test_exact_mode_widens_a_small_sample_to_every_leaf(monkeypatch):
+    m = make_random_msilp(seed=4, T=3, n_states=3)
+    agg = build_aggregation(m.tree, Transformation("fh"))
+    engines = []
+    init = SddpEngine.__init__
+
+    def recording_init(self, *args):
+        init(self, *args)
+        self.rng = _Draws(self.rng)
+        engines.append(self)
+
+    monkeypatch.setattr(SddpEngine, "__init__", recording_init)
+    ex = branch_and_cut(build_aggregated_extensive_form(m, agg))
+    sd = solve_exact(m, agg, SddpConfig(k=1, seed=0))
+    sizes = engines[0].rng.sizes
+    assert min(n for n, _ in sizes) == 3  # a stage-2 node has 3 leaves
+    assert (3, 1) in sizes and (3, 3) in sizes  # k=1 draws, widened to all
+    assert sd.objective == pytest.approx(ex.objective, rel=1e-5)
+
+
+def test_stage_2_gap_that_does_not_separate_returns_no_cut(monkeypatch):
+    # a candidate whose cost-to-go sits above the stage-2 value: the gap is
+    # seen, the cut made there does not cut it off, so none is returned
+    m = chain_msilp(child_rows=([1.0], [1.0], [0.6], [0.5], "G"), T=3, root_d=(0.3,))
+    agg = build_aggregation(m.tree, Transformation("fh"))
+    engine = SddpEngine(m, agg, SddpConfig(seed=0))
+    n2 = m.tree.stage_nodes(2)[0]
+    cand = candidate_for(engine, m, agg, x_root=[2.0])
+    sub2 = engine.subs[engine.pgraph.node_to_sub[n2]]
+    cand.theta[n2] = 100.0
+    made = []
+    make_cut = engine.make_cut
+    monkeypatch.setattr(engine, "make_cut", lambda sub, *a: made.append(sub) or make_cut(sub, *a))
+    assert engine.sddp_subroutine(cand, n2) is None
+    assert sub2 in made and not engine.master_pool
+    value = engine.solve_sub(sub2, cand.x_root, cand.z, cand.root_group).objective
+    assert value < cand.theta[n2] - 1.0
+
+
+def test_relaxed_runs_default_eps_survives_a_copied_config(hdr_toy_msilp):
+    m = hdr_toy_msilp
+    agg = build_aggregation(m.tree, Transformation("pm", partial_attrs=(2,)))
+    lb1, res1 = solve_lower_bound(m, agg, SddpConfig(seed=0))
+    lb2, res2 = solve_lower_bound(m, agg)
+    assert lb1 == lb2 and res1.cut_counts == res2.cut_counts
+    assert replace(SddpConfig(seed=0), exact=False).accepted_lag == 0.1
 
 
 def test_lower_bound_below_exact_and_eps_monotonicity(hdr_toy_msilp):
