@@ -49,7 +49,8 @@ from .errors import ConfigError, InfeasibleModel, NumericalFailure, Overflow
 from .lp_engine import (INFEASIBLE, OPTIMAL, CutOracle, Deadline, LpSolution, MipSolution,
                         StateLp, StateLpTable, branch_and_cut, cut_row, relative_gap, solve_lp)
 from .model import GE, LE, Csr, LpProblem, MipProblem, Msilp, RowBlock, assemble, \
-    first_stage_columns, first_stage_offsets, node_rows, split_rows, z_values
+    check_cost_to_go_floor, first_stage_columns, first_stage_offsets, node_rows, split_rows, \
+    z_values
 from .tolerances import EPS_EXACT, THETA_LB, VIOL_GUARD
 from .tree import path as tree_path
 
@@ -204,6 +205,8 @@ def build_ldr_model(m: Msilp, agg: AggregationMap, variant: LdrVariant) -> LdrMo
                        lo=nd.y_lo.copy(), up=nd.y_up.copy())
         node_lps[nid] = StateLp(lp, R, const, table)
 
+    # a theta covers its node LPs' y; d'x is paid in the master objective
+    check_cost_to_go_floor(m, node_lps, with_x=False)
     A, senses, rhs = assemble(blocks, n)
     master = MipProblem(c=obj, A=A, senses=senses, rhs=rhs, lo=lo, up=up, integer=integer)
     lay = LdrLayout(z_off, x_off, lam_off, lam_cols, theta_off, n)

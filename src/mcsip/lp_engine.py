@@ -32,6 +32,13 @@ runs dual simplex without presolve.  A column count that no longer matches
 makes the solve cold; a warm solve that ends in no usable status is retried
 once cold.
 
+Scaling: every LP, cold or warm, is solved with simplex_scale_strategy
+set to forced equilibration, HiGHS's row and column equilibration (Curtis
+& Reid 1972; Tomlin 1975) applied whatever the matrix looks like.  Under
+HiGHS's default rule these LPs stay unscaled, and the extensive forms take
+about a third more dual simplex iterations: the Ex 3x5 pm root LP takes
+18,609 of them unscaled and 12,402 scaled.
+
 Matrices: p.A is a model.Csr, or any other CSR matrix with the same
 attribute names (indptr, indices, data, shape; scipy's csr_matrix has
 them), which the kernel reads as it is.  add_rows and infeasibility_lp
@@ -153,6 +160,12 @@ highs = _load_highs()
 _check_highs_version(highs.HIGHS_VERSION_MAJOR, highs.HIGHS_VERSION_MINOR)
 
 
+# simplex_scale_strategy "forced equilibration" (HiGHS 1.12: off / choose /
+# equilibration / forced equilibration / max value = 0/1/2/3/4); the binding
+# has no enum for it
+_FORCED_EQUILIBRATION = 3
+
+
 def _highs_options(presolve: str) -> highs.HighsOptions:
     opts = highs.HighsOptions()
     opts.presolve = presolve
@@ -160,6 +173,7 @@ def _highs_options(presolve: str) -> highs.HighsOptions:
     opts.log_to_console = False
     opts.output_flag = False
     opts.simplex_strategy = highs.simplex_constants.SimplexStrategy.kSimplexStrategyDual
+    opts.simplex_scale_strategy = _FORCED_EQUILIBRATION
     return opts
 
 

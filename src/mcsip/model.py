@@ -52,7 +52,7 @@ import numpy as np
 
 from .aggregate import AggregationMap
 from .errors import DimensionMismatch, Overflow
-from .tolerances import DROP_TOL
+from .tolerances import DROP_TOL, THETA_LB
 from .tree import ScenarioTree, path
 
 VAR_CAP = 5_000_000
@@ -559,3 +559,20 @@ def validate(m: Msilp) -> list[str]:
                          f" state {node.mc_state.attrs}")
         by_state.setdefault(key, sig)
     return diags
+
+
+def check_cost_to_go_floor(m: Msilp, node_ids, with_x: bool) -> None:
+    """Raise ValueError naming the first of node_ids whose stage cost, h'y
+    and d'x too when with_x, can fall below THETA_LB, the lower bound of a
+    decomposition's cost-to-go variables: a negative cost, or a positive
+    one on a column whose lower bound is negative.  Such a model would
+    solve to a wrong optimum without a diagnostic, as no cut can take a
+    cost-to-go below that bound."""
+    for nid in node_ids:
+        nd = m.data[nid]
+        parts = [("d'x", nd.d, nd.x_lo)] if with_x else []
+        for name, cost, lo in parts + [("h'y", nd.h, nd.y_lo)]:
+            cost, lo = np.asarray(cost, dtype=float), np.asarray(lo, dtype=float)
+            if np.any(cost < 0) or np.any((cost > 0) & (lo < 0)):
+                raise ValueError(f"node {nid}: stage cost {name} can be negative, below "
+                                 f"the cost-to-go lower bound {THETA_LB}")

@@ -72,8 +72,8 @@ from .errors import ConfigError, InfeasiblePolicy, NumericalFailure
 from .lp_engine import (INFEASIBLE, OPTIMAL, TIME_LIMIT, CutOracle, Deadline, DeadlineReached,
                         LpSolution, MipSolution, StateLp, StateLpTable, add_rows,
                         branch_and_cut, cut_row, relative_gap, solve_lp)
-from .model import LpProblem, MipProblem, Msilp, assemble, first_stage_columns, \
-    first_stage_offsets, node_rows, split_rows, z_values
+from .model import LpProblem, MipProblem, Msilp, assemble, check_cost_to_go_floor, \
+    first_stage_columns, first_stage_offsets, node_rows, split_rows, z_values
 from .tolerances import EPS_EXACT, EPS_POLICY, THETA_LB, VIOL_GUARD
 from .tree import path as tree_path
 
@@ -232,6 +232,9 @@ class SddpEngine:
         if any(nd.W is not None for nd in m.data):
             raise ValueError("ancestor-coupled rows are not decomposable stagewise; "
                              "use the state-carrying formulation")
+        # a subproblem's cost-to-go covers x and y of every non-root node
+        check_cost_to_go_floor(m, [nd.id for nd in m.tree.nodes if nd.parent is not None],
+                               with_x=True)
         self.msilp = m
         self.agg = agg
         self.cfg = cfg

@@ -24,6 +24,11 @@ MEASURED = {("sddp", "hn"): 508, ("sddp", "pm"): 131, ("sddp", "fh"): 213,
 # floor already meets the incumbent; solving every child LP takes 18, 6 and 6
 EX_MEASURED = {"hn": 13, "mm": 4, "fh": 4}
 
+# Ex's summed simplex iterations with every LP scaled by forced
+# equilibration; HiGHS's default scaling leaves these LPs unscaled and
+# takes 1,543, 1,117 and 1,192
+EX_ITERATIONS = {"hn": 1442, "pm": 978, "fh": 1017}
+
 
 def highs_runs(instance, monkeypatch, method, transform) -> int:
     runs = []
@@ -49,3 +54,28 @@ def test_highs_solves_stay_within_a_tenth_of_the_measured_count(
 @pytest.mark.parametrize("transform", sorted(EX_MEASURED))
 def test_ex_solves_no_child_lp_its_penalty_floor_prunes(hdr_toy, monkeypatch, transform):
     assert highs_runs(hdr_toy, monkeypatch, "ex", transform) <= EX_MEASURED[transform]
+
+
+class _CountingHighs:
+    """Forwards every call to the HiGHS object and sums the simplex
+    iterations of each run, read before the kernel clears the model."""
+
+    def __init__(self, h):
+        self.h, self.iterations = h, 0
+
+    def __getattr__(self, name):
+        return getattr(self.h, name)
+
+    def run(self):
+        status = self.h.run()
+        self.iterations += self.h.getInfo().simplex_iteration_count
+        return status
+
+
+@pytest.mark.parametrize("transform", sorted(EX_ITERATIONS))
+def test_ex_simplex_iterations_stay_within_a_twentieth_of_the_measured_count(
+        hdr_toy, monkeypatch, transform):
+    counting = _CountingHighs(lp_engine._HIGHS)
+    monkeypatch.setattr(lp_engine, "_HIGHS", counting)
+    highs_runs(hdr_toy, monkeypatch, "ex", transform)
+    assert counting.iterations <= 1.05 * EX_ITERATIONS[transform]

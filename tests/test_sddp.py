@@ -782,6 +782,27 @@ def test_ancestor_coupled_data_is_rejected(hdr_toy, hdr_toy_msilp):
         SddpEngine(ma, agg, SddpConfig())
 
 
+@pytest.mark.parametrize("d,x_lo,h,y_lo,s_raises,ldr_raises", [
+    (0.0, 0.0, -1.0, 0.0, True, True),     # y <= 5 at cost -1: Ex -5.0, S would say 0.0
+    (0.0, 0.0, 1.0, -1.0, True, True),
+    (1.0, -1.0, 1.0, 0.0, True, False),    # LDR pays d'x in its master
+    (-1.0, 0.0, 1.0, 0.0, True, False),
+    (0.0, -1.0, 1.0, 0.0, False, False),   # a free column at zero cost costs nothing
+], ids=["h<0", "y_lo<0", "x_lo<0", "d<0", "x_lo<0-at-zero-cost"])
+def test_a_stage_cost_below_theta_lb_is_rejected(d, x_lo, h, y_lo, s_raises, ldr_raises):
+    m = chain_msilp(child_rows=([0.0], [-1.0], None, [-5.0], "G"), T=2, h=(h,))
+    m.data[1] = replace(m.data[1], d=np.array([d]), x_lo=np.array([x_lo]),
+                        y_lo=np.array([y_lo]))
+    agg = build_aggregation(m.tree, Transformation("fh"))
+    for build, raises in ((lambda: SddpEngine(m, agg, SddpConfig()), s_raises),
+                          (lambda: build_ldr_model(m, agg, LdrVariant("m")), ldr_raises)):
+        if raises:
+            with pytest.raises(ValueError, match="node 1: stage cost"):
+                build()
+        else:
+            build()
+
+
 def test_sandwich_on_random_instances():
     for seed in (1, 3):
         m = make_random_msilp(seed=seed, T=3)
