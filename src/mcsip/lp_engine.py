@@ -97,9 +97,16 @@ Benders-style decompositions exact.  Cuts are separated only at nodes that
 survive the bound test: each LP of a node's cut loop is checked against the
 incumbent before its point goes to the oracle, and a node whose LP value
 is within the gap is dropped at once (cuts only raise that value), its LP
-value counting among the dropped nodes' bounds.  The solve's one Deadline
-is checked between nodes and after every round of cuts, and once it has
-passed the rounding heuristic solves no further LP.
+value counting among the dropped nodes' bounds.  Each node LP is solved
+with the incumbent's value as HiGHS's objective_bound: a warm dual simplex
+that proves the LP's value above it stops early (CUTOFF), and the node is
+dropped as a dominated one is, with the incumbent's value, which the LP
+value exceeds, among the dropped nodes' bounds; so the reported bound is
+that of solving the LP to its end.  On Ex 3x5 pm (instance seed 5) two
+node LPs stop after 100 pivots instead of 719 and 560.  The solve's one
+Deadline is checked between nodes and after every round of cuts, and
+every LP gets the time left on it as HiGHS's time_limit; a node whose
+first LP the deadline stops stays open with its own bound.
 """
 
 from __future__ import annotations
@@ -127,6 +134,7 @@ OPTIMAL = "optimal"
 INFEASIBLE = "infeasible"
 UNBOUNDED = "unbounded"
 TIME_LIMIT = "time_limit"
+CUTOFF = "cutoff"
 
 
 def _check_highs_version(major: int, minor: int) -> None:
@@ -184,12 +192,16 @@ _HIGHS_STATUS = {
     highs.HighsModelStatus.kInfeasible: INFEASIBLE,
     highs.HighsModelStatus.kModelError: INFEASIBLE,   # as linprog reports it
     highs.HighsModelStatus.kUnbounded: UNBOUNDED,
+    highs.HighsModelStatus.kObjectiveBound: CUTOFF,
+    highs.HighsModelStatus.kTimeLimit: TIME_LIMIT,
 }
 _ROWWISE = int(highs.MatrixFormat.kRowwise)
 _ERROR = highs.HighsStatus.kError
 _MINIMIZE = int(highs.ObjSense.kMinimize)
 _HIGHS = highs._Highs()  # the process's one HiGHS object, model-free between solves
 _passed_options = None   # the options object _HIGHS was last given
+# the objective_bound and time_limit _HIGHS holds; passOptions resets both to inf
+_passed_cutoff = _passed_time_limit = np.inf
 
 
 @dataclass
@@ -283,12 +295,19 @@ def _rowwise(p: LpProblem):
     return a.indptr, a.indices, a.data
 
 
-def solve_lp(p: LpProblem, int_cols: np.ndarray | None = None) -> LpSolution:
+def solve_lp(p: LpProblem, int_cols: np.ndarray | None = None, cutoff: float = np.inf,
+             deadline: Deadline = Deadline()) -> LpSolution:
     """Solve min c'x s.t. rows, bounds, warm from p's last optimal basis when
     it has one (deterministically either way); an optimum stores its basis
     on p.  Given the integer columns of a B&B node LP, an optimum also
     carries its branching column and penalties (LpSolution.branch).  An
-    infeasible outcome solves no phase-1 LP until its certificate is read."""
+    infeasible outcome solves no phase-1 LP until its certificate is read.
+
+    A warm dual simplex that proves the LP's value above cutoff stops there:
+    the outcome is CUTOFF, with no x or duals and cutoff as its objective,
+    the value the LP is certified to exceed (a cold solve, with presolve,
+    runs to the end).  A solve that outlasts the deadline raises
+    DeadlineReached."""
     c = np.asarray(p.c, dtype=float)
     # copies: the certificates read the LP as solved after callers edit p's
     rhs, lb, ub = (np.array(a, dtype=float) for a in (p.rhs, p.lo, p.up))
@@ -301,9 +320,14 @@ def solve_lp(p: LpProblem, int_cols: np.ndarray | None = None) -> LpSolution:
     basis = p.basis
     if basis is not None and (basis[0] != p.n or basis[1] > p.m):
         basis = None  # columns changed or rows dropped: a cold start
-    status, res = _run_highs(*model, basis, int_cols=int_cols)
+    status, res = _run_highs(*model, basis, int_cols=int_cols, cutoff=cutoff, deadline=deadline)
     if status is None and basis is not None:  # one cold retry
-        status, res = _run_highs(*model, None, int_cols=int_cols)
+        status, res = _run_highs(*model, None, int_cols=int_cols, cutoff=cutoff,
+                                 deadline=deadline)
+    if status == TIME_LIMIT:
+        raise DeadlineReached
+    if status == CUTOFF:
+        return LpSolution(status=CUTOFF, objective=cutoff)
     if status == INFEASIBLE:
         return LpSolution(status=INFEASIBLE, _lp=lp)
     if status == UNBOUNDED:
@@ -317,18 +341,20 @@ def solve_lp(p: LpProblem, int_cols: np.ndarray | None = None) -> LpSolution:
 
 
 def _run_highs(c, indptr, indices, data, row_lo, row_up, lb, ub,
-               basis, int_cols=None) -> tuple[str | None, dict]:
+               basis, int_cols, cutoff, deadline) -> tuple[str | None, dict]:
     """One HiGHS LP solve of min c'x, row_lo <= A x <= row_up, lb <= x <= ub
     (A row-wise, int32 indices), without presolve from basis = (columns,
     rows m0, HighsBasis) when one is given: the first m0 rows go in with
     the basis, the rest are appended after it.  Given int_cols, an optimum
     also gets its "branch", read off the final tableau before the model is
-    cleared.
+    cleared.  HiGHS's objective_bound is cutoff, and its time_limit the
+    time left on deadline; HiGHS's run clock adds up over every run of the
+    one object, so the limit is that clock plus the time left.
 
     Returns (status, result); status is None for an outcome solve_lp cannot
     use: a HiGHS status it does not map, a rejected basis or appended rows,
     or an optimum that fails linprog's acceptance check."""
-    global _passed_options
+    global _passed_options, _passed_cutoff, _passed_time_limit
     h = _HIGHS
     m = row_lo.size
     m0 = m if basis is None else basis[1]
@@ -337,7 +363,15 @@ def _run_highs(c, indptr, indices, data, row_lo, row_up, lb, ub,
         options = _COLD_OPTIONS if basis is None else _WARM_OPTIONS
         if options is not _passed_options:
             h.passOptions(options)
-            _passed_options = options
+            _passed_options, _passed_cutoff, _passed_time_limit = options, np.inf, np.inf
+        if cutoff != _passed_cutoff:
+            h.setOptionValue("objective_bound", cutoff)
+            _passed_cutoff = cutoff
+        time_limit = np.inf if deadline.end is None else \
+            h.getRunTime() + max(deadline.end - time.monotonic(), 0.0)
+        if time_limit != _passed_time_limit:
+            h.setOptionValue("time_limit", time_limit)
+            _passed_time_limit = time_limit
         if h.passModel(c.size, m0, nz0, _ROWWISE, _MINIMIZE, 0.0, c, lb, ub,
                        row_lo[:m0], row_up[:m0], indptr[:m0 + 1], indices[:nz0],
                        data[:nz0], np.zeros(c.size, dtype=np.int32)) == _ERROR:
@@ -534,7 +568,7 @@ class StateLp:
         if hit is None:
             deadline.check()
             self.lp.rhs = rhs
-            hit = solve_lp(self.lp)
+            hit = solve_lp(self.lp, deadline=deadline)
             if hit.status != INFEASIBLE:
                 hit = LpSolution(hit.status, hit.x, hit.duals, hit.objective)
             self.table.answers[key] = hit
@@ -612,7 +646,7 @@ def _within_gap(value: float, inc_obj: float) -> bool:
 
 def branch_and_cut(p: MipProblem, oracle: CutOracle | None = None,
                    deadline: Deadline = Deadline(),
-                   round_heuristic: bool = True) -> MipSolution:
+                   round_heuristic: bool = False) -> MipSolution:
     """Best-bound branch and bound to gap MIP_GAP with an optional cut oracle;
     an integer column with an infinite bound, where it need never end, is a
     ValueError."""
@@ -643,13 +677,15 @@ def branch_and_cut(p: MipProblem, oracle: CutOracle | None = None,
             sub = LpProblem(c=p.c, A=p.A, senses=p.senses, rhs=p.rhs,
                             lo=node.lo, up=node.up, basis=node.basis)
             passes = 0
+            sol = None
             while True:
-                sol = solve_lp(sub, int_cols=int_cols)
+                sol = solve_lp(sub, int_cols=int_cols, cutoff=inc_obj, deadline=deadline)
                 if sol.status == INFEASIBLE:
                     break
                 if sol.status == UNBOUNDED:
                     return MipSolution(status=UNBOUNDED, nodes=n_nodes, cuts=n_cuts)
-                # cuts only raise the LP value, so a dominated node is not separated
+                # cuts only raise the LP value, so a dominated node is not
+                # separated; a CUTOFF's objective, inc_obj, is dominated too
                 if _within_gap(sol.objective, inc_obj):
                     break
                 if sol.branch[0] is not None or oracle is None:
@@ -678,7 +714,7 @@ def branch_and_cut(p: MipProblem, oracle: CutOracle | None = None,
                 continue
             if round_heuristic and oracle is None and incumbent is None \
                     and not deadline.passed():
-                cand = _round_and_fix(p, sub, sol.x, int_cols)
+                cand = _round_and_fix(p, sub, sol.x, int_cols, deadline)
                 if cand is not None and cand[1] < inc_obj:
                     incumbent, inc_obj = cand
             split = np.floor(sol.x[col] + INT_TOL)
@@ -694,11 +730,13 @@ def branch_and_cut(p: MipProblem, oracle: CutOracle | None = None,
                 heapq.heappush(heap, BnbNode(sol.objective, seq, lo2, up2, sub.basis,
                                              sol.objective + max(penalty, 0.0)))
     except DeadlineReached:
-        # the oracle was separating this node's LP optimum, or the clock ran
-        # out after its cuts were added: the node stays open with that
-        # bound, valid because cuts only raise it
-        heapq.heappush(heap, BnbNode(sol.objective, node.seq, node.lo, node.up,
-                                     sub.basis, node.floor))
+        # the clock ran out inside one of this node's LPs, while the oracle
+        # separated its last LP optimum, or after its cuts were added: the
+        # node stays open with that optimum's value, valid because cuts only
+        # raise it, or with its own bound when none of its LPs finished
+        if sol is not None:
+            node = BnbNode(sol.objective, node.seq, node.lo, node.up, sub.basis, node.floor)
+        heapq.heappush(heap, node)
         status = TIME_LIMIT
 
     open_bound = min((nd.value_floor for nd in heap), default=np.inf)
@@ -706,25 +744,28 @@ def branch_and_cut(p: MipProblem, oracle: CutOracle | None = None,
     bound = min(inc_obj, pruned, open_bound)
     if incumbent is None:
         if status == TIME_LIMIT:
-            # before the root LP solves, its -inf is no bound at all
-            return MipSolution(status=TIME_LIMIT, bound=open_bound if n_nodes else None,
+            # before the root LP finishes, its -inf is no bound at all
+            return MipSolution(status=TIME_LIMIT,
+                               bound=open_bound if open_bound > -np.inf else None,
                                nodes=n_nodes, cuts=n_cuts)
         return MipSolution(status=INFEASIBLE, nodes=n_nodes, cuts=n_cuts)
     return MipSolution(status=status, x=incumbent, objective=inc_obj, bound=bound,
                        gap=relative_gap(inc_obj, bound), nodes=n_nodes, cuts=n_cuts)
 
 
-def _round_and_fix(p: MipProblem, sub: LpProblem, x, int_cols):
+def _round_and_fix(p: MipProblem, sub: LpProblem, x, int_cols, deadline: Deadline):
     """Fix integers to the rounded relaxation values and re-solve; a cheap
     primal heuristic that is exact whenever the remaining variables are
-    continuous."""
+    continuous.  branch_and_cut runs it only when asked (round_heuristic),
+    at fractional nodes before the first incumbent: on every Ex cell
+    measured it cost an LP and saved no node LP."""
     lo2, up2 = sub.lo.copy(), sub.up.copy()
     vals = np.clip(np.round(x[int_cols]), lo2[int_cols], up2[int_cols])
     lo2[int_cols] = vals
     up2[int_cols] = vals
     fixed = LpProblem(c=p.c, A=p.A, senses=p.senses, rhs=p.rhs, lo=lo2, up=up2,
                       basis=sub.basis)
-    sol = solve_lp(fixed)
+    sol = solve_lp(fixed, deadline=deadline)
     if sol.status != OPTIMAL:
         return None
     xx = sol.x.copy()

@@ -472,10 +472,11 @@ def _root_precut(master: MipProblem, oracle: "_MasterOracle") -> float | None:
     keeps the relaxation's last basis, from which branch and cut starts its root.
     """
     bound = None
+    deadline = oracle.engine.cfg.deadline
     try:
         for _ in range(PRECUT_ROUNDS):
-            oracle.engine.cfg.deadline.check()
-            sol = solve_lp(master)
+            deadline.check()
+            sol = solve_lp(master, deadline=deadline)
             if sol.status != OPTIMAL:
                 break
             bound = sol.objective

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from mcsip.lp_engine import Deadline
+from mcsip import lp_engine
+from mcsip.lp_engine import CUTOFF, Deadline
 from mcsip.markov import MarkovChain, McState
 from mcsip.model import Msilp, NodeData, smat
 from mcsip.tree import build_tree
@@ -17,6 +18,27 @@ class CueDeadline(Deadline):
 
     def passed(self) -> bool:
         return self.expired
+
+
+def node_lp_path(monkeypatch, m, cutoff: bool):
+    """(lo, up) of each node LP branch_and_cut solves on m, in order, how
+    many of them ended on the incumbent's cut-off, and the result; with
+    cutoff False every node LP is solved to its end, as before cut-offs."""
+    solve, seen, cutoffs = lp_engine.solve_lp, [], []
+
+    def recording(p, **kw):
+        if kw.get("int_cols") is not None:
+            seen.append((p.lo.tobytes(), p.up.tobytes()))
+        if not cutoff:
+            kw.pop("cutoff", None)
+        sol = solve(p, **kw)
+        cutoffs.append(sol.status == CUTOFF)
+        return sol
+
+    with monkeypatch.context() as patch:
+        patch.setattr(lp_engine, "solve_lp", recording)
+        sol = lp_engine.branch_and_cut(m)
+    return seen, sum(cutoffs), sol
 
 
 def scipy_csr(a):

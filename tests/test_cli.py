@@ -1,6 +1,7 @@
 import csv
 import json
 import os
+import time
 
 import numpy as np
 import pytest
@@ -510,3 +511,37 @@ def test_ex_whose_assembly_outlasts_the_limit_solves_no_lp(hdr_toy, monkeypatch)
     monkeypatch.setattr(lp_engine, "solve_lp", lambda p, **kw: lps.append(p) or solve(p, **kw))
     rec = run_solve(hdr_toy, "ex", PM, eps=None, k=None, seed=0, time_limit=60.0, rounds=3)
     assert rec["status"] == "time_limit" and rec["bound"] is None and lps == []
+
+
+class _TimedHighs:
+    """Forwards every call to the HiGHS object and notes when each run ends."""
+
+    def __init__(self, h):
+        self.h, self.ends = h, []
+
+    def __getattr__(self, name):
+        return getattr(self.h, name)
+
+    def run(self):
+        status = self.h.run()
+        self.ends.append(time.monotonic())
+        return status
+
+
+def test_ex_stops_inside_an_lp_at_the_time_limit(tmp_path, hdr_toy, monkeypatch):
+    # Ex 3x5 pm's root LP takes about as long as the second the limit
+    # leaves after the model build: HiGHS stops any LP on the deadline, and
+    # a later solve with no deadline runs to its end
+    inst, out = str(tmp_path / "inst.json"), str(tmp_path / "ex.json")
+    assert main(["generate", "--grid", "3x5", "--capacity-pct", "0.2", "--seed", "5",
+                 "--out", inst]) == 0
+    timed = _TimedHighs(lp_engine._HIGHS)
+    monkeypatch.setattr(lp_engine, "_HIGHS", timed)
+    t0 = time.monotonic()
+    assert main(["solve", "--instance", inst, "--method", "ex", "--transform", "pm",
+                 "--time-limit", "1", "--out", out]) == 0
+    assert time.monotonic() - t0 < 2.0
+    assert timed.ends and max(timed.ends) - t0 < 1.25
+    assert json.loads(open(out).read())["status"] == "time_limit"
+    rec = run_solve(hdr_toy, "ex", PM, eps=None, k=None, seed=0, time_limit=None, rounds=3)
+    assert rec["status"] == "optimal"

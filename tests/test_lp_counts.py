@@ -8,7 +8,12 @@ even where wall time cannot show it."""
 import pytest
 
 from mcsip import lp_engine
+from mcsip.aggregate import build_aggregation
 from mcsip.cli import _transformation, run_solve
+from mcsip.hdr import HdrConfig, build_hdr_msilp, generate_instance
+from mcsip.model import build_aggregated_extensive_form
+
+from conftest import node_lp_path
 
 # HiGHS solves measured with S's subproblems and LDR's node LPs memoised
 # by LP identity and rhs (lp_engine.StateLp), infeasible outcomes included.
@@ -21,13 +26,15 @@ MEASURED = {("sddp", "hn"): 508, ("sddp", "pm"): 131, ("sddp", "fh"): 213,
             ("ldr-t", "pm"): 446, ("ldr-th", "pm"): 398}
 
 # Ex's HiGHS solves with branch and cut skipping the children whose penalty
-# floor already meets the incumbent; solving every child LP takes 18, 6 and 6
-EX_MEASURED = {"hn": 13, "mm": 4, "fh": 4}
+# floor already meets the incumbent and solving no rounding-heuristic LP;
+# solving every child LP takes 18, 6 and 6, and with the heuristic hn takes 13
+EX_MEASURED = {"hn": 12, "mm": 4, "fh": 4}
 
 # Ex's summed simplex iterations with every LP scaled by forced
-# equilibration; HiGHS's default scaling leaves these LPs unscaled and
-# takes 1,543, 1,117 and 1,192
-EX_ITERATIONS = {"hn": 1442, "pm": 978, "fh": 1017}
+# equilibration and every node LP cut off at the incumbent's value; HiGHS's
+# default scaling leaves these LPs unscaled and takes 1,543, 1,117 and
+# 1,192, and hn took 1,442 before the cut-off, with the heuristic LP
+EX_ITERATIONS = {"hn": 1228, "pm": 978, "fh": 1017}
 
 
 def highs_runs(instance, monkeypatch, method, transform) -> int:
@@ -79,3 +86,20 @@ def test_ex_simplex_iterations_stay_within_a_twentieth_of_the_measured_count(
     monkeypatch.setattr(lp_engine, "_HIGHS", counting)
     highs_runs(hdr_toy, monkeypatch, "ex", transform)
     assert counting.iterations <= 1.05 * EX_ITERATIONS[transform]
+
+
+def test_ex_node_lps_stop_on_the_incumbents_cutoff_and_keep_the_answer(monkeypatch):
+    """Ex hn on the 2x4 instance at instance seed 11: some node LPs end on
+    the incumbent's cut-off (4 when measured; 16 HiGHS solves and 1,708
+    simplex iterations against 17 and 2,012 before), and the search, its
+    node order and its answer are those of solving every node LP to its end."""
+    inst = generate_instance(HdrConfig(cols=2, rows=4, capacity_pct=0.2, seed=11))
+    m = build_hdr_msilp(inst)
+    agg = build_aggregation(m.tree, _transformation("hn", None))
+    before, _, old = node_lp_path(monkeypatch, build_aggregated_extensive_form(m, agg),
+                                  cutoff=False)
+    after, cutoffs, new = node_lp_path(monkeypatch, build_aggregated_extensive_form(m, agg),
+                                       cutoff=True)
+    assert cutoffs >= 1 and after == before and len(after) <= 16
+    assert (new.status, new.objective, new.bound) == (old.status, old.objective, old.bound)
+    assert (new.x == old.x).all()

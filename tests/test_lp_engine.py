@@ -8,13 +8,13 @@ from scipy.optimize._highspy import _core as highs
 
 from mcsip import lp_engine
 from mcsip.errors import DimensionMismatch, NumericalFailure
-from mcsip.lp_engine import CutOracle, Deadline, LpSolution, StateLp, StateLpTable, \
-    _check_highs_version, add_rows, branch_and_cut, cut_row, infeasibility_lp, solve_lp, \
-    solve_mip, verify_farkas
+from mcsip.lp_engine import CutOracle, Deadline, DeadlineReached, LpSolution, StateLp, \
+    StateLpTable, _check_highs_version, add_rows, branch_and_cut, cut_row, infeasibility_lp, \
+    solve_lp, solve_mip, verify_farkas
 from mcsip.model import Csr, LpProblem, MipProblem, as_csr
 from mcsip.tolerances import INT_TOL, MIP_GAP
 
-from conftest import scipy_csr
+from conftest import node_lp_path, scipy_csr
 
 
 def lp(c, rows, senses, rhs, lo=None, up=None):
@@ -916,7 +916,7 @@ def test_no_heuristic_lp_once_the_deadline_has_passed(monkeypatch):
         return solve(p, **kw)
 
     monkeypatch.setattr(lp_engine, "solve_lp", expiring_solve)
-    sol = branch_and_cut(gap_pruned_mip(), deadline=deadline)
+    sol = branch_and_cut(gap_pruned_mip(), deadline=deadline, round_heuristic=True)
     assert len(lps) == 1
     assert sol.status == "time_limit" and sol.x is None and sol.bound == pytest.approx(1e6)
 
@@ -1079,3 +1079,120 @@ def test_floors_skip_child_lps_and_keep_the_order_of_the_rest(monkeypatch):
             assert max(new.bound, old.bound) <= new.objective
         skipped += len(pruned)
     assert skipped > 0
+
+
+def warm_child_lp(seed):
+    """A dense LP over [0, 1] columns, solved, and its child that fixes the
+    six largest columns of that optimum at 0 and starts from its basis: a
+    warm dual simplex of many pivots.  Returns (child, parent's optimum)."""
+    rng = np.random.default_rng(seed)
+    n, m = 30, 20
+    a = rng.uniform(0.1, 1.0, size=(m, n))
+    parent = lp(-rng.uniform(0.5, 1.0, size=n), a, "L" * m, np.full(m, 5.0),
+                lo=np.zeros(n), up=np.ones(n))
+    sol = solve_lp(parent)
+    child = lp(parent.c, a, parent.senses, parent.rhs, parent.lo, parent.up)
+    child.basis = parent.basis
+    child.up[np.argsort(-sol.x)[:6]] = 0.0
+    return child, sol.objective
+
+
+def test_a_warm_lp_stops_on_a_cutoff_below_its_optimum():
+    child, start = warm_child_lp(3)
+    full = solve_lp(cold_copy(child))
+    assert full.status == "optimal" and full.objective > start + 0.5
+    for frac in (0.1, 0.5, 0.99):
+        cutoff = start + frac * (full.objective - start)
+        sol = solve_lp(warm_child_lp(3)[0], cutoff=cutoff)
+        assert sol.status == "cutoff" and sol.objective == cutoff
+        assert sol.x is None and sol.duals is None and sol.branch is None
+    none = solve_lp(warm_child_lp(3)[0])
+    above = solve_lp(child, cutoff=full.objective + 1e-6)
+    assert above.status == none.status == "optimal"
+    assert above.objective == none.objective and (above.x == none.x).all()
+    assert none.objective == pytest.approx(full.objective, rel=1e-9)
+
+
+def test_no_cutoff_outlives_its_solve():
+    # the cut-off stops one warm solve; the next warm solve, of the same LP
+    # without one, runs to its optimum above that value
+    child, start = warm_child_lp(3)
+    twin = LpProblem(c=child.c, A=child.A, senses=child.senses, rhs=child.rhs,
+                     lo=child.lo.copy(), up=child.up.copy(), basis=child.basis)
+    cutoff = start + 0.1
+    assert solve_lp(child, cutoff=cutoff).status == "cutoff"
+    sol = solve_lp(twin)
+    assert sol.status == "optimal" and sol.objective > cutoff
+    assert solve_lp(cold_copy(twin)).objective == pytest.approx(sol.objective, rel=1e-9)
+
+
+def test_cutoffs_leave_branch_and_bound_as_it_was(monkeypatch):
+    """Each node LP gets the incumbent's value as its cut-off: on random
+    MIPs the search, its node order and its answer are those of the search
+    that solves every node LP to its end.  The cut-off fires only where a
+    node LP takes several dual pivots, as on the covering MIPs here (min
+    v'x, A x >= b, x in {0, ..., 3}^16, A dense)."""
+    rng = np.random.default_rng(22)
+    mips = [random_branching_mip(rng)[0] for _ in range(40)]
+    cover = np.random.default_rng(22)
+    for _ in range(10):
+        n, m = 16, 8
+        a = cover.uniform(0.1, 1.0, size=(m, n))
+        mips.append(mip(cover.uniform(0.5, 1.0, size=n), a, "G" * m, 0.37 * a.sum(axis=1),
+                        np.zeros(n), np.full(n, 3.0), [True] * n))
+    fired = 0
+    for m in mips:
+        before, none, old = node_lp_path(monkeypatch, m, cutoff=False)
+        after, cutoffs, new = node_lp_path(monkeypatch, m, cutoff=True)
+        assert none == 0 and after == before
+        assert (new.status, new.objective, new.bound) == (old.status, old.objective, old.bound)
+        assert (new.x is None and old.x is None) or (new.x == old.x).all()
+        fired += cutoffs
+    assert fired > 0
+
+
+def test_an_lp_past_the_deadline_raises_and_leaves_no_time_limit_behind():
+    """An LP that outlasts the deadline raises DeadlineReached; the next
+    solve with no deadline runs to its optimum (HiGHS's run clock adds up
+    over every solve of the one object)."""
+    rng = np.random.default_rng(0)
+    n, m = 300, 200
+    a = rng.uniform(0.0, 1.0, size=(m, n))
+    big = lp(-rng.uniform(0.0, 1.0, size=n), a, "L" * m, np.full(m, 10.0),
+             lo=np.zeros(n), up=np.ones(n))
+    with pytest.raises(DeadlineReached):
+        solve_lp(big, deadline=Deadline(0.0))
+    assert lp_engine._HIGHS.getNumCol() == 0 and big.basis is None
+    sol = solve_lp(big)
+    assert sol.status == "optimal"
+    assert solve_lp(cold_copy(big), deadline=Deadline(60.0)).objective == \
+        pytest.approx(sol.objective, rel=1e-9)
+
+
+def test_a_node_whose_first_lp_the_deadline_stops_keeps_its_own_bound(monkeypatch):
+    """The deadline stops the k-th node LP before it finishes: that node
+    stays open with its own bound, not the value of the LP solved before
+    it, so the reported bound stays at or below the optimum."""
+    rng = np.random.default_rng(23)
+    checked = 0
+    for _ in range(30):
+        m, _ = random_branching_mip(rng)
+        full = branch_and_cut(m)
+        if full.status != "optimal":
+            continue
+        for k in range(2, full.nodes + 1):
+            calls = []
+
+            def stopping(p, solve=lp_engine.solve_lp, **kw):
+                calls.append(p)
+                if len(calls) == k:
+                    raise DeadlineReached
+                return solve(p, **kw)
+
+            with monkeypatch.context() as patch:
+                patch.setattr(lp_engine, "solve_lp", stopping)
+                sol = branch_and_cut(m)
+            assert sol.status == "time_limit" and len(calls) == k
+            assert sol.bound <= full.objective + 1e-9 * max(1.0, abs(full.objective))
+            checked += 1
+    assert checked > 20
