@@ -78,6 +78,15 @@ def _transformation(name: str, pm_attrs: list[int] | None) -> Transformation:
     return Transformation(name)
 
 
+def _check_pm_attrs(transform: str, pm_attrs: list[int] | None) -> None:
+    """--pm-attrs picks the history attributes of pm; under any other
+    transform nothing would read it, so it is a ConfigError there.  A bench
+    config's run-wide pm_attrs is not checked here: it applies to its pm
+    cells and leaves the others alone."""
+    if pm_attrs is not None and transform != "pm":
+        raise ConfigError(f"--pm-attrs applies to transform pm only, not {transform}")
+
+
 def _load(path: str, load):
     """load(fp) on the file at path; one that cannot be opened, holds no
     valid JSON, or lacks an entry or holds a value that load cannot read,
@@ -161,6 +170,7 @@ def cmd_generate(args) -> int:
 
 
 def cmd_solve(args) -> int:
+    _check_pm_attrs(args.transform, args.pm_attrs)
     inst = _load(args.instance, load_instance)
     tr = _transformation(args.transform, args.pm_attrs)
     rec = run_solve(inst, args.method, tr, eps=args.eps, k=args.k,
@@ -213,6 +223,7 @@ def cmd_evaluate(args) -> int:
     transform = args.transform or sol.get("transform")
     if transform is None:
         raise ConfigError(f"{args.solution} names no transform; pass --transform")
+    _check_pm_attrs(transform, args.pm_attrs)
     tr = _transformation(transform, args.pm_attrs)
     m = build_hdr_msilp(inst)
     agg = build_aggregation(m.tree, tr)

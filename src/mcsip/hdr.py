@@ -31,7 +31,7 @@ increments of every modality activated strictly before the current stage
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -255,8 +255,11 @@ def _uniform_split(rng: np.random.Generator, n: int) -> np.ndarray:
     return np.diff(np.concatenate([[0.0], cuts, [1.0]]))
 
 
-def _node_data(inst: HdrInstance, state: McState, is_root: bool,
-               keep_capacity_state: bool) -> NodeData:
+def _node_kind(inst: HdrInstance, is_root: bool, keep_capacity_state: bool) -> NodeData:
+    """The data every node of one root flag shares in a layout: matrices,
+    senses, bounds and the state-free entries of every vector.  The
+    demand rows of b and the production and transport costs in h are
+    left at zero; _StateEntries fills them in per Markov state."""
     n_i, n_j, n_l = inst.n_shelters, inst.n_dcs, inst.n_modalities
     k = 2 * n_j if keep_capacity_state else n_j
     r = n_j + n_i * n_j + n_i  # v, y(i,j), w
@@ -297,7 +300,7 @@ def _node_data(inst: HdrInstance, state: McState, is_root: bool,
         for j in range(n_j):
             put(rows_e, row, ycol(i, j), 1.0)
         put(rows_e, row, wcol0 + i, 1.0)
-        b_vec.append(demand(inst, i, state))
+        b_vec.append(0.0)
         sen_l.append("G")
         row += 1
     # inventory balance
@@ -351,12 +354,7 @@ def _node_data(inst: HdrInstance, state: McState, is_root: bool,
         return smat(Csr.from_triplets(ri, ci, vv, (nl, ncols)), (nl, ncols))
 
     h = np.zeros(r)
-    for j in range(n_j):
-        h[j] = production_cost(inst, j, state)
-    for i in range(n_i):
-        for j in range(n_j):
-            h[ycol(i, j)] = transport_cost(inst, i, j, state)
-        h[wcol0 + i] = inst.shortage_cost[i]
+    h[wcol0:] = inst.shortage_cost
     d = np.zeros(k)
     d[:n_j] = inst.hold_cost
 
@@ -375,15 +373,70 @@ def _node_data(inst: HdrInstance, state: McState, is_root: bool,
     )
 
 
+class _StateEntries:
+    """The state-dependent entries of a node's data, all shelters and DCs
+    at once: the demand rows of b and the production and transport costs
+    in h, each computed in the operation order of demand, production_cost
+    and transport_cost, so every value equals theirs bit for bit."""
+
+    def __init__(self, inst: HdrInstance):
+        self.inst = inst
+        self.sh_x, self.sh_y, self.sh_d = (np.array([getattr(s, a) for s in inst.shelters])
+                                           for a in ("x", "y", "d_max"))
+        dc_x, dc_y = (np.array([getattr(d, a) for d in inst.dcs]) for a in ("x", "y"))
+        # transport_cost's rate * dist, shelter by DC
+        self.rate_dist = inst.transport_rate * np.hypot(self.sh_x[:, None] - dc_x,
+                                                        self.sh_y[:, None] - dc_y)
+
+    def demands(self, state: McState) -> np.ndarray:
+        """demand of every shelter at state."""
+        intensity = state[2]
+        if intensity == 0:
+            return np.zeros(self.sh_d.size)
+        hx, hy = _hurricane_xy(state)
+        delta = np.hypot(hx - self.sh_x, hy - self.sh_y)
+        return np.where(delta < DELTA_MAX,
+                        self.sh_d * (1.0 - delta / DELTA_MAX) * (intensity / 5.0) ** 2, 0.0)
+
+    def node(self, kind: NodeData, state: McState) -> NodeData:
+        """kind's data at state: its own b and h, every other field shared."""
+        n_i, n_j = self.sh_d.size, self.rate_dist.shape[1]
+        scale = 1.0 + 0.3 * state[2] / 5.0
+        b, h = kind.b.copy(), kind.h.copy()
+        b[:n_i] = self.demands(state)
+        h[:n_j] = self.inst.prod_base * scale
+        h[n_j:n_j + n_i * n_j] = (self.rate_dist * scale).ravel()
+        return _read_only(replace(kind, b=b, h=h))
+
+
+def _read_only(nd: NodeData) -> NodeData:
+    """nd with every array of it made read-only: nodes share them, so an
+    edit in place would reach every node of the same kind or state."""
+    for f in fields(nd):
+        v = getattr(nd, f.name)
+        arrays = (v.indptr, v.indices, v.data) if isinstance(v, Csr) else \
+            (v,) if isinstance(v, np.ndarray) else ()
+        for a in arrays:
+            a.flags.writeable = False
+    return nd
+
+
 def _build(inst: HdrInstance, keep_capacity_state: bool, name: str) -> Msilp:
+    """Every node's data: one shared NodeData per root flag (_node_kind),
+    and per (root flag, Markov state) a copy of it with that state's b and
+    h, which every node of the pair shares."""
     tree = build_tree(inst.chain, inst.config.T)
+    entries = _StateEntries(inst)
+    kinds: dict[bool, NodeData] = {}
     cache: dict[tuple, NodeData] = {}
     data: list[NodeData] = []
     for node in tree.nodes:
-        key = (node.stage == 1, node.mc_state.attrs)
+        is_root = node.stage == 1
+        key = (is_root, node.mc_state.attrs)
         if key not in cache:
-            cache[key] = _node_data(inst, node.mc_state, node.stage == 1,
-                                    keep_capacity_state)
+            if is_root not in kinds:
+                kinds[is_root] = _read_only(_node_kind(inst, is_root, keep_capacity_state))
+            cache[key] = entries.node(kinds[is_root], node.mc_state)
         data.append(cache[key])
     k = 2 * inst.n_dcs if keep_capacity_state else inst.n_dcs
     r = inst.n_dcs + inst.n_shelters * inst.n_dcs + inst.n_shelters

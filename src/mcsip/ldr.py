@@ -33,9 +33,10 @@ One node_rows call per node writes its rows over [master columns | y]:
 the master takes every row free of non-root locals in model.assemble's
 canonical form (tiny coefficients dropped, rounded, duplicate rows
 removed), and the node LP is the split of the remaining linking rows at
-the master's width (model.split_rows), E y {sense} const + R w at the
-first stage w, one row per kept linking row, because the Benders oracle
-reads them row by row.
+the master's width (model.split_rows; every node LP's at once by
+model.split_state_lps), E y {sense} const + R w at the first stage w,
+one row per kept linking row, because the Benders oracle reads them row
+by row.
 """
 
 from __future__ import annotations
@@ -49,8 +50,8 @@ from .errors import ConfigError, InfeasibleModel, NumericalFailure, Overflow
 from .lp_engine import (INFEASIBLE, OPTIMAL, CutOracle, Deadline, LpSolution, MipSolution,
                         StateLp, StateLpTable, branch_and_cut, cut_row, relative_gap, solve_lp)
 from .model import GE, LE, Csr, LpProblem, MipProblem, Msilp, RowBlock, assemble, \
-    check_cost_to_go_floor, first_stage_columns, first_stage_offsets, node_rows, split_rows, \
-    z_values
+    check_cost_to_go_floor, first_stage_columns, first_stage_offsets, node_rows, \
+    split_state_lps, z_values
 from .tolerances import EPS_EXACT, THETA_LB, VIOL_GUARD
 from .tree import path as tree_path
 
@@ -178,6 +179,7 @@ def build_ldr_model(m: Msilp, agg: AggregationMap, variant: LdrVariant) -> LdrMo
     pick_bound = Csr(np.arange(2 * k + 1), np.repeat(np.arange(k), 2), np.ones(2 * k),
                      (2 * k, k))  # rows lo_q, up_q
     blocks = []
+    local_rows: dict[int, tuple] = {}  # each node LP's rows, split all at once below
     for node in tree.nodes:
         nd = m.data[node.id]
         nid, par, is_root = node.id, node.parent, node.id == tree.root
@@ -196,11 +198,13 @@ def build_ldr_model(m: Msilp, agg: AggregationMap, variant: LdrVariant) -> LdrMo
         local = np.zeros(nd.b.size, dtype=bool) if is_root or nd.E is None else \
             np.diff(nd.E.indptr) > 0
         blocks.append(replace(link, rows=np.flatnonzero(~local)))
-        keep = np.flatnonzero(local)
-        if keep.size == 0:
-            continue
-        # stage-2 LP: E y {sense} const + R w, w the master's columns
-        lp_a, senses, const, R = split_rows([replace(link, rows=keep)], n, r)
+        if local.any():
+            local_rows[nid] = ([replace(link, rows=np.flatnonzero(local))], n, r)
+
+    # stage-2 LPs: E y {sense} const + R w, w the master's columns
+    splits = split_state_lps(list(local_rows.values()))
+    for nid, (lp_a, senses, const, R) in zip(local_rows, splits):
+        nd = m.data[nid]
         lp = LpProblem(c=nd.h.copy(), A=lp_a, senses=senses, rhs=const.copy(),
                        lo=nd.y_lo.copy(), up=nd.y_up.copy())
         node_lps[nid] = StateLp(lp, R, const, table)

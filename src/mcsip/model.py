@@ -37,7 +37,9 @@ come out in one of two forms:
                 [w | u], w the incoming state and u the LP's own columns,
                 split at w's width.  One row per listed row, in order,
                 coefficients summed but otherwise untouched; each term on
-                w moves to the right-hand side, negated, into R
+                w moves to the right-hand side, negated, into R.  A model's
+                state LPs are split all at once (split_state_lps): one
+                stack of every LP's rows, each LP a row slice of it
 
 The extensive-form builders share one variable layout object so that
 solutions can be decoded and cross-checked between the plain and the
@@ -268,7 +270,7 @@ def node_rows(nd: NodeData, z, x, y, z_par, x_par, z_anc) -> list[RowBlock]:
     given by its P; a map is None where its block has no columns: the
     parent's at the root, or a block the caller's rows leave out.  A
     state LP maps its incoming state into w and splits the rows there
-    (split_rows)."""
+    (split_rows, split_state_lps)."""
     return [
         RowBlock([(nd.H, z, 1.0), (nd.G, z_par, -1.0)], nd.sen_z, nd.g),
         RowBlock([(nd.C, x, 1.0), (nd.D, z, 1.0), (nd.E, y, 1.0), (nd.A, x_par, -1.0),
@@ -277,31 +279,14 @@ def node_rows(nd: NodeData, z, x, y, z_par, x_par, z_anc) -> list[RowBlock]:
     ]
 
 
-def _term_entries(mat: Csr, P, sign: float, rows):
-    """(row, column, value) of sign * mat[rows] @ P, row by row in the order
-    of mat's entries and, within one entry, of P's row."""
-    r, k, v = mat.entry_rows(), mat.indices, sign * mat.data
-    if rows is not None:
-        pos = np.full(mat.shape[0], -1)
-        pos[rows] = np.arange(len(rows))
-        r = pos[r]
-        sel = r >= 0
-        r, k, v = r[sel], k[sel], v[sel]
-    if not isinstance(P, Csr):
-        return r, P + k, v
-    cnt = np.diff(P.indptr)[k]
-    e = np.repeat(np.arange(k.size), cnt)
-    at = P.indptr[k][e] + np.arange(e.size) - np.repeat(np.cumsum(cnt) - cnt, cnt)
-    return r[e], P.indices[at], v[e] * P.data[at]
-
-
 def _coalesce(r, c, v):
     """Sort entries by (row, column) and sum duplicates left to right in
     the order they were listed."""
-    order = np.lexsort((c, r))
-    r, c, v = r[order], c[order], v[order]
+    key = r.astype(np.int64) * (int(c.max(initial=0)) + 1) + c  # columns are nonnegative
+    order = np.argsort(key, kind="stable")
+    key, r, c, v = key[order], r[order], c[order], v[order]
     first = np.ones(r.size, dtype=bool)
-    first[1:] = (r[1:] != r[:-1]) | (c[1:] != c[:-1])
+    first[1:] = key[1:] != key[:-1]
     group = np.cumsum(first) - 1
     rank = np.arange(r.size) - np.flatnonzero(first)[group]
     out = v[first]
@@ -330,32 +315,62 @@ def _first_of_each_row(r, c, v, senses, rhs) -> np.ndarray:
             continue
         at = start[ids][:, None] + np.arange(n)
         key = np.column_stack([sense_id[ids], rhs_key[ids], c[at], v[at].view(np.int64)])
-        first = np.unique(key, axis=0, return_index=True)[1]
-        keep[ids] = False
-        keep[ids[first]] = True
+        # a stable sort puts equal keys next to each other, earliest first
+        order = np.lexsort(key.T)
+        key = key[order]
+        keep[ids[order[1:]]] = np.any(key[1:] != key[:-1], axis=1)
     return keep
 
 
 def _stack(blocks: list[RowBlock]):
     """(row, column, value) of every block's terms, one row per listed row
     in block order and duplicates summed (_coalesce), with the rows'
-    senses and rhs."""
-    rs, cs, vs = [np.zeros(0, dtype=int)], [np.zeros(0, dtype=int)], [np.zeros(0)]
-    senses, rhs = [np.empty(0, dtype="<U1")], [np.zeros(0)]
-    base = 0
-    for blk in blocks:
-        sel = slice(None) if blk.rows is None else blk.rows
-        for mat, P, sign in blk.terms:
-            if mat is not None and P is not None:
-                r, c, v = _term_entries(mat, P, sign, blk.rows)
-                rs.append(r + base)
-                cs.append(c)
-                vs.append(v)
-        senses.append(np.asarray(blk.senses)[sel])
-        rhs.append(np.asarray(blk.rhs, dtype=float)[sel])
-        base += senses[-1].size
-    r, c, v = _coalesce(np.concatenate(rs), np.concatenate(cs), np.concatenate(vs))
-    return r, c, v, np.concatenate(senses), np.concatenate(rhs)
+    senses and rhs.  The entries of sign * M[rows] @ P are listed block by
+    block and term by term, in M's entry order and, within one entry, in
+    P's row order; the terms are expanded together, every Csr P as a row
+    range of the stack of all of them."""
+    first = np.cumsum([0] + [len(blk.senses) for blk in blocks])  # block's row 0 among all
+    picked = np.concatenate([np.zeros(0, dtype=int)] + [
+        at + (np.arange(len(blk.senses)) if blk.rows is None else np.asarray(blk.rows, dtype=int))
+        for at, blk in zip(first, blocks)])
+    row_of = np.full(first[-1], -1)
+    row_of[picked] = np.arange(picked.size)
+    senses = np.concatenate([np.empty(0, dtype="<U1")]
+                            + [np.asarray(blk.senses) for blk in blocks])[picked]
+    rhs = np.concatenate([np.zeros(0)]
+                         + [np.asarray(blk.rhs, dtype=float) for blk in blocks])[picked]
+
+    terms = [(mat, P, sign, at) for at, blk in zip(first, blocks)
+             for mat, P, sign in blk.terms if mat is not None and P is not None]
+    maps = list({id(P): P for _, P, _, _ in terms if isinstance(P, Csr)}.values())
+    map_at = dict(zip(map(id, maps), np.cumsum([0] + [P.shape[0] for P in maps])))
+    nnz = [mat.nnz for mat, *_ in terms]
+
+    def each(values, dtype):
+        """One value per term, repeated over the term's entries."""
+        return np.repeat(np.array(values, dtype=dtype), nnz)
+
+    def joined(arrays, dtype):
+        return np.concatenate([np.zeros(0, dtype=dtype)] + arrays)
+
+    r = row_of[joined([mat.entry_rows() for mat, *_ in terms], int)
+               + each([at for *_, at in terms], int)]
+    v = joined([mat.data for mat, *_ in terms], float) * each([s for *_, s, _ in terms], float)
+    on_map = each([isinstance(P, Csr) for _, P, _, _ in terms], bool)
+    # an offset P's column, or the row of a Csr P's stack that the entry expands into
+    c = joined([mat.indices for mat, *_ in terms], int) + each(
+        [map_at[id(P)] if isinstance(P, Csr) else P for _, P, _, _ in terms], int)
+    kept = r >= 0
+    r, c, v, on_map = r[kept], c[kept], v[kept], on_map[kept]
+    if maps:
+        indptr = np.cumsum(joined([[0]] + [np.diff(P.indptr) for P in maps], int))
+        cnt = np.where(on_map, np.diff(indptr)[np.where(on_map, c, 0)], 1)
+        e = np.repeat(np.arange(r.size), cnt)
+        r, c, v, on_map = r[e], c[e], v[e], on_map[e]
+        at = indptr[c[on_map]] + (np.arange(e.size) - np.repeat(np.cumsum(cnt) - cnt, cnt))[on_map]
+        c[on_map] = joined([P.indices for P in maps], int)[at]
+        v[on_map] = v[on_map] * joined([P.data for P in maps], float)[at]
+    return (*_coalesce(r, c, v), senses, rhs)
 
 
 def assemble(blocks: list[RowBlock], n_cols: int) -> tuple[Csr, np.ndarray, np.ndarray]:
@@ -378,11 +393,30 @@ def split_rows(blocks: list[RowBlock], n_w: int, n: int
     columns [w | u], w the first n_w and u the next n: one row per listed
     row, in order, coefficients summed but otherwise untouched; A holds
     the u terms as they are, R the w terms negated."""
-    r, c, v, senses, const = _stack(blocks)
+    return split_state_lps([(blocks, n_w, n)])[0]
+
+
+def split_state_lps(lps: list[tuple[list[RowBlock], int, int]]
+                    ) -> list[tuple[Csr, np.ndarray, np.ndarray, Csr]]:
+    """split_rows of every (blocks, n_w, n) in lps, from one _stack of all
+    their blocks: each LP's (A, senses, const, R) is its contiguous row
+    slice of that stack, split at its own n_w."""
+    r, c, v, senses, const = _stack([blk for blocks, _, _ in lps for blk in blocks])
+    n_rows = [sum(np.asarray(blk.senses if blk.rows is None else blk.rows).size
+                  for blk in blocks) for blocks, _, _ in lps]
+    ends = np.cumsum(n_rows, dtype=int)
+    n_w = np.repeat([n_w for _, n_w, _ in lps], n_rows).astype(int)[r]
     on_u, on_w = c >= n_w, c < n_w
-    A = Csr(_row_starts(r[on_u], const.size), c[on_u] - n_w, v[on_u], (const.size, n))
-    R = Csr(_row_starts(r[on_w], const.size), c[on_w], -v[on_w], (const.size, n_w))
-    return A, senses, const, R
+    u_ptr, w_ptr = _row_starts(r[on_u], const.size), _row_starts(r[on_w], const.size)
+    u_cols, u_vals, w_cols, w_vals = (c - n_w)[on_u], v[on_u], c[on_w], -v[on_w]
+
+    def rows_of(indptr, cols, vals, start, end, width):
+        lo, hi = indptr[start], indptr[end]
+        return Csr(indptr[start:end + 1] - lo, cols[lo:hi], vals[lo:hi], (end - start, width))
+
+    return [(rows_of(u_ptr, u_cols, u_vals, end - size, end, n), senses[end - size:end],
+             const[end - size:end], rows_of(w_ptr, w_cols, w_vals, end - size, end, n_w))
+            for (_, n_w, n), size, end in zip(lps, n_rows, ends)]
 
 
 def first_stage_offsets(m: Msilp, agg: AggregationMap | None) -> tuple[dict, int, int]:

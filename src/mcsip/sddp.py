@@ -47,8 +47,8 @@ as one dense '>=' row: its slope placed over the master's columns by an
 index map, written by lp_engine.cut_row.  Each subproblem LP is an
 lp_engine.StateLp, as LDR's node LPs are: its node's linking rows
 written over [w | x, y, theta] and split at w's width by
-model.split_rows, so rhs = const + R w at the incoming state w =
-(x_parent, z).  A hosted cut is one row over the same columns, its slope
+model.split_rows (all subproblems at once, model.split_state_lps), so
+rhs = const + R w at the incoming state w = (x_parent, z).  A hosted cut is one row over the same columns, its slope
 placed by an index map built as the master's are (_place) and written by
 cut_row; StateLp.host splits it the same way.  The engine's subproblems
 share one memo (see lp_engine's Benders layer), so the copies of a stage
@@ -73,7 +73,7 @@ from .lp_engine import (INFEASIBLE, OPTIMAL, TIME_LIMIT, CutOracle, Deadline, De
                         LpSolution, MipSolution, StateLp, StateLpTable, add_rows,
                         branch_and_cut, cut_row, relative_gap, solve_lp)
 from .model import LpProblem, MipProblem, Msilp, assemble, check_cost_to_go_floor, \
-    first_stage_columns, first_stage_offsets, node_rows, split_rows, z_values
+    first_stage_columns, first_stage_offsets, node_rows, split_state_lps, z_values
 from .tolerances import EPS_EXACT, EPS_POLICY, THETA_LB, VIOL_GUARD
 from .tree import path as tree_path
 
@@ -169,32 +169,34 @@ class _Sub(StateLp):
     z reaches the LP only through its rhs, const + R w at the incoming
     state w = [x_parent | z of the parent group | z of each reachable
     group (z_groups, PolicyGraph.reach)].  The linking rows come first,
-    hosted cut rows follow."""
+    hosted cut rows follow.  Its LP is set by take_rows, once
+    SddpEngine has split every subproblem's linking_rows in one go."""
 
-    def __init__(self, key: SubKey, engine: "SddpEngine", table: StateLpTable):
+    def __init__(self, key: SubKey, engine: "SddpEngine"):
         self.key = key
         m = engine.msilp
         node0 = engine.pgraph.sub_members[key][0]
-        nd = m.data[node0]
+        self.nd = m.data[node0]
         self.group = engine.agg.node_to_group[node0]
-        children = engine.pgraph.children[key]
+        self.children = engine.pgraph.children[key]
         self.z_groups = engine.pgraph.reach[key]
         k, l, r = m.k, m.l, m.r
         n_w = k + l + l * len(self.z_groups)
         w_off = {g: k + l + i * l for i, g in enumerate(self.z_groups)}
         self.theta0 = k + r
-        self.theta_col = {ck: self.theta0 + i for i, (ck, _) in enumerate(children)}
+        self.theta_col = {ck: self.theta0 + i for i, (ck, _) in enumerate(self.children)}
         # each child's cut slope over [this w | x, y, theta]
         self.place = {ck: _place(n_w, w_off, (self.group, *engine.pgraph.reach[ck]), k, l)
-                      for ck, _ in children}
+                      for ck, _ in self.children}
+        # the node's linking rows over [w | x, y, theta], to be split at w
+        self.linking_rows = (node_rows(self.nd, w_off[self.group], n_w, n_w + k, k, 0, ())[1:],
+                             n_w, self.theta0 + len(self.children))
 
-        # the node's linking rows over [w | x, y, theta], split at w
-        A, senses, const, R = split_rows(
-            node_rows(nd, w_off[self.group], n_w, n_w + k, k, 0, ())[1:],
-            n_w, self.theta0 + len(children))
-
-        nt = len(children)
-        lp = LpProblem(c=np.concatenate([nd.d, nd.h, [p for _, p in children]]),
+    def take_rows(self, split: tuple, table: StateLpTable) -> None:
+        """Set the LP from split, the (A, senses, const, R) of linking_rows."""
+        A, senses, const, R = split
+        nd, nt = self.nd, len(self.children)
+        lp = LpProblem(c=np.concatenate([nd.d, nd.h, [p for _, p in self.children]]),
                        A=A, senses=senses, rhs=np.zeros(senses.size),
                        lo=np.concatenate([nd.x_lo, nd.y_lo, np.full(nt, THETA_LB)]),
                        up=np.concatenate([nd.x_up, nd.y_up, np.full(nt, np.inf)]))
@@ -241,7 +243,10 @@ class SddpEngine:
         self.pgraph = build_policy_graph(m.tree, agg)
         self.rng = np.random.default_rng(cfg.seed)
         table = StateLpTable()
-        self.subs = {key: _Sub(key, self, table) for key in self.pgraph.subproblems}
+        self.subs = {key: _Sub(key, self) for key in self.pgraph.subproblems}
+        for sub, split in zip(self.subs.values(), split_state_lps(
+                [sub.linking_rows for sub in self.subs.values()])):
+            sub.take_rows(split, table)
         self.pools: dict[SubKey, list[Cut]] = {k: [] for k in self.pgraph.subproblems}
         self._pool_sigs: dict[SubKey, set] = {k: set() for k in self.pgraph.subproblems}
         self.master_pool: dict[int, list[Cut]] = {}

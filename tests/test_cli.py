@@ -169,6 +169,28 @@ def test_bad_solver_setting_exits_3(workdir, tmp_path, capsys, method, flag, val
     assert word in err and not (tmp_path / "sol.json").exists()
 
 
+def test_solve_with_pm_attrs_under_another_transform_exits_3(workdir, tmp_path, capsys):
+    rc = main(["solve", "--instance", str(workdir / "inst.json"), "--method", "ex",
+               "--transform", "hn", "--pm-attrs", "0", "--out", str(tmp_path / "sol.json")])
+    err = capsys.readouterr().err
+    assert rc == 3 and err.count("\n") == 1 and err.startswith("config error:")
+    assert "--pm-attrs" in err and "hn" in err and not (tmp_path / "sol.json").exists()
+
+
+@pytest.mark.parametrize("given", [[], ["--transform", "fh"]], ids=["record-hn", "flag-fh"])
+def test_evaluate_with_pm_attrs_under_another_transform_exits_3(workdir, tmp_path, capsys,
+                                                                 given):
+    """The transform is the record's (hn) or --transform's; with either,
+    --pm-attrs would be ignored."""
+    rec = tmp_path / "rec.json"
+    rec.write_text(json.dumps({"status": "optimal", "transform": "hn", "z": []}))
+    rc = main(["evaluate", "--instance", str(workdir / "inst.json"), "--solution", str(rec),
+               "--pm-attrs", "0", "--out", str(tmp_path / "eval.json"), *given])
+    err = capsys.readouterr().err
+    assert rc == 3 and err.count("\n") == 1 and err.startswith("config error:")
+    assert "--pm-attrs" in err and not (tmp_path / "eval.json").exists()
+
+
 BAD_GENERATE = [("--grid", "0x4", "column"), ("--capacity-pct", "-1", "capacity_pct"),
                 ("--modality-type", "9", "modality_type"), ("--seed", "-3", "seed")]
 

@@ -1,5 +1,6 @@
 import io
 import json
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -7,10 +8,11 @@ import pytest
 from mcsip.aggregate import Transformation, build_aggregation
 from mcsip.hdr import INTENSITY_MATRIX, HdrConfig, _movement_probs, demand, \
     build_hdr_aggregated, build_hdr_msilp, generate_instance, load_instance, \
-    save_instance
+    production_cost, save_instance, transport_cost
 from mcsip.lp_engine import branch_and_cut, solve_lp
 from mcsip.markov import McState
-from mcsip.model import LpProblem, build_aggregated_extensive_form, validate
+from mcsip.model import Csr, LpProblem, NodeData, build_aggregated_extensive_form, validate
+from mcsip.tree import build_tree
 
 from conftest import ACCEPT_SEEDS
 
@@ -230,3 +232,38 @@ def test_interesting_seeds_have_policy_gaps(seed):
         agg = build_aggregation(m.tree, Transformation(kind))
         vals[kind] = branch_and_cut(build_aggregated_extensive_form(m, agg)).objective
     assert vals["hn"] > vals["fh"] + 1e-4 * abs(vals["fh"])
+
+
+@pytest.mark.parametrize("layout", ["msilp", "aggregated"])
+@pytest.mark.parametrize("seed", [5, 11])
+def test_nodes_share_their_kinds_data_and_hold_their_states_demands_and_costs(seed, layout):
+    """Every node of one root flag holds the same matrix, sense, bound and
+    state-free vector objects, all read-only; its own b and h hold the
+    demand, production_cost and transport_cost values of its state bit for
+    bit, and the rest of them equal the root flag's first node's."""
+    inst = generate_instance(HdrConfig(cols=2, rows=4, capacity_pct=0.2, seed=seed))
+    if layout == "msilp":
+        m = build_hdr_msilp(inst)
+    else:
+        tree = build_tree(inst.chain, inst.config.T)
+        m = build_hdr_aggregated(inst, build_aggregation(tree, Transformation("hn")))
+    n_i, n_j = inst.n_shelters, inst.n_dcs
+    shared = [f.name for f in fields(NodeData) if f.name not in ("b", "h")]
+    first: dict[bool, NodeData] = {}
+    for node in m.tree.nodes:
+        nd, state = m.data[node.id], node.mc_state
+        kind = first.setdefault(node.stage == 1, nd)
+        assert all(getattr(nd, name) is getattr(kind, name) for name in shared)
+        want_b = [demand(inst, i, state) for i in range(n_i)]
+        want_h = [production_cost(inst, j, state) for j in range(n_j)] + \
+            [transport_cost(inst, i, j, state) for i in range(n_i) for j in range(n_j)]
+        assert nd.b[:n_i].tobytes() == np.array(want_b).tobytes()
+        assert nd.h[:n_j + n_i * n_j].tobytes() == np.array(want_h).tobytes()
+        assert nd.b[n_i:].tobytes() == kind.b[n_i:].tobytes()
+        assert nd.h[n_j + n_i * n_j:].tobytes() == inst.shortage_cost.tobytes()
+        arrays = [a for v in vars(nd).values() if v is not None
+                  for a in ((v.indptr, v.indices, v.data) if isinstance(v, Csr) else (v,))]
+        assert not any(a.flags.writeable for a in arrays)
+    assert set(first) == {True, False}
+    with pytest.raises(ValueError):
+        first[False].E.data[0] = 2.0  # an edit in place would reach every node

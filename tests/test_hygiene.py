@@ -50,6 +50,13 @@ UNREFERENCED_OK = {
     "max_violation": "the tests' feasibility reference",
     "expand_aggregated_solution": "pins the paper's semantics of an aggregated solution",
     "evaluate_policy_extensive": "pins the paper's semantics of an extracted LDR policy",
+    "demand": "pins the instance family's demand, one shelter at a time; the built b "
+              "is tested against it bit for bit",
+    "production_cost": "pins the instance family's production cost; the built h is tested "
+                       "against it bit for bit",
+    "transport_cost": "pins the instance family's transport cost; the built h is tested "
+                      "against it bit for bit",
+    "split_rows": "one state LP's split, which split_state_lps is tested against",
 }
 
 

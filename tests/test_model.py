@@ -217,3 +217,43 @@ def test_csr_products_match_scipy_bit_for_bit():
         assert (got @ x).tobytes() == (want @ x).tobytes()
         assert got.rmatvec(y).tobytes() == (want.T @ y).tobytes()
         assert got.toarray().tobytes() == want.toarray().tobytes()
+
+
+@pytest.mark.parametrize("transform", ["hn", "pm", "fh"])
+def test_each_state_lp_of_the_batched_split_equals_its_own_split(monkeypatch, transform):
+    """LDR-M's node LPs and S's subproblems on 2x4 at instance seed 11: every
+    LP split_state_lps returns, and every LP the model holds, has the bytes
+    (A, senses, const and R) of split_rows on that LP's blocks alone."""
+    from mcsip import ldr, sddp
+    from mcsip.hdr import HdrConfig, build_hdr_aggregated, build_hdr_msilp, generate_instance
+    from mcsip.model import split_rows, split_state_lps
+
+    calls = []
+
+    def recording(lps):
+        out = split_state_lps(lps)
+        calls.append((lps, out))
+        return out
+
+    monkeypatch.setattr(ldr, "split_state_lps", recording)
+    monkeypatch.setattr(sddp, "split_state_lps", recording)
+    inst = generate_instance(HdrConfig(cols=2, rows=4, capacity_pct=0.2, seed=11))
+    tr = Transformation("pm", partial_attrs=(2,)) if transform == "pm" \
+        else Transformation(transform)
+    m = build_hdr_msilp(inst)
+    engine = sddp.SddpEngine(m, build_aggregation(m.tree, tr), sddp.SddpConfig())
+    ma = build_hdr_aggregated(inst, build_aggregation(m.tree, tr))
+    model = ldr.build_ldr_model(ma, build_aggregation(ma.tree, tr), ldr.LdrVariant("m"))
+    held = [(sub.lp.A, sub.lp.senses, sub.const, sub.R) for sub in engine.subs.values()] + \
+        [(nl.lp.A, nl.lp.senses, nl.const, nl.R) for nl in model.node_lps.values()]
+    assert [len(lps) for lps, _ in calls] == [len(engine.subs), len(model.node_lps)]
+
+    def parts(split):
+        A, senses, const, R = split
+        return [A.shape, R.shape] + [a.tobytes() + a.dtype.str.encode() for a in
+                                     (A.indptr, A.indices, A.data, senses, const,
+                                      R.indptr, R.indices, R.data)]
+
+    got = [split for _, out in calls for split in out]
+    want = [split_rows(blocks, n_w, n) for lps, _ in calls for blocks, n_w, n in lps]
+    assert [parts(s) for s in got] == [parts(s) for s in want] == [parts(s) for s in held]
