@@ -129,9 +129,8 @@ def run_solve(inst, method: str, tr: Transformation, *, eps: float | None,
             out.update(status=res.status, objective=res.objective, bound=res.bound,
                        gap=res.gap, cuts=sum(res.cut_counts.values()))
     elif method in ("ldr-th", "ldr-t", "ldr-m"):
-        agg0 = build_aggregation(build_tree(inst.chain, inst.config.T), tr)
-        ma = build_hdr_aggregated(inst, agg0)
-        agg = build_aggregation(ma.tree, tr)
+        agg = build_aggregation(build_tree(inst.chain, inst.config.T), tr)
+        ma = build_hdr_aggregated(inst, agg)
         model = build_ldr_model(ma, agg, LdrVariant(method.split("-")[1]))
         sol = benders_solve(model, eps=eps, deadline=deadline)
         out.update(status=sol.status, objective=sol.objective, bound=sol.bound,
@@ -171,11 +170,12 @@ def cmd_generate(args) -> int:
 
 def cmd_solve(args) -> int:
     _check_pm_attrs(args.transform, args.pm_attrs)
+    run = SddpConfig(k=args.k, max_rounds=args.rounds, seed=args.seed)
     inst = _load(args.instance, load_instance)
     tr = _transformation(args.transform, args.pm_attrs)
-    rec = run_solve(inst, args.method, tr, eps=args.eps, k=args.k,
-                    seed=args.seed, time_limit=args.time_limit,
-                    rounds=args.rounds)
+    rec = run_solve(inst, args.method, tr, eps=args.eps, k=run.k,
+                    seed=run.seed, time_limit=args.time_limit,
+                    rounds=run.max_rounds)
     rec["instance"] = args.instance
     path = _out_path(f"sol_{args.method}_{args.transform}.json", args.out)
     with open(path, "w") as fp:
@@ -283,12 +283,12 @@ def cmd_bench(args) -> int:
                 raise ConfigError(f"{name} must be a list of names")
         # the run-wide settings, checked as mcsip solve checks them
         Deadline(conf.get("time_limit"))
-        run = SddpConfig(seed=conf.get("seed", SddpConfig.seed),
+        run = SddpConfig(k=conf.get("k"), seed=conf.get("seed", SddpConfig.seed),
                          max_rounds=conf.get("rounds", SddpConfig.max_rounds))
     except (OSError, KeyError, json.JSONDecodeError, TypeError, ConfigError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 3
-    settings = {"pm_attrs": conf.get("pm_attrs"), "eps": conf.get("eps"), "k": conf.get("k"),
+    settings = {"pm_attrs": conf.get("pm_attrs"), "eps": conf.get("eps"), "k": run.k,
                 "seed": run.seed, "time_limit": conf.get("time_limit"), "rounds": run.max_rounds}
     cells = [{"instance": spec, "method": method, "transform": tr, **settings}
              for spec in instances for method in methods for tr in transforms]

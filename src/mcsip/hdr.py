@@ -39,7 +39,7 @@ from .aggregate import AggregationMap
 from .errors import ConfigError
 from .markov import MarkovChain, McState, product_chain
 from .model import Csr, Msilp, NodeData, smat
-from .tree import build_tree
+from .tree import ScenarioTree, build_tree
 
 SCHEMA_VERSION = 1
 DELTA_MAX = 150.0
@@ -269,26 +269,7 @@ def _node_kind(inst: HdrInstance, is_root: bool, keep_capacity_state: bool) -> N
 
     wcol0 = n_j + n_i * n_j
 
-    # z-rows: at most one modality, plus persistence off the root
-    zi, zj, zv = [0] * n_l, list(range(n_l)), [-1.0] * n_l
-    g = [-1.0]
-    sen_z = ["G"]
-    gi, gj, gv = [], [], []
-    if not is_root:
-        for l in range(n_l):
-            zi.append(1 + l)
-            zj.append(l)
-            zv.append(1.0)
-            gi.append(1 + l)
-            gj.append(l)
-            gv.append(1.0)
-            g.append(0.0)
-            sen_z.append("G")
-    nz = len(g)
-    H = smat(Csr.from_triplets(zi, zj, zv, (nz, n_l)), (nz, n_l))
-    G = None if is_root else smat(Csr.from_triplets(gi, gj, gv, (nz, n_l)), (nz, n_l))
-
-    rows_c, rows_e, rows_a, rows_b, rows_w = [], [], [], [], []
+    rows_c, rows_d, rows_e, rows_a, rows_b, rows_w = [], [], [], [], [], []
     b_vec, sen_l = [], []
 
     def put(triplets, row, col, val):
@@ -344,6 +325,17 @@ def _node_kind(inst: HdrInstance, is_root: bool, keep_capacity_state: bool) -> N
                 b_vec.append(0.0)
             sen_l.append("E")
             row += 1
+    # integer rows, last so that the rows above keep their indices: at
+    # most one modality, and off the root an active modality stays active
+    n_int = 1 if is_root else 1 + n_l
+    for l in range(n_l):
+        put(rows_d, row, l, -1.0)
+        if not is_root:
+            put(rows_d, row + 1 + l, l, 1.0)
+            put(rows_b, row + 1 + l, l, 1.0)
+    b_vec += [-1.0] + [0.0] * (n_int - 1)
+    sen_l += ["G"] * n_int
+    row += n_int
 
     nl = row
 
@@ -359,11 +351,8 @@ def _node_kind(inst: HdrInstance, is_root: bool, keep_capacity_state: bool) -> N
     d[:n_j] = inst.hold_cost
 
     return NodeData(
-        H=H, G=G, g=np.array(g), sen_z=np.array(sen_z, dtype="<U1"),
-        C=mk(rows_c, k), D=None, E=mk(rows_e, r),
-        A=None if is_root else mk(rows_a, k),
-        B=None if is_root else mk(rows_b, n_l),
-        W=None if is_root else mk(rows_w, n_l),
+        C=mk(rows_c, k), D=mk(rows_d, n_l), E=mk(rows_e, r),  # A, B and W are empty at the root
+        A=mk(rows_a, k), B=mk(rows_b, n_l), W=mk(rows_w, n_l),
         b=np.array(b_vec), sen_l=np.array(sen_l, dtype="<U1"),
         c=np.array([mod.cost for mod in inst.modalities]),
         d=d, h=h,
@@ -421,11 +410,10 @@ def _read_only(nd: NodeData) -> NodeData:
     return nd
 
 
-def _build(inst: HdrInstance, keep_capacity_state: bool, name: str) -> Msilp:
-    """Every node's data: one shared NodeData per root flag (_node_kind),
-    and per (root flag, Markov state) a copy of it with that state's b and
-    h, which every node of the pair shares."""
-    tree = build_tree(inst.chain, inst.config.T)
+def _build(inst: HdrInstance, tree: ScenarioTree, keep_capacity_state: bool, name: str) -> Msilp:
+    """Every node's data on tree: one shared NodeData per root flag
+    (_node_kind), and per (root flag, Markov state) a copy of it with that
+    state's b and h, which every node of the pair shares."""
     entries = _StateEntries(inst)
     kinds: dict[bool, NodeData] = {}
     cache: dict[tuple, NodeData] = {}
@@ -447,19 +435,16 @@ def _build(inst: HdrInstance, keep_capacity_state: bool, name: str) -> Msilp:
 
 def build_hdr_msilp(inst: HdrInstance) -> Msilp:
     """Nested form with inventory and capacity as continuous states."""
-    return _build(inst, keep_capacity_state=True, name="hdr")
+    return _build(inst, build_tree(inst.chain, inst.config.T), True, "hdr")
 
 
 def build_hdr_aggregated(inst: HdrInstance, agg: AggregationMap) -> Msilp:
     """Capacity-eliminated layout; production rows carry the ancestor block.
 
-    The aggregation argument pins the tree the caller intends to solve on;
-    the node data itself is the same for every transformation.
+    The model is built on agg.tree, which must be the instance's tree; the
+    node data itself is the same for every transformation.
     """
-    m = _build(inst, keep_capacity_state=False, name="hdr_aggregated")
-    if len(agg.tree) != len(m.tree):
-        raise ValueError("aggregation map was built on a different tree")
-    return m
+    return _build(inst, agg.tree, False, "hdr_aggregated")
 
 
 def save_instance(inst: HdrInstance, fp) -> None:

@@ -30,13 +30,13 @@ state) group or across groups, are solved once per rhs.
 Rows come from the shared assembler, with x_n mapped onto the Lambda
 columns by a sparse basis-expansion P and x_root by its column offset.
 One node_rows call per node writes its rows over [master columns | y]:
-the master takes every row free of non-root locals in model.assemble's
-canonical form (tiny coefficients dropped, rounded, duplicate rows
-removed), and the node LP is the split of the remaining linking rows at
-the master's width (model.split_rows; every node LP's at once by
-model.split_state_lps), E y {sense} const + R w at the first stage w,
-one row per kept linking row, because the Benders oracle reads them row
-by row.
+the master takes its integer rows and every other row free of non-root
+locals in model.assemble's canonical form (tiny coefficients dropped,
+rounded, duplicate rows removed), and the node LP is the split of the
+remaining rows at the master's width (model.split_rows; every node
+LP's at once by model.split_state_lps), E y {sense} const + R w at the
+first stage w, one row per kept row, because the Benders oracle reads
+them row by row.
 """
 
 from __future__ import annotations
@@ -73,7 +73,7 @@ def node_basis(m: Msilp, nid: int) -> np.ndarray:
     nd = m.data[nid]
     if m.basis_rows is not None:
         return np.asarray(nd.b[m.basis_rows], dtype=float)
-    return np.concatenate([nd.b, nd.g, nd.c, nd.d, nd.h]).astype(float)
+    return np.concatenate([nd.b, nd.c, nd.d, nd.h]).astype(float)
 
 
 @dataclass
@@ -187,19 +187,19 @@ def build_ldr_model(m: Msilp, agg: AggregationMap, variant: LdrVariant) -> LdrMo
         x_par = None if par is None else P[par]
         z_anc = [zcol(a) for a in tree_path(tree, nid)[:-1]] if nd.W is not None else []
         # over [master columns | y]: the root's y is a master block, a node LP's follows them
-        z_rows, link = node_rows(nd, zcol(nid), P[nid], y_off if is_root else n,
-                                 zp, x_par, z_anc)
-        blocks.append(z_rows)
+        int_rows, other = node_rows(nd, zcol(nid), P[nid], y_off if is_root else n,
+                                    zp, x_par, z_anc)
+        blocks.append(int_rows)
         if not is_root:  # state bounds become rows once x is an expression
             bounds = np.column_stack([nd.x_lo, nd.x_up]).ravel()
             blocks.append(RowBlock([(pick_bound, P[nid], 1.0)], np.tile([GE, LE], k),
                                    bounds, np.flatnonzero(np.isfinite(bounds))))
-        # linking rows: master when free of locals (all of the root's), stage 2 otherwise
-        local = np.zeros(nd.b.size, dtype=bool) if is_root or nd.E is None else \
-            np.diff(nd.E.indptr) > 0
-        blocks.append(replace(link, rows=np.flatnonzero(~local)))
+        # other rows: master when free of locals (all of the root's), stage 2 otherwise
+        local = np.zeros(other.rows.size, dtype=bool) if is_root or nd.E is None else \
+            np.diff(nd.E.indptr)[other.rows] > 0
+        blocks.append(replace(other, rows=other.rows[~local]))
         if local.any():
-            local_rows[nid] = ([replace(link, rows=np.flatnonzero(local))], n, r)
+            local_rows[nid] = ([replace(other, rows=other.rows[local])], n, r)
 
     # stage-2 LPs: E y {sense} const + R w, w the master's columns
     splits = split_state_lps(list(local_rows.values()))

@@ -1,14 +1,17 @@
 """Generic multi-stage node data, the shared row assembler, validation.
 
-Per-node constraint blocks, all rows normalized to sense '>= ' or '==':
+Each node couples to its parent through one family of rows, all
+normalized to sense '>=' or '==':
 
-    z-rows:    H z_n           {>=,==}  G z_parent + g
-    linking:   C x_n + D z_n + E y_n
-                               {>=,==}  A x_parent + B z_parent
-                                        + W sum(z_ancestors incl. parent) + b
+    C x_n + D z_n + E y_n  {>=,==}  A x_parent + B z_parent
+                                    + W sum(z_ancestors incl. parent) + b
 
-A row on x alone, x_n >= F x_parent + f say, is a linking row with C = I,
-A = F, b = f and D, E, B, W zero: one row family couples a node to its parent.
+A row on x alone, x_n >= F x_parent + f say, has C = I, A = F, b = f and
+D, E, B, W zero.  A row with no C, E or A entry is an integer row
+(NodeData.row_split): it holds the first-stage z alone, so every model
+puts it into its master or extensive form, never into a state LP, and
+lists it before the node's other rows, as the models' digests and the
+LP-count guards pin the LP row order.
 
 W is an optional ancestor-coupling block used by formulations that fold a
 telescoped state recursion into the integer variables; it is only legal
@@ -48,7 +51,7 @@ aggregated forms.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -156,11 +159,6 @@ def smat(m, shape) -> Csr | None:
 class NodeData:
     """Matrices, vectors and bounds of one scenario-tree node."""
 
-    # z-rows
-    H: Csr | None = None
-    G: Csr | None = None
-    g: np.ndarray = field(default_factory=lambda: np.zeros(0))
-    sen_z: np.ndarray = field(default_factory=lambda: np.empty(0, dtype="<U1"))
     # linking rows
     C: Csr | None = None
     D: Csr | None = None
@@ -187,19 +185,32 @@ class NodeData:
         import hashlib
 
         hsh = hashlib.sha256()
-        for m in (self.H, self.G, self.C, self.D, self.E, self.A, self.B, self.W):
+        for m in (self.C, self.D, self.E, self.A, self.B, self.W):
             if m is None:
                 hsh.update(b"-")
             else:
                 hsh.update(m.indptr.tobytes())
                 hsh.update(m.indices.tobytes())
                 hsh.update(np.round(m.data, 12).tobytes())
-        for v in (self.g, self.b, self.c, self.d, self.h,
+        for v in (self.b, self.c, self.d, self.h,
                   self.x_lo, self.x_up, self.y_lo, self.y_up, self.z_lo, self.z_up):
             hsh.update(np.round(np.asarray(v, dtype=float), 12).tobytes())
-        for s in (self.sen_z, self.sen_l):
-            hsh.update("".join(s).encode())
+        hsh.update("".join(self.sen_l).encode())
         return hsh.digest()
+
+    def row_split(self) -> tuple[np.ndarray, np.ndarray]:
+        """(integer rows, other rows) in block order: the linking rows with no
+        C, E or A entry and the rest.  Kept with the blocks read, so a node
+        shared by many tree nodes reads them once and a block set anew is
+        read anew."""
+        blocks = (self.C, self.E, self.A)
+        kept = self.__dict__.get("_row_split")
+        if kept is None or any(a is not b for a, b in zip(kept[0], blocks)):
+            on_x_or_y = sum((np.diff(mat.indptr) for mat in filter(None, blocks)),
+                            np.zeros(self.b.size, dtype=int)) > 0
+            kept = self._row_split = blocks, (np.flatnonzero(~on_x_or_y),
+                                              np.flatnonzero(on_x_or_y))
+        return kept[1]
 
 
 @dataclass
@@ -265,18 +276,19 @@ class RowBlock:
     rows: np.ndarray | None = None
 
 
-def node_rows(nd: NodeData, z, x, y, z_par, x_par, z_anc) -> list[RowBlock]:
-    """The z- and linking-row blocks of one node, each variable block
+def node_rows(nd: NodeData, z, x, y, z_par, x_par, z_anc) -> tuple[RowBlock, RowBlock]:
+    """A node's integer rows and its other rows (NodeData.row_split): two
+    row selections of its one block of linking rows, each variable block
     given by its P; a map is None where its block has no columns: the
-    parent's at the root, or a block the caller's rows leave out.  A
-    state LP maps its incoming state into w and splits the rows there
-    (split_rows, split_state_lps)."""
-    return [
-        RowBlock([(nd.H, z, 1.0), (nd.G, z_par, -1.0)], nd.sen_z, nd.g),
-        RowBlock([(nd.C, x, 1.0), (nd.D, z, 1.0), (nd.E, y, 1.0), (nd.A, x_par, -1.0),
-                  (nd.B, z_par, -1.0)] + [(nd.W, za, -1.0) for za in z_anc],
-                 nd.sen_l, nd.b),
-    ]
+    parent's at the root, or a block the caller's rows leave out.  The
+    integer selection lists the terms on z alone, as its rows have no
+    other.  A state LP maps its incoming state into w and splits the rows
+    there (split_rows, split_state_lps)."""
+    on_z = [(nd.D, z, 1.0), (nd.B, z_par, -1.0)] + [(nd.W, za, -1.0) for za in z_anc]
+    integer, other = nd.row_split()
+    return (RowBlock(on_z, nd.sen_l, nd.b, integer),
+            RowBlock([(nd.C, x, 1.0), (nd.E, y, 1.0), (nd.A, x_par, -1.0)] + on_z,
+                     nd.sen_l, nd.b, other))
 
 
 def _coalesce(r, c, v):
@@ -497,10 +509,11 @@ def _extensive_form(m: Msilp, agg: AggregationMap | None) -> MipProblem:
         lo[yc:yc + m.r] = nd.y_lo
         up[yc:yc + m.r] = nd.y_up
         ancestors = path(tree, node.id)[:-1] if nd.W is not None else []
-        blocks += node_rows(nd, zcol(node.id), xc, yc,
-                            None if par is None else zcol(par),
-                            None if par is None else lay.x_off[par],
-                            [zcol(a) for a in ancestors])
+        int_rows, other = node_rows(nd, zcol(node.id), xc, yc,
+                                    None if par is None else zcol(par),
+                                    None if par is None else lay.x_off[par],
+                                    [zcol(a) for a in ancestors])
+        blocks.append(replace(other, rows=np.concatenate([int_rows.rows, other.rows])))
 
     A, senses, rhs = assemble(blocks, lay.n_cols)
     prob = MipProblem(c=obj, A=A, senses=senses, rhs=rhs, lo=lo, up=up, integer=integer)
@@ -558,9 +571,7 @@ def validate(m: Msilp) -> list[str]:
 
     for node in m.tree.nodes:
         nd = m.data[node.id]
-        nz, nl = nd.g.size, nd.b.size
-        _chk(node.id, nd.H, "H", (nz, m.l))
-        _chk(node.id, nd.G, "G", (nz, m.l))
+        nl = nd.b.size
         _chk(node.id, nd.C, "C", (nl, m.k))
         _chk(node.id, nd.D, "D", (nl, m.l))
         _chk(node.id, nd.E, "E", (nl, m.r))
@@ -574,11 +585,10 @@ def validate(m: Msilp) -> list[str]:
             if np.asarray(vec).size != size:
                 diags.append(f"node {node.id}: {name} has length {np.asarray(vec).size},"
                              f" expected {size}")
-        for sen, size, name in ((nd.sen_z, nz, "sen_z"), (nd.sen_l, nl, "sen_l")):
-            if sen.size != size:
-                diags.append(f"node {node.id}: {name} has length {sen.size}, expected {size}")
+        if nd.sen_l.size != nl:
+            diags.append(f"node {node.id}: sen_l has length {nd.sen_l.size}, expected {nl}")
         if node.parent is None:
-            for mat, name in ((nd.A, "A"), (nd.B, "B"), (nd.G, "G"), (nd.W, "W")):
+            for mat, name in ((nd.A, "A"), (nd.B, "B"), (nd.W, "W")):
                 if mat is not None:
                     diags.append(f"root carries parent-coupling block {name}")
         if not (np.all(np.isfinite(nd.z_lo)) and np.all(np.isfinite(nd.z_up))):

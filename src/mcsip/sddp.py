@@ -13,6 +13,8 @@ on the right-hand side:
          theta_child - alpha'x >= gamma + beta'z[own group]
               + sum_g rho_g'z[g]                   (pooled cuts)
 
+over the node's rows but its integer rows, which the master holds.
+
 A cut generated from a solved subproblem is the exact dual support of its
 value as a function of the incoming state: alpha collects the A duals,
 beta the B duals, and rho_g the slope on the z of every reachable group g
@@ -48,9 +50,10 @@ index map, written by lp_engine.cut_row.  Each subproblem LP is an
 lp_engine.StateLp, as LDR's node LPs are: its node's linking rows
 written over [w | x, y, theta] and split at w's width by
 model.split_rows (all subproblems at once, model.split_state_lps), so
-rhs = const + R w at the incoming state w = (x_parent, z).  A hosted cut is one row over the same columns, its slope
-placed by an index map built as the master's are (_place) and written by
-cut_row; StateLp.host splits it the same way.  The engine's subproblems
+rhs = const + R w at the incoming state w = (x_parent, z).  A hosted
+cut is one row over the same columns, its slope placed by an index map
+built as the master's are (_place) and written by cut_row;
+StateLp.host splits it the same way.  The engine's subproblems
 share one memo (see lp_engine's Benders layer), so the copies of a stage
 and Markov state that the transform tells apart are solved once per rhs.
 
@@ -188,7 +191,7 @@ class _Sub(StateLp):
         # each child's cut slope over [this w | x, y, theta]
         self.place = {ck: _place(n_w, w_off, (self.group, *engine.pgraph.reach[ck]), k, l)
                       for ck, _ in self.children}
-        # the node's linking rows over [w | x, y, theta], to be split at w
+        # the node's rows but its integer rows, over [w | x, y, theta], to be split at w
         self.linking_rows = (node_rows(self.nd, w_off[self.group], n_w, n_w + k, k, 0, ())[1:],
                              n_w, self.theta0 + len(self.children))
 
@@ -401,7 +404,7 @@ class SddpEngine:
 def build_master(m: Msilp, agg: AggregationMap,
                  theta_lb: float = THETA_LB) -> tuple[MipProblem, MasterLayout]:
     """First-stage MIP: all aggregated integer blocks, root continuous block,
-    one cost-to-go variable per stage-2 node, and every pure-z row."""
+    one cost-to-go variable per stage-2 node, and every node's integer rows."""
     tree = m.tree
     r = m.r
     z_off, x_off, y_off = first_stage_offsets(m, agg)
@@ -417,7 +420,7 @@ def build_master(m: Msilp, agg: AggregationMap,
         obj[tc] = tree.node(nid).p_cond
         lo[tc] = theta_lb
 
-    # every node's z-rows, then the root's linking rows
+    # every node's integer rows, then the root's other rows
     blocks = [node_rows(m.data[node.id], zcol(node.id), None, None,
                         None if node.parent is None else zcol(node.parent), None, ())[0]
               for node in tree.nodes]

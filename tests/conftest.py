@@ -93,7 +93,8 @@ def make_random_msilp(seed=0, T=3, n_states=2, k=2, l=2, r=3,
     """Random instance with nonnegative costs, box-bounded states, binary
     integers and (optionally) a high-cost slack local guaranteeing recourse.
     With state rows, each node's linking rows start with k rows on x
-    alone, x >= 0.3 x_parent - 1 (x >= -1 at the root)."""
+    alone, x >= 0.3 x_parent - 1 (x >= -1 at the root).  The last linking
+    row is an integer row, -sum(z) >= -l."""
     rng = np.random.default_rng(seed)
     chain = random_chain(rng, n_states, zero_frac=zero_frac)
     tree = build_tree(chain, T)
@@ -125,11 +126,16 @@ def make_random_msilp(seed=0, T=3, n_states=2, k=2, l=2, r=3,
                     B = np.vstack([np.zeros((k, l)), B])
                 b = np.concatenate([np.full(k, -1.0), b])
                 nl += k
-            H = -np.ones((1, l))
-            G = None if is_root else smat(sp.csr_matrix(0.0 * np.ones((1, l))), (1, l))
+            # the integer row -sum(z) >= -l as the last linking row
+            C = np.vstack([C, np.zeros((1, k))])
+            D = np.vstack([D, -np.ones((1, l))])
+            E = np.vstack([E, np.zeros((1, r_tot))])
+            if not is_root:
+                A = np.vstack([A, np.zeros((1, k))])
+                B = np.vstack([B, np.zeros((1, l))])
+            b = np.concatenate([b, [-float(l)]])
+            nl += 1
             cache[key] = NodeData(
-                H=smat(sp.csr_matrix(H), (1, l)), G=G,
-                g=np.array([-float(l)]), sen_z=np.array(["G"], dtype="<U1"),
                 C=smat(sp.csr_matrix(C), (nl, k)),
                 D=smat(sp.csr_matrix(D), (nl, l)),
                 E=smat(sp.csr_matrix(E), (nl, r_tot)),

@@ -156,7 +156,11 @@ BAD_SETTINGS = [("sddp", "--k", "0", "k"), ("sddp", "--eps", "-1", "eps"),
                 ("sddp-lb", "--rounds", "-2", "rounds"),
                 ("sddp", "--time-limit", "nan", "time limit"),
                 ("ex", "--time-limit", "-1", "time limit"),
-                ("ldr-m", "--time-limit", "-1", "time limit")]
+                ("ldr-m", "--time-limit", "-1", "time limit")] + [
+    # seed, rounds and k are checked for every method, also where none reads them
+    (method, flag, value, word) for method in ("ex", "ldr-m")
+    for flag, value, word in (("--seed", "-1", "seed"), ("--rounds", "0", "rounds"),
+                              ("--k", "0", "k"))]
 
 
 @pytest.mark.parametrize("method,flag,value,word", BAD_SETTINGS,
@@ -349,15 +353,19 @@ def test_bench_starts_no_more_workers_than_cells(tmp_path, monkeypatch):
 
 
 @pytest.mark.parametrize("key,value,word", [("time_limit", -1, "time limit"),
-                                             ("seed", -1, "seed"), ("rounds", 0, "rounds")])
-def test_bench_bad_run_setting_exits_3_before_any_cell(tmp_path, capsys, key, value, word):
+                                             ("seed", -1, "seed"), ("rounds", 0, "rounds"),
+                                             ("k", 0, "k")])
+def test_bench_bad_run_setting_exits_3_before_any_cell(tmp_path, capsys, monkeypatch,
+                                                       key, value, word):
     conf = json.loads(bench_config(tmp_path, ["ex", "sddp-lb"], ["pm"]).read_text())
     conf[key] = value
     (tmp_path / "bench.json").write_text(json.dumps(conf))
+    cells = []
+    monkeypatch.setattr(cli, "_bench_cell", cells.append)
     rc = main(["bench", "--config", str(tmp_path / "bench.json"), "--out", str(tmp_path / "r.csv")])
     err = capsys.readouterr().err
     assert rc == 3 and err.count("\n") == 1 and err.startswith("config error:")
-    assert word in err and not (tmp_path / "r.csv").exists()
+    assert word in err and not (tmp_path / "r.csv").exists() and cells == []
 
 
 BAD_BENCH_FORMS = [("instances", ["x"], "instances"), ("instances", 3, "instances"),

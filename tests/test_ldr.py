@@ -78,7 +78,6 @@ def test_deterministic_chain_ldr_is_exact():
         nl = 2
         E = np.hstack([rng.uniform(0.3, 1.0, size=(nl, r - 1)), np.eye(nl)[:, :1]])
         data.append(NodeData(
-            g=np.zeros(0), sen_z=np.empty(0, dtype="<U1"),
             C=smat(sp.csr_matrix(rng.uniform(-1, 1, size=(nl, k))), (nl, k)),
             E=smat(sp.csr_matrix(E), (nl, r)),
             A=None if is_root else smat(sp.csr_matrix(rng.uniform(-0.5, 0.5, size=(nl, k))), (nl, k)),
@@ -279,7 +278,6 @@ def test_feasibility_cuts_drive_master_to_feasible_rules():
     for node in tree.nodes:
         is_root = node.stage == 1
         data.append(NodeData(
-            g=np.zeros(0), sen_z=np.empty(0, dtype="<U1"),
             C=None,
             E=rows["E"] if not is_root else None,
             A=None if is_root else smat(sp.csr_matrix(np.array([[1.0], [0.0]])), (2, k)),

@@ -7,7 +7,7 @@ import scipy.sparse as sp
 from mcsip.aggregate import Transformation, build_aggregation, refines
 from mcsip.lp_engine import branch_and_cut, solve_lp
 from mcsip.model import Csr, LpProblem, build_aggregated_extensive_form, \
-    build_extensive_form, expand_aggregated_solution, max_violation, validate
+    build_extensive_form, expand_aggregated_solution, max_violation, node_rows, validate
 
 from conftest import make_random_msilp
 
@@ -148,6 +148,49 @@ def test_validate_flags_root_coupling():
     root.A = m.data[1].A
     m.data[0] = root
     assert any("root carries" in d for d in validate(m))
+
+
+def _on_x_or_y(nd, nl):
+    """Rows of nd's linking block with a C, E or A entry, read off dense copies."""
+    dense = [M.toarray() for M in (nd.C, nd.E, nd.A) if M is not None]
+    return np.any(np.hstack([np.zeros((nl, 0))] + dense) != 0, axis=1)
+
+
+@pytest.mark.parametrize("case", ["hdr-msilp", "hdr-aggregated", "random"])
+def test_node_rows_lists_the_integer_rows_then_the_rest(hdr_toy, case):
+    """node_rows' first selection holds exactly the linking rows with no C,
+    E or A entry, in order, and only terms on z; the second holds every
+    other row, in order.  The relief model's integer rows, at most one
+    modality and (off the root) persistence, are its last rows."""
+    import copy
+
+    from mcsip.hdr import build_hdr_aggregated, build_hdr_msilp
+    from mcsip.tree import build_tree
+
+    if case == "random":
+        m = make_random_msilp(seed=3, T=3, with_state_rows=True)
+    elif case == "hdr-msilp":
+        m = build_hdr_msilp(hdr_toy)
+    else:
+        tree = build_tree(hdr_toy.chain, hdr_toy.config.T)
+        m = build_hdr_aggregated(hdr_toy, build_aggregation(tree, Transformation("hn")))
+    for node in m.tree.nodes:
+        nd = m.data[node.id]
+        nl = nd.b.size
+        on_x_or_y = _on_x_or_y(nd, nl)
+        int_rows, other = node_rows(nd, 0, 0, 0, 0, 0, [0])
+        np.testing.assert_array_equal(int_rows.rows, np.flatnonzero(~on_x_or_y))
+        np.testing.assert_array_equal(other.rows, np.flatnonzero(on_x_or_y))
+        assert {id(M) for M, _, _ in int_rows.terms} <= {id(nd.D), id(nd.B), id(nd.W)}
+        if case != "random":
+            n_int = 1 if node.parent is None else 1 + m.l
+            np.testing.assert_array_equal(int_rows.rows, np.arange(nl - n_int, nl))
+    # a block set anew is read anew: without C and E every row of the root is on z alone
+    nd = copy.deepcopy(m.data[m.tree.root])
+    assert nd.row_split()[1].size
+    nd.C = nd.E = None
+    np.testing.assert_array_equal(node_rows(nd, 0, 0, 0, 0, 0, ())[0].rows,
+                                  np.arange(nd.b.size))
 
 
 def test_variable_cap_overflow(monkeypatch):

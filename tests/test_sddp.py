@@ -30,7 +30,6 @@ def chain_msilp(child_rows, k=1, l=1, r=1, T=2, root_d=(0.0,), h=(1.0,),
                                   (b, a): 0.5, (b, b): 0.5}, a)
     tree = build_tree(mc, T)
     root = NodeData(
-        g=np.zeros(0), sen_z=np.empty(0, dtype="<U1"),
         b=np.zeros(0), sen_l=np.empty(0, dtype="<U1"),
         c=np.zeros(l), d=np.array(root_d), h=np.zeros(r),
         x_lo=np.zeros(k), x_up=np.full(k, x_up),
@@ -40,7 +39,6 @@ def chain_msilp(child_rows, k=1, l=1, r=1, T=2, root_d=(0.0,), h=(1.0,),
     C, E, A, b_vec, senses = child_rows
     nl = len(b_vec)
     child = NodeData(
-        g=np.zeros(0), sen_z=np.empty(0, dtype="<U1"),
         C=smat(sp.csr_matrix(np.asarray(C, dtype=float).reshape(nl, k)), (nl, k)) if C is not None else None,
         E=smat(sp.csr_matrix(np.asarray(E, dtype=float).reshape(nl, r)), (nl, r)) if E is not None else None,
         A=smat(sp.csr_matrix(np.asarray(A, dtype=float).reshape(nl, k)), (nl, k)) if A is not None else None,
@@ -60,6 +58,64 @@ def candidate_for(engine, m, agg, x_root=None):
     theta = {nid: engine.cfg.theta_lb for nid in m.tree.node(m.tree.root).children}
     return MasterPoint(np.zeros(m.k) if x_root is None else np.asarray(x_root, float),
                        z, theta, agg.node_to_group[m.tree.root])
+
+
+def with_integer_rows(m):
+    """m with integer rows appended to every node's linking rows, each a
+    linking row with D and B entries only: at most one z is 1 and, off
+    the root, z_0 is at least its parent's."""
+    made = {}
+    for node in m.tree.nodes:
+        nd = m.data[node.id]
+        if id(nd) in made:
+            continue
+        on_z, on_z_par, rhs = [-np.ones(m.l)], [np.zeros(m.l)], [-1.0]
+        if node.parent is not None:
+            on_z.append(np.eye(m.l)[0])
+            on_z_par.append(np.eye(m.l)[0])
+            rhs.append(0.0)
+        nl, n = nd.b.size, len(rhs)
+
+        def grow(M, width, rows=None):
+            dense = np.zeros((nl, width)) if M is None else M.toarray()
+            return smat(np.vstack([dense, np.zeros((n, width)) if rows is None else rows]),
+                        (nl + n, width))
+
+        made[id(nd)] = replace(nd, C=grow(nd.C, m.k), D=grow(nd.D, m.l, on_z),
+                               E=grow(nd.E, m.r), A=grow(nd.A, m.k),
+                               B=grow(nd.B, m.l, on_z_par), b=np.concatenate([nd.b, rhs]),
+                               sen_l=np.concatenate([nd.sen_l, ["G"] * n]))
+    return Msilp(tree=m.tree, data=[made[id(nd)] for nd in m.data], k=m.k, l=m.l, r=m.r)
+
+
+def test_a_linking_row_on_z_alone_goes_to_the_master():
+    """A z-only constraint written as a linking row with D and B entries
+    only is an integer row: it is a row of S's master, in no subproblem
+    LP, and S's optimum equals Ex's.  The at-most-one row binds here: the
+    optimum without it is lower."""
+    m0 = make_random_msilp(seed=7, T=3)
+    m = with_integer_rows(m0)
+    agg = build_aggregation(m.tree, Transformation("fh"))
+    ex = branch_and_cut(build_aggregated_extensive_form(m, agg)).objective
+    assert branch_and_cut(build_aggregated_extensive_form(m0, agg)).objective < ex - 1e-3
+
+    master, lay = build_master(m, agg)
+    rows = {(tuple(master.A.indices[a:b]), tuple(master.A.data[a:b]), sense, rhs)
+            for a, b, sense, rhs in zip(master.A.indptr[:-1], master.A.indptr[1:],
+                                        master.senses, master.rhs)}
+    for g, off in lay.z_off.items():
+        assert (tuple(range(off, off + m.l)), (-1.0,) * m.l, "G", -1.0) in rows, g
+    engine = SddpEngine(m, agg, SddpConfig(seed=0))
+    for key, sub in engine.subs.items():
+        nd = sub.nd
+        on_x_or_y = np.zeros(nd.b.size, dtype=bool)
+        for M in (nd.C, nd.E, nd.A):
+            if M is not None:
+                on_x_or_y |= np.any(M.toarray() != 0, axis=1)
+        assert sub.lp.m == on_x_or_y.sum() < nd.b.size, key
+
+    sd = solve_exact(m, agg, SddpConfig(seed=0))
+    assert sd.objective == pytest.approx(ex, rel=1e-6, abs=1e-6)
 
 
 def test_two_stage_reduces_to_benders():
